@@ -123,7 +123,13 @@ class Workspace:
                          "timings": {}}
         if os.path.exists(self.manifest_path):
             with open(self.manifest_path, encoding="utf-8") as fh:
-                old = json.load(fh)
+                try:
+                    old = json.load(fh)
+                except ValueError:  # truncated or not JSON at all
+                    old = None
+            if not isinstance(old, dict):
+                raise LabError(f"corrupt manifest {self.manifest_path}: not a JSON "
+                               "object; delete it to rebuild the output dir")
             if old.get("config_hash") == self.manifest["config_hash"]:
                 self.manifest = old
 
@@ -135,10 +141,11 @@ class Workspace:
     def rel(self, path) -> str:
         return os.path.relpath(path, self.out)
 
-    def is_current(self, key: str) -> bool:
-        """True when the recorded artifact exists and its hash still matches."""
+    def is_current(self, key: str, path=None) -> bool:
+        """True when the recorded artifact exists, its hash still matches and,
+        if ``path`` is given, it was recorded at that path."""
         entry = self.manifest["artifacts"].get(key)
-        if not entry:
+        if not entry or (path is not None and entry["path"] != self.rel(path)):
             return False
         path = os.path.join(self.out, entry["path"])
         return os.path.exists(path) and _file_sha256(path) == entry["sha256"]
@@ -208,8 +215,8 @@ def cmd_gen(ws: Workspace) -> None:
     for spec in specs:
         for split in ("train", "test"):
             key = _dataset_key(spec.env_id, split)
-            path = ws.path("datasets", f"{spec.env_id}_{split}.jsonl")
-            if ws.is_current(key):
+            path = ws.path("datasets", f"{spec.env_id}_{split}.npz")
+            if ws.is_current(key, path):
                 print(f"gen: skip {spec.env_id}/{split} (up to date)")
                 continue
             dataset = envs.sample_env(family, spec.env_id, split)
@@ -219,8 +226,8 @@ def cmd_gen(ws: Workspace) -> None:
             print(f"gen: wrote {ws.rel(path)} ({len(dataset)} samples)")
         for frac in ws.config.subsample_fractions:
             key = f"dataset:{spec.env_id}:train:sub{frac}"
-            path = ws.path("datasets", f"{spec.env_id}_train_sub{frac}.jsonl")
-            if ws.is_current(key):
+            path = ws.path("datasets", f"{spec.env_id}_train_sub{frac}.npz")
+            if ws.is_current(key, path):
                 continue
             full = envs.read_dataset(
                 ws.artifact_path(_dataset_key(spec.env_id, "train")))
@@ -248,8 +255,10 @@ def _train_one(config_doc: dict, dataset_path: str, fingerprint: str, run_dir: s
     return run_dir
 
 
-def _ensure_runs(ws: Workspace, wanted: list) -> None:
-    """Train whatever is stale in ``wanted``: (key, TrainConfig, env_id) triples."""
+def _ensure_runs(ws: Workspace, wanted: list) -> int:
+    """Train whatever is stale in ``wanted``: (key, TrainConfig, env_id) triples.
+
+    Returns the number of jobs trained."""
     jobs = []
     for key, config, env_id in wanted:
         if ws.is_current(key):
@@ -260,7 +269,7 @@ def _ensure_runs(ws: Workspace, wanted: list) -> None:
                      ws.manifest["artifacts"][data_key].get("fingerprint", ""),
                      run_dir))
     if not jobs:
-        return
+        return 0
     if ws.config.jobs > 1:
         with ProcessPoolExecutor(max_workers=ws.config.jobs) as pool:
             futures = [(key, run_dir,
@@ -275,6 +284,7 @@ def _ensure_runs(ws: Workspace, wanted: list) -> None:
             _train_one(cfg, data, fp, run_dir)
             ws.record(key, os.path.join(run_dir, "primary.json"))
             print(f"train: finished {key}")
+    return len(jobs)
 
 
 def _run_key(mode: str, env_id: str) -> str:
@@ -297,8 +307,8 @@ def cmd_train(ws: Workspace, modes=None) -> None:
     _, specs = ws.config.build_family()
     wanted = [(_run_key(mode, s.env_id), ws.config.train_config(mode, s.env_id), s.env_id)
               for mode in (modes or ws.config.modes) for s in specs]
-    _ensure_runs(ws, wanted)
-    ws.save_manifest("train", time.monotonic() - t0)
+    if _ensure_runs(ws, wanted):  # only a call that trained may set the timing
+        ws.save_manifest("train", time.monotonic() - t0)
 
 
 def cmd_matrix(ws: Workspace) -> None:
@@ -377,6 +387,9 @@ def cmd_bon(ws: Workspace) -> None:
     family, specs = ws.config.build_family()
     env_order = [s.env_id for s in specs]
     bon_modes = [m for m in BON_MODES if m in ws.config.modes]
+    bad = [n for n in ws.config.n_grid if not 1 <= n <= ws.config.pool_size]
+    if bad:
+        raise ConfigError(f"n_grid entries {bad} outside [1, pool_size={ws.config.pool_size}]")
     cmd_train(ws, modes=bon_modes)
 
     nets = {(mode, e): _load_run(ws, _run_key(mode, e)).primary

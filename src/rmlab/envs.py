@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,17 +138,44 @@ class PreferenceSample:
         return self.length2 if self.y == 1 else self.length1
 
 
+COLUMNS = ("v", "q", "a1", "a2", "y", "planted")
+
+
 @dataclass
 class Dataset:
-    """All samples of one environment split plus its generator fingerprint."""
+    """One environment split as columns, one row per preference pair, plus its
+    generator fingerprint.
+
+    v (n, D_V), q (n, D_Q), a1/a2 (n, D_A) float64; y (n,) int8 (+1 if a1 is
+    chosen, -1 if a2); planted (n,) bool, the shortcut-marker flag.
+    """
 
     env_id: str
     split: str
-    samples: list = field(default_factory=list)
+    v: np.ndarray = field(default_factory=lambda: np.zeros((0, D_V)))
+    q: np.ndarray = field(default_factory=lambda: np.zeros((0, D_Q)))
+    a1: np.ndarray = field(default_factory=lambda: np.zeros((0, D_A)))
+    a2: np.ndarray = field(default_factory=lambda: np.zeros((0, D_A)))
+    y: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
+    planted: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     fingerprint: str = ""
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.y)
+
+    @property
+    def samples(self) -> list:
+        """Per-pair row views onto the columns."""
+        return [PreferenceSample(v=self.v[i], q=self.q[i], a1=self.a1[i], a2=self.a2[i],
+                                 y=int(self.y[i]), shortcut_applied=bool(self.planted[i]))
+                for i in range(len(self))]
+
+    def take(self, indices, fingerprint: str | None = None) -> "Dataset":
+        """The rows at ``indices``, copied, in that order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return Dataset(self.env_id, self.split,
+                       **{c: getattr(self, c)[idx] for c in COLUMNS},
+                       fingerprint=self.fingerprint if fingerprint is None else fingerprint)
 
 
 class EnvironmentFamily:
@@ -329,7 +357,10 @@ def sample_env(family: EnvironmentFamily, env_id: str, split: str) -> Dataset:
     u_dir = family.directions[env_id]
     own_coords = np.flatnonzero(u_dir)
 
-    samples = []
+    cols = Dataset(env_id, split, v=np.empty((n, D_V)), q=np.empty((n, D_Q)),
+                   a1=np.empty((n, D_A)), a2=np.empty((n, D_A)),
+                   y=np.empty(n, dtype=np.int8), planted=np.empty(n, dtype=bool),
+                   fingerprint=dataset_fingerprint(family, spec, split))
     for i in range(n):
         rng = np.random.default_rng([spec.seed, code, i])
         v = rng.standard_normal(D_V)
@@ -360,27 +391,27 @@ def sample_env(family: EnvironmentFamily, env_id: str, split: str) -> Dataset:
             # That is the channel through which downweighting marker pairs
             # changes what gets learned.
             answers[:, own_coords] = marker_noise
-        samples.append(PreferenceSample(v=v, q=q, a1=answers[0], a2=answers[1],
-                                        y=y, shortcut_applied=applied))
+        cols.v[i], cols.q[i], cols.a1[i], cols.a2[i] = v, q, answers[0], answers[1]
+        cols.y[i], cols.planted[i] = y, applied
 
-    _force_length_order(samples, spec, code, n)
-    return Dataset(env_id=env_id, split=split, samples=samples,
-                   fingerprint=dataset_fingerprint(family, spec, split))
+    _force_length_order(cols, spec, code, n)
+    return cols
 
 
-def _force_length_order(samples, spec, split_code, n):
+def _force_length_order(dataset, spec, split_code, n):
     """Swap length coordinates so exactly round(length_bias * n) pairs have a
     longer chosen answer. Swapping preserves each coordinate's marginal law."""
     rng = np.random.default_rng([spec.seed, split_code, LENGTH_RNG_TAG])
     k = int(round(spec.length_bias * n))
     chosen_longer = np.zeros(n, dtype=bool)
     chosen_longer[rng.permutation(n)[:k]] = True
-    for idx, sample in enumerate(samples):
-        a_c, a_r = (sample.a1, sample.a2) if sample.y == 1 else (sample.a2, sample.a1)
-        want_longer = bool(chosen_longer[idx])
-        is_longer = a_c[LENGTH_COORD] > a_r[LENGTH_COORD]
-        if want_longer != is_longer:
-            a_c[LENGTH_COORD], a_r[LENGTH_COORD] = a_r[LENGTH_COORD], a_c[LENGTH_COORD]
+    len1 = dataset.a1[:, LENGTH_COORD].copy()
+    len2 = dataset.a2[:, LENGTH_COORD].copy()
+    first_chosen = dataset.y == 1
+    is_longer = np.where(first_chosen, len1 > len2, len2 > len1)
+    swap = chosen_longer != is_longer
+    dataset.a1[swap, LENGTH_COORD] = len2[swap]
+    dataset.a2[swap, LENGTH_COORD] = len1[swap]
 
 
 def shortcut_oracle_label(sample: PreferenceSample) -> bool:
@@ -402,44 +433,45 @@ def oracle_margin(family: EnvironmentFamily, sample: PreferenceSample) -> float:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Line-delimited JSON records, one per sample."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in dataset.samples:
-            rec = {"env_id": dataset.env_id, "split": dataset.split,
-                   "v": s.v.tolist(), "q": s.q.tolist(),
-                   "a1": s.a1.tolist(), "a2": s.a2.tolist(),
-                   "y": s.y, "shortcut_applied": s.shortcut_applied}
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    """One uncompressed .npz archive: the COLUMNS plus 0-d ``env_id`` and
+    ``split`` strings. Members carry a fixed timestamp, so equal datasets
+    give byte-identical files."""
+    arrays = {"env_id": np.array(dataset.env_id), "split": np.array(dataset.split),
+              **{c: getattr(dataset, c) for c in COLUMNS}}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in arrays.items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
+
+
+_COLUMN_TYPES = {"v": ((D_V,), np.float64), "q": ((D_Q,), np.float64),
+                 "a1": ((D_A,), np.float64), "a2": ((D_A,), np.float64),
+                 "y": ((), np.int8), "planted": ((), np.bool_)}
 
 
 def read_dataset(path, fingerprint: str = "") -> Dataset:
-    samples = []
-    env_id = split = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            env_id, split = rec["env_id"], rec["split"]
-            samples.append(PreferenceSample(
-                v=np.asarray(rec["v"], dtype=np.float64),
-                q=np.asarray(rec["q"], dtype=np.float64),
-                a1=np.asarray(rec["a1"], dtype=np.float64),
-                a2=np.asarray(rec["a2"], dtype=np.float64),
-                y=int(rec["y"]),
-                shortcut_applied=bool(rec["shortcut_applied"]),
-            ))
-    if env_id is None:
-        raise GenerationError(f"empty dataset file: {path}")
-    return Dataset(env_id=env_id, split=split, samples=samples, fingerprint=fingerprint)
+    """Load a file written by write_dataset; anything else raises GenerationError."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {k: npz[k] for k in ("env_id", "split") + COLUMNS}
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise GenerationError(f"{path} is not a valid dataset file ({exc})") from None
+    n = len(arrays["y"]) if arrays["y"].ndim == 1 else -1
+    bad = [c for c, (shape, dtype) in _COLUMN_TYPES.items()
+           if arrays[c].shape != (n, *shape) or arrays[c].dtype != dtype]
+    if n < 1 or bad:
+        raise GenerationError(f"{path} is not a valid dataset file "
+                              f"(empty, or bad columns {bad})")
+    return Dataset(str(arrays["env_id"]), str(arrays["split"]),
+                   **{c: arrays[c] for c in COLUMNS}, fingerprint=fingerprint)
 
 
 def subsample(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     """Seeded without-replacement subsample of floor(fraction * n) samples."""
     if not 0.0 < fraction <= 1.0:
         raise GenerationError(f"subsample fraction {fraction} outside (0, 1]")
-    n = len(dataset.samples)
+    n = len(dataset)
     k = int(fraction * n)
     rng = np.random.default_rng([seed, 0x5B5])
     idx = np.sort(rng.permutation(n)[:k])
-    return Dataset(env_id=dataset.env_id, split=dataset.split,
-                   samples=[dataset.samples[i] for i in idx],
-                   fingerprint=dataset.fingerprint + f":sub{fraction}:{seed}")
+    return dataset.take(idx, dataset.fingerprint + f":sub{fraction}:{seed}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net as netmod
+from .envs import LENGTH_COORD
 from .errors import DegenerateSplitError, MissingArtifactError
 from .net import RewardNet
 from .training import _stack_pairs, mean_sfc_over
@@ -26,7 +27,7 @@ def _pair_scores(scorer, dataset, mask_vision: bool):
     if isinstance(scorer, RewardNet):
         x_c, x_r = _stack_pairs(dataset, mask_vision=mask_vision)
         return netmod.batch_scores(scorer, x_c), netmod.batch_scores(scorer, x_r)
-    chosen = np.empty(len(dataset.samples))
+    chosen = np.empty(len(dataset))
     rejected = np.empty_like(chosen)
     for i, s in enumerate(dataset.samples):
         v = np.zeros_like(s.v) if mask_vision else s.v
@@ -38,7 +39,7 @@ def _pair_scores(scorer, dataset, mask_vision: bool):
 
 def accuracy(scorer, dataset, mask_vision: bool = False) -> float:
     """Fraction of pairs where the chosen answer strictly outscores the other."""
-    if len(dataset.samples) == 0:
+    if len(dataset) == 0:
         raise MissingArtifactError("accuracy needs a nonempty dataset")
     chosen, rejected = _pair_scores(scorer, dataset, mask_vision)
     return float(np.mean(chosen > rejected))
@@ -99,7 +100,7 @@ def shortcut_split(text_net, test_set):
     """
     chosen, rejected = _pair_scores(text_net, test_set, mask_vision=True)
     correct = chosen > rejected
-    idx = np.arange(len(test_set.samples))
+    idx = np.arange(len(test_set))
     return idx[correct].tolist(), idx[~correct].tolist()
 
 
@@ -120,21 +121,13 @@ class SFDReport:
         return vars(self).copy()
 
 
-def _subset(dataset, indices):
-    from .envs import Dataset
-
-    return Dataset(env_id=dataset.env_id, split=dataset.split,
-                   samples=[dataset.samples[i] for i in indices],
-                   fingerprint=dataset.fingerprint)
-
-
 def sfd(mm_net, test_set, success_idx, fail_idx, *, train_env="", mode="") -> SFDReport:
     """Shortcut-failure degradation of a net over a precomputed split."""
     if not success_idx or not fail_idx:
         raise DegenerateSplitError(
             f"split is degenerate (success={len(success_idx)}, fail={len(fail_idx)})")
-    acc_s = accuracy(mm_net, _subset(test_set, success_idx))
-    acc_f = accuracy(mm_net, _subset(test_set, fail_idx))
+    acc_s = accuracy(mm_net, test_set.take(success_idx))
+    acc_f = accuracy(mm_net, test_set.take(fail_idx))
     return SFDReport(train_env=train_env, test_env=test_set.env_id, mode=mode,
                      n_success=len(success_idx), n_fail=len(fail_idx),
                      acc_on_success=acc_s, acc_on_fail=acc_f, sfd=acc_s - acc_f)
@@ -178,7 +171,7 @@ class BiasDiag:
 
 def score_correlation(mm_net, text_net, test_set) -> BiasDiag:
     """Pearson correlations of per-response scores and per-pair margins."""
-    if len(test_set.samples) == 0:
+    if len(test_set) == 0:
         raise MissingArtifactError("score_correlation needs a nonempty test set")
     mm_c, mm_r = _pair_scores(mm_net, test_set, mask_vision=False)
     t_c, t_r = _pair_scores(text_net, test_set, mask_vision=True)
@@ -194,14 +187,13 @@ def length_balanced_subset(test_set, seed: int = 0):
     """
     from .errors import BalanceError
 
-    longer, shorter, ties = [], [], []
-    for i, s in enumerate(test_set.samples):
-        if s.chosen_length > s.rejected_length:
-            longer.append(i)
-        elif s.chosen_length < s.rejected_length:
-            shorter.append(i)
-        else:
-            ties.append(i)
+    first_chosen = test_set.y == 1
+    len1, len2 = test_set.a1[:, LENGTH_COORD], test_set.a2[:, LENGTH_COORD]
+    chosen = np.where(first_chosen, len1, len2)
+    rejected = np.where(first_chosen, len2, len1)
+    longer = np.flatnonzero(chosen > rejected).tolist()
+    shorter = np.flatnonzero(chosen < rejected).tolist()
+    ties = np.flatnonzero(chosen == rejected).tolist()
     if not longer or not shorter:
         raise BalanceError(
             f"cannot balance: chosen-longer={len(longer)}, rejected-longer={len(shorter)}")
@@ -214,7 +206,7 @@ def length_balanced_subset(test_set, seed: int = 0):
             keep.update(side[i] for i in chosen_idx)
         else:
             keep.update(side)
-    return _subset(test_set, sorted(keep))
+    return test_set.take(sorted(keep))
 
 
 @dataclass

@@ -79,20 +79,64 @@ class NetDims:
     def input_dim(self) -> int:
         return self.d_v + self.d_q + self.d_a
 
+    @property
+    def n_params(self) -> int:
+        return self.hidden * (self.input_dim + 2) + 1
 
-@dataclass
+    def views(self, theta: np.ndarray) -> dict:
+        """Named views onto a flat vector laid out like theta = [w1 | b1 | w2 | b2].
+
+        Parameters, gradients and optimizer moments all share this layout;
+        b2 is a length-1 view.
+        """
+        h, d = self.hidden, self.input_dim
+        return {"w1": theta[:h * d].reshape(h, d), "b1": theta[h * d:h * d + h],
+                "w2": theta[h * d + h:h * d + 2 * h], "b2": theta[h * d + 2 * h:]}
+
+
+class _Block:
+    """A named parameter block: a view onto ``net.theta`` that writes through."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, net, owner=None):
+        return self if net is None else net._views[self.name]
+
+    def __set__(self, net, value):
+        net._views[self.name][...] = value
+
+
 class RewardNet:
-    """Parameters of the two-layer scoring net.
+    """Parameters of the two-layer scoring net, held in one contiguous float64
+    vector ``theta = [w1 | b1 | w2 | b2]``.
 
-    Two nets created from the same (dims, seed) are parameter-identical.
+    ``w1`` (hidden, input_dim), ``b1`` and ``w2`` (hidden,) are views onto
+    theta and ``b2`` is a float property; assigning any of them writes into
+    theta. Two nets created from the same (dims, seed) are parameter-identical.
     """
 
-    dims: NetDims
-    seed: int
-    w1: np.ndarray  # (hidden, input_dim)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden,)
-    b2: float
+    w1 = _Block()
+    b1 = _Block()
+    w2 = _Block()
+
+    def __init__(self, dims: NetDims, seed: int, theta=None):
+        self.dims = dims
+        self.seed = seed
+        self.theta = (np.zeros(dims.n_params) if theta is None
+                      else np.array(theta, dtype=np.float64))
+        if self.theta.shape != (dims.n_params,):
+            raise DimensionError(
+                f"theta: expected shape ({dims.n_params},), got {self.theta.shape}")
+        self._views = dims.views(self.theta)
+
+    @property
+    def b2(self) -> float:
+        return float(self.theta[-1])
+
+    @b2.setter
+    def b2(self, value) -> None:
+        self.theta[-1] = value
 
     @classmethod
     def init(cls, dims: NetDims, seed: int) -> "RewardNet":
@@ -108,34 +152,22 @@ class RewardNet:
         d = dims.input_dim
         lim1 = 1.0 / math.sqrt(d)
         lim2 = 1.0 / math.sqrt(dims.hidden)
-        w1 = rng.uniform(-lim1, lim1, size=(dims.hidden, d))
-        w1[:, dims.d_v + dims.d_q:] = 0.0
-        return cls(
-            dims=dims,
-            seed=seed,
-            w1=w1,
-            b1=np.zeros(dims.hidden),
-            w2=rng.uniform(-lim2, lim2, size=dims.hidden),
-            b2=0.0,
-        )
+        net = cls(dims, seed)
+        net.w1 = rng.uniform(-lim1, lim1, size=(dims.hidden, d))
+        net.w1[:, dims.d_v + dims.d_q:] = 0.0
+        net.w2 = rng.uniform(-lim2, lim2, size=dims.hidden)
+        return net
 
     @classmethod
     def zeros(cls, dims: NetDims) -> "RewardNet":
-        return cls(
-            dims=dims,
-            seed=-1,
-            w1=np.zeros((dims.hidden, dims.input_dim)),
-            b1=np.zeros(dims.hidden),
-            w2=np.zeros(dims.hidden),
-            b2=0.0,
-        )
+        return cls(dims, -1)
 
     def copy(self) -> "RewardNet":
-        return RewardNet(self.dims, self.seed, self.w1.copy(), self.b1.copy(),
-                         self.w2.copy(), float(self.b2))
+        return RewardNet(self.dims, self.seed, self.theta)
 
     def params(self) -> dict:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        """Named views onto theta (b2 as a length-1 view)."""
+        return self._views
 
     def to_dict(self) -> dict:
         """Flat JSON document; float round-trip is bit-exact via repr."""
@@ -146,21 +178,14 @@ class RewardNet:
             "w1": self.w1.ravel().tolist(),
             "b1": self.b1.tolist(),
             "w2": self.w2.tolist(),
-            "b2": float(self.b2),
+            "b2": self.b2,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RewardNet":
         dims = NetDims(**doc["dims"])
-        w1 = np.asarray(doc["w1"], dtype=np.float64).reshape(dims.hidden, dims.input_dim)
-        return cls(
-            dims=dims,
-            seed=int(doc["seed"]),
-            w1=w1,
-            b1=np.asarray(doc["b1"], dtype=np.float64),
-            w2=np.asarray(doc["w2"], dtype=np.float64),
-            b2=float(doc["b2"]),
-        )
+        return cls(dims, int(doc["seed"]),
+                   np.concatenate([np.ravel(doc[name]) for name in PARAM_NAMES]))
 
 
 def _check_input(net: RewardNet, v, q, a):
@@ -207,11 +232,11 @@ def pair_loss(net: RewardNet, sample, mask_vision: bool, label: int) -> float:
 
 
 def pair_grad(net: RewardNet, sample, mask_vision: bool, label: int):
-    """Loss and exact analytic gradients for one preference pair.
+    """Loss and exact analytic gradient for one preference pair.
 
-    Returns (loss, grads) where grads maps parameter name to an array shaped
-    like that parameter. Note the b2 gradient is exactly zero: a shared
-    score offset cancels in the pairwise margin.
+    Returns (loss, grad) where grad is laid out like ``net.theta``. Note the
+    b2 entry is exactly zero: a shared score offset cancels in the pairwise
+    margin.
     """
     x_c, x_r = pair_inputs(sample, label, mask_vision)
     z_c = net.w1 @ x_c + net.b1
@@ -223,13 +248,13 @@ def pair_grad(net: RewardNet, sample, mask_vision: bool, label: int):
 
     dh_c = net.w2 * (1.0 - h_c * h_c)
     dh_r = net.w2 * (1.0 - h_r * h_r)
-    grads = {
-        "w1": g * (np.outer(dh_c, x_c) - np.outer(dh_r, x_r)),
-        "b1": g * (dh_c - dh_r),
-        "w2": g * (h_c - h_r),
-        "b2": 0.0,
-    }
-    return loss, grads
+    grad = np.concatenate([
+        (g * (np.outer(dh_c, x_c) - np.outer(dh_r, x_r))).ravel(),
+        g * (dh_c - dh_r),
+        g * (h_c - h_r),
+        [0.0],
+    ])
+    return loss, grad
 
 
 def fd_check(net: RewardNet, sample, mask_vision: bool, label: int = 1,
@@ -239,45 +264,19 @@ def fd_check(net: RewardNet, sample, mask_vision: bool, label: int = 1,
     Errors are scaled by the largest gradient magnitude present so that
     near-zero entries do not blow up the ratio.
     """
-    _, grads = pair_grad(net, sample, mask_vision, label)
+    _, grad = pair_grad(net, sample, mask_vision, label)
     work = net.copy()
-
-    def loss_at():
-        return pair_loss(work, sample, mask_vision, label)
-
-    fd = {}
-    for name in PARAM_NAMES:
-        param = work.params()[name]
-        if name == "b2":
-            work.b2 = net.b2 + step
-            up = loss_at()
-            work.b2 = net.b2 - step
-            down = loss_at()
-            work.b2 = net.b2
-            fd[name] = (up - down) / (2.0 * step)
-            continue
-        out = np.zeros_like(param)
-        flat = param.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_at()
-            flat[i] = orig - step
-            down = loss_at()
-            flat[i] = orig
-            out.ravel()[i] = (up - down) / (2.0 * step)
-        fd[name] = out
-
-    scale = max(
-        max(np.max(np.abs(np.atleast_1d(grads[n]))) for n in PARAM_NAMES),
-        max(np.max(np.abs(np.atleast_1d(fd[n]))) for n in PARAM_NAMES),
-        1e-8,
-    )
-    worst = 0.0
-    for name in PARAM_NAMES:
-        diff = np.max(np.abs(np.atleast_1d(grads[name]) - np.atleast_1d(fd[name])))
-        worst = max(worst, float(diff) / scale)
-    return worst
+    fd = np.empty_like(grad)
+    for i in range(fd.size):
+        orig = work.theta[i]
+        work.theta[i] = orig + step
+        up = pair_loss(work, sample, mask_vision, label)
+        work.theta[i] = orig - step
+        down = pair_loss(work, sample, mask_vision, label)
+        work.theta[i] = orig
+        fd[i] = (up - down) / (2.0 * step)
+    scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)), 1e-8)
+    return float(np.max(np.abs(grad - fd))) / scale
 
 
 def schedule_lr(base_lr: float, warmup_ratio: float, total_steps: int, step: int) -> float:
@@ -293,31 +292,43 @@ def schedule_lr(base_lr: float, warmup_ratio: float, total_steps: int, step: int
 
 @dataclass
 class OptimizerState:
-    """AdamW moments plus the lr schedule for one net."""
+    """AdamW moments (laid out like the net's theta) plus the lr schedule."""
 
     base_lr: float
     warmup_ratio: float
     total_steps: int
     weight_decay: float
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    # preallocated work buffers for adamw_step
+    _u: np.ndarray = field(init=False, repr=False)
+    _tmp: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._u = np.empty_like(self.m)
+        self._tmp = np.empty_like(self.m)
 
     @classmethod
     def for_net(cls, net: RewardNet, base_lr: float, warmup_ratio: float,
                 total_steps: int, weight_decay: float) -> "OptimizerState":
-        state = cls(base_lr, warmup_ratio, total_steps, weight_decay)
-        for name, p in net.params().items():
-            state.m[name] = np.zeros_like(np.atleast_1d(p) if name != "b2" else np.zeros(1))
-            state.v[name] = np.zeros_like(state.m[name])
-        return state
+        return cls(base_lr, warmup_ratio, total_steps, weight_decay,
+                   m=np.zeros_like(net.theta), v=np.zeros_like(net.theta))
 
     def current_lr(self) -> float:
         return schedule_lr(self.base_lr, self.warmup_ratio, self.total_steps, self.step)
 
 
-def adamw_step(state: OptimizerState, net: RewardNet, grads: dict) -> None:
-    """One AdamW update with decoupled weight decay at the scheduled lr."""
+def adamw_step(state: OptimizerState, net: RewardNet, grad: np.ndarray) -> None:
+    """One in-place AdamW update of ``net.theta`` with decoupled weight decay
+    at the scheduled lr. ``grad`` is laid out like theta.
+
+    Every element sees the same operations in the same order as the textbook
+    per-parameter form, so results are bit-identical to it:
+    m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g,
+    u = m_hat / (sqrt(v_hat) + eps), p = p - lr*(u + wd*p).
+    A zero gradient entry (b2's, always) therefore needs no special case.
+    """
     if state.step >= state.total_steps:
         raise ScheduleExhausted(
             f"optimizer already ran its {state.total_steps} scheduled steps")
@@ -325,16 +336,21 @@ def adamw_step(state: OptimizerState, net: RewardNet, grads: dict) -> None:
     lr = schedule_lr(state.base_lr, state.warmup_ratio, state.total_steps, state.step)
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
+    m, v, u, tmp, p = state.m, state.v, state._u, state._tmp, net.theta
 
-    for name in PARAM_NAMES:
-        g = np.atleast_1d(np.asarray(grads[name], dtype=np.float64))
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if name == "b2":
-            net.b2 = net.b2 - lr * (float(update[0]) + state.weight_decay * net.b2)
-        else:
-            p = net.params()[name]
-            p -= lr * (update.reshape(p.shape) + state.weight_decay * p)
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
+    m += tmp
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= grad
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    np.divide(m, bc1, out=u)
+    u /= tmp
+    np.multiply(p, state.weight_decay, out=tmp)
+    tmp += u
+    tmp *= lr
+    p -= tmp

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import net as netmod
 from .errors import ConfigError, DomainError
 from .net import NetDims, OptimizerState, RewardNet, adamw_step, bt_loss, sigmoid
 
@@ -189,59 +188,84 @@ def proxy_mask(sample, proxy_kind):
 
 def _stack_pairs(dataset, mask_vision: bool):
     """Chosen/rejected concatenated feature matrices for a whole dataset."""
-    n = len(dataset.samples)
-    s0 = dataset.samples[0]
-    d_v, d_q, d_a = s0.v.shape[0], s0.q.shape[0], s0.a1.shape[0]
-    x_c = np.empty((n, d_v + d_q + d_a))
-    x_r = np.empty_like(x_c)
-    for i, s in enumerate(dataset.samples):
-        v = np.zeros(d_v) if mask_vision else s.v
-        chosen, rejected = (s.a1, s.a2) if s.y == 1 else (s.a2, s.a1)
-        x_c[i] = np.concatenate([v, s.q, chosen])
-        x_r[i] = np.concatenate([v, s.q, rejected])
+    d_v, d_q = dataset.v.shape[1], dataset.q.shape[1]
+    x_c = np.empty((len(dataset), d_v + d_q + dataset.a1.shape[1]))
+    x_c[:, :d_v] = 0.0 if mask_vision else dataset.v
+    x_c[:, d_v:d_v + d_q] = dataset.q
+    x_r = x_c.copy()
+    first_chosen = (dataset.y == 1)[:, None]
+    x_c[:, d_v + d_q:] = np.where(first_chosen, dataset.a1, dataset.a2)
+    x_r[:, d_v + d_q:] = np.where(first_chosen, dataset.a2, dataset.a1)
     return x_c, x_r
+
+
+def branch_forward(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray) -> np.ndarray:
+    """Hidden activations of a batch: chosen rows stacked over rejected rows,
+    shape (2b, hidden).
+
+    Two matrix products fill the halves (one stacked product would block the
+    reduction differently and change bits); every elementwise step then runs
+    once over both halves.
+    """
+    b = x_c.shape[0]
+    h = np.empty((2 * b, network.dims.hidden))
+    w1_t = network.w1.T
+    np.matmul(x_c, w1_t, out=h[:b])
+    np.matmul(x_r, w1_t, out=h[b:])
+    h += network.b1
+    return np.tanh(h, out=h)
+
+
+def _pair_losses(network: RewardNet, h: np.ndarray) -> np.ndarray:
+    """Per-sample losses from stacked activations, scored like batch_scores."""
+    b = h.shape[0] // 2
+    w2, b2 = network.w2, network.b2
+    return bt_loss((h[:b] @ w2 + b2) - (h[b:] @ w2 + b2))
 
 
 def batch_losses(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray) -> np.ndarray:
     """Per-sample pairwise losses for stacked chosen/rejected features."""
-    margins = netmod.batch_scores(network, x_c) - netmod.batch_scores(network, x_r)
-    return bt_loss(margins)
+    return _pair_losses(network, branch_forward(network, x_c, x_r))
 
 
 def batch_pair_grads(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray,
-                     weights: np.ndarray):
+                     h: np.ndarray, weights: np.ndarray):
     """Per-sample losses plus the weighted mean gradient over the batch.
 
-    The gradient equals sum_i weights[i] * grad_i / batch_size, reduced with
-    fixed-order matrix products so reruns are bit-identical.
+    ``h`` is the batch's ``branch_forward`` output. The gradient equals
+    sum_i weights[i] * grad_i / batch_size, laid out like ``network.theta``
+    and reduced with fixed-order matrix products so reruns are bit-identical.
     """
     n = x_c.shape[0]
-    z_c = x_c @ network.w1.T + network.b1
-    z_r = x_r @ network.w1.T + network.b1
-    h_c, h_r = np.tanh(z_c), np.tanh(z_r)
-    margins = (h_c - h_r) @ network.w2
+    diff = h[:n] - h[n:]
+    margins = diff @ network.w2
     losses = bt_loss(margins)
     g = -(sigmoid(-margins)) * weights / n  # (n,) d(weighted mean loss)/dmargin
 
-    coef_c = (g[:, None] * (1.0 - h_c * h_c)) * network.w2
-    coef_r = (g[:, None] * (1.0 - h_r * h_r)) * network.w2
-    grads = {
-        "w1": coef_c.T @ x_c - coef_r.T @ x_r,
-        "b1": coef_c.sum(axis=0) - coef_r.sum(axis=0),
-        "w2": (g[:, None] * (h_c - h_r)).sum(axis=0),
-        "b2": 0.0,
-    }
-    return losses, grads
+    coef = 1.0 - h * h
+    coef[:n] *= g[:, None]
+    coef[n:] *= g[:, None]
+    coef *= network.w2
+    grad = np.empty_like(network.theta)
+    out = network.dims.views(grad)
+    np.matmul(coef[:n].T, x_c, out=out["w1"])
+    out["w1"] -= coef[n:].T @ x_r
+    np.subtract(coef[:n].sum(axis=0), coef[n:].sum(axis=0), out=out["b1"])
+    diff *= g[:, None]
+    diff.sum(axis=0, out=out["w2"])
+    grad[-1] = 0.0  # b2: a shared score offset cancels in the margin
+    return losses, grad
 
 
 @dataclass
-class SampleRecord:
-    """Exact per-sample quantities used by one shortcut-aware batch step."""
+class SfcBatch:
+    """Exact per-sample quantities used by one shortcut-aware batch step,
+    one array entry per sample."""
 
-    loss_mm: float
-    loss_t: float
-    sfc: float
-    weight: float
+    loss_mm: np.ndarray
+    loss_t: np.ndarray
+    sfc: np.ndarray
+    weight: np.ndarray
 
 
 def weighted_grad_step(primary: RewardNet, aux: RewardNet,
@@ -253,14 +277,18 @@ def weighted_grad_step(primary: RewardNet, aux: RewardNet,
 
     Primary gradients are the sfc-weighted mean of per-sample pair gradients;
     auxiliary gradients are the unweighted mean of text-only pair gradients.
-    ``weight_override`` bypasses the sfc weights entirely (diagnostics: all
-    ones reduces the step to standard training; passing previously recorded
-    weights demonstrates the weights are detached constants).
+    Each branch runs its forward pass once: the sfc losses and the gradients
+    come from the same activations. ``weight_override`` bypasses the sfc
+    weights entirely (diagnostics: all ones reduces the step to standard
+    training; passing previously recorded weights demonstrates the weights
+    are detached constants).
 
-    Returns (records, primary_grads, aux_grads).
+    Returns (SfcBatch, primary_grad, aux_grad).
     """
-    loss_mm = np.maximum(batch_losses(primary, x_c, x_r), LOSS_FLOOR)
-    loss_t = np.maximum(batch_losses(aux, xt_c, xt_r), LOSS_FLOOR)
+    h_mm = branch_forward(primary, x_c, x_r)
+    h_t = branch_forward(aux, xt_c, xt_r)
+    loss_mm = np.maximum(_pair_losses(primary, h_mm), LOSS_FLOOR)
+    loss_t = np.maximum(_pair_losses(aux, h_t), LOSS_FLOOR)
     sfc_vals = loss_t / (loss_mm + loss_t)
 
     if weight_override is not None:
@@ -270,21 +298,18 @@ def weighted_grad_step(primary: RewardNet, aux: RewardNet,
     else:
         weights = sfc_vals
 
-    _, primary_grads = batch_pair_grads(primary, x_c, x_r, weights)
-    _, aux_grads = batch_pair_grads(aux, xt_c, xt_r, np.ones_like(weights))
-    records = [SampleRecord(float(lm), float(lt), float(s), float(w))
-               for lm, lt, s, w in zip(loss_mm, loss_t, sfc_vals, weights)]
-    return records, primary_grads, aux_grads
+    _, primary_grad = batch_pair_grads(primary, x_c, x_r, h_mm, weights)
+    _, aux_grad = batch_pair_grads(aux, xt_c, xt_r, h_t, np.ones_like(weights))
+    return SfcBatch(loss_mm, loss_t, sfc_vals, weights), primary_grad, aux_grad
 
 
 def train(config: TrainConfig, dataset) -> TrainRun:
     """Run one training job over the dataset and return its artifacts."""
-    n = len(dataset.samples)
+    n = len(dataset)
     if n == 0:
         raise ConfigError("dataset is empty")
-    s0 = dataset.samples[0]
-    dims = NetDims(d_v=s0.v.shape[0], d_q=s0.q.shape[0], d_a=s0.a1.shape[0],
-                   hidden=config.hidden)
+    dims = NetDims(d_v=dataset.v.shape[1], d_q=dataset.q.shape[1],
+                   d_a=dataset.a1.shape[1], hidden=config.hidden)
 
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = steps_per_epoch * config.epochs
@@ -309,7 +334,8 @@ def train(config: TrainConfig, dataset) -> TrainRun:
     xt_c = xt_r = None
     if config.mode == "shortcut_aware":
         xt_c, xt_r = _stack_pairs(dataset, mask_vision=True)
-    flags = np.array([s.shortcut_applied for s in dataset.samples], dtype=bool)
+    flags = dataset.planted
+    ones = np.ones(config.batch_size)
 
     shuffle_rng = np.random.default_rng([config.seed, 0x5F5])
     loss_trace, sfc_trace = [], [] if config.mode == "shortcut_aware" else None
@@ -321,24 +347,23 @@ def train(config: TrainConfig, dataset) -> TrainRun:
         sfc_count = np.zeros(2, dtype=np.int64)
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
+            b_c, b_r = x_c[idx], x_r[idx]
             if config.mode == "shortcut_aware":
-                override = np.ones(len(idx)) if config.force_uniform_weights else None
-                records, g_primary, g_aux = weighted_grad_step(
-                    primary, aux, x_c[idx], x_r[idx], xt_c[idx], xt_r[idx],
+                override = ones[:len(idx)] if config.force_uniform_weights else None
+                batch, g_primary, g_aux = weighted_grad_step(
+                    primary, aux, b_c, b_r, xt_c[idx], xt_r[idx],
                     normalized=config.sfc_normalized, weight_override=override)
-                batch_sfc = np.array([r.sfc for r in records])
-                batch_loss = np.array([r.loss_mm for r in records])
+                batch_loss = batch.loss_mm
                 adamw_step(opt, primary, g_primary)
                 adamw_step(aux_opt, aux, g_aux)
-                sfc_trace.append(float(np.mean(batch_sfc)))
+                sfc_trace.append(float(np.mean(batch.sfc)))
                 planted = flags[idx]
-                sfc_sum += [batch_sfc[planted].sum(), batch_sfc[~planted].sum()]
+                sfc_sum += [batch.sfc[planted].sum(), batch.sfc[~planted].sum()]
                 sfc_count += [int(planted.sum()), int((~planted).sum())]
             else:
-                losses, grads = batch_pair_grads(
-                    primary, x_c[idx], x_r[idx], np.ones(len(idx)))
-                batch_loss = losses
-                adamw_step(opt, primary, grads)
+                batch_loss, grad = batch_pair_grads(
+                    primary, b_c, b_r, branch_forward(primary, b_c, b_r), ones[:len(idx)])
+                adamw_step(opt, primary, grad)
             loss_trace.append(float(np.mean(batch_loss)))
         if config.mode == "shortcut_aware":
             epoch_stats.append(EpochSfcStats(

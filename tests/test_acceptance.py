@@ -180,10 +180,10 @@ class TestCriterion7SfcIdentities:
         x_c, x_r = _stack_pairs(ds, mask_vision=False)
         xt_c, xt_r = _stack_pairs(ds, mask_vision=True)
         for start in (0, 64, 128):
-            records, _, _ = weighted_grad_step(
+            batch, _, _ = weighted_grad_step(
                 primary, aux, x_c[start:start + 64], x_r[start:start + 64],
                 xt_c[start:start + 64], xt_r[start:start + 64], normalized=True)
-            assert abs(np.mean([r.weight for r in records]) - 1.0) <= 1e-12
+            assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_uniform_override_reproduces_standard(self, small_sets):
         ds = small_sets[("P", "train")]

@@ -1,9 +1,16 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rmlab.cli import ExperimentConfig, canonical_hash, derive_seed, main
+from rmlab.envs import read_dataset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 TINY = {
@@ -27,6 +34,16 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 
 def run(verb, config, out):
     return main([verb, "--config", config, "--out", str(out)])
+
+
+def run_cli(verb, config, out):
+    """One verb in a fresh interpreter, as a user runs it."""
+    env = {k: v for k, v in os.environ.items() if k != "LAB_OUT"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + (
+        [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "rmlab.cli", verb, "--config", config,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestConfig:
@@ -66,8 +83,8 @@ class TestGen:
         out = tmp_path / "out"
         assert run("gen", config, out) == 0
         files = sorted(os.listdir(out / "datasets"))
-        assert files == ["A_test.jsonl", "A_train.jsonl", "B_test.jsonl",
-                         "B_train.jsonl", "C_test.jsonl", "C_train.jsonl"]
+        assert files == ["A_test.npz", "A_train.npz", "B_test.npz",
+                         "B_train.npz", "C_test.npz", "C_train.npz"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert "dataset:A:train" in manifest["artifacts"]
 
@@ -88,9 +105,9 @@ class TestGen:
         out = tmp_path / "out"
         assert main(["gen", "--config", config, "--out", str(out),
                      "--subsample", "0.25"]) == 0
-        sub = out / "datasets" / "A_train_sub0.25.jsonl"
+        sub = out / "datasets" / "A_train_sub0.25.npz"
         assert sub.exists()
-        assert len(sub.read_text().splitlines()) == int(0.25 * TINY["n_train"])
+        assert len(read_dataset(sub)) == int(0.25 * TINY["n_train"])
 
     def test_lab_out_env_var_wins(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)
@@ -99,6 +116,51 @@ class TestGen:
         assert run("gen", config, tmp_path / "ignored") == 0
         assert (winner / "manifest.json").exists()
         assert not (tmp_path / "ignored" / "manifest.json").exists()
+
+    def test_entry_at_an_old_path_is_regenerated(self, tmp_path, capsys):
+        # An output dir from before the .npz format records its datasets as
+        # .jsonl files with valid hashes; gen must not skip them.
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        entry = manifest["artifacts"]["dataset:A:train"]
+        old = out / "datasets" / "A_train.jsonl"
+        old.write_text('{"env_id": "A"}\n')
+        entry["path"] = "datasets/A_train.jsonl"
+        entry["sha256"] = hashlib.sha256(old.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("gen", config, out) == 0
+        assert "wrote datasets/A_train.npz" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"]["dataset:A:train"]["path"] == "datasets/A_train.npz"
+
+    def test_unreadable_dataset_exits_2_without_traceback(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        bad = out / "datasets" / "A_train.npz"
+        bad.write_bytes(b"not an archive")
+        manifest["artifacts"]["dataset:A:train"]["sha256"] = \
+            hashlib.sha256(bad.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("train", config, out)
+        assert proc.returncode == 2
+        assert "not a valid dataset file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_truncated_manifest_exits_2_without_traceback(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        manifest = out / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:100])
+        proc = run_cli("report", config, out)
+        assert proc.returncode == 2
+        assert "corrupt manifest" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_lock_excludes_concurrent_runs(self, tmp_path):
         config = write_config(tmp_path)
@@ -169,6 +231,24 @@ class TestPipeline:
             assert any("model:standard:A" in m for m in report["missing_artifacts"])
         finally:
             victim.write_bytes(backup)
+
+    def test_train_timing_left_to_calls_that_train(self, tmp_path):
+        config = write_config(tmp_path, modes=["standard"])
+        out = tmp_path / "out"
+        for verb in ("gen", "matrix"):
+            assert run(verb, config, out) == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        assert run("bon", config, out) == 0  # every bon model is already trained
+        after = json.loads((out / "manifest.json").read_text())["timings"]
+        assert after["train"] == timings["train"]
+        assert "bon" in after
+
+    def test_n_grid_beyond_pool_size_rejected_before_training(self, tmp_path):
+        config = write_config(tmp_path, n_grid=[1, 16], pool_size=8)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        assert run("bon", config, out) == 2
+        assert not (out / "models").exists()
 
     def test_jobs_flag_matches_serial_results(self, done, tmp_path_factory):
         config, serial_out = done

@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -201,9 +200,9 @@ class TestDefaultFamily:
 
 
 class TestDatasetIO:
-    def test_jsonl_round_trip_bit_exact(self, small_sets, tmp_path):
+    def test_npz_round_trip_bit_exact(self, small_sets, tmp_path):
         ds = small_sets[("P", "test")]
-        path = tmp_path / "p_test.jsonl"
+        path = tmp_path / "p_test.npz"
         write_dataset(ds, path)
         back = read_dataset(path, ds.fingerprint)
         assert back.env_id == ds.env_id and back.split == ds.split
@@ -214,11 +213,48 @@ class TestDatasetIO:
 
     def test_record_schema(self, small_sets, tmp_path):
         ds = small_sets[("P", "test")]
-        path = tmp_path / "rec.jsonl"
+        path = tmp_path / "rec.npz"
         write_dataset(ds, path)
-        rec = json.loads(path.read_text().splitlines()[0])
-        assert set(rec) == {"env_id", "split", "v", "q", "a1", "a2", "y",
-                            "shortcut_applied"}
+        with np.load(path, allow_pickle=False) as npz:
+            assert set(npz.files) == {"env_id", "split", "v", "q", "a1", "a2", "y",
+                                      "planted"}
+            assert npz["v"].shape == (len(ds), envs.D_V) and npz["y"].dtype == np.int8
+            assert str(npz["env_id"]) == "P" and str(npz["split"]) == "test"
+
+    def test_write_is_byte_deterministic(self, small_sets, tmp_path):
+        ds = small_sets[("P", "test")]
+        write_dataset(ds, tmp_path / "one.npz")
+        write_dataset(ds, tmp_path / "two.npz")
+        assert (tmp_path / "one.npz").read_bytes() == (tmp_path / "two.npz").read_bytes()
+
+    def test_samples_are_row_views(self, small_sets):
+        ds = small_sets[("P", "test")]
+        s = ds.samples[7]
+        assert np.shares_memory(s.a1, ds.a1) and np.array_equal(s.q, ds.q[7])
+        assert s.y == ds.y[7] and s.shortcut_applied == ds.planted[7]
+
+    @pytest.mark.parametrize("content", [
+        b"",
+        b'{"env_id": "P", "split": "test", "v": [0.0], "y": 1}\n',  # a JSONL dataset
+        b"PK\x03\x04 truncated zip",
+    ])
+    def test_invalid_file_raises_generation_error(self, tmp_path, content):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(content)
+        with pytest.raises(GenerationError):
+            read_dataset(path)
+
+    def test_truncated_and_incomplete_archives_rejected(self, small_sets, tmp_path):
+        ds = small_sets[("P", "test")]
+        path = tmp_path / "p.npz"
+        write_dataset(ds, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) // 2])
+        with pytest.raises(GenerationError):
+            read_dataset(path)
+        np.savez(path, v=ds.v, q=ds.q)  # a valid archive without the other columns
+        with pytest.raises(GenerationError):
+            read_dataset(path)
 
     def test_spec_round_trip(self, small_family):
         _, specs = small_family

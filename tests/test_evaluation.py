@@ -179,13 +179,11 @@ class TestLengthBalancedSubset:
                    for a, b in zip(once.samples, twice.samples))
 
     def test_one_sided_set_rejected(self, small_sets):
-        from rmlab.envs import Dataset
-
         ds = small_sets[("P", "test")]
-        only_longer = [s for s in ds.samples if s.chosen_length > s.rejected_length]
+        only_longer = [i for i, s in enumerate(ds.samples)
+                       if s.chosen_length > s.rejected_length]
         with pytest.raises(BalanceError):
-            length_balanced_subset(Dataset(env_id="P", split="test",
-                                           samples=only_longer), seed=1)
+            length_balanced_subset(ds.take(only_longer), seed=1)
 
 
 class TestSfcRhoDiagnostic:

@@ -153,7 +153,8 @@ class TestPairGrad:
             net = RewardNet.init(default_dims, seed=100 + trial)
             net.b1 = 0.3 * rng.standard_normal(default_dims.hidden)
             sample = make_sample(rng, default_dims)
-            _, grads = pair_grad(net, sample, mask_vision, label)
+            _, flat = pair_grad(net, sample, mask_vision, label)
+            grads = default_dims.views(flat)
             fd = fd_grads_reference(net, sample, mask_vision, label)
             scale = max(np.max(np.abs(grads["w1"])), 1e-8)
             for name in ("w1", "b1", "w2"):
@@ -185,10 +186,11 @@ class TestFdCheck:
         real_pair_grad = netmod.pair_grad
 
         def corrupted(n, s, m, l):
-            loss, grads = real_pair_grad(n, s, m, l)
-            idx = np.unravel_index(np.argmax(np.abs(grads["w1"])), grads["w1"].shape)
-            grads["w1"][idx] *= 2.0
-            return loss, grads
+            loss, grad = real_pair_grad(n, s, m, l)
+            w1 = n.dims.views(grad)["w1"]
+            idx = np.unravel_index(np.argmax(np.abs(w1)), w1.shape)
+            w1[idx] *= 2.0
+            return loss, grad
 
         monkeypatch.setattr(netmod, "pair_grad", corrupted)
         assert netmod.fd_check(net, random_sample, mask_vision=False) > 1e-2
@@ -215,9 +217,7 @@ class TestAdamW:
         before = net.to_dict()
         state = OptimizerState.for_net(net, base_lr=0.1, warmup_ratio=0.0,
                                        total_steps=10, weight_decay=0.0)
-        grads = {"w1": np.zeros_like(net.w1), "b1": np.zeros_like(net.b1),
-                 "w2": np.zeros_like(net.w2), "b2": 0.0}
-        adamw_step(state, net, grads)
+        adamw_step(state, net, np.zeros_like(net.theta))
         assert net.to_dict() == before
 
     def test_matches_hand_recursion_two_steps(self):
@@ -225,13 +225,12 @@ class TestAdamW:
         # constant gradient the bias-corrected update direction is exactly
         # 1 / (1 + eps) every step, so theta_2 = theta_0 - (lr_1 + lr_2)/(1+eps).
         dims = NetDims(d_v=0, d_q=0, d_a=0, hidden=0)
-        net = RewardNet(dims=dims, seed=0, w1=np.zeros((0, 0)), b1=np.zeros(0),
-                        w2=np.zeros(0), b2=1.0)
+        net = RewardNet(dims=dims, seed=0, theta=[1.0])  # theta is just b2
         state = OptimizerState.for_net(net, base_lr=0.1, warmup_ratio=0.0,
                                        total_steps=4, weight_decay=0.0)
-        grads = {"w1": np.zeros((0, 0)), "b1": np.zeros(0), "w2": np.zeros(0), "b2": 1.0}
-        adamw_step(state, net, grads)
-        adamw_step(state, net, grads)
+        grad = np.array([1.0])
+        adamw_step(state, net, grad)
+        adamw_step(state, net, grad)
         lr1 = 0.1 * 0.5 * (1 + math.cos(math.pi * 1 / 4))
         lr2 = 0.1 * 0.5 * (1 + math.cos(math.pi * 2 / 4))
         expected = 1.0 - (lr1 + lr2) / (1.0 + 1e-8)
@@ -240,11 +239,73 @@ class TestAdamW:
     def test_step_overflow_raises(self, default_dims):
         net = RewardNet.init(default_dims, seed=13)
         state = OptimizerState.for_net(net, 0.1, 0.0, 1, 0.0)
-        grads = {"w1": np.zeros_like(net.w1), "b1": np.zeros_like(net.b1),
-                 "w2": np.zeros_like(net.w2), "b2": 0.0}
-        adamw_step(state, net, grads)
+        grad = np.zeros_like(net.theta)
+        adamw_step(state, net, grad)
         with pytest.raises(ScheduleExhausted):
-            adamw_step(state, net, grads)
+            adamw_step(state, net, grad)
+
+
+def dict_adamw_step(state, params, grads, lr_fn, wd):
+    """The per-parameter-name AdamW the flat update replaced, kept as the
+    reference: one update per named block, b2 as a Python float."""
+    state["step"] += 1
+    step = state["step"]
+    lr = lr_fn(step)
+    bc1 = 1.0 - netmod.ADAM_BETA1 ** step
+    bc2 = 1.0 - netmod.ADAM_BETA2 ** step
+    for name in netmod.PARAM_NAMES:
+        g = np.atleast_1d(np.asarray(grads[name], dtype=np.float64))
+        state["m"][name] = netmod.ADAM_BETA1 * state["m"][name] + (1.0 - netmod.ADAM_BETA1) * g
+        state["v"][name] = (netmod.ADAM_BETA2 * state["v"][name]
+                            + (1.0 - netmod.ADAM_BETA2) * g * g)
+        m_hat = state["m"][name] / bc1
+        v_hat = state["v"][name] / bc2
+        update = m_hat / (np.sqrt(v_hat) + netmod.ADAM_EPS)
+        if name == "b2":
+            params["b2"] = params["b2"] - lr * (float(update[0]) + wd * params["b2"])
+        else:
+            p = params[name]
+            p -= lr * (update.reshape(p.shape) + wd * p)
+
+
+class TestFlatAdamW:
+    def test_bit_identical_to_per_name_reference(self):
+        dims = NetDims(d_v=3, d_q=2, d_a=3, hidden=5)
+        net = RewardNet.init(dims, seed=17)
+        net.b1 = np.random.default_rng(1).standard_normal(dims.hidden)
+        net.b2 = 0.75
+        ref = {"w1": net.w1.copy(), "b1": net.b1.copy(), "w2": net.w2.copy(), "b2": net.b2}
+        total, wd, base_lr = 250, 0.05, 3e-3
+        state = OptimizerState.for_net(net, base_lr, 0.1, total, wd)
+        ref_state = {"step": 0,
+                     "m": {n: np.zeros(np.atleast_1d(ref[n]).shape) for n in ref},
+                     "v": {n: np.zeros(np.atleast_1d(ref[n]).shape) for n in ref}}
+        rng = np.random.default_rng(2)
+        for step in range(200):  # warmup ends after step 25
+            grad = rng.standard_normal(dims.n_params) * rng.choice([1e-6, 1.0, 1e3])
+            grad[-1] = 0.0 if step % 3 else grad[-1]  # b2: zero and nonzero steps
+            named = dims.views(grad)
+            dict_adamw_step(ref_state, ref,
+                            {n: (float(named[n][0]) if n == "b2" else named[n])
+                             for n in netmod.PARAM_NAMES},
+                            lambda k: schedule_lr(base_lr, 0.1, total, k), wd)
+            adamw_step(state, net, grad)
+            for name in ("w1", "b1", "w2"):
+                assert np.array_equal(net.params()[name], ref[name]), (step, name)
+            assert net.b2 == ref["b2"], step
+        assert state.step == 200 and state.current_lr() < base_lr
+
+    def test_named_blocks_write_through_to_theta(self, default_dims):
+        net = RewardNet.zeros(default_dims)
+        net.w1 = np.ones_like(net.w1)
+        net.b1[3] = 2.0
+        net.w2 = np.full(default_dims.hidden, 4.0)
+        net.b2 = 5.0
+        named = default_dims.views(net.theta)
+        assert net.theta.shape == (default_dims.n_params,)
+        assert np.all(named["w1"] == 1.0) and named["b1"][3] == 2.0
+        assert np.all(named["w2"] == 4.0) and named["b2"][0] == 5.0
+        assert np.array_equal(RewardNet.from_dict(net.to_dict()).theta, net.theta)
 
 
 class TestDeterminismAndSerialization:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from rmlab.envs import sample_env
 from rmlab.errors import ConfigError, DomainError
 from rmlab.evaluation import accuracy
 from rmlab.net import RewardNet
-from rmlab.training import (TrainConfig, TrainRun, batch_losses, proxy_mask,
+from rmlab.training import (MODES, TrainConfig, TrainRun, batch_losses, proxy_mask,
                             sfc, train, weighted_grad_step, _stack_pairs)
 from rmlab import net as netmod
 
@@ -67,6 +68,26 @@ class TestProxyMask:
             proxy_mask(random_sample, np.ones(3))
 
 
+class TestStackPairs:
+    @pytest.mark.parametrize("mask_vision", [False, True])
+    def test_columns_equal_per_sample_loop(self, small_sets, mask_vision):
+        # the per-sample loop the column version replaced, as the reference
+        ds = small_sets[("P", "train")]
+        samples = ds.samples
+        d_v = samples[0].v.shape[0]
+        ref_c = np.empty((len(samples), d_v + samples[0].q.shape[0]
+                          + samples[0].a1.shape[0]))
+        ref_r = np.empty_like(ref_c)
+        for i, s in enumerate(samples):
+            v = np.zeros(d_v) if mask_vision else s.v
+            chosen, rejected = (s.a1, s.a2) if s.y == 1 else (s.a2, s.a1)
+            ref_c[i] = np.concatenate([v, s.q, chosen])
+            ref_r[i] = np.concatenate([v, s.q, rejected])
+        x_c, x_r = _stack_pairs(ds, mask_vision=mask_vision)
+        assert np.array_equal(x_c, ref_c) and np.array_equal(x_r, ref_r)
+        assert {s.y for s in samples} == {1, -1}
+
+
 class TestConfig:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -100,10 +121,11 @@ class TestWeightedGradStep:
         x_c, x_r = _stack_pairs(ds, mask_vision=False)
         xt_c, xt_r = _stack_pairs(ds, mask_vision=True)
         w = 0.37
-        records, grads, _ = weighted_grad_step(
+        _, flat, _ = weighted_grad_step(
             primary, aux, x_c[:1], x_r[:1], xt_c[:1], xt_r[:1],
             weight_override=np.array([w]))
-        _, single = netmod.pair_grad(primary, sample, False, sample.y)
+        _, single_flat = netmod.pair_grad(primary, sample, False, sample.y)
+        grads, single = primary.dims.views(flat), primary.dims.views(single_flat)
         for name in ("w1", "b1", "w2"):
             ref = np.atleast_1d(w * single[name])
             got = np.atleast_1d(grads[name])
@@ -112,31 +134,34 @@ class TestWeightedGradStep:
     def test_records_are_the_exact_quantities(self, nets, tiny_batch):
         primary, aux = nets
         x_c, x_r, xt_c, xt_r = tiny_batch
-        records, _, _ = weighted_grad_step(primary, aux, x_c, x_r, xt_c, xt_r)
+        batch, _, _ = weighted_grad_step(primary, aux, x_c, x_r, xt_c, xt_r)
         loss_mm = batch_losses(primary, x_c, x_r)
         loss_t = batch_losses(aux, xt_c, xt_r)
-        for i, rec in enumerate(records):
-            assert rec.loss_mm == pytest.approx(loss_mm[i], abs=1e-15)
-            assert rec.loss_t == pytest.approx(loss_t[i], abs=1e-15)
-            assert rec.sfc == pytest.approx(rec.loss_t / (rec.loss_mm + rec.loss_t))
-            assert 0.0 < rec.sfc < 1.0
+        assert len(batch.sfc) == len(x_c)
+        for i in range(len(batch.sfc)):
+            rec_mm, rec_t, rec_sfc = batch.loss_mm[i], batch.loss_t[i], batch.sfc[i]
+            assert rec_mm == pytest.approx(loss_mm[i], abs=1e-15)
+            assert rec_t == pytest.approx(loss_t[i], abs=1e-15)
+            assert rec_sfc == pytest.approx(rec_t / (rec_mm + rec_t))
+            assert 0.0 < rec_sfc < 1.0
 
     def test_normalized_weights_average_to_one(self, nets, tiny_batch):
         primary, aux = nets
-        records, _, _ = weighted_grad_step(primary, aux, *tiny_batch, normalized=True)
-        assert abs(np.mean([r.weight for r in records]) - 1.0) <= 1e-12
+        batch, _, _ = weighted_grad_step(primary, aux, *tiny_batch, normalized=True)
+        assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_weights_are_detached_constants(self, nets, tiny_batch):
         # Recomputing with the recorded weights but a perturbed aux net must
         # give bit-identical primary gradients: the weights are numbers, not
         # functions of the aux parameters.
         primary, aux = nets
-        records, grads, _ = weighted_grad_step(primary, aux, *tiny_batch)
-        weights = np.array([r.weight for r in records])
+        batch, flat, _ = weighted_grad_step(primary, aux, *tiny_batch)
+        weights = batch.weight.copy()
         perturbed = aux.copy()
         perturbed.w1 = perturbed.w1 + 0.5
-        _, grads2, _ = weighted_grad_step(primary, perturbed, *tiny_batch,
-                                          weight_override=weights)
+        _, flat2, _ = weighted_grad_step(primary, perturbed, *tiny_batch,
+                                         weight_override=weights)
+        grads, grads2 = primary.dims.views(flat), primary.dims.views(flat2)
         for name in ("w1", "b1", "w2"):
             assert np.array_equal(np.atleast_1d(grads[name]),
                                   np.atleast_1d(grads2[name]))
@@ -228,6 +253,30 @@ class TestTrain:
         assert back.loss_trace == pytest.approx(run.loss_trace)
         assert back.sfc_trace == pytest.approx(run.sfc_trace)
         assert len(back.epoch_sfc_stats) == len(run.epoch_sfc_stats)
+
+    # sha256 of w1|b1|w2 bytes and of the loss (+ sfc) trace bytes after 2
+    # epochs on the P train split, recorded with the per-name AdamW and the
+    # two-forward-pass training core this one replaced.
+    REFERENCE_DIGESTS = {
+        "standard": ("87b7e33941105ebb6c09efc6e93fd41a9be213a27c265e870e78086396872c6c",
+                     "af96baea3fb29e3660eb89e0558aa3adaa9886e561a69ba77725176a6b978c43"),
+        "text_only": ("2be2e868d5a66dc8f44ccfc48e85d63d5d5668e8eea5af64b01af64145c3de0c",
+                      "efbe75b6bc638a28d40dd98ac70cf055271fcda3e1ec914c97174d3275c6aaf2"),
+        "shortcut_aware": ("327f35c951635e4aaf62b89dea6b33a7be4db920c3f4b29f055e67d9167ef83b",
+                           "9787172af1672fd104a2729daa8869561f0f39ba01162d23566956713b253407"),
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bit_identical_to_recorded_digests(self, small_sets, mode):
+        run = train(TrainConfig(mode=mode, epochs=2, seed=11), small_sets[("P", "train")])
+        p = run.primary
+        weights = hashlib.sha256(p.w1.tobytes() + p.b1.tobytes() + p.w2.tobytes())
+        traces = np.asarray(run.loss_trace).tobytes()
+        if run.sfc_trace is not None:
+            traces += np.asarray(run.sfc_trace).tobytes()
+        assert (weights.hexdigest(), hashlib.sha256(traces).hexdigest()) == \
+            self.REFERENCE_DIGESTS[mode]
+        assert p.b2 == 0.0
 
     def test_epoch_sfc_stats_split_by_marker(self, runs):
         stats = runs["shortcut_aware"].epoch_sfc_stats
