@@ -3,8 +3,8 @@ multimodal reward models, and for training shortcut-aware ones."""
 
 from .envs import (DirectionRule, EnvironmentSpec, PreferenceSample, Dataset,
                    default_family, make_family, sample_env, shortcut_oracle_label)
-from .net import NetDims, RewardNet, forward, masked_forward, pair_grad, fd_check
-from .training import TrainConfig, TrainRun, sfc, train, proxy_mask
+from .net import NetDims, RewardNet, batch_scores, batch_pair_grads, fd_check
+from .training import TrainConfig, TrainRun, sfc, train
 from .evaluation import (accuracy, gen_matrix, shortcut_split, sfd, sfd_report,
                          score_correlation, length_balanced_subset,
                          sfc_rho_diagnostic)

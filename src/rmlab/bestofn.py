@@ -15,7 +15,6 @@ that rule, which makes their agreement exact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -181,9 +180,6 @@ class BonCurve:
     name: str
     points: list  # (n, mean score over pools)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "points": [list(p) for p in self.points]}
-
 
 def bon_curve(net_names: list, pools: list, n_grid: list) -> dict:
     """Mean best-of-N estimate over pools, for each named net's rewards."""
@@ -196,12 +192,3 @@ def bon_curve(net_names: list, pools: list, n_grid: list) -> dict:
             points.append((n, float(np.mean(vals))))
         curves[name] = BonCurve(name=name, points=points)
     return curves
-
-
-def write_curves_csv(curves: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["net", "n", "score"])
-        for name in sorted(curves):
-            for n, score in curves[name].points:
-                writer.writerow([name, n, repr(score)])

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import bestofn, envs, evaluation, svg
 from .errors import ConfigError, LabError, MissingArtifactError
@@ -41,6 +41,18 @@ def derive_seed(master_seed: int, component: str) -> int:
 def canonical_hash(doc) -> str:
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def _write_json(path, doc) -> None:
+    """Write a temp file, then swap it in: an interrupted write keeps the old file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=1)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _file_sha256(path) -> str:
@@ -68,15 +80,34 @@ class ExperimentConfig:
     n_grid: list = field(default_factory=lambda: list(DEFAULT_N_GRID))
     jobs: int = 1
 
+    def __post_init__(self):
+        """Reject a malformed config (types, ranges, train keys) up front."""
+        def ints(x):  # a nonempty list of integers >= 1
+            return isinstance(x, list) and x and all(type(n) is int and n >= 1 for n in x)
+
+        allowed = set(TrainConfig.__dataclass_fields__) - {"mode", "seed"}
+        for ok, what in [
+                (type(self.master_seed) is int, "master_seed must be an integer"),
+                (isinstance(self.out_dir, str), "out_dir must be a string"),
+                (self.family == "default" or isinstance(self.family, dict),
+                 'family must be "default" or an inline spec object'),
+                (ints([self.n_train, self.n_test, self.n_pools, self.pool_size, self.jobs]),
+                 "n_train, n_test, n_pools, pool_size and jobs must be integers >= 1"),
+                (isinstance(self.modes, list) and self.modes
+                 and all(m in DEFAULT_MODES for m in self.modes),
+                 f"modes must be a nonempty list drawn from {list(DEFAULT_MODES)}"),
+                (ints(self.n_grid), "n_grid must be a nonempty list of integers >= 1"),
+                (isinstance(self.subsample_fractions, list) and all(
+                    type(f) in (int, float) and 0 < f <= 1 for f in self.subsample_fractions),
+                 "subsample_fractions must be a list of numbers in (0, 1]"),
+                (isinstance(self.train, dict) and set(self.train) <= allowed,
+                 f"train must be an object with keys from {sorted(allowed)}")]:
+            if not ok:
+                raise ConfigError(f"config: {what}")
+        TrainConfig(mode=DEFAULT_MODES[0], **self.train)  # value types and ranges
+
     def to_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed, "family": self.family,
-            "n_train": self.n_train, "n_test": self.n_test,
-            "modes": self.modes, "train": self.train,
-            "subsample_fractions": self.subsample_fractions,
-            "n_pools": self.n_pools, "pool_size": self.pool_size,
-            "n_grid": self.n_grid,
-        }
+        return {k: v for k, v in asdict(self).items() if k not in ("out_dir", "jobs")}
 
     def config_hash(self) -> str:
         # jobs/out_dir affect execution, not results, so they stay out of the hash
@@ -85,9 +116,13 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"config {path} is not valid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} must be a JSON object")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
@@ -151,6 +186,12 @@ class Workspace:
         return os.path.exists(path) and _file_sha256(path) == entry["sha256"]
 
     def record(self, key: str, path) -> None:
+        """Record an artifact, deleting the file it supersedes inside the output dir."""
+        old = self.manifest["artifacts"].get(key, {}).get("path", self.rel(path))
+        if old != self.rel(path):
+            stale, root = os.path.realpath(os.path.join(self.out, old)), os.path.realpath(self.out)
+            if stale.startswith(root + os.sep) and os.path.isfile(stale):
+                os.remove(stale)
         self.manifest["artifacts"][key] = {"path": self.rel(path),
                                            "sha256": _file_sha256(path)}
 
@@ -168,12 +209,12 @@ class Workspace:
     def save_manifest(self, timing_key: str | None = None, seconds: float | None = None):
         if timing_key is not None:
             self.manifest["timings"][timing_key] = seconds
-        with open(self.manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(self.manifest, fh, sort_keys=True, indent=1)
+        _write_json(self.manifest_path, self.manifest)
 
 
 class OutputLock:
-    """One process owns an output directory at a time."""
+    """One process owns an output directory at a time. A lock whose pid is not
+    running is reported as stale, never taken over: two takers would race."""
 
     def __init__(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
@@ -183,7 +224,16 @@ class OutputLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise LabError(f"output dir is locked by another run: {self.path}")
+            try:
+                with open(self.path, encoding="utf-8") as fh:
+                    pid = int(fh.read())
+                os.kill(pid, 0)  # signal 0 only asks whether the process exists
+            except (ProcessLookupError, OverflowError):
+                raise LabError(f"stale lock {self.path}: pid {pid} is not running; "
+                               "delete it if no other run uses this dir") from None
+            except (OSError, ValueError):  # alive under another user, or no pid yet
+                pass
+            raise LabError(f"output dir is locked by another run: {self.path}") from None
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()))
         return self
@@ -205,11 +255,8 @@ def cmd_gen(ws: Workspace) -> None:
     t0 = time.monotonic()
     family, specs = ws.config.build_family()
     fam_path = ws.path("family.json")
-    with open(fam_path, "w", encoding="utf-8") as fh:
-        json.dump({"family_seed": family.family_seed,
-                   "m_scale": envs.M_SCALE,
-                   "envs": [envs.spec_to_dict(s) for s in specs]},
-                  fh, sort_keys=True, indent=1)
+    _write_json(fam_path, {"family_seed": family.family_seed, "m_scale": envs.M_SCALE,
+                           "envs": [envs.spec_to_dict(s) for s in specs]})
     ws.record("family", fam_path)
 
     for spec in specs:
@@ -340,8 +387,7 @@ def cmd_matrix(ws: Workspace) -> None:
         print(f"matrix[{mode}]: iid={matrix.mean_diagonal:.4f} "
               f"ood={matrix.mean_off_diagonal:.4f}")
     path = ws.path("reports", "matrix_summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
+    _write_json(path, summary)
     ws.record("report:matrix-summary", path)
     ws.save_manifest("matrix", time.monotonic() - t0)
 
@@ -371,8 +417,7 @@ def cmd_sfd(ws: Workspace) -> None:
                                             train_env=train_env, mode=mode)
                 reports.append(rep.to_dict())
         path = ws.path("reports", f"sfd_{mode}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(reports, fh, sort_keys=True, indent=1)
+        _write_json(path, reports)
         ws.record(f"report:sfd:{mode}", path)
         vals = [r["sfd"] for r in reports if r["sfd"] is not None]
         print(f"sfd[{mode}]: {len(reports)} cells, "
@@ -438,8 +483,7 @@ def cmd_bon(ws: Workspace) -> None:
                 and r["train_env"] != r["pool_env"]]
         summary["ood_best_at_n_max"][mode] = sum(vals) / len(vals) if vals else None
     path = ws.path("reports", "bon_summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
+    _write_json(path, summary)
     ws.record("report:bon-summary", path)
     print(f"bon: ood best-of-{n_max} " +
           " ".join(f"{m}={v:.3f}" for m, v in summary["ood_best_at_n_max"].items()
@@ -507,28 +551,20 @@ def cmd_report(ws: Workspace) -> int:
     _, specs = ws.config.build_family()
     env_order = [s.env_id for s in specs]
 
-    summary = {}
-    try:
-        with open(ws.artifact_path("report:matrix-summary"), encoding="utf-8") as fh:
-            summary = json.load(fh)
-    except MissingArtifactError as exc:
-        missing.append(str(exc))
-    sfd_docs = {}
-    for mode in SFD_MODES:
-        key = f"report:sfd:{mode}"
-        if key in ws.manifest["artifacts"]:
-            try:
-                with open(ws.artifact_path(key), encoding="utf-8") as fh:
-                    sfd_docs[mode] = json.load(fh)
-            except MissingArtifactError as exc:
-                missing.append(str(exc))
-    bon_summary = None
-    if "report:bon-summary" in ws.manifest["artifacts"]:
+    def load(key, default=None):
+        """A recorded JSON report, or ``default`` with the reason in ``missing``."""
         try:
-            with open(ws.artifact_path("report:bon-summary"), encoding="utf-8") as fh:
-                bon_summary = json.load(fh)
+            with open(ws.artifact_path(key), encoding="utf-8") as fh:
+                return json.load(fh)
         except MissingArtifactError as exc:
             missing.append(str(exc))
+            return default
+
+    recorded = ws.manifest["artifacts"]
+    summary = load("report:matrix-summary", {})
+    sfd_docs = {m: load(f"report:sfd:{m}") for m in SFD_MODES if f"report:sfd:{m}" in recorded}
+    sfd_docs = {m: docs for m, docs in sfd_docs.items() if docs is not None}
+    bon_summary = load("report:bon-summary") if "report:bon-summary" in recorded else None
 
     checks = _default_family_checks(summary, sfd_docs, bon_summary, env_order)
     failed = [c["name"] for c in checks if not c["passed"]]
@@ -545,8 +581,7 @@ def cmd_report(ws: Workspace) -> int:
         "passed": ok,
     }
     path = ws.path("reports", "report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
+    _write_json(path, report)
     ws.record("report:final", path)
 
     lines = [f"lab report (config {report['config_hash'][:12]})", ""]
@@ -603,29 +638,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the flags applied, validated."""
     config = (ExperimentConfig.from_file(args.config) if args.config
               else ExperimentConfig())
+    flags = {}
     if args.seed is not None:
-        config.master_seed = args.seed
-    if args.out:
-        config.out_dir = args.out
-    env_out = os.environ.get("LAB_OUT")
-    if env_out:
-        config.out_dir = env_out
+        flags["master_seed"] = args.seed
+    if os.environ.get("LAB_OUT") or args.out:
+        flags["out_dir"] = os.environ.get("LAB_OUT") or args.out
     if args.mode:
-        modes = [m.strip() for m in args.mode.split(",") if m.strip()]
-        for m in modes:
-            if m not in DEFAULT_MODES:
-                raise ConfigError(f"unknown mode {m!r}")
-        config.modes = modes
+        flags["modes"] = [m.strip() for m in args.mode.split(",") if m.strip()]
     if args.subsample:
-        config.subsample_fractions = sorted(set(config.subsample_fractions)
-                                            | set(args.subsample))
+        flags["subsample_fractions"] = sorted(set(config.subsample_fractions)
+                                              | set(args.subsample))
     if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
-        config.jobs = args.jobs
-    return config
+        flags["jobs"] = args.jobs
+    return replace(config, **flags)
 
 
 COMMANDS = {

@@ -425,13 +425,6 @@ def shortcut_oracle_label(sample: PreferenceSample) -> bool:
     return sample.shortcut_applied
 
 
-def oracle_margin(family: EnvironmentFamily, sample: PreferenceSample) -> float:
-    """Invariant-signal margin of the chosen over the rejected answer."""
-    s1 = family.true_score(sample.v, sample.q, sample.a1)
-    s2 = family.true_score(sample.v, sample.q, sample.a2)
-    return (s1 - s2) if sample.y == 1 else (s2 - s1)
-
-
 def write_dataset(dataset: Dataset, path) -> None:
     """One uncompressed .npz archive: the COLUMNS plus 0-d ``env_id`` and
     ``split`` strings. Members carry a fixed timestamp, so equal datasets

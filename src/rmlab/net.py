@@ -3,11 +3,12 @@ gradients, a finite-difference checker, and AdamW with warmup + cosine decay.
 
 Everything is float64. A net scores one (image, query, answer) feature triple:
 
-    reward = w2 . tanh(W1 [v|q|a] + b1) + b2
+    reward = w2 . tanh(W1 [v|q|a] + b1)
 
-The pairwise loss is -log(sigmoid(reward_chosen - reward_rejected)); its
-gradients with respect to every parameter are computed analytically so they
-can be validated against central finite differences.
+The pairwise loss is -log(sigmoid(reward_chosen - reward_rejected)). An
+output offset would cancel in that margin, so the net has none. The batched
+loss and its hand-derived gradient here are the only ones: training uses
+them, and fd_check validates them against central finite differences.
 """
 
 from __future__ import annotations
@@ -23,31 +24,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-PARAM_NAMES = ("w1", "b1", "w2", "b2")
-
-
-def as_vec(x, n=None, name="vector"):
-    """Coerce to a contiguous float64 1-d array; reject NaN/Inf and bad shapes."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name}: expected 1-d array, got shape {arr.shape}")
-    if n is not None and arr.shape[0] != n:
-        raise DimensionError(f"{name}: expected length {n}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError(f"{name}: contains non-finite entries")
-    return arr
-
-
-def as_mat(x, shape=None, name="matrix"):
-    """Coerce to a contiguous float64 2-d array; reject NaN/Inf and bad shapes."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name}: expected 2-d array, got shape {arr.shape}")
-    if shape is not None and arr.shape != tuple(shape):
-        raise DimensionError(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError(f"{name}: contains non-finite entries")
-    return arr
+PARAM_NAMES = ("w1", "b1", "w2")
 
 
 def sigmoid(x):
@@ -81,17 +58,16 @@ class NetDims:
 
     @property
     def n_params(self) -> int:
-        return self.hidden * (self.input_dim + 2) + 1
+        return self.hidden * (self.input_dim + 2)
 
     def views(self, theta: np.ndarray) -> dict:
-        """Named views onto a flat vector laid out like theta = [w1 | b1 | w2 | b2].
+        """Named views onto a flat vector laid out like theta = [w1 | b1 | w2].
 
-        Parameters, gradients and optimizer moments all share this layout;
-        b2 is a length-1 view.
+        Parameters, gradients and optimizer moments all share this layout.
         """
         h, d = self.hidden, self.input_dim
         return {"w1": theta[:h * d].reshape(h, d), "b1": theta[h * d:h * d + h],
-                "w2": theta[h * d + h:h * d + 2 * h], "b2": theta[h * d + 2 * h:]}
+                "w2": theta[h * d + h:]}
 
 
 class _Block:
@@ -109,11 +85,11 @@ class _Block:
 
 class RewardNet:
     """Parameters of the two-layer scoring net, held in one contiguous float64
-    vector ``theta = [w1 | b1 | w2 | b2]``.
+    vector ``theta = [w1 | b1 | w2]``.
 
     ``w1`` (hidden, input_dim), ``b1`` and ``w2`` (hidden,) are views onto
-    theta and ``b2`` is a float property; assigning any of them writes into
-    theta. Two nets created from the same (dims, seed) are parameter-identical.
+    theta; assigning any of them writes into theta. Two nets created from the
+    same (dims, seed) are parameter-identical.
     """
 
     w1 = _Block()
@@ -129,14 +105,6 @@ class RewardNet:
             raise DimensionError(
                 f"theta: expected shape ({dims.n_params},), got {self.theta.shape}")
         self._views = dims.views(self.theta)
-
-    @property
-    def b2(self) -> float:
-        return float(self.theta[-1])
-
-    @b2.setter
-    def b2(self, value) -> None:
-        self.theta[-1] = value
 
     @classmethod
     def init(cls, dims: NetDims, seed: int) -> "RewardNet":
@@ -165,10 +133,6 @@ class RewardNet:
     def copy(self) -> "RewardNet":
         return RewardNet(self.dims, self.seed, self.theta)
 
-    def params(self) -> dict:
-        """Named views onto theta (b2 as a length-1 view)."""
-        return self._views
-
     def to_dict(self) -> dict:
         """Flat JSON document; float round-trip is bit-exact via repr."""
         return {
@@ -178,101 +142,102 @@ class RewardNet:
             "w1": self.w1.ravel().tolist(),
             "b1": self.b1.tolist(),
             "w2": self.w2.tolist(),
-            "b2": self.b2,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RewardNet":
+        """Inverse of to_dict. Other keys are ignored, so a file that still
+        carries the constant zero output offset of older versions loads to
+        the same theta."""
         dims = NetDims(**doc["dims"])
         return cls(dims, int(doc["seed"]),
                    np.concatenate([np.ravel(doc[name]) for name in PARAM_NAMES]))
 
 
-def _check_input(net: RewardNet, v, q, a):
-    d = net.dims
-    return (as_vec(v, d.d_v, "v"), as_vec(q, d.d_q, "q"), as_vec(a, d.d_a, "a"))
-
-
-def forward(net: RewardNet, v, q, a) -> float:
-    """Score one (image, query, answer) triple."""
-    v, q, a = _check_input(net, v, q, a)
-    x = np.concatenate([v, q, a])
-    h = np.tanh(net.w1 @ x + net.b1)
-    return float(net.w2 @ h + net.b2)
-
-
-def masked_forward(net: RewardNet, v, q, a) -> float:
-    """Score with the vision block replaced by zeros (text-only view)."""
-    v, q, a = _check_input(net, v, q, a)
-    return forward(net, np.zeros_like(v), q, a)
-
-
 def batch_scores(net: RewardNet, x: np.ndarray) -> np.ndarray:
     """Scores for a (n, input_dim) matrix of concatenated features."""
     h = np.tanh(x @ net.w1.T + net.b1)
-    return h @ net.w2 + net.b2
+    return h @ net.w2
 
 
-def pair_inputs(sample, label: int, mask_vision: bool):
-    """Concatenated chosen/rejected feature rows for one preference sample."""
-    if label not in (1, -1):
-        raise DimensionError(f"label must be +1 or -1, got {label}")
-    v = np.zeros_like(sample.v) if mask_vision else sample.v
-    chosen, rejected = (sample.a1, sample.a2) if label == 1 else (sample.a2, sample.a1)
-    x_c = np.concatenate([v, sample.q, chosen])
-    x_r = np.concatenate([v, sample.q, rejected])
-    return x_c, x_r
+def branch_forward(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray) -> np.ndarray:
+    """Hidden activations of a batch: chosen rows stacked over rejected rows,
+    shape (2b, hidden).
 
-
-def pair_loss(net: RewardNet, sample, mask_vision: bool, label: int) -> float:
-    """Pairwise preference loss -log(sigmoid(margin)) for one sample."""
-    x_c, x_r = pair_inputs(sample, label, mask_vision)
-    margin = batch_scores(net, x_c[None, :])[0] - batch_scores(net, x_r[None, :])[0]
-    return float(bt_loss(margin))
-
-
-def pair_grad(net: RewardNet, sample, mask_vision: bool, label: int):
-    """Loss and exact analytic gradient for one preference pair.
-
-    Returns (loss, grad) where grad is laid out like ``net.theta``. Note the
-    b2 entry is exactly zero: a shared score offset cancels in the pairwise
-    margin.
+    Two matrix products fill the halves (one stacked product would block the
+    reduction differently and change bits); every elementwise step then runs
+    once over both halves.
     """
-    x_c, x_r = pair_inputs(sample, label, mask_vision)
-    z_c = net.w1 @ x_c + net.b1
-    z_r = net.w1 @ x_r + net.b1
-    h_c, h_r = np.tanh(z_c), np.tanh(z_r)
-    margin = float(net.w2 @ h_c - net.w2 @ h_r)
-    loss = float(bt_loss(margin))
-    g = -float(sigmoid(-margin))  # dloss/dmargin
+    b = x_c.shape[0]
+    h = np.empty((2 * b, network.dims.hidden))
+    w1_t = network.w1.T
+    np.matmul(x_c, w1_t, out=h[:b])
+    np.matmul(x_r, w1_t, out=h[b:])
+    h += network.b1
+    return np.tanh(h, out=h)
 
-    dh_c = net.w2 * (1.0 - h_c * h_c)
-    dh_r = net.w2 * (1.0 - h_r * h_r)
-    grad = np.concatenate([
-        (g * (np.outer(dh_c, x_c) - np.outer(dh_r, x_r))).ravel(),
-        g * (dh_c - dh_r),
-        g * (h_c - h_r),
-        [0.0],
-    ])
-    return loss, grad
+
+def _pair_losses(network: RewardNet, h: np.ndarray) -> np.ndarray:
+    """Per-sample losses from stacked activations, scored like batch_scores."""
+    b = h.shape[0] // 2
+    return bt_loss(h[:b] @ network.w2 - h[b:] @ network.w2)
+
+
+def batch_losses(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray) -> np.ndarray:
+    """Per-sample pairwise losses for stacked chosen/rejected features."""
+    return _pair_losses(network, branch_forward(network, x_c, x_r))
+
+
+def batch_pair_grads(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray,
+                     h: np.ndarray, weights: np.ndarray):
+    """Per-sample losses plus the weighted mean gradient over the batch.
+
+    ``h`` is the batch's ``branch_forward`` output. The gradient equals
+    sum_i weights[i] * grad_i / batch_size, laid out like ``network.theta``
+    and reduced with fixed-order matrix products so reruns are bit-identical.
+    """
+    n = x_c.shape[0]
+    diff = h[:n] - h[n:]
+    margins = diff @ network.w2
+    losses = bt_loss(margins)
+    g = -(sigmoid(-margins)) * weights / n  # (n,) d(weighted mean loss)/dmargin
+
+    coef = 1.0 - h * h
+    coef[:n] *= g[:, None]
+    coef[n:] *= g[:, None]
+    coef *= network.w2
+    grad = np.empty_like(network.theta)
+    out = network.dims.views(grad)
+    np.matmul(coef[:n].T, x_c, out=out["w1"])
+    out["w1"] -= coef[n:].T @ x_r
+    np.subtract(coef[:n].sum(axis=0), coef[n:].sum(axis=0), out=out["b1"])
+    diff *= g[:, None]
+    diff.sum(axis=0, out=out["w2"])
+    return losses, grad
 
 
 def fd_check(net: RewardNet, sample, mask_vision: bool, label: int = 1,
              step: float = 1e-6) -> float:
-    """Max relative error of analytic vs central finite-difference gradients.
+    """Max relative error of the training gradient (``batch_pair_grads`` on a
+    batch of one) against central finite differences of ``batch_losses``.
 
     Errors are scaled by the largest gradient magnitude present so that
     near-zero entries do not blow up the ratio.
     """
-    _, grad = pair_grad(net, sample, mask_vision, label)
+    if label not in (1, -1):
+        raise DimensionError(f"label must be +1 or -1, got {label}")
+    v = np.zeros_like(sample.v) if mask_vision else sample.v
+    chosen, rejected = (sample.a1, sample.a2) if label == 1 else (sample.a2, sample.a1)
+    x_c, x_r = (np.concatenate([v, sample.q, a])[None, :] for a in (chosen, rejected))
+    _, grad = batch_pair_grads(net, x_c, x_r, branch_forward(net, x_c, x_r), np.ones(1))
     work = net.copy()
     fd = np.empty_like(grad)
     for i in range(fd.size):
         orig = work.theta[i]
         work.theta[i] = orig + step
-        up = pair_loss(work, sample, mask_vision, label)
+        up = batch_losses(work, x_c, x_r)[0]
         work.theta[i] = orig - step
-        down = pair_loss(work, sample, mask_vision, label)
+        down = batch_losses(work, x_c, x_r)[0]
         work.theta[i] = orig
         fd[i] = (up - down) / (2.0 * step)
     scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)), 1e-8)
@@ -327,7 +292,6 @@ def adamw_step(state: OptimizerState, net: RewardNet, grad: np.ndarray) -> None:
     per-parameter form, so results are bit-identical to it:
     m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g,
     u = m_hat / (sqrt(v_hat) + eps), p = p - lr*(u + wd*p).
-    A zero gradient entry (b2's, always) therefore needs no special case.
     """
     if state.step >= state.total_steps:
         raise ScheduleExhausted(

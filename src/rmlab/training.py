@@ -20,12 +20,13 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .net import NetDims, OptimizerState, RewardNet, adamw_step, bt_loss, sigmoid
+from .net import (NetDims, OptimizerState, RewardNet, _pair_losses, adamw_step,
+                  batch_losses, batch_pair_grads, branch_forward)
 
 MODES = ("standard", "text_only", "shortcut_aware")
 LOSS_FLOOR = 1e-300  # keeps the sfc ratio defined if a margin saturates
@@ -50,20 +51,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for f in fields(self)[1:]:  # after mode, each field takes its default's type
+            value, kind = getattr(self, f.name), type(f.default)
+            if (isinstance(value, bool) != (kind is bool)
+                    or not isinstance(value, (int, float) if kind is float else kind)):
+                raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
+        if min(self.batch_size, self.epochs, self.hidden) < 1:
+            raise ConfigError("batch_size, epochs and hidden must be >= 1")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ConfigError("warmup_ratio must be in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "base_lr": self.base_lr, "epochs": self.epochs,
-            "batch_size": self.batch_size, "weight_decay": self.weight_decay,
-            "warmup_ratio": self.warmup_ratio, "seed": self.seed,
-            "sfc_normalized": self.sfc_normalized, "hidden": self.hidden,
-            "aux_lr_scale": self.aux_lr_scale,
-            "force_uniform_weights": self.force_uniform_weights,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -153,39 +152,6 @@ def sfc(loss_mm: float, loss_t: float) -> float:
     return loss_t / (loss_mm + loss_t)
 
 
-def proxy_mask(sample, proxy_kind):
-    """Return a copy of the sample with the designated feature blocks zeroed.
-
-    "text_only" zeroes the vision block; "image_only" zeroes everything
-    textual (query and both answers); a custom 0/1 vector over the
-    concatenated (v, q, a) layout masks each block elementwise, with the
-    answer segment applied to both answers.
-    """
-    from .envs import PreferenceSample
-
-    d_v, d_q, d_a = sample.v.shape[0], sample.q.shape[0], sample.a1.shape[0]
-    if isinstance(proxy_kind, str):
-        if proxy_kind == "text_only":
-            mask = np.concatenate([np.zeros(d_v), np.ones(d_q), np.ones(d_a)])
-        elif proxy_kind == "image_only":
-            mask = np.concatenate([np.ones(d_v), np.zeros(d_q), np.zeros(d_a)])
-        else:
-            raise ConfigError(f"unknown proxy kind {proxy_kind!r}")
-    else:
-        mask = np.asarray(proxy_kind, dtype=np.float64)
-        if mask.shape != (d_v + d_q + d_a,):
-            raise ConfigError(
-                f"custom mask must have length {d_v + d_q + d_a}, got {mask.shape}")
-    return PreferenceSample(
-        v=sample.v * mask[:d_v],
-        q=sample.q * mask[d_v:d_v + d_q],
-        a1=sample.a1 * mask[d_v + d_q:],
-        a2=sample.a2 * mask[d_v + d_q:],
-        y=sample.y,
-        shortcut_applied=sample.shortcut_applied,
-    )
-
-
 def _stack_pairs(dataset, mask_vision: bool):
     """Chosen/rejected concatenated feature matrices for a whole dataset."""
     d_v, d_q = dataset.v.shape[1], dataset.q.shape[1]
@@ -197,64 +163,6 @@ def _stack_pairs(dataset, mask_vision: bool):
     x_c[:, d_v + d_q:] = np.where(first_chosen, dataset.a1, dataset.a2)
     x_r[:, d_v + d_q:] = np.where(first_chosen, dataset.a2, dataset.a1)
     return x_c, x_r
-
-
-def branch_forward(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray) -> np.ndarray:
-    """Hidden activations of a batch: chosen rows stacked over rejected rows,
-    shape (2b, hidden).
-
-    Two matrix products fill the halves (one stacked product would block the
-    reduction differently and change bits); every elementwise step then runs
-    once over both halves.
-    """
-    b = x_c.shape[0]
-    h = np.empty((2 * b, network.dims.hidden))
-    w1_t = network.w1.T
-    np.matmul(x_c, w1_t, out=h[:b])
-    np.matmul(x_r, w1_t, out=h[b:])
-    h += network.b1
-    return np.tanh(h, out=h)
-
-
-def _pair_losses(network: RewardNet, h: np.ndarray) -> np.ndarray:
-    """Per-sample losses from stacked activations, scored like batch_scores."""
-    b = h.shape[0] // 2
-    w2, b2 = network.w2, network.b2
-    return bt_loss((h[:b] @ w2 + b2) - (h[b:] @ w2 + b2))
-
-
-def batch_losses(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray) -> np.ndarray:
-    """Per-sample pairwise losses for stacked chosen/rejected features."""
-    return _pair_losses(network, branch_forward(network, x_c, x_r))
-
-
-def batch_pair_grads(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray,
-                     h: np.ndarray, weights: np.ndarray):
-    """Per-sample losses plus the weighted mean gradient over the batch.
-
-    ``h`` is the batch's ``branch_forward`` output. The gradient equals
-    sum_i weights[i] * grad_i / batch_size, laid out like ``network.theta``
-    and reduced with fixed-order matrix products so reruns are bit-identical.
-    """
-    n = x_c.shape[0]
-    diff = h[:n] - h[n:]
-    margins = diff @ network.w2
-    losses = bt_loss(margins)
-    g = -(sigmoid(-margins)) * weights / n  # (n,) d(weighted mean loss)/dmargin
-
-    coef = 1.0 - h * h
-    coef[:n] *= g[:, None]
-    coef[n:] *= g[:, None]
-    coef *= network.w2
-    grad = np.empty_like(network.theta)
-    out = network.dims.views(grad)
-    np.matmul(coef[:n].T, x_c, out=out["w1"])
-    out["w1"] -= coef[n:].T @ x_r
-    np.subtract(coef[:n].sum(axis=0), coef[n:].sum(axis=0), out=out["b1"])
-    diff *= g[:, None]
-    diff.sum(axis=0, out=out["w2"])
-    grad[-1] = 0.0  # b2: a shared score offset cancels in the margin
-    return losses, grad
 
 
 @dataclass

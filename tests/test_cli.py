@@ -76,6 +76,20 @@ class TestConfig:
         assert main(["gen", "--config", config, "--out", str(tmp_path / "o2"),
                      "--mode", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("override", [
+        {"train": {"mode": "standard"}},  # mode is set per job, not in train
+        {"n_train": "many"},
+        {"train": {"bogus": 3}},
+    ])
+    def test_malformed_config_exits_2_without_traceback(self, tmp_path, override):
+        config = write_config(tmp_path, **override)
+        out = tmp_path / "out"
+        proc = run_cli("gen", config, out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config")
+        assert "Traceback" not in proc.stderr
+        assert not (out / "manifest.json").exists()
+
 
 class TestGen:
     def test_writes_all_datasets_and_manifest(self, tmp_path):
@@ -135,6 +149,19 @@ class TestGen:
         assert "wrote datasets/A_train.npz" in capsys.readouterr().out
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["artifacts"]["dataset:A:train"]["path"] == "datasets/A_train.npz"
+        assert not old.exists()  # the superseded file is deleted
+
+    def test_superseded_path_outside_the_output_dir_is_kept(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        outside = tmp_path / "A_train.jsonl"
+        outside.write_text('{"env_id": "A"}\n')
+        manifest["artifacts"]["dataset:A:train"]["path"] = "../A_train.jsonl"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run("gen", config, out) == 0
+        assert outside.exists()
 
     def test_unreadable_dataset_exits_2_without_traceback(self, tmp_path):
         config = write_config(tmp_path)
@@ -168,6 +195,48 @@ class TestGen:
         out.mkdir()
         (out / ".lock").write_text("123")
         assert run("gen", config, out) == 2
+
+    def test_live_lock_is_reported_as_locked(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()))
+        assert run("gen", config, out) == 2
+        assert "locked by another run" in capsys.readouterr().err
+
+    def test_stale_lock_reported_with_its_pid(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        finished = subprocess.Popen([sys.executable, "-c", "pass"])
+        finished.wait()
+        (out / ".lock").write_text(str(finished.pid))
+        assert run("gen", config, out) == 2
+        err = capsys.readouterr().err
+        assert "stale lock" in err and f"pid {finished.pid} is not running" in err
+        assert (out / ".lock").read_text() == str(finished.pid)  # not taken over
+        assert not (out / "manifest.json").exists()
+
+    def test_interrupted_manifest_write_keeps_the_old_manifest(self, tmp_path,
+                                                                monkeypatch):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        before = (out / "manifest.json").read_bytes()
+        real_dump = json.dump
+
+        def dump_then_fail(doc, fh, **kwargs):
+            if not fh.name.endswith("manifest.json.tmp"):
+                return real_dump(doc, fh, **kwargs)
+            fh.write(json.dumps(doc, **kwargs)[:100])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        assert run("gen", config, out) == 2
+        monkeypatch.undo()
+        assert (out / "manifest.json").read_bytes() == before
+        assert not (out / "manifest.json.tmp").exists()
+        assert run("gen", config, out) == 0
 
 
 @pytest.fixture(scope="module")

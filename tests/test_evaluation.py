@@ -36,7 +36,8 @@ class TestAccuracy:
 
         ds = small_sets[("P", "test")]
         base = accuracy(trained_p.primary, ds)
-        transformed = lambda v, q, a: 2.0 * netmod.forward(trained_p.primary, v, q, a) + 1.0
+        transformed = lambda v, q, a: 2.0 * float(netmod.batch_scores(
+            trained_p.primary, np.concatenate([v, q, a])[None, :])[0]) + 1.0
         assert accuracy(transformed, ds) == base
 
     def test_empty_dataset_rejected(self):

@@ -7,8 +7,9 @@ import pytest
 from rmlab import net as netmod
 from rmlab.envs import PreferenceSample
 from rmlab.errors import DimensionError, ScheduleExhausted
-from rmlab.net import (NetDims, OptimizerState, RewardNet, adamw_step, fd_check,
-                       forward, masked_forward, pair_grad, pair_loss, schedule_lr)
+from rmlab.net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_losses,
+                       batch_pair_grads, batch_scores, branch_forward, fd_check,
+                       schedule_lr)
 
 
 def make_sample(rng, dims):
@@ -18,12 +19,28 @@ def make_sample(rng, dims):
         y=1, shortcut_applied=False)
 
 
+def pair_rows(sample, mask_vision, label):
+    """1-row chosen and rejected feature matrices of one sample."""
+    v = np.zeros_like(sample.v) if mask_vision else sample.v
+    chosen, rejected = (sample.a1, sample.a2) if label == 1 else (sample.a2, sample.a1)
+    return (np.concatenate([v, sample.q, chosen])[None, :],
+            np.concatenate([v, sample.q, rejected])[None, :])
+
+
+def pair_grad(net, sample, mask_vision, label):
+    """(loss, flat gradient) of one pair through the batched training path."""
+    x_c, x_r = pair_rows(sample, mask_vision, label)
+    losses, grad = batch_pair_grads(net, x_c, x_r, branch_forward(net, x_c, x_r),
+                                    np.ones(1))
+    return float(losses[0]), grad
+
+
 def loop_forward(doc, v, q, a):
     """Independent plain-Python forward pass over the serialized net."""
     dims = doc["dims"]
     d = dims["d_v"] + dims["d_q"] + dims["d_a"]
     x = list(v) + list(q) + list(a)
-    score = doc["b2"]
+    score = 0.0
     for j in range(dims["hidden"]):
         z = doc["b1"][j]
         for k in range(d):
@@ -32,52 +49,36 @@ def loop_forward(doc, v, q, a):
     return score
 
 
+def score(net, v, q, a):
+    return float(batch_scores(net, np.concatenate([v, q, a])[None, :])[0])
+
+
 class TestForward:
     def test_zero_net_scores_zero(self, default_dims):
         net = RewardNet.zeros(default_dims)
         rng = np.random.default_rng(0)
-        out = forward(net, rng.standard_normal(16), rng.standard_normal(8),
-                      rng.standard_normal(16))
+        out = score(net, rng.standard_normal(16), rng.standard_normal(8),
+                    rng.standard_normal(16))
         assert out == 0.0
-
-    def test_output_bias_passthrough(self, default_dims):
-        net = RewardNet.zeros(default_dims)
-        net.b2 = 3.5
-        rng = np.random.default_rng(1)
-        out = forward(net, rng.standard_normal(16), rng.standard_normal(8),
-                      rng.standard_normal(16))
-        assert out == 3.5
 
     def test_matches_independent_loop_implementation(self, default_dims):
         net = RewardNet.init(default_dims, seed=1)
         net.b1 = np.random.default_rng(11).standard_normal(default_dims.hidden)
-        net.b2 = 0.25
         rng = np.random.default_rng(2)
         v, q, a = rng.standard_normal(16), rng.standard_normal(8), rng.standard_normal(16)
         expected = loop_forward(net.to_dict(), v, q, a)
-        assert abs(forward(net, v, q, a) - expected) < 1e-12
+        assert abs(score(net, v, q, a) - expected) < 1e-12
 
-    def test_dimension_mismatch_rejected(self, default_dims):
-        net = RewardNet.init(default_dims, seed=3)
-        with pytest.raises(DimensionError):
-            forward(net, np.zeros(5), np.zeros(8), np.zeros(16))
 
-    def test_nonfinite_input_rejected(self, default_dims):
-        net = RewardNet.init(default_dims, seed=3)
-        bad = np.zeros(16)
-        bad[0] = np.nan
-        with pytest.raises(DimensionError):
-            forward(net, bad, np.zeros(8), np.zeros(16))
+def masked_score(net, v, q, a):
+    """Text-only score on the pipeline's path: the vision-masked rows of a
+    one-pair dataset, scored by evaluation."""
+    from rmlab.envs import Dataset
+    from rmlab.evaluation import _pair_scores
 
-    def test_linear_in_output_bias(self, default_dims):
-        net = RewardNet.init(default_dims, seed=4)
-        shifted = net.copy()
-        shifted.b2 += 1.75
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            v, q, a = rng.standard_normal(16), rng.standard_normal(8), rng.standard_normal(16)
-            assert forward(shifted, v, q, a) == pytest.approx(
-                forward(net, v, q, a) + 1.75, abs=1e-12)
+    one = Dataset("x", "test", v=v[None, :], q=q[None, :], a1=a[None, :], a2=a[None, :],
+                  y=np.ones(1, dtype=np.int8), planted=np.zeros(1, dtype=bool))
+    return float(_pair_scores(net, one, mask_vision=True)[0][0])
 
 
 class TestMaskedForward:
@@ -85,15 +86,15 @@ class TestMaskedForward:
         net = RewardNet.init(default_dims, seed=6)
         rng = np.random.default_rng(7)
         v, q, a = rng.standard_normal(16), rng.standard_normal(8), rng.standard_normal(16)
-        assert masked_forward(net, v, q, a) == forward(net, np.zeros(16), q, a)
+        assert masked_score(net, v, q, a) == score(net, np.zeros(16), q, a)
 
     def test_constant_in_vision_input(self, default_dims):
         net = RewardNet.init(default_dims, seed=8)
         rng = np.random.default_rng(9)
         q, a = rng.standard_normal(8), rng.standard_normal(16)
-        ref = masked_forward(net, rng.standard_normal(16), q, a)
+        ref = masked_score(net, rng.standard_normal(16), q, a)
         for _ in range(5):
-            assert masked_forward(net, rng.standard_normal(16), q, a) == ref
+            assert masked_score(net, rng.standard_normal(16), q, a) == ref
 
     def test_vision_insensitive_net(self, default_dims):
         net = RewardNet.init(default_dims, seed=10)
@@ -101,32 +102,28 @@ class TestMaskedForward:
         rng = np.random.default_rng(11)
         for _ in range(5):
             v, q, a = rng.standard_normal(16), rng.standard_normal(8), rng.standard_normal(16)
-            assert masked_forward(net, v, q, a) == pytest.approx(
-                forward(net, v, q, a), abs=1e-12)
+            assert masked_score(net, v, q, a) == pytest.approx(
+                score(net, v, q, a), abs=1e-12)
 
 
 def fd_grads_reference(net, sample, mask_vision, label, step=1e-6):
     """Test-local central differences, independent of fd_check."""
     out = {}
     work = net.copy()
+    x_c, x_r = pair_rows(sample, mask_vision, label)
     for name in ("w1", "b1", "w2"):
-        param = work.params()[name]
+        param = getattr(work, name)
         grad = np.zeros_like(param)
         flat = param.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = pair_loss(work, sample, mask_vision, label)
+            up = batch_losses(work, x_c, x_r)[0]
             flat[i] = orig - step
-            down = pair_loss(work, sample, mask_vision, label)
+            down = batch_losses(work, x_c, x_r)[0]
             flat[i] = orig
             grad.ravel()[i] = (up - down) / (2 * step)
         out[name] = grad
-    work.b2 = net.b2 + step
-    up = pair_loss(work, sample, mask_vision, label)
-    work.b2 = net.b2 - step
-    down = pair_loss(work, sample, mask_vision, label)
-    out["b2"] = (up - down) / (2 * step)
     return out
 
 
@@ -160,13 +157,11 @@ class TestPairGrad:
             for name in ("w1", "b1", "w2"):
                 err = np.max(np.abs(grads[name] - fd[name])) / scale
                 assert err < 1e-5
-            assert grads["b2"] == 0.0
-            assert abs(fd["b2"]) < 1e-9  # shared offset cancels in the margin
 
     def test_bad_label_rejected(self, default_dims, random_sample):
         net = RewardNet.init(default_dims, seed=1)
         with pytest.raises(DimensionError):
-            pair_grad(net, random_sample, False, label=0)
+            fd_check(net, random_sample, False, label=0)
 
 
 class TestFdCheck:
@@ -183,16 +178,16 @@ class TestFdCheck:
 
     def test_detects_planted_fault(self, default_dims, random_sample, monkeypatch):
         net = RewardNet.init(default_dims, seed=9)
-        real_pair_grad = netmod.pair_grad
+        real_grads = netmod.batch_pair_grads
 
-        def corrupted(n, s, m, l):
-            loss, grad = real_pair_grad(n, s, m, l)
+        def corrupted(n, x_c, x_r, h, weights):
+            loss, grad = real_grads(n, x_c, x_r, h, weights)
             w1 = n.dims.views(grad)["w1"]
             idx = np.unravel_index(np.argmax(np.abs(w1)), w1.shape)
             w1[idx] *= 2.0
             return loss, grad
 
-        monkeypatch.setattr(netmod, "pair_grad", corrupted)
+        monkeypatch.setattr(netmod, "batch_pair_grads", corrupted)
         assert netmod.fd_check(net, random_sample, mask_vision=False) > 1e-2
 
 
@@ -221,20 +216,21 @@ class TestAdamW:
         assert net.to_dict() == before
 
     def test_matches_hand_recursion_two_steps(self):
-        # Single scalar parameter, constant gradient 1.0, wd 0. With a
+        # Two scalar parameters, constant gradient 1.0, wd 0. With a
         # constant gradient the bias-corrected update direction is exactly
         # 1 / (1 + eps) every step, so theta_2 = theta_0 - (lr_1 + lr_2)/(1+eps).
-        dims = NetDims(d_v=0, d_q=0, d_a=0, hidden=0)
-        net = RewardNet(dims=dims, seed=0, theta=[1.0])  # theta is just b2
+        dims = NetDims(d_v=0, d_q=0, d_a=0, hidden=1)
+        net = RewardNet(dims=dims, seed=0, theta=[1.0, 1.0])  # theta is [b1 | w2]
         state = OptimizerState.for_net(net, base_lr=0.1, warmup_ratio=0.0,
                                        total_steps=4, weight_decay=0.0)
-        grad = np.array([1.0])
+        grad = np.array([1.0, 1.0])
         adamw_step(state, net, grad)
         adamw_step(state, net, grad)
         lr1 = 0.1 * 0.5 * (1 + math.cos(math.pi * 1 / 4))
         lr2 = 0.1 * 0.5 * (1 + math.cos(math.pi * 2 / 4))
         expected = 1.0 - (lr1 + lr2) / (1.0 + 1e-8)
-        assert net.b2 == pytest.approx(expected, abs=1e-14)
+        assert net.b1[0] == pytest.approx(expected, abs=1e-14)
+        assert net.w2[0] == pytest.approx(expected, abs=1e-14)
 
     def test_step_overflow_raises(self, default_dims):
         net = RewardNet.init(default_dims, seed=13)
@@ -247,7 +243,7 @@ class TestAdamW:
 
 def dict_adamw_step(state, params, grads, lr_fn, wd):
     """The per-parameter-name AdamW the flat update replaced, kept as the
-    reference: one update per named block, b2 as a Python float."""
+    reference: one update per named block."""
     state["step"] += 1
     step = state["step"]
     lr = lr_fn(step)
@@ -261,11 +257,8 @@ def dict_adamw_step(state, params, grads, lr_fn, wd):
         m_hat = state["m"][name] / bc1
         v_hat = state["v"][name] / bc2
         update = m_hat / (np.sqrt(v_hat) + netmod.ADAM_EPS)
-        if name == "b2":
-            params["b2"] = params["b2"] - lr * (float(update[0]) + wd * params["b2"])
-        else:
-            p = params[name]
-            p -= lr * (update.reshape(p.shape) + wd * p)
+        p = params[name]
+        p -= lr * (update.reshape(p.shape) + wd * p)
 
 
 class TestFlatAdamW:
@@ -273,26 +266,21 @@ class TestFlatAdamW:
         dims = NetDims(d_v=3, d_q=2, d_a=3, hidden=5)
         net = RewardNet.init(dims, seed=17)
         net.b1 = np.random.default_rng(1).standard_normal(dims.hidden)
-        net.b2 = 0.75
-        ref = {"w1": net.w1.copy(), "b1": net.b1.copy(), "w2": net.w2.copy(), "b2": net.b2}
+        ref = {"w1": net.w1.copy(), "b1": net.b1.copy(), "w2": net.w2.copy()}
         total, wd, base_lr = 250, 0.05, 3e-3
         state = OptimizerState.for_net(net, base_lr, 0.1, total, wd)
         ref_state = {"step": 0,
-                     "m": {n: np.zeros(np.atleast_1d(ref[n]).shape) for n in ref},
-                     "v": {n: np.zeros(np.atleast_1d(ref[n]).shape) for n in ref}}
+                     "m": {n: np.zeros(ref[n].shape) for n in ref},
+                     "v": {n: np.zeros(ref[n].shape) for n in ref}}
         rng = np.random.default_rng(2)
         for step in range(200):  # warmup ends after step 25
             grad = rng.standard_normal(dims.n_params) * rng.choice([1e-6, 1.0, 1e3])
-            grad[-1] = 0.0 if step % 3 else grad[-1]  # b2: zero and nonzero steps
-            named = dims.views(grad)
-            dict_adamw_step(ref_state, ref,
-                            {n: (float(named[n][0]) if n == "b2" else named[n])
-                             for n in netmod.PARAM_NAMES},
+            grad[-1] = 0.0 if step % 3 else grad[-1]  # zero and nonzero entries
+            dict_adamw_step(ref_state, ref, dims.views(grad),
                             lambda k: schedule_lr(base_lr, 0.1, total, k), wd)
             adamw_step(state, net, grad)
             for name in ("w1", "b1", "w2"):
-                assert np.array_equal(net.params()[name], ref[name]), (step, name)
-            assert net.b2 == ref["b2"], step
+                assert np.array_equal(getattr(net, name), ref[name]), (step, name)
         assert state.step == 200 and state.current_lr() < base_lr
 
     def test_named_blocks_write_through_to_theta(self, default_dims):
@@ -300,11 +288,10 @@ class TestFlatAdamW:
         net.w1 = np.ones_like(net.w1)
         net.b1[3] = 2.0
         net.w2 = np.full(default_dims.hidden, 4.0)
-        net.b2 = 5.0
         named = default_dims.views(net.theta)
         assert net.theta.shape == (default_dims.n_params,)
         assert np.all(named["w1"] == 1.0) and named["b1"][3] == 2.0
-        assert np.all(named["w2"] == 4.0) and named["b2"][0] == 5.0
+        assert np.all(named["w2"] == 4.0)
         assert np.array_equal(RewardNet.from_dict(net.to_dict()).theta, net.theta)
 
 
@@ -315,7 +302,6 @@ class TestDeterminismAndSerialization:
         assert np.array_equal(a.w1, b.w1)
         assert np.array_equal(a.w2, b.w2)
         assert np.array_equal(a.b1, b.b1)
-        assert a.b2 == b.b2
 
     def test_answer_block_starts_neutral(self, default_dims):
         net = RewardNet.init(default_dims, seed=7)
@@ -325,10 +311,17 @@ class TestDeterminismAndSerialization:
     def test_json_round_trip_bit_exact(self, default_dims):
         net = RewardNet.init(default_dims, seed=101)
         net.b1 = np.random.default_rng(5).standard_normal(default_dims.hidden)
-        net.b2 = math.pi
         blob = json.dumps(net.to_dict())
         back = RewardNet.from_dict(json.loads(blob))
         assert np.array_equal(back.w1, net.w1)
         assert np.array_equal(back.b1, net.b1)
         assert np.array_equal(back.w2, net.w2)
-        assert back.b2 == net.b2
+
+    def test_file_with_zero_output_offset_loads_to_same_theta(self, default_dims):
+        # primary.json files written before the offset was dropped carry
+        # "b2": 0.0 (and n_params one larger); they load to the same theta.
+        net = RewardNet.init(default_dims, seed=102)
+        old = dict(net.to_dict(), b2=0.0)
+        back = RewardNet.from_dict(json.loads(json.dumps(old)))
+        assert np.array_equal(back.theta, net.theta)
+        assert back.theta.shape == (default_dims.hidden * (default_dims.input_dim + 2),)

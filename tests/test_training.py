@@ -8,8 +8,8 @@ from rmlab.envs import sample_env
 from rmlab.errors import ConfigError, DomainError
 from rmlab.evaluation import accuracy
 from rmlab.net import RewardNet
-from rmlab.training import (MODES, TrainConfig, TrainRun, batch_losses, proxy_mask,
-                            sfc, train, weighted_grad_step, _stack_pairs)
+from rmlab.training import (MODES, TrainConfig, TrainRun, batch_losses, sfc, train,
+                            weighted_grad_step, _stack_pairs)
 from rmlab import net as netmod
 
 
@@ -37,35 +37,6 @@ class TestSfc:
             sfc(0.0, 1.0)
         with pytest.raises(DomainError):
             sfc(1.0, -0.5)
-
-
-class TestProxyMask:
-    def test_text_only_zeroes_vision(self, random_sample):
-        masked = proxy_mask(random_sample, "text_only")
-        assert np.all(masked.v == 0)
-        assert np.array_equal(masked.q, random_sample.q)
-        assert np.array_equal(masked.a1, random_sample.a1)
-
-    def test_identity_mask_is_noop(self, random_sample):
-        n = random_sample.v.size + random_sample.q.size + random_sample.a1.size
-        masked = proxy_mask(random_sample, np.ones(n))
-        assert np.array_equal(masked.v, random_sample.v)
-        assert np.array_equal(masked.q, random_sample.q)
-        assert np.array_equal(masked.a1, random_sample.a1)
-        assert np.array_equal(masked.a2, random_sample.a2)
-
-    def test_composed_masks_zero_everything(self, random_sample):
-        both = proxy_mask(proxy_mask(random_sample, "image_only"), "text_only")
-        assert np.all(both.v == 0) and np.all(both.q == 0)
-        assert np.all(both.a1 == 0) and np.all(both.a2 == 0)
-
-    def test_unknown_kind_rejected(self, random_sample):
-        with pytest.raises(ConfigError):
-            proxy_mask(random_sample, "audio_only")
-
-    def test_wrong_mask_length_rejected(self, random_sample):
-        with pytest.raises(ConfigError):
-            proxy_mask(random_sample, np.ones(3))
 
 
 class TestStackPairs:
@@ -117,14 +88,15 @@ class TestWeightedGradStep:
     def test_batch_of_one_scales_single_gradient(self, small_sets, nets):
         primary, aux = nets
         ds = small_sets[("P", "train")]
-        sample = ds.samples[0]
         x_c, x_r = _stack_pairs(ds, mask_vision=False)
         xt_c, xt_r = _stack_pairs(ds, mask_vision=True)
         w = 0.37
         _, flat, _ = weighted_grad_step(
             primary, aux, x_c[:1], x_r[:1], xt_c[:1], xt_r[:1],
             weight_override=np.array([w]))
-        _, single_flat = netmod.pair_grad(primary, sample, False, sample.y)
+        _, single_flat = netmod.batch_pair_grads(
+            primary, x_c[:1], x_r[:1], netmod.branch_forward(primary, x_c[:1], x_r[:1]),
+            np.ones(1))
         grads, single = primary.dims.views(flat), primary.dims.views(single_flat)
         for name in ("w1", "b1", "w2"):
             ref = np.atleast_1d(w * single[name])
@@ -205,7 +177,7 @@ class TestTrain:
         a = RewardNet.init(dims, 21)
         b = RewardNet.init(dims, 21)
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
-        assert np.array_equal(a.b1, b.b1) and a.b2 == b.b2
+        assert np.array_equal(a.b1, b.b1)
 
     def test_uniform_override_reproduces_standard_bitwise(self, small_sets):
         ds = small_sets[("P", "train")]
@@ -215,7 +187,6 @@ class TestTrain:
         assert np.array_equal(std.primary.w1, forced.primary.w1)
         assert np.array_equal(std.primary.b1, forced.primary.b1)
         assert np.array_equal(std.primary.w2, forced.primary.w2)
-        assert std.primary.b2 == forced.primary.b2
 
     def test_near_deterministic_shortcut_env_fits_train_set(self):
         from rmlab.envs import DirectionRule, EnvironmentSpec, make_family
@@ -276,7 +247,6 @@ class TestTrain:
             traces += np.asarray(run.sfc_trace).tobytes()
         assert (weights.hexdigest(), hashlib.sha256(traces).hexdigest()) == \
             self.REFERENCE_DIGESTS[mode]
-        assert p.b2 == 0.0
 
     def test_epoch_sfc_stats_split_by_marker(self, runs):
         stats = runs["shortcut_aware"].epoch_sfc_stats
