@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
 from . import bestofn, envs, evaluation, svg
@@ -105,6 +106,11 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(f"config: {what}")
         TrainConfig(mode=DEFAULT_MODES[0], **self.train)  # value types and ranges
+        if self.family != "default":
+            try:
+                self.build_family()
+            except (KeyError, TypeError, ValueError, LabError) as exc:
+                raise ConfigError(f"config: bad inline family: {exc!r}") from None
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if k not in ("out_dir", "jobs")}
@@ -127,15 +133,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
 
-    def build_family(self):
+    def build_family(self) -> envs.EnvironmentFamily:
         if self.family == "default":
-            family_seed = derive_seed(self.master_seed, "family")
-            return envs.default_family(family_seed, n_train=self.n_train,
-                                       n_test=self.n_test)
-        doc = self.family
-        specs = [envs.spec_from_dict(d) for d in doc["envs"]]
-        family = envs.make_family(int(doc["family_seed"]), specs)
-        return family, specs
+            return envs.default_family(derive_seed(self.master_seed, "family"),
+                                       n_train=self.n_train, n_test=self.n_test)[0]
+        return envs.make_family(int(self.family["family_seed"]),
+                                [envs.spec_from_dict(d) for d in self.family["envs"]])
 
     def train_config(self, mode: str, env_id: str) -> TrainConfig:
         seed = derive_seed(self.master_seed, f"train:{mode}:{env_id}")
@@ -143,8 +146,7 @@ class ExperimentConfig:
 
     def proxy_config(self, audited_mode: str, env_id: str) -> TrainConfig:
         # Paired proxy: same init seed as the audited model, text-only loss.
-        seed = derive_seed(self.master_seed, f"train:{audited_mode}:{env_id}")
-        return TrainConfig(mode="text_only", seed=seed, **self.train)
+        return replace(self.train_config(audited_mode, env_id), mode="text_only")
 
 
 class Workspace:
@@ -176,14 +178,13 @@ class Workspace:
     def rel(self, path) -> str:
         return os.path.relpath(path, self.out)
 
-    def is_current(self, key: str, path=None) -> bool:
-        """True when the recorded artifact exists, its hash still matches and,
-        if ``path`` is given, it was recorded at that path."""
-        entry = self.manifest["artifacts"].get(key)
-        if not entry or (path is not None and entry["path"] != self.rel(path)):
+    def is_current(self, key: str, path) -> bool:
+        """True when ``artifact_path`` accepts the artifact and it was
+        recorded at ``path``."""
+        try:
+            return self.rel(self.artifact_path(key)) == self.rel(path)
+        except MissingArtifactError:
             return False
-        path = os.path.join(self.out, entry["path"])
-        return os.path.exists(path) and _file_sha256(path) == entry["sha256"]
 
     def record(self, key: str, path) -> None:
         """Record an artifact, deleting the file it supersedes inside the output dir."""
@@ -253,7 +254,8 @@ def _dataset_key(env_id: str, split: str) -> str:
 def cmd_gen(ws: Workspace) -> None:
     """Write every environment split (plus subsampled variants) to disk."""
     t0 = time.monotonic()
-    family, specs = ws.config.build_family()
+    family = ws.config.build_family()
+    specs = family.specs.values()
     fam_path = ws.path("family.json")
     _write_json(fam_path, {"family_seed": family.family_seed, "m_scale": envs.M_SCALE,
                            "envs": [envs.spec_to_dict(s) for s in specs]})
@@ -276,8 +278,7 @@ def cmd_gen(ws: Workspace) -> None:
             path = ws.path("datasets", f"{spec.env_id}_train_sub{frac}.npz")
             if ws.is_current(key, path):
                 continue
-            full = envs.read_dataset(
-                ws.artifact_path(_dataset_key(spec.env_id, "train")))
+            full = _load_dataset(ws, spec.env_id, "train")
             sub_seed = derive_seed(ws.config.master_seed,
                                    f"subsample:{spec.env_id}:{frac}")
             sub = envs.subsample(full, frac, sub_seed)
@@ -294,42 +295,32 @@ def _load_dataset(ws: Workspace, env_id: str, split: str):
     return envs.read_dataset(path, fingerprint)
 
 
-def _train_one(config_doc: dict, dataset_path: str, fingerprint: str, run_dir: str) -> str:
-    """Worker-safe single training job (used by the process pool)."""
-    dataset = envs.read_dataset(dataset_path, fingerprint)
-    run = train(TrainConfig.from_dict(config_doc), dataset)
-    run.save(run_dir)
-    return run_dir
+def _train_one(job: tuple) -> str:
+    """One training job, (config doc, dataset path, fingerprint, run dir);
+    worker-safe. Returns the path of the saved ``run.json``."""
+    config_doc, dataset_path, fingerprint, run_dir = job
+    run = train(TrainConfig.from_dict(config_doc),
+                envs.read_dataset(dataset_path, fingerprint))
+    return run.save(run_dir)
 
 
 def _ensure_runs(ws: Workspace, wanted: list) -> int:
     """Train whatever is stale in ``wanted``: (key, TrainConfig, env_id) triples.
 
     Returns the number of jobs trained."""
-    jobs = []
+    keys, jobs = [], []
     for key, config, env_id in wanted:
-        if ws.is_current(key):
+        run_dir = os.path.join(ws.out, "models", *key.split(":")[1:])
+        if ws.is_current(key, os.path.join(run_dir, "run.json")):
             continue
-        run_dir = ws.path("models", *key.split(":")[1:])
         data_key = _dataset_key(env_id, "train")
-        jobs.append((key, config.to_dict(), ws.artifact_path(data_key),
-                     ws.manifest["artifacts"][data_key].get("fingerprint", ""),
-                     run_dir))
-    if not jobs:
-        return 0
-    if ws.config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ws.config.jobs) as pool:
-            futures = [(key, run_dir,
-                        pool.submit(_train_one, cfg, data, fp, run_dir))
-                       for key, cfg, data, fp, run_dir in jobs]
-            for key, run_dir, fut in futures:
-                fut.result()
-                ws.record(key, os.path.join(run_dir, "primary.json"))
-                print(f"train: finished {key}")
-    else:
-        for key, cfg, data, fp, run_dir in jobs:
-            _train_one(cfg, data, fp, run_dir)
-            ws.record(key, os.path.join(run_dir, "primary.json"))
+        keys.append(key)
+        jobs.append((config.to_dict(), ws.artifact_path(data_key),
+                     ws.manifest["artifacts"][data_key].get("fingerprint", ""), run_dir))
+    with (ProcessPoolExecutor(max_workers=ws.config.jobs)
+          if ws.config.jobs > 1 and jobs else nullcontext()) as pool:
+        for key, path in zip(keys, (pool.map if pool else map)(_train_one, jobs)):
+            ws.record(key, path)
             print(f"train: finished {key}")
     return len(jobs)
 
@@ -343,17 +334,15 @@ def _proxy_key(mode: str, env_id: str) -> str:
 
 
 def _load_run(ws: Workspace, key: str) -> TrainRun:
-    ws.artifact_path(key)  # validates existence + hash
-    return TrainRun.load(os.path.dirname(
-        os.path.join(ws.out, ws.manifest["artifacts"][key]["path"])))
+    return TrainRun.load(os.path.dirname(ws.artifact_path(key)))
 
 
 def cmd_train(ws: Workspace, modes=None) -> None:
     """Train one model per (mode, environment)."""
     t0 = time.monotonic()
-    _, specs = ws.config.build_family()
-    wanted = [(_run_key(mode, s.env_id), ws.config.train_config(mode, s.env_id), s.env_id)
-              for mode in (modes or ws.config.modes) for s in specs]
+    env_order = ws.config.build_family().env_order
+    wanted = [(_run_key(mode, e), ws.config.train_config(mode, e), e)
+              for mode in (modes or ws.config.modes) for e in env_order]
     if _ensure_runs(ws, wanted):  # only a call that trained may set the timing
         ws.save_manifest("train", time.monotonic() - t0)
 
@@ -362,8 +351,7 @@ def cmd_matrix(ws: Workspace) -> None:
     """Cross-distribution accuracy matrices for every requested mode."""
     t0 = time.monotonic()
     cmd_train(ws)
-    _, specs = ws.config.build_family()
-    env_order = [s.env_id for s in specs]
+    env_order = ws.config.build_family().env_order
     test_sets = {e: _load_dataset(ws, e, "test") for e in env_order}
 
     summary = {}
@@ -395,8 +383,7 @@ def cmd_matrix(ws: Workspace) -> None:
 def cmd_sfd(ws: Workspace) -> None:
     """Shortcut-failure degradation reports for every o.o.d. cell."""
     t0 = time.monotonic()
-    _, specs = ws.config.build_family()
-    env_order = [s.env_id for s in specs]
+    env_order = ws.config.build_family().env_order
     audit_modes = [m for m in SFD_MODES if m in ws.config.modes]
 
     cmd_train(ws, modes=audit_modes)
@@ -429,8 +416,8 @@ def cmd_sfd(ws: Workspace) -> None:
 def cmd_bon(ws: Workspace) -> None:
     """Best-of-N curves for every net over i.i.d. and o.o.d. pools."""
     t0 = time.monotonic()
-    family, specs = ws.config.build_family()
-    env_order = [s.env_id for s in specs]
+    family = ws.config.build_family()
+    env_order = family.env_order
     bon_modes = [m for m in BON_MODES if m in ws.config.modes]
     bad = [n for n in ws.config.n_grid if not 1 <= n <= ws.config.pool_size]
     if bad:
@@ -441,7 +428,6 @@ def cmd_bon(ws: Workspace) -> None:
             for mode in bon_modes for e in env_order}
 
     rows = []
-    curves_by_pool_env = {}
     for pool_env in env_order:
         pools = bestofn.make_pools(
             family, ws.config.n_pools, m=ws.config.pool_size,
@@ -454,7 +440,6 @@ def cmd_bon(ws: Workspace) -> None:
             for pool in pools:
                 bestofn.score_pool(pool, network, name)
         curves = bestofn.bon_curve(names, pools, ws.config.n_grid)
-        curves_by_pool_env[pool_env] = curves
         for name, curve in sorted(curves.items()):
             mode, train_env = name.split("/")
             for n, score in curve.points:
@@ -541,30 +526,24 @@ def _default_family_checks(summary, sfd_docs, bon_summary, env_order):
 def cmd_report(ws: Workspace) -> int:
     """Aggregate all artifacts, run the assertion suite, emit the report."""
     t0 = time.monotonic()
-    missing = []
-    for key in sorted(ws.manifest["artifacts"]):
+    verified, missing = {}, []  # each recorded key, plus the one required input
+    for key in sorted(set(ws.manifest["artifacts"]) | {"report:matrix-summary"}):
         try:
-            ws.artifact_path(key)
+            verified[key] = ws.artifact_path(key)
         except MissingArtifactError as exc:
             missing.append(f"{key}: {exc}")
-
-    _, specs = ws.config.build_family()
-    env_order = [s.env_id for s in specs]
+    env_order = ws.config.build_family().env_order
 
     def load(key, default=None):
-        """A recorded JSON report, or ``default`` with the reason in ``missing``."""
-        try:
-            with open(ws.artifact_path(key), encoding="utf-8") as fh:
-                return json.load(fh)
-        except MissingArtifactError as exc:
-            missing.append(str(exc))
+        """A verified JSON report, or ``default``."""
+        if key not in verified:
             return default
+        with open(verified[key], encoding="utf-8") as fh:
+            return json.load(fh)
 
-    recorded = ws.manifest["artifacts"]
     summary = load("report:matrix-summary", {})
-    sfd_docs = {m: load(f"report:sfd:{m}") for m in SFD_MODES if f"report:sfd:{m}" in recorded}
-    sfd_docs = {m: docs for m, docs in sfd_docs.items() if docs is not None}
-    bon_summary = load("report:bon-summary") if "report:bon-summary" in recorded else None
+    sfd_docs = {m: load(f"report:sfd:{m}") for m in SFD_MODES if f"report:sfd:{m}" in verified}
+    bon_summary = load("report:bon-summary")
 
     checks = _default_family_checks(summary, sfd_docs, bon_summary, env_order)
     failed = [c["name"] for c in checks if not c["passed"]]

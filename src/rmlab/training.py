@@ -16,7 +16,6 @@ samples where multimodal grounding is required.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -92,53 +91,31 @@ class TrainRun:
     aux: RewardNet | None = None
     epoch_sfc_stats: list = field(default_factory=list)
 
-    def save(self, run_dir) -> None:
+    def save(self, run_dir) -> str:
+        """Write the whole run to ``run_dir/run.json`` (floats round-trip
+        bit-exactly through JSON repr) and return that path."""
         os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "config.json"), "w", encoding="utf-8") as fh:
+        path = os.path.join(run_dir, "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump({"config": self.config.to_dict(),
-                       "dataset_fingerprint": self.dataset_fingerprint},
-                      fh, sort_keys=True, indent=1)
-        with open(os.path.join(run_dir, "trace.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "loss", "mean_sfc"])
-            for i, loss in enumerate(self.loss_trace):
-                sfc_val = "" if self.sfc_trace is None else repr(self.sfc_trace[i])
-                writer.writerow([i + 1, repr(loss), sfc_val])
-        with open(os.path.join(run_dir, "primary.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.primary.to_dict(), fh)
-        if self.aux is not None:
-            with open(os.path.join(run_dir, "aux.json"), "w", encoding="utf-8") as fh:
-                json.dump(self.aux.to_dict(), fh)
-        if self.epoch_sfc_stats:
-            with open(os.path.join(run_dir, "sfc_by_flag.json"), "w", encoding="utf-8") as fh:
-                json.dump([vars(s) for s in self.epoch_sfc_stats], fh, indent=1)
+                       "dataset_fingerprint": self.dataset_fingerprint,
+                       "loss_trace": self.loss_trace, "sfc_trace": self.sfc_trace,
+                       "primary": self.primary.to_dict(),
+                       "aux": None if self.aux is None else self.aux.to_dict(),
+                       "epoch_sfc_stats": [vars(s) for s in self.epoch_sfc_stats]},
+                      fh, sort_keys=True)
+        return path
 
     @classmethod
     def load(cls, run_dir) -> "TrainRun":
-        with open(os.path.join(run_dir, "config.json"), encoding="utf-8") as fh:
+        with open(os.path.join(run_dir, "run.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
-        config = TrainConfig.from_dict(doc["config"])
-        losses, sfcs = [], []
-        with open(os.path.join(run_dir, "trace.csv"), encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                losses.append(float(row["loss"]))
-                if row["mean_sfc"]:
-                    sfcs.append(float(row["mean_sfc"]))
-        with open(os.path.join(run_dir, "primary.json"), encoding="utf-8") as fh:
-            primary = RewardNet.from_dict(json.load(fh))
-        aux = None
-        aux_path = os.path.join(run_dir, "aux.json")
-        if os.path.exists(aux_path):
-            with open(aux_path, encoding="utf-8") as fh:
-                aux = RewardNet.from_dict(json.load(fh))
-        stats = []
-        stats_path = os.path.join(run_dir, "sfc_by_flag.json")
-        if os.path.exists(stats_path):
-            with open(stats_path, encoding="utf-8") as fh:
-                stats = [EpochSfcStats(**row) for row in json.load(fh)]
-        return cls(config=config, dataset_fingerprint=doc["dataset_fingerprint"],
-                   loss_trace=losses, sfc_trace=sfcs or None,
-                   primary=primary, aux=aux, epoch_sfc_stats=stats)
+        return cls(config=TrainConfig.from_dict(doc["config"]),
+                   dataset_fingerprint=doc["dataset_fingerprint"],
+                   loss_trace=doc["loss_trace"], sfc_trace=doc["sfc_trace"],
+                   primary=RewardNet.from_dict(doc["primary"]),
+                   aux=None if doc["aux"] is None else RewardNet.from_dict(doc["aux"]),
+                   epoch_sfc_stats=[EpochSfcStats(**row) for row in doc["epoch_sfc_stats"]])
 
 
 def sfc(loss_mm: float, loss_t: float) -> float:

@@ -80,6 +80,9 @@ class TestConfig:
         {"train": {"mode": "standard"}},  # mode is set per job, not in train
         {"n_train": "many"},
         {"train": {"bogus": 3}},
+        {"family": {"family_seed": 1, "envs": [{"env_id": "A"}]}},  # no direction
+        {"family": {"envs": []}},  # no family_seed
+        {"family": {"family_seed": 1, "envs": "x"}},
     ])
     def test_malformed_config_exits_2_without_traceback(self, tmp_path, override):
         config = write_config(tmp_path, **override)
@@ -288,18 +291,79 @@ class TestPipeline:
         # exit code must agree with the verdict either way
         assert code == (0 if report["passed"] else 1)
 
-    def test_report_flags_deleted_artifact(self, done, tmp_path):
+    @pytest.mark.parametrize("victim, key", [
+        ("models/standard/A/run.json", "model:standard:A"),
+        ("reports/matrix_summary.json", "report:matrix-summary"),
+    ], ids=["run", "matrix-summary"])
+    def test_report_flags_deleted_artifact(self, done, victim, key):
         config, out = done
-        victim = out / "models" / "standard" / "A" / "primary.json"
+        victim = out / victim
         backup = victim.read_bytes()
         victim.unlink()
         try:
             code = main(["report", "--config", config, "--out", str(out)])
             assert code == 1
             report = json.loads((out / "reports" / "report.json").read_text())
-            assert any("model:standard:A" in m for m in report["missing_artifacts"])
+            assert len([m for m in report["missing_artifacts"] if key in m]) == 1
         finally:
             victim.write_bytes(backup)
+
+    def test_every_file_is_a_hashed_manifest_entry(self, done):
+        config, out = done
+        main(["report", "--config", config, "--out", str(out)])
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        recorded = {e["path"]: e["sha256"] for e in artifacts.values()}
+        files = sorted(os.path.relpath(os.path.join(d, f), out)
+                       for d, _, names in os.walk(out) for f in names)
+        files.remove("manifest.json")
+        unhashed = [f for f in files if recorded.get(f) !=
+                    hashlib.sha256((out / f).read_bytes()).hexdigest()]
+        assert not unhashed
+        assert "models/shortcut_aware/A/run.json" in files
+
+    @pytest.mark.parametrize("part", ["aux", "epoch_sfc_stats", "sfc_trace"])
+    def test_damaged_run_part_is_flagged_and_retrained(self, tmp_path, capsys, part):
+        config = write_config(tmp_path, modes=["shortcut_aware"])
+        out = tmp_path / "out"
+        for verb in ("gen", "matrix"):
+            assert run(verb, config, out) == 0
+        path = out / "models" / "shortcut_aware" / "A" / "run.json"
+        good = path.read_bytes()
+        doc = json.loads(good)
+        doc[part] = None
+        path.write_text(json.dumps(doc))
+        assert run("report", config, out) == 1
+        report = json.loads((out / "reports" / "report.json").read_text())
+        assert [m for m in report["missing_artifacts"] if "model:shortcut_aware:A" in m]
+        capsys.readouterr()
+        assert run("matrix", config, out) == 0
+        assert capsys.readouterr().out.count("train: finished") == 1
+        assert path.read_bytes() == good
+
+    def test_run_recorded_at_old_primary_path_is_retrained(self, tmp_path, capsys):
+        config = write_config(tmp_path, modes=["standard"])
+        out = tmp_path / "out"
+        for verb in ("gen", "matrix"):
+            assert run(verb, config, out) == 0
+        run_dir = out / "models" / "standard" / "A"
+        # An output dir from before run.json records the net alone, beside its
+        # side files, in primary.json.
+        old = run_dir / "primary.json"
+        old.write_text(json.dumps(json.loads((run_dir / "run.json").read_text())["primary"]))
+        (run_dir / "run.json").unlink()
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"]["model:standard:A"] = {
+            "path": "models/standard/A/primary.json",
+            "sha256": hashlib.sha256(old.read_bytes()).hexdigest()}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("matrix", config, out) == 0
+        assert "train: finished model:standard:A" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"]["model:standard:A"]["path"] == \
+            "models/standard/A/run.json"
+        assert (run_dir / "run.json").exists()
+        assert not old.exists()
 
     def test_train_timing_left_to_calls_that_train(self, tmp_path):
         config = write_config(tmp_path, modes=["standard"])

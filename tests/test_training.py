@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -216,14 +217,17 @@ class TestTrain:
 
     def test_save_load_round_trip(self, runs, tmp_path):
         run = runs["shortcut_aware"]
-        run.save(tmp_path / "run")
+        path = run.save(tmp_path / "run")
+        assert path == os.path.join(tmp_path / "run", "run.json")
+        assert os.listdir(tmp_path / "run") == ["run.json"]  # one file per run
         back = TrainRun.load(tmp_path / "run")
         assert back.config == run.config
-        assert np.array_equal(back.primary.w1, run.primary.w1)
-        assert np.array_equal(back.aux.w1, run.aux.w1)
-        assert back.loss_trace == pytest.approx(run.loss_trace)
-        assert back.sfc_trace == pytest.approx(run.sfc_trace)
-        assert len(back.epoch_sfc_stats) == len(run.epoch_sfc_stats)
+        assert back.dataset_fingerprint == run.dataset_fingerprint
+        assert np.array_equal(back.primary.theta, run.primary.theta)
+        assert np.array_equal(back.aux.theta, run.aux.theta)
+        assert back.loss_trace == run.loss_trace  # bit-exact through JSON repr
+        assert back.sfc_trace == run.sfc_trace
+        assert back.epoch_sfc_stats == run.epoch_sfc_stats
 
     # sha256 of w1|b1|w2 bytes and of the loss (+ sfc) trace bytes after 2
     # epochs on the P train split, recorded with the per-name AdamW and the
