@@ -2,11 +2,10 @@
 multimodal reward models, and for training shortcut-aware ones."""
 
 from .envs import (DirectionRule, EnvironmentSpec, PreferenceSample, Dataset,
-                   default_family, make_family, sample_env, shortcut_oracle_label)
+                   default_family, make_family, sample_env)
 from .net import NetDims, RewardNet, batch_scores, batch_pair_grads, fd_check
 from .training import TrainConfig, TrainRun, sfc, train
-from .evaluation import (accuracy, gen_matrix, shortcut_split, sfd, sfd_report,
-                         score_correlation, length_balanced_subset,
+from .evaluation import (accuracy, gen_matrix, sfd_report, score_correlation,
                          sfc_rho_diagnostic)
 from .bestofn import (CandidatePool, simulated_judge, make_pools, score_pool,
                       bon_exhaustive, bon_fast, bon_mc_check, bon_curve)

@@ -103,6 +103,8 @@ class EnvironmentSpec:
                 raise GenerationError(f"{self.env_id}: {name}={val} outside [0, 1]")
         if self.alpha < 0:
             raise GenerationError(f"{self.env_id}: alpha must be >= 0")
+        if self.seed < 0:
+            raise GenerationError(f"{self.env_id}: seed must be >= 0")
         if self.n_train < 1 or self.n_test < 1:
             raise GenerationError(f"{self.env_id}: split sizes must be >= 1")
         if self.marker_follows not in ("truth", "label"):
@@ -120,22 +122,6 @@ class PreferenceSample:
     a2: np.ndarray
     y: int  # +1 if a1 chosen, -1 if a2 chosen
     shortcut_applied: bool
-
-    @property
-    def length1(self) -> float:
-        return float(self.a1[LENGTH_COORD])
-
-    @property
-    def length2(self) -> float:
-        return float(self.a2[LENGTH_COORD])
-
-    @property
-    def chosen_length(self) -> float:
-        return self.length1 if self.y == 1 else self.length2
-
-    @property
-    def rejected_length(self) -> float:
-        return self.length2 if self.y == 1 else self.length1
 
 
 COLUMNS = ("v", "q", "a1", "a2", "y", "planted")
@@ -412,17 +398,6 @@ def _force_length_order(dataset, spec, split_code, n):
     swap = chosen_longer != is_longer
     dataset.a1[swap, LENGTH_COORD] = len2[swap]
     dataset.a2[swap, LENGTH_COORD] = len1[swap]
-
-
-def shortcut_oracle_label(sample: PreferenceSample) -> bool:
-    """True iff this pair carries the planted shortcut marker.
-
-    The marked fraction of a split equals the environment's beta. Under the
-    default marker placement ("label") the marker always sits on the chosen
-    answer; under "truth" placement a label flip can leave it on the rejected
-    one.
-    """
-    return sample.shortcut_applied
 
 
 def write_dataset(dataset: Dataset, path) -> None:

@@ -29,12 +29,8 @@ class ScheduleExhausted(LabError):
     """Optimizer stepped past its configured total step count."""
 
 
-class BalanceError(LabError):
-    """Length-balanced subset cannot be formed (one side empty)."""
-
-
 class DegenerateSplitError(LabError):
-    """A shortcut split subset is empty, so the degradation metric is undefined."""
+    """The evaluation set is empty, so the metric is undefined."""
 
 
 class MissingArtifactError(LabError):

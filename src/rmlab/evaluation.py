@@ -1,6 +1,6 @@
 """Evaluation machinery: pairwise accuracy, cross-distribution generalization
-matrices, shortcut splits and the shortcut-failure degradation metric, score
-correlations, length-balanced subsets, and the sfc ordering diagnostic.
+matrices, the shortcut-failure degradation metric, score correlations, and the
+sfc ordering diagnostic.
 
 Accuracy uses the strict comparison reward(chosen) > reward(rejected); ties
 count as incorrect. This matters for degenerate scorers (an all-zero net ties
@@ -16,33 +16,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net as netmod
-from .envs import LENGTH_COORD
 from .errors import DegenerateSplitError, MissingArtifactError
 from .net import RewardNet
 from .training import _stack_pairs, mean_sfc_over
 
 
-def _pair_scores(scorer, dataset, mask_vision: bool):
-    """(chosen, rejected) score arrays under a net or any (v, q, a) callable."""
-    if isinstance(scorer, RewardNet):
-        x_c, x_r = _stack_pairs(dataset, mask_vision=mask_vision)
-        return netmod.batch_scores(scorer, x_c), netmod.batch_scores(scorer, x_r)
-    chosen = np.empty(len(dataset))
-    rejected = np.empty_like(chosen)
-    for i, s in enumerate(dataset.samples):
-        v = np.zeros_like(s.v) if mask_vision else s.v
-        a_c, a_r = (s.a1, s.a2) if s.y == 1 else (s.a2, s.a1)
-        chosen[i] = scorer(v, s.q, a_c)
-        rejected[i] = scorer(v, s.q, a_r)
-    return chosen, rejected
+def _pair_scores(net: RewardNet, dataset, mask_vision: bool):
+    """(chosen, rejected) score arrays of a net over a whole dataset."""
+    x_c, x_r = _stack_pairs(dataset, mask_vision=mask_vision)
+    return netmod.batch_scores(net, x_c), netmod.batch_scores(net, x_r)
 
 
-def accuracy(scorer, dataset, mask_vision: bool = False) -> float:
+def _correct(net: RewardNet, dataset, mask_vision: bool) -> np.ndarray:
+    """Per pair, whether the chosen answer strictly outscores the other."""
+    chosen, rejected = _pair_scores(net, dataset, mask_vision)
+    return chosen > rejected
+
+
+def accuracy(net: RewardNet, dataset, mask_vision: bool = False) -> float:
     """Fraction of pairs where the chosen answer strictly outscores the other."""
     if len(dataset) == 0:
-        raise MissingArtifactError("accuracy needs a nonempty dataset")
-    chosen, rejected = _pair_scores(scorer, dataset, mask_vision)
-    return float(np.mean(chosen > rejected))
+        raise DegenerateSplitError("accuracy needs a nonempty dataset")
+    return float(np.mean(_correct(net, dataset, mask_vision)))
 
 
 @dataclass
@@ -93,17 +88,6 @@ def gen_matrix(mode: str, nets: dict, test_sets: dict, env_order=None) -> GenMat
     return GenMatrix(mode=mode, envs=envs, acc=acc)
 
 
-def shortcut_split(text_net, test_set):
-    """Partition a test set by whether the text-only proxy classifies it.
-
-    Returns (success_indices, fail_indices); ties go to the fail side.
-    """
-    chosen, rejected = _pair_scores(text_net, test_set, mask_vision=True)
-    correct = chosen > rejected
-    idx = np.arange(len(test_set))
-    return idx[correct].tolist(), idx[~correct].tolist()
-
-
 @dataclass
 class SFDReport:
     """Accuracy gap between the shortcut-success and shortcut-fail subsets."""
@@ -121,32 +105,25 @@ class SFDReport:
         return vars(self).copy()
 
 
-def sfd(mm_net, test_set, success_idx, fail_idx, *, train_env="", mode="") -> SFDReport:
-    """Shortcut-failure degradation of a net over a precomputed split."""
-    if not success_idx or not fail_idx:
-        raise DegenerateSplitError(
-            f"split is degenerate (success={len(success_idx)}, fail={len(fail_idx)})")
-    acc_s = accuracy(mm_net, test_set.take(success_idx))
-    acc_f = accuracy(mm_net, test_set.take(fail_idx))
-    return SFDReport(train_env=train_env, test_env=test_set.env_id, mode=mode,
-                     n_success=len(success_idx), n_fail=len(fail_idx),
-                     acc_on_success=acc_s, acc_on_fail=acc_f, sfd=acc_s - acc_f)
-
-
 def sfd_report(mm_net, text_net, test_set, *, train_env="", mode="") -> SFDReport:
-    """Split with the paired text proxy, then measure the degradation.
+    """Split the test set by whether the paired text proxy classifies a pair
+    correctly (ties fail), then take the net's accuracy gap between the sides.
 
-    A degenerate split yields a report with missing accuracy values rather
-    than an exception, so batch harnesses can keep going.
+    Each net scores the set once. A split with an empty side yields a report
+    with missing accuracy values, so batch harnesses can keep going.
     """
-    success_idx, fail_idx = shortcut_split(text_net, test_set)
-    try:
-        return sfd(mm_net, test_set, success_idx, fail_idx,
-                   train_env=train_env, mode=mode)
-    except DegenerateSplitError:
-        return SFDReport(train_env=train_env, test_env=test_set.env_id, mode=mode,
-                         n_success=len(success_idx), n_fail=len(fail_idx),
-                         acc_on_success=None, acc_on_fail=None, sfd=None)
+    success = _correct(text_net, test_set, mask_vision=True)
+    correct = _correct(mm_net, test_set, mask_vision=False)
+    n_success = int(success.sum())
+    n_fail = len(test_set) - n_success
+    acc_s = acc_f = gap = None
+    if n_success and n_fail:
+        acc_s = float(np.mean(correct[success]))
+        acc_f = float(np.mean(correct[~success]))
+        gap = acc_s - acc_f
+    return SFDReport(train_env=train_env, test_env=test_set.env_id, mode=mode,
+                     n_success=n_success, n_fail=n_fail,
+                     acc_on_success=acc_s, acc_on_fail=acc_f, sfd=gap)
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -172,41 +149,12 @@ class BiasDiag:
 def score_correlation(mm_net, text_net, test_set) -> BiasDiag:
     """Pearson correlations of per-response scores and per-pair margins."""
     if len(test_set) == 0:
-        raise MissingArtifactError("score_correlation needs a nonempty test set")
+        raise DegenerateSplitError("score_correlation needs a nonempty test set")
     mm_c, mm_r = _pair_scores(mm_net, test_set, mask_vision=False)
     t_c, t_r = _pair_scores(text_net, test_set, mask_vision=True)
     response_r = _pearson(np.concatenate([mm_c, mm_r]), np.concatenate([t_c, t_r]))
     margin_r = _pearson(mm_c - mm_r, t_c - t_r)
     return BiasDiag(response_r=response_r, margin_r=margin_r)
-
-
-def length_balanced_subset(test_set, seed: int = 0):
-    """Downsample so chosen-longer and rejected-longer pair counts are equal.
-
-    Equal-length pairs are kept. An already balanced set comes back unchanged.
-    """
-    from .errors import BalanceError
-
-    first_chosen = test_set.y == 1
-    len1, len2 = test_set.a1[:, LENGTH_COORD], test_set.a2[:, LENGTH_COORD]
-    chosen = np.where(first_chosen, len1, len2)
-    rejected = np.where(first_chosen, len2, len1)
-    longer = np.flatnonzero(chosen > rejected).tolist()
-    shorter = np.flatnonzero(chosen < rejected).tolist()
-    ties = np.flatnonzero(chosen == rejected).tolist()
-    if not longer or not shorter:
-        raise BalanceError(
-            f"cannot balance: chosen-longer={len(longer)}, rejected-longer={len(shorter)}")
-    k = min(len(longer), len(shorter))
-    rng = np.random.default_rng([seed, 0xBA1])
-    keep = set(ties)
-    for side in (longer, shorter):
-        if len(side) > k:
-            chosen_idx = rng.permutation(len(side))[:k]
-            keep.update(side[i] for i in chosen_idx)
-        else:
-            keep.update(side)
-    return test_set.take(sorted(keep))
 
 
 @dataclass

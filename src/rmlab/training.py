@@ -4,7 +4,7 @@ standard        minimize -log(sigmoid(margin)) on full multimodal features
 text_only       same loss with the vision block zeroed
 shortcut_aware  dual branch: an auxiliary text-only net trains alongside the
                 primary net, and each sample's primary loss is weighted by
-                its shortcut-failure coefficient
+                its shortcut-failure coefficient over the batch-mean sfc
 
     sfc = loss_text / (loss_multimodal + loss_text)
 
@@ -42,7 +42,6 @@ class TrainConfig:
     weight_decay: float = 0.05
     warmup_ratio: float = 0.1
     seed: int = 0
-    sfc_normalized: bool = True  # weight by sfc / batch-mean(sfc); False = raw sfc
     hidden: int = 64
     aux_lr_scale: float = 8.0  # text branch lr multiplier; see note in train()
     force_uniform_weights: bool = False  # diagnostic: overrides all weights to 1
@@ -65,7 +64,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        return cls(**doc)
+        """Keys that are not fields are ignored, so a ``run.json`` that records
+        a setting this version no longer has still loads."""
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
 
 @dataclass
@@ -118,13 +119,14 @@ class TrainRun:
                    epoch_sfc_stats=[EpochSfcStats(**row) for row in doc["epoch_sfc_stats"]])
 
 
-def sfc(loss_mm: float, loss_t: float) -> float:
-    """Shortcut-failure coefficient: the text branch's share of the total loss.
+def sfc(loss_mm, loss_t):
+    """Shortcut-failure coefficient: the text branch's share of the total loss,
+    elementwise over scalars or arrays of per-sample losses.
 
     Both losses are treated as detached constants; the result is in (0, 1),
     decreasing in loss_mm and increasing in loss_t.
     """
-    if loss_mm <= 0.0 or loss_t <= 0.0:
+    if np.any(loss_mm <= 0.0) or np.any(loss_t <= 0.0):
         raise DomainError(f"sfc needs strictly positive losses, got ({loss_mm}, {loss_t})")
     return loss_t / (loss_mm + loss_t)
 
@@ -156,11 +158,11 @@ class SfcBatch:
 def weighted_grad_step(primary: RewardNet, aux: RewardNet,
                        x_c: np.ndarray, x_r: np.ndarray,
                        xt_c: np.ndarray, xt_r: np.ndarray,
-                       normalized: bool = False,
                        weight_override: np.ndarray | None = None):
     """Gradients for one shortcut-aware batch.
 
-    Primary gradients are the sfc-weighted mean of per-sample pair gradients;
+    Primary gradients are the weighted mean of per-sample pair gradients, each
+    weight the sample's sfc over the batch-mean sfc (so weights average 1);
     auxiliary gradients are the unweighted mean of text-only pair gradients.
     Each branch runs its forward pass once: the sfc losses and the gradients
     come from the same activations. ``weight_override`` bypasses the sfc
@@ -174,14 +176,11 @@ def weighted_grad_step(primary: RewardNet, aux: RewardNet,
     h_t = branch_forward(aux, xt_c, xt_r)
     loss_mm = np.maximum(_pair_losses(primary, h_mm), LOSS_FLOOR)
     loss_t = np.maximum(_pair_losses(aux, h_t), LOSS_FLOOR)
-    sfc_vals = loss_t / (loss_mm + loss_t)
-
-    if weight_override is not None:
-        weights = np.asarray(weight_override, dtype=np.float64)
-    elif normalized:
+    sfc_vals = sfc(loss_mm, loss_t)
+    if weight_override is None:
         weights = sfc_vals / np.mean(sfc_vals)
     else:
-        weights = sfc_vals
+        weights = np.asarray(weight_override, dtype=np.float64)
 
     _, primary_grad = batch_pair_grads(primary, x_c, x_r, h_mm, weights)
     _, aux_grad = batch_pair_grads(aux, xt_c, xt_r, h_t, np.ones_like(weights))
@@ -236,8 +235,7 @@ def train(config: TrainConfig, dataset) -> TrainRun:
             if config.mode == "shortcut_aware":
                 override = ones[:len(idx)] if config.force_uniform_weights else None
                 batch, g_primary, g_aux = weighted_grad_step(
-                    primary, aux, b_c, b_r, xt_c[idx], xt_r[idx],
-                    normalized=config.sfc_normalized, weight_override=override)
+                    primary, aux, b_c, b_r, xt_c[idx], xt_r[idx], weight_override=override)
                 batch_loss = batch.loss_mm
                 adamw_step(opt, primary, g_primary)
                 adamw_step(aux_opt, aux, g_aux)
@@ -270,4 +268,4 @@ def mean_sfc_over(primary: RewardNet, aux: RewardNet, dataset) -> float:
     xt_c, xt_r = _stack_pairs(dataset, mask_vision=True)
     loss_mm = np.maximum(batch_losses(primary, x_c, x_r), LOSS_FLOOR)
     loss_t = np.maximum(batch_losses(aux, xt_c, xt_r), LOSS_FLOOR)
-    return float(np.mean(loss_t / (loss_mm + loss_t)))
+    return float(np.mean(sfc(loss_mm, loss_t)))

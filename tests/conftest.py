@@ -30,6 +30,16 @@ def small_sets(small_family):
 
 
 @pytest.fixture(scope="session")
+def true_margins():
+    """Invariant-signal margin, chosen minus rejected, of every pair of a
+    dataset: the Bayes rule picks the chosen answer where it is positive."""
+    def margins(family, ds):
+        diff = np.where((ds.y == 1)[:, None], ds.a1 - ds.a2, ds.a2 - ds.a1)
+        return np.einsum("ij,ij->i", ds.v @ family.w + ds.q @ family.m, diff)
+    return margins
+
+
+@pytest.fixture(scope="session")
 def default_dims():
     return NetDims(d_v=16, d_q=8, d_a=16, hidden=32)
 

@@ -182,7 +182,7 @@ class TestCriterion7SfcIdentities:
         for start in (0, 64, 128):
             batch, _, _ = weighted_grad_step(
                 primary, aux, x_c[start:start + 64], x_r[start:start + 64],
-                xt_c[start:start + 64], xt_r[start:start + 64], normalized=True)
+                xt_c[start:start + 64], xt_r[start:start + 64])
             assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_uniform_override_reproduces_standard(self, small_sets):

@@ -2,6 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmlab.bestofn import (bon_curve, bon_exhaustive, bon_fast, bon_mc_check,
                            make_pools, score_pool, simulated_judge)
@@ -60,6 +61,19 @@ class TestFastMatchesExhaustive:
             for n in range(1, m + 1):
                 exact = bon_exhaustive(rewards, judges, n)
                 assert bon_fast(rewards, judges, n) == pytest.approx(exact, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+               st.lists(st.integers(0, 3).map(float), min_size=1, max_size=12),  # tied
+               st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12, unique=True)),
+           st.data())
+    def test_property_tied_and_untied_pools(self, rewards, data):
+        m = len(rewards)
+        judges = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+        n = data.draw(st.integers(1, m))
+        rewards = np.array(rewards)
+        assert bon_fast(rewards, judges, n) == pytest.approx(
+            bon_exhaustive(rewards, judges, n), abs=1e-12)
 
     def test_rank_weights_sum_to_one(self):
         for m in range(1, 65):

@@ -83,6 +83,11 @@ class TestConfig:
         {"family": {"family_seed": 1, "envs": [{"env_id": "A"}]}},  # no direction
         {"family": {"envs": []}},  # no family_seed
         {"family": {"family_seed": 1, "envs": "x"}},
+        {"family": {"family_seed": 1, "envs": [  # negative per-env seed
+            {"env_id": env_id, "seed": seed, "n_train": 10, "n_test": 10, "beta": 0.5,
+             "alpha": 1.0, "eta": 0.05, "length_bias": 0.5, "direction": {"kind": "fresh"}}
+            for env_id, seed in (("A", -5), ("B", 2))]}},
+        {"train": {"sfc_normalized": True}},  # removed: weights are always normalized
     ])
     def test_malformed_config_exits_2_without_traceback(self, tmp_path, override):
         config = write_config(tmp_path, **override)

@@ -5,8 +5,8 @@ import pytest
 
 from rmlab import envs
 from rmlab.envs import (DirectionRule, EnvironmentSpec, LENGTH_COORD, default_family,
-                        make_family, read_dataset, sample_env, shortcut_oracle_label,
-                        spec_from_dict, spec_to_dict, subsample, write_dataset)
+                        make_family, read_dataset, sample_env, spec_from_dict,
+                        spec_to_dict, subsample, write_dataset)
 from rmlab.errors import FamilyError, GenerationError
 from rmlab.evaluation import accuracy
 from rmlab.training import TrainConfig, train
@@ -69,10 +69,10 @@ class TestMakeFamily:
         with pytest.raises(FamilyError):
             make_family(1, [s1, s2])
 
-    def test_bayes_rule_hits_label_noise_ceiling(self, mc_family):
+    def test_bayes_rule_hits_label_noise_ceiling(self, mc_family, true_margins):
         family, specs, tests = mc_family
         for env_id in ("HI", "ANTI", "OFF"):
-            acc = accuracy(family.true_score, tests[env_id])
+            acc = np.mean(true_margins(family, tests[env_id]) > 0)
             assert acc == pytest.approx(1.0 - specs[env_id].eta, abs=0.01)
 
     def test_explicit_direction_projected_onto_reserved_coords(self):
@@ -126,14 +126,9 @@ class TestSampleEnv:
     def test_length_bias_fraction_exact(self, mc_family):
         family, specs, tests = mc_family
         for env_id, ds in tests.items():
-            frac = np.mean([s.chosen_length > s.rejected_length for s in ds.samples])
+            len1, len2 = ds.a1[:, LENGTH_COORD], ds.a2[:, LENGTH_COORD]
+            frac = np.mean(np.where(ds.y == 1, len1 > len2, len2 > len1))
             assert frac == pytest.approx(specs[env_id].length_bias, abs=0.02)
-
-    def test_lengths_are_the_designated_coordinate(self, mc_family):
-        _, _, tests = mc_family
-        s = tests["HI"].samples[0]
-        assert s.length1 == s.a1[LENGTH_COORD]
-        assert s.length2 == s.a2[LENGTH_COORD]
 
     def test_regeneration_bit_identical(self, small_family):
         family, _ = small_family
@@ -168,15 +163,15 @@ class TestShortcutOracle:
                  big_spec("PAD", 42, 0.5, 1.0, DirectionRule("fresh"), n_test=10)]
         family = make_family(2, specs)
         ds = sample_env(family, "ALL", "test")
-        assert all(shortcut_oracle_label(s) for s in ds.samples)
+        assert ds.planted.all()
 
     def test_beta_zero_none_marked(self, mc_family):
         _, _, tests = mc_family
-        assert not any(shortcut_oracle_label(s) for s in tests["OFF"].samples)
+        assert not tests["OFF"].planted.any()
 
     def test_marked_fraction_matches_beta(self, mc_family):
         _, specs, tests = mc_family
-        frac = np.mean([shortcut_oracle_label(s) for s in tests["HI"].samples])
+        frac = np.mean(tests["HI"].planted)
         assert frac == pytest.approx(specs["HI"].beta, abs=0.01)
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rmlab.errors import BalanceError, DegenerateSplitError, MissingArtifactError
-from rmlab.evaluation import (accuracy, gen_matrix, length_balanced_subset,
-                              score_correlation, sfd, sfd_report, shortcut_split,
+from rmlab.envs import Dataset
+from rmlab.errors import DegenerateSplitError, MissingArtifactError
+from rmlab.evaluation import (accuracy, gen_matrix, score_correlation, sfd_report,
                               sfc_rho_diagnostic)
 from rmlab.net import NetDims, RewardNet
 from rmlab.training import TrainConfig, train
@@ -26,25 +26,21 @@ class TestAccuracy:
         net = RewardNet.zeros(default_dims)
         assert accuracy(net, small_sets[("P", "test")]) == 0.0
 
-    def test_bayes_oracle_near_ceiling(self, small_family, small_sets):
+    def test_bayes_oracle_near_ceiling(self, small_family, small_sets, true_margins):
         family, specs = small_family
-        acc = accuracy(family.true_score, small_sets[("P", "test")])
+        acc = np.mean(true_margins(family, small_sets[("P", "test")]) > 0)
         assert acc == pytest.approx(0.95, abs=0.02)
 
     def test_invariant_under_increasing_transform(self, trained_p, small_sets):
-        import rmlab.net as netmod
-
         ds = small_sets[("P", "test")]
         base = accuracy(trained_p.primary, ds)
-        transformed = lambda v, q, a: 2.0 * float(netmod.batch_scores(
-            trained_p.primary, np.concatenate([v, q, a])[None, :])[0]) + 1.0
+        transformed = trained_p.primary.copy()
+        transformed.w2 = 2.0 * transformed.w2  # scores double exactly
         assert accuracy(transformed, ds) == base
 
-    def test_empty_dataset_rejected(self):
-        from rmlab.envs import Dataset
-
-        with pytest.raises(MissingArtifactError):
-            accuracy(lambda v, q, a: 0.0, Dataset(env_id="x", split="test"))
+    def test_empty_dataset_rejected(self, default_dims):
+        with pytest.raises(DegenerateSplitError):
+            accuracy(RewardNet.zeros(default_dims), Dataset(env_id="x", split="test"))
 
 
 @pytest.fixture(scope="module")
@@ -78,40 +74,29 @@ class TestGenMatrix:
 
 
 class TestShortcutSplitAndSfd:
-    def test_partition_is_exhaustive(self, text_p, small_sets):
+    def test_partition_is_exhaustive(self, trained_p, text_p, small_sets):
         ds = small_sets[("P", "test")]
-        success, fail = shortcut_split(text_p.primary, ds)
-        assert len(success) + len(fail) == len(ds.samples)
-        assert not set(success) & set(fail)
+        rep = sfd_report(trained_p.primary, text_p.primary, ds)
+        assert rep.n_success + rep.n_fail == len(ds.samples)
+        # the success side is exactly the pairs the proxy classifies correctly
+        assert rep.n_success == round(
+            accuracy(text_p.primary, ds, mask_vision=True) * len(ds))
 
-    def test_zero_net_puts_all_ties_in_fail(self, small_sets, default_dims):
+    def test_zero_net_puts_all_ties_in_fail(self, trained_p, small_sets):
         net = RewardNet.zeros(NetDims(16, 8, 16, 8))
-        success, fail = shortcut_split(net, small_sets[("P", "test")])
-        assert success == []
-        assert len(fail) == len(small_sets[("P", "test")].samples)
+        rep = sfd_report(trained_p.primary, net, small_sets[("P", "test")])
+        assert rep.n_success == 0
+        assert rep.n_fail == len(small_sets[("P", "test")].samples)
 
     def test_sfd_identity(self, trained_p, text_p, small_sets):
         ds = small_sets[("P", "test")]
-        success, fail = shortcut_split(text_p.primary, ds)
-        rep = sfd(trained_p.primary, ds, success, fail, train_env="P", mode="standard")
+        rep = sfd_report(trained_p.primary, text_p.primary, ds,
+                         train_env="P", mode="standard")
         full = accuracy(trained_p.primary, ds)
         combined = (rep.n_success * rep.acc_on_success
                     + rep.n_fail * rep.acc_on_fail) / len(ds.samples)
         assert combined == pytest.approx(full, abs=1e-12)
         assert -1.0 <= rep.sfd <= 1.0
-
-    def test_equal_subset_accuracy_gives_zero(self, small_sets, small_family):
-        family, _ = small_family
-        ds = small_sets[("P", "test")]
-        success = list(range(0, len(ds.samples), 2))
-        fail = [i for i in range(len(ds.samples)) if i % 2 == 1]
-        rep = sfd(family.true_score, ds, success, fail)
-        assert rep.sfd == pytest.approx(0.0, abs=0.05)
-
-    def test_degenerate_split_raises(self, trained_p, small_sets):
-        ds = small_sets[("P", "test")]
-        with pytest.raises(DegenerateSplitError):
-            sfd(trained_p.primary, ds, list(range(len(ds.samples))), [])
 
     def test_report_survives_degenerate_split(self, small_sets, default_dims):
         zero = RewardNet.zeros(default_dims)
@@ -149,6 +134,11 @@ class TestScoreCorrelation:
         diag = score_correlation(zero, zero, small_sets[("P", "test")])
         assert diag.response_r is None and diag.margin_r is None
 
+    def test_empty_set_rejected(self, default_dims):
+        zero = RewardNet.zeros(default_dims)
+        with pytest.raises(DegenerateSplitError):
+            score_correlation(zero, zero, Dataset(env_id="x", split="test"))
+
     def test_shortcut_aware_less_text_correlated_than_standard(self, small_sets):
         tr, te = small_sets[("P", "train")], small_sets[("P", "test")]
         std = train(TrainConfig(mode="standard", epochs=8, seed=51), tr)
@@ -158,33 +148,6 @@ class TestScoreCorrelation:
         r_sa = score_correlation(sa.primary, sa.aux, te)
         assert r_std.response_r > r_sa.response_r
         assert r_std.margin_r > r_sa.margin_r
-
-
-class TestLengthBalancedSubset:
-    def test_downsamples_majority_side(self, small_sets):
-        ds = small_sets[("P", "test")]
-        longer = sum(s.chosen_length > s.rejected_length for s in ds.samples)
-        shorter = sum(s.chosen_length < s.rejected_length for s in ds.samples)
-        assert longer != shorter  # length-biased env
-        sub = length_balanced_subset(ds, seed=5)
-        sub_longer = sum(s.chosen_length > s.rejected_length for s in sub.samples)
-        sub_shorter = sum(s.chosen_length < s.rejected_length for s in sub.samples)
-        assert sub_longer == sub_shorter == min(longer, shorter)
-
-    def test_balanced_set_returned_unchanged(self, small_sets):
-        ds = small_sets[("P", "test")]
-        once = length_balanced_subset(ds, seed=5)
-        twice = length_balanced_subset(once, seed=5)
-        assert len(twice.samples) == len(once.samples)
-        assert all(np.array_equal(a.v, b.v)
-                   for a, b in zip(once.samples, twice.samples))
-
-    def test_one_sided_set_rejected(self, small_sets):
-        ds = small_sets[("P", "test")]
-        only_longer = [i for i, s in enumerate(ds.samples)
-                       if s.chosen_length > s.rejected_length]
-        with pytest.raises(BalanceError):
-            length_balanced_subset(ds.take(only_longer), seed=1)
 
 
 class TestSfcRhoDiagnostic:

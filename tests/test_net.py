@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmlab import net as netmod
 from rmlab.envs import PreferenceSample
@@ -200,6 +201,16 @@ class TestSchedule:
 
     def test_decays_to_zero(self):
         assert schedule_lr(1.0, 0.1, 1000, 1000) == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-6, 1.0), st.floats(0.01, 0.99), st.integers(2, 10**6))
+    def test_continuous_at_end_of_warmup(self, base_lr, warmup_ratio, total):
+        warmup = warmup_ratio * total
+        at = schedule_lr(base_lr, warmup_ratio, total, warmup)
+        assert at == pytest.approx(base_lr, rel=1e-12)
+        for step in (warmup * (1 - 1e-9), warmup * (1 + 1e-9)):
+            assert schedule_lr(base_lr, warmup_ratio, total, step) == pytest.approx(
+                at, rel=1e-6)
 
     def test_no_warmup_starts_high(self):
         assert schedule_lr(1.0, 0.0, 100, 1) == pytest.approx(

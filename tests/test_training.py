@@ -1,9 +1,12 @@
 import hashlib
+import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rmlab.envs import sample_env
 from rmlab.errors import ConfigError, DomainError
@@ -38,6 +41,38 @@ class TestSfc:
             sfc(0.0, 1.0)
         with pytest.raises(DomainError):
             sfc(1.0, -0.5)
+        with pytest.raises(DomainError):
+            sfc(np.array([1.0, 0.0]), np.ones(2))
+
+
+# equal-length (loss_mm, loss_t) arrays; a bounded ratio keeps sfc off 0 and 1
+LOSS_PAIRS = st.integers(1, 16).flatmap(lambda n: st.tuples(
+    *[arrays(np.float64, n, elements=st.floats(1e-3, 1e3))] * 2))
+
+
+class TestSfcProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(LOSS_PAIRS)
+    def test_array_matches_scalar_formula_in_open_unit_interval(self, losses):
+        loss_mm, loss_t = losses
+        vals = sfc(loss_mm, loss_t)
+        assert vals.shape == loss_mm.shape
+        assert np.all((vals > 0.0) & (vals < 1.0))
+        assert [float(x) for x in vals] == [sfc(float(a), float(b))
+                                            for a, b in zip(loss_mm, loss_t)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(LOSS_PAIRS, st.floats(1e-6, 1.0))
+    def test_strictly_monotone_in_each_argument(self, losses, step):
+        loss_mm, loss_t = losses
+        base = sfc(loss_mm, loss_t)
+        assert np.all(sfc(loss_mm * (1.0 + step), loss_t) < base)
+        assert np.all(sfc(loss_mm, loss_t * (1.0 + step)) > base)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 16), elements=st.floats(1e-300, 1e300)))
+    def test_equal_losses_give_exactly_half(self, loss):
+        assert np.all(sfc(loss, loss.copy()) == 0.5)
 
 
 class TestStackPairs:
@@ -120,7 +155,7 @@ class TestWeightedGradStep:
 
     def test_normalized_weights_average_to_one(self, nets, tiny_batch):
         primary, aux = nets
-        batch, _, _ = weighted_grad_step(primary, aux, *tiny_batch, normalized=True)
+        batch, _, _ = weighted_grad_step(primary, aux, *tiny_batch)
         assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_weights_are_detached_constants(self, nets, tiny_batch):
@@ -228,6 +263,19 @@ class TestTrain:
         assert back.loss_trace == run.loss_trace  # bit-exact through JSON repr
         assert back.sfc_trace == run.sfc_trace
         assert back.epoch_sfc_stats == run.epoch_sfc_stats
+
+    def test_run_recording_removed_setting_loads(self, runs, tmp_path):
+        # a run.json written while TrainConfig still had sfc_normalized
+        run = runs["shortcut_aware"]
+        path = run.save(tmp_path / "run")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["config"]["sfc_normalized"] = True
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        back = TrainRun.load(tmp_path / "run")
+        assert back.config == run.config
+        assert np.array_equal(back.primary.theta, run.primary.theta)
 
     # sha256 of w1|b1|w2 bytes and of the loss (+ sfc) trace bytes after 2
     # epochs on the P train split, recorded with the per-name AdamW and the
