@@ -8,6 +8,6 @@ from .training import TrainConfig, TrainRun, sfc, train
 from .evaluation import (accuracy, gen_matrix, sfd_report, score_correlation,
                          sfc_rho_diagnostic)
 from .bestofn import (CandidatePool, simulated_judge, make_pools, score_pool,
-                      bon_exhaustive, bon_fast, bon_mc_check, bon_curve)
+                      bon_exhaustive, bon_estimates, bon_fast, bon_mc_check, bon_curve)
 
 __version__ = "0.1.0"

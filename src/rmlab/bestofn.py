@@ -5,25 +5,29 @@ best-of-N selection over a uniformly random N-subset is
 
     (1 / C(M, N)) * sum over all N-subsets of judge(argmax reward in subset)
 
-computed two ways: by enumeration (small M) and in closed form. Sorting
-candidates so that rank i (ascending, 1-based) beats every lower rank, the
-rank-i candidate wins a random subset with probability C(i-1, N-1) / C(M, N).
-Argmax ties break toward the lowest candidate index, so the sort places equal
-rewards in descending index order; both paths and the Monte Carlo check share
-that rule, which makes their agreement exact.
+computed by enumeration (small M) and in closed form. Sorting candidates so
+that rank i (ascending, 1-based) beats every lower rank, the rank-i candidate
+wins a random subset with probability C(i-1, N-1) / C(M, N). Argmax ties break
+toward the lowest candidate index, so the sort places equal rewards in
+descending index order; both paths and the Monte Carlo check share that rule,
+which makes their agreement exact. The closed form sorts a pool once for a
+whole N grid and adds the weighted judge scores in rank order by a sequential
+cumsum (np.sum is pairwise and rounds differently); the leading zero-weight
+ranks add only +-0.0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from . import net as netmod
+from .envs import D_A, D_Q, D_V
 from .errors import ConfigError, GenerationError
-from .net import RewardNet
 
 EXHAUSTIVE_MAX_M = 20
 JUDGE_MID = 5.0
@@ -47,14 +51,15 @@ class CandidatePool:
         return self.answers.shape[0]
 
 
-def simulated_judge(family, v, q, a, noise: float = 0.0) -> float:
-    """Ground-truth quality mapped onto a 0-10 grading scale.
+def simulated_judge(family, v, q, answers: np.ndarray, noise=0.0) -> np.ndarray:
+    """Each answer row's ground-truth quality, mapped affinely onto 0-10.
 
-    The affine map keeps ranking identical to the quality signal; ``noise``
-    is pre-drawn Gaussian noise on the grading scale (0 for a noiseless judge).
+    ``noise`` is pre-drawn Gaussian noise on that scale. Quality is one dot per row
+    with the hoisted ``v @ w`` and ``q @ m``; one product over the pool rounds differently.
     """
-    z = family.true_score(v, q, a) / family.score_scale()
-    return JUDGE_MID + JUDGE_SLOPE * z + noise
+    vw, qm = v @ family.w, q @ family.m
+    quality = np.array([vw @ a + qm @ a for a in answers])
+    return JUDGE_MID + JUDGE_SLOPE * (quality / family.score_scale()) + noise
 
 
 def make_pools(family, n_pools: int, m: int = 64, seed: int = 0,
@@ -62,49 +67,42 @@ def make_pools(family, n_pools: int, m: int = 64, seed: int = 0,
                scale_mix=(0.5, 1.0, 2.0)) -> list:
     """Generate judge-scored candidate pools.
 
-    Candidates are drawn at a mixture of noise scales so quality varies
-    enough for best-of-N headroom. When ``env_id`` is given, that
-    environment's shortcut marker is planted on a beta fraction of
-    candidates, independently of quality, which is what misleads a
-    shortcut-keyed reward net on these pools.
+    Candidates are drawn at a mixture of noise scales so quality varies enough
+    for best-of-N headroom. Given ``env_id``, that environment's shortcut marker
+    is planted on a beta fraction of candidates, independently of quality,
+    which is what misleads a shortcut-keyed reward net on these pools.
     """
     if n_pools < 1 or m < 1:
         raise GenerationError("need at least one pool and one candidate")
-    spec = None
-    u_dir = None
+    spec = u_dir = None
     if env_id is not None:
         spec = family.specs.get(env_id)
         if spec is None:
             raise GenerationError(f"env {env_id!r} is not part of this family")
         u_dir = family.directions[env_id]
 
-    from .envs import D_A, D_Q, D_V
-
     pools = []
     mix = np.asarray(scale_mix, dtype=np.float64)
     for pid in range(n_pools):
         rng = np.random.default_rng([seed, 0xB0, pid])
-        v = rng.standard_normal(D_V)
-        q = rng.standard_normal(D_Q)
+        v, q = rng.standard_normal(D_V), rng.standard_normal(D_Q)
         scales = mix[rng.integers(0, len(mix), size=m)]
         answers = family.strip_shortcut_components(
             rng.standard_normal((m, D_A)) * scales[:, None])
         if spec is not None:
             planted = rng.random(m) < spec.beta
             answers[planted] += spec.alpha * u_dir
-        noise = judge_sigma * rng.standard_normal(m)
-        judges = np.array([simulated_judge(family, v, q, answers[i], noise[i])
-                           for i in range(m)])
-        pools.append(CandidatePool(pool_id=pid, v=v, q=q, answers=answers,
-                                   judge_scores=judges))
+        pools.append(CandidatePool(pid, v, q, answers, simulated_judge(
+            family, v, q, answers, judge_sigma * rng.standard_normal(m))))
     return pools
 
 
-def score_pool(pool: CandidatePool, network: RewardNet, name: str) -> None:
-    """Attach one net's reward scores to the pool."""
+def score_pool(pool: CandidatePool, nets: dict) -> None:
+    """Attach each named net's reward scores, all taken on one feature matrix."""
     x = np.hstack([np.tile(pool.v, (pool.size, 1)),
                    np.tile(pool.q, (pool.size, 1)), pool.answers])
-    pool.rewards[name] = netmod.batch_scores(network, x)
+    for name, network in nets.items():
+        pool.rewards[name] = netmod.batch_scores(network, x)
 
 
 def _winner(rewards: np.ndarray, subset) -> int:
@@ -129,23 +127,26 @@ def bon_exhaustive(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:
     return total / comb(m, n)
 
 
-def bon_fast(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:
-    """Closed form of the same subset average, exact for any M.
+@lru_cache(maxsize=64)
+def _rank_weights(m: int, n_grid: tuple) -> np.ndarray:
+    """Row k: C(r-1, N-1) / C(M, N) for N = n_grid[k], correctly rounded."""
+    return np.array([[comb(r - 1, n - 1) / comb(m, n) for r in range(1, m + 1)]
+                     for n in n_grid])
 
-    Binomial weights are exact integers; equal rewards sort by descending
-    index so ascending-rank dominance reproduces lowest-index-wins argmax.
-    """
-    m = len(rewards)
-    if not 1 <= n <= m:
-        raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
-    order = sorted(range(m), key=lambda i: (rewards[i], -i))
-    denom = comb(m, n)
-    total = 0.0
-    for rank, idx in enumerate(order, start=1):
-        weight = comb(rank - 1, n - 1)
-        if weight:
-            total += (weight / denom) * judges[idx]
-    return total
+
+def bon_estimates(rewards: np.ndarray, judges: np.ndarray, n_grid) -> np.ndarray:
+    """Closed form of the subset average for every N in ``n_grid``, one sort."""
+    m, n_grid = len(rewards), tuple(n_grid)
+    for n in n_grid:
+        if not 1 <= n <= m:
+            raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
+    order = np.lexsort((-np.arange(m), rewards))
+    return np.cumsum(_rank_weights(m, n_grid) * judges[order], axis=1)[:, -1]
+
+
+def bon_fast(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:
+    """Closed form of the same subset average, exact for any M."""
+    return float(bon_estimates(rewards, judges, (n,))[0])
 
 
 def bon_mc_check(rewards: np.ndarray, judges: np.ndarray, n: int,
@@ -185,10 +186,9 @@ def bon_curve(net_names: list, pools: list, n_grid: list) -> dict:
     """Mean best-of-N estimate over pools, for each named net's rewards."""
     curves = {}
     for name in net_names:
-        points = []
-        for n in n_grid:
-            vals = [bon_fast(pool.rewards[name], pool.judge_scores, n)
-                    for pool in pools]
-            points.append((n, float(np.mean(vals))))
-        curves[name] = BonCurve(name=name, points=points)
+        vals = np.empty((len(n_grid), len(pools)))  # contiguous rows: np.mean in pool order
+        for j, pool in enumerate(pools):
+            vals[:, j] = bon_estimates(pool.rewards[name], pool.judge_scores, n_grid)
+        curves[name] = BonCurve(name=name, points=[
+            (n, float(np.mean(row))) for n, row in zip(n_grid, vals)])
     return curves

@@ -424,8 +424,8 @@ def cmd_bon(ws: Workspace) -> None:
         raise ConfigError(f"n_grid entries {bad} outside [1, pool_size={ws.config.pool_size}]")
     cmd_train(ws, modes=bon_modes)
 
-    nets = {(mode, e): _load_run(ws, _run_key(mode, e)).primary
-            for mode in bon_modes for e in env_order}
+    nets = {f"{mode}/{e}": _load_run(ws, _run_key(mode, e)).primary
+            for mode, e in sorted((m, e) for m in bon_modes for e in env_order)}
 
     rows = []
     for pool_env in env_order:
@@ -433,13 +433,9 @@ def cmd_bon(ws: Workspace) -> None:
             family, ws.config.n_pools, m=ws.config.pool_size,
             seed=derive_seed(ws.config.master_seed, f"pools:{pool_env}"),
             env_id=pool_env)
-        names = []
-        for (mode, train_env), network in sorted(nets.items()):
-            name = f"{mode}/{train_env}"
-            names.append(name)
-            for pool in pools:
-                bestofn.score_pool(pool, network, name)
-        curves = bestofn.bon_curve(names, pools, ws.config.n_grid)
+        for pool in pools:
+            bestofn.score_pool(pool, nets)
+        curves = bestofn.bon_curve(list(nets), pools, ws.config.n_grid)
         for name, curve in sorted(curves.items()):
             mode, train_env = name.split("/")
             for n, score in curve.points:

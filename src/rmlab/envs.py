@@ -243,10 +243,6 @@ class EnvironmentFamily:
             dirs[spec.env_id] = u
         return dirs
 
-    def true_score(self, v, q, a) -> float:
-        """The invariant quality signal s(v, q, a)."""
-        return float(v @ self.w @ a + q @ self.m @ a)
-
     def true_scores(self, v, q, answers: np.ndarray) -> np.ndarray:
         """Vectorized invariant scores for an (n, D_A) answer matrix."""
         return answers @ (self.w.T @ v + self.m.T @ q)
@@ -275,11 +271,18 @@ def spec_to_dict(spec: EnvironmentSpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> EnvironmentSpec:
+    """Inverse of ``spec_to_dict``; numbers of the wrong type are rejected."""
+    ints = ("seed", "n_train", "n_test")
+    for key in ints + ("beta", "alpha", "eta", "length_bias"):
+        # exact type test: a bool is not a number here, a float not an integer
+        if type(doc[key]) not in ((int,) if key in ints else (int, float)):
+            raise FamilyError(f"{doc['env_id']}: {key}={doc[key]!r} is not "
+                              f"{'an integer' if key in ints else 'a real number'}")
     rule = doc["direction"]
     vec = tuple(rule["vector"]) if rule.get("vector") else None
     return EnvironmentSpec(
-        env_id=doc["env_id"], seed=int(doc["seed"]),
-        n_train=int(doc["n_train"]), n_test=int(doc["n_test"]),
+        env_id=doc["env_id"], seed=doc["seed"],
+        n_train=doc["n_train"], n_test=doc["n_test"],
         beta=float(doc["beta"]), alpha=float(doc["alpha"]),
         eta=float(doc["eta"]), length_bias=float(doc["length_bias"]),
         marker_follows=doc.get("marker_follows", "label"),

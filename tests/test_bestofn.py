@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmlab.bestofn import (bon_curve, bon_exhaustive, bon_fast, bon_mc_check,
-                           make_pools, score_pool, simulated_judge)
+from rmlab.bestofn import (JUDGE_MID, JUDGE_SLOPE, bon_curve, bon_estimates,
+                           bon_exhaustive, bon_fast, bon_mc_check, make_pools,
+                           score_pool, simulated_judge)
 from rmlab.errors import ConfigError
 from rmlab.net import NetDims, RewardNet
 
@@ -102,6 +103,58 @@ class TestFastMatchesExhaustive:
             bon_exhaustive(rewards, judges, 2)
 
 
+def loop_bon_fast(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:
+    """Reference only: the per-call rank loop that the batched estimator replaced,
+    kept verbatim so that equality below is with the exact floats it produced."""
+    m = len(rewards)
+    if not 1 <= n <= m:
+        raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
+    order = sorted(range(m), key=lambda i: (rewards[i], -i))
+    denom = comb(m, n)
+    total = 0.0
+    for rank, idx in enumerate(order, start=1):
+        weight = comb(rank - 1, n - 1)
+        if weight:
+            total += (weight / denom) * judges[idx]
+    return total
+
+
+class TestBatchedMatchesLoop:
+    """The one-sort batched path is bit-identical to the rank loop, so the
+    reports it feeds keep their bytes. Equality is ``==``, not approx."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+               st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=40),  # tied
+               st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40)),
+           st.data())
+    def test_property_every_n_equals_loop(self, rewards, data):
+        m = len(rewards)
+        judges = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+        rewards = np.array(rewards)
+        grid = list(range(1, m + 1))
+        batched = bon_estimates(rewards, judges, grid)
+        for n, value in zip(grid, batched):
+            expected = loop_bon_fast(rewards, judges, n)
+            assert value == expected
+            assert bon_fast(rewards, judges, n) == expected
+
+    def test_default_pool_size_random_grids(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            rewards = np.round(rng.standard_normal(64), 1)  # many ties
+            judges = rng.standard_normal(64) * 3 - 1
+            grid = sorted(set(rng.integers(1, 65, size=7).tolist()))
+            assert bon_estimates(rewards, judges, grid).tolist() == \
+                [loop_bon_fast(rewards, judges, n) for n in grid]
+
+    def test_grid_outside_pool_rejected(self):
+        with pytest.raises(ConfigError):
+            bon_estimates(np.zeros(4), np.zeros(4), [1, 5])
+        with pytest.raises(ConfigError):
+            bon_fast(np.zeros(4), np.zeros(4), 0)
+
+
 class TestMonteCarlo:
     def test_within_three_stderr(self):
         rng = np.random.default_rng(31)
@@ -140,9 +193,21 @@ class TestJudgeAndPools:
         rng = np.random.default_rng(41)
         v, q = rng.standard_normal(16), rng.standard_normal(8)
         answers = family.strip_shortcut_components(rng.standard_normal((30, 16)))
-        scores = np.array([family.true_score(v, q, a) for a in answers])
-        judged = np.array([simulated_judge(family, v, q, a) for a in answers])
+        scores = family.true_scores(v, q, answers)
+        judged = simulated_judge(family, v, q, answers)
         assert np.array_equal(np.argsort(scores), np.argsort(judged))
+
+    def test_pool_judge_matches_per_candidate_scalar_form(self, small_family):
+        # the per-candidate judge the pool-level one replaced, bit for bit
+        family, _ = small_family
+        rng = np.random.default_rng(47)
+        v, q = rng.standard_normal(16), rng.standard_normal(8)
+        answers = family.strip_shortcut_components(rng.standard_normal((64, 16)))
+        noise = 0.1 * rng.standard_normal(64)
+        scalar = [JUDGE_MID + JUDGE_SLOPE * (float(v @ family.w @ a + q @ family.m @ a)
+                                             / family.score_scale()) + noise[i]
+                  for i, a in enumerate(answers)]
+        assert simulated_judge(family, v, q, answers, noise).tolist() == scalar
 
     def test_pools_deterministic(self, small_family):
         family, _ = small_family
@@ -169,10 +234,8 @@ class TestJudgeAndPools:
         family, _ = small_family
         pools = make_pools(family, n_pools=200, m=16, seed=9, judge_sigma=0.0,
                            scale_mix=(1.0,))
-        oracle = family.true_score
         for pool in pools:
-            pool.rewards["oracle"] = np.array(
-                [oracle(pool.v, pool.q, a) for a in pool.answers])
+            pool.rewards["oracle"] = family.true_scores(pool.v, pool.q, pool.answers)
             pool.rewards["random"] = np.random.default_rng(
                 pool.pool_id).standard_normal(pool.size)
         curves = bon_curve(["oracle", "random"], pools, [1, 2, 4, 8, 16])
@@ -189,6 +252,9 @@ class TestJudgeAndPools:
     def test_score_pool_attaches_net_rewards(self, small_family, default_dims):
         family, _ = small_family
         pool = make_pools(family, n_pools=1, m=8, seed=10)[0]
-        net = RewardNet.init(NetDims(16, 8, 16, 8), 77)
-        score_pool(pool, net, "net")
-        assert pool.rewards["net"].shape == (8,)
+        nets = {name: RewardNet.init(NetDims(16, 8, 16, 8), seed)
+                for name, seed in (("a", 77), ("b", 78))}
+        score_pool(pool, nets)
+        assert set(pool.rewards) == {"a", "b"}
+        assert all(r.shape == (8,) for r in pool.rewards.values())
+        assert not np.array_equal(pool.rewards["a"], pool.rewards["b"])

@@ -46,6 +46,14 @@ def run_cli(verb, config, out):
                           timeout=120)
 
 
+def _inline_family(**env_a):
+    """A valid two-env inline family, with env A's fields overridden."""
+    base = {"seed": 1, "n_train": 10, "n_test": 10, "beta": 0.5, "alpha": 1.0,
+            "eta": 0.05, "length_bias": 0.5, "direction": {"kind": "fresh"}}
+    return {"family_seed": 1, "envs": [dict(base, env_id="A", **env_a),
+                                       dict(base, env_id="B", seed=2)]}
+
+
 class TestConfig:
     def test_hash_ignores_key_order(self):
         a = {"x": 1, "y": [1, 2], "z": {"k": 3}}
@@ -88,6 +96,10 @@ class TestConfig:
              "alpha": 1.0, "eta": 0.05, "length_bias": 0.5, "direction": {"kind": "fresh"}}
             for env_id, seed in (("A", -5), ("B", 2))]}},
         {"train": {"sfc_normalized": True}},  # removed: weights are always normalized
+        # numbers of the wrong type are rejected, not truncated or parsed
+        {"family": _inline_family(seed=1.7)},
+        {"family": _inline_family(n_train=10.9)},
+        {"family": _inline_family(n_test="12")},
     ])
     def test_malformed_config_exits_2_without_traceback(self, tmp_path, override):
         config = write_config(tmp_path, **override)
@@ -284,6 +296,19 @@ class TestPipeline:
         summary = json.loads((out / "reports" / "bon_summary.json").read_text())
         assert summary["n_max"] == 16
         assert set(summary["ood_best_at_n_max"]) == {"standard", "shortcut_aware"}
+
+    # sha256 of the tiny lab's best-of-N outputs, recorded with the per-call
+    # rank-loop estimator and per-candidate judge that the batched path
+    # replaced: a one-ulp drift in any curve point changes them.
+    BON_DIGESTS = {
+        "bon_curves.csv": "90955216fde685d1c0fc7e01e716aa12a096a70a5dd619249eb6b815f3a79154",
+        "bon_summary.json": "28588b68b4bb6baf9cc3eef1742682cb183af88c388cd3273a8b7a5a4c563c11",
+    }
+
+    def test_bon_outputs_bit_identical_to_recorded_digests(self, done):
+        _, out = done
+        assert {name: hashlib.sha256((out / "reports" / name).read_bytes()).hexdigest()
+                for name in self.BON_DIGESTS} == self.BON_DIGESTS
 
     def test_report_emits_consolidated_artifacts(self, done):
         config, out = done
