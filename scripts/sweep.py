@@ -35,7 +35,7 @@ DELTA_MODES = ("shortcut_aware", "standard")  # delta = first minus second
 
 def run_seed(seed: int, out: Path, config: str | None, jobs: int) -> Path:
     """Run the five verbs for one seed; returns its report.json path."""
-    env = {k: v for k, v in os.environ.items() if k != "LAB_OUT"}  # LAB_OUT beats --out
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     flags = ["--seed", str(seed), "--out", str(out), "--jobs", str(jobs)]

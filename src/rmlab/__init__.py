@@ -1,8 +1,8 @@
 """rmlab: a synthetic lab for studying text-only shortcut learning in
 multimodal reward models, and for training shortcut-aware ones."""
 
-from .envs import (DirectionRule, EnvironmentSpec, PreferenceSample, Dataset,
-                   default_family, make_family, sample_env)
+from .envs import (DirectionRule, EnvironmentFamily, EnvironmentSpec, PreferenceSample,
+                   Dataset, default_family, sample_env)
 from .net import NetDims, RewardNet, batch_scores, batch_pair_grads, fd_check
 from .training import TrainConfig, TrainRun, sfc, train
 from .evaluation import (accuracy, gen_matrix, sfd_report, score_correlation,

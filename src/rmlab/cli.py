@@ -75,7 +75,6 @@ class ExperimentConfig:
     n_test: int = 1000
     modes: list = field(default_factory=lambda: list(DEFAULT_MODES))
     train: dict = field(default_factory=dict)  # TrainConfig overrides, minus mode/seed
-    subsample_fractions: list = field(default_factory=list)
     n_pools: int = 200
     pool_size: int = 64
     n_grid: list = field(default_factory=lambda: list(DEFAULT_N_GRID))
@@ -98,9 +97,6 @@ class ExperimentConfig:
                  and all(m in DEFAULT_MODES for m in self.modes),
                  f"modes must be a nonempty list drawn from {list(DEFAULT_MODES)}"),
                 (ints(self.n_grid), "n_grid must be a nonempty list of integers >= 1"),
-                (isinstance(self.subsample_fractions, list) and all(
-                    type(f) in (int, float) and 0 < f <= 1 for f in self.subsample_fractions),
-                 "subsample_fractions must be a list of numbers in (0, 1]"),
                 (isinstance(self.train, dict) and set(self.train) <= allowed,
                  f"train must be an object with keys from {sorted(allowed)}")]:
             if not ok:
@@ -113,7 +109,9 @@ class ExperimentConfig:
                 raise ConfigError(f"config: bad inline family: {exc!r}") from None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k not in ("out_dir", "jobs")}
+        doc = {k: v for k, v in asdict(self).items() if k not in ("out_dir", "jobs")}
+        # subsample_fractions is gone; its old default keeps every lab's config hash
+        return dict(doc, subsample_fractions=[])
 
     def config_hash(self) -> str:
         # jobs/out_dir affect execution, not results, so they stay out of the hash
@@ -130,15 +128,15 @@ class ExperimentConfig:
             raise ConfigError(f"config {path} must be a JSON object")
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
         return cls(**doc)
 
     def build_family(self) -> envs.EnvironmentFamily:
         if self.family == "default":
             return envs.default_family(derive_seed(self.master_seed, "family"),
                                        n_train=self.n_train, n_test=self.n_test)[0]
-        return envs.make_family(int(self.family["family_seed"]),
-                                [envs.spec_from_dict(d) for d in self.family["envs"]])
+        return envs.EnvironmentFamily(self.family["family_seed"],
+                                      [envs.spec_from_dict(d) for d in self.family["envs"]])
 
     def train_config(self, mode: str, env_id: str) -> TrainConfig:
         seed = derive_seed(self.master_seed, f"train:{mode}:{env_id}")
@@ -168,6 +166,12 @@ class Workspace:
                 raise LabError(f"corrupt manifest {self.manifest_path}: not a JSON "
                                "object; delete it to rebuild the output dir")
             if old.get("config_hash") == self.manifest["config_hash"]:
+                arts = old.get("artifacts")
+                if not (isinstance(arts, dict) and isinstance(old.get("timings"), dict)
+                        and all(isinstance(e, dict) and isinstance(e.get("path"), str)
+                                and isinstance(e.get("sha256"), str) for e in arts.values())):
+                    raise LabError(f"corrupt manifest {self.manifest_path}: artifacts "
+                                   "or timings malformed; delete it to rebuild the output dir")
                 self.manifest = old
 
     def path(self, *parts) -> str:
@@ -252,7 +256,7 @@ def _dataset_key(env_id: str, split: str) -> str:
 
 
 def cmd_gen(ws: Workspace) -> None:
-    """Write every environment split (plus subsampled variants) to disk."""
+    """Write every environment split to disk."""
     t0 = time.monotonic()
     family = ws.config.build_family()
     specs = family.specs.values()
@@ -273,18 +277,6 @@ def cmd_gen(ws: Workspace) -> None:
             ws.record(key, path)
             ws.manifest["artifacts"][key]["fingerprint"] = dataset.fingerprint
             print(f"gen: wrote {ws.rel(path)} ({len(dataset)} samples)")
-        for frac in ws.config.subsample_fractions:
-            key = f"dataset:{spec.env_id}:train:sub{frac}"
-            path = ws.path("datasets", f"{spec.env_id}_train_sub{frac}.npz")
-            if ws.is_current(key, path):
-                continue
-            full = _load_dataset(ws, spec.env_id, "train")
-            sub_seed = derive_seed(ws.config.master_seed,
-                                   f"subsample:{spec.env_id}:{frac}")
-            sub = envs.subsample(full, frac, sub_seed)
-            envs.write_dataset(sub, path)
-            ws.record(key, path)
-            print(f"gen: wrote {ws.rel(path)} ({len(sub)} samples)")
     ws.save_manifest("gen", time.monotonic() - t0)
 
 
@@ -317,7 +309,7 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
         keys.append(key)
         jobs.append((config.to_dict(), ws.artifact_path(data_key),
                      ws.manifest["artifacts"][data_key].get("fingerprint", ""), run_dir))
-    with (ProcessPoolExecutor(max_workers=ws.config.jobs)
+    with (ProcessPoolExecutor(max_workers=min(ws.config.jobs, len(jobs)))
           if ws.config.jobs > 1 and jobs else nullcontext()) as pool:
         for key, path in zip(keys, (pool.map if pool else map)(_train_one, jobs)):
             ws.record(key, path)
@@ -604,10 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=doc)
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--out", help="output directory (env LAB_OUT wins)")
+        p.add_argument("--out", help="output directory")
         p.add_argument("--mode", help="comma-separated mode list override")
-        p.add_argument("--subsample", type=float, action="append",
-                       help="extra train-subsample fraction (repeatable)")
         p.add_argument("--jobs", type=int, help="parallel training jobs")
     return parser
 
@@ -619,13 +609,10 @@ def load_config(args) -> ExperimentConfig:
     flags = {}
     if args.seed is not None:
         flags["master_seed"] = args.seed
-    if os.environ.get("LAB_OUT") or args.out:
-        flags["out_dir"] = os.environ.get("LAB_OUT") or args.out
+    if args.out:
+        flags["out_dir"] = args.out
     if args.mode:
         flags["modes"] = [m.strip() for m in args.mode.split(",") if m.strip()]
-    if args.subsample:
-        flags["subsample_fractions"] = sorted(set(config.subsample_fractions)
-                                              | set(args.subsample))
     if args.jobs is not None:
         flags["jobs"] = args.jobs
     return replace(config, **flags)

@@ -156,25 +156,20 @@ class Dataset:
                                  y=int(self.y[i]), shortcut_applied=bool(self.planted[i]))
                 for i in range(len(self))]
 
-    def take(self, indices, fingerprint: str | None = None) -> "Dataset":
-        """The rows at ``indices``, copied, in that order."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.env_id, self.split,
-                       **{c: getattr(self, c)[idx] for c in COLUMNS},
-                       fingerprint=self.fingerprint if fingerprint is None else fingerprint)
-
 
 class EnvironmentFamily:
     """Shared invariant signal plus resolved per-environment shortcuts."""
 
     def __init__(self, family_seed: int, specs: list):
+        if type(family_seed) is not int:  # a bool, float or string is not a seed
+            raise FamilyError(f"family_seed={family_seed!r} is not an integer")
         if len(specs) < 2:
             raise FamilyError("a family needs at least 2 environments")
         ids = [s.env_id for s in specs]
         if len(set(ids)) != len(ids):
             raise FamilyError("duplicate env_id in family")
 
-        self.family_seed = int(family_seed)
+        self.family_seed = family_seed
         self.specs = {s.env_id: s for s in specs}
         self.env_order = ids
 
@@ -290,11 +285,6 @@ def spec_from_dict(doc: dict) -> EnvironmentSpec:
     )
 
 
-def make_family(family_seed: int, specs: list) -> EnvironmentFamily:
-    """Build the shared invariant parameters and resolve every shortcut."""
-    return EnvironmentFamily(family_seed, specs)
-
-
 def default_family(family_seed: int = DEFAULT_FAMILY_SEED,
                    n_train: int = 8000, n_test: int = 1000):
     """The three-environment default family.
@@ -316,7 +306,7 @@ def default_family(family_seed: int = DEFAULT_FAMILY_SEED,
                         direction=DirectionRule("negated", ref="B"),
                         eta=0.05, length_bias=0.678),
     ]
-    return make_family(family_seed, specs), specs
+    return EnvironmentFamily(family_seed, specs), specs
 
 
 _SPLIT_CODES = {"train": 0, "test": 1}
@@ -436,13 +426,3 @@ def read_dataset(path, fingerprint: str = "") -> Dataset:
     return Dataset(str(arrays["env_id"]), str(arrays["split"]),
                    **{c: arrays[c] for c in COLUMNS}, fingerprint=fingerprint)
 
-
-def subsample(dataset: Dataset, fraction: float, seed: int) -> Dataset:
-    """Seeded without-replacement subsample of floor(fraction * n) samples."""
-    if not 0.0 < fraction <= 1.0:
-        raise GenerationError(f"subsample fraction {fraction} outside (0, 1]")
-    n = len(dataset)
-    k = int(fraction * n)
-    rng = np.random.default_rng([seed, 0x5B5])
-    idx = np.sort(rng.permutation(n)[:k])
-    return dataset.take(idx, dataset.fingerprint + f":sub{fraction}:{seed}")

@@ -280,9 +280,6 @@ class OptimizerState:
         return cls(base_lr, warmup_ratio, total_steps, weight_decay,
                    m=np.zeros_like(net.theta), v=np.zeros_like(net.theta))
 
-    def current_lr(self) -> float:
-        return schedule_lr(self.base_lr, self.warmup_ratio, self.total_steps, self.step)
-
 
 def adamw_step(state: OptimizerState, net: RewardNet, grad: np.ndarray) -> None:
     """One in-place AdamW update of ``net.theta`` with decoupled weight decay

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmlab.envs import DirectionRule, EnvironmentSpec, make_family, sample_env
+from rmlab.envs import DirectionRule, EnvironmentFamily, EnvironmentSpec, sample_env
 from rmlab.net import NetDims
 
 
@@ -14,7 +14,7 @@ def small_family():
         EnvironmentSpec("Q", seed=902, n_train=1500, n_test=500, beta=0.0, alpha=0.0,
                         direction=DirectionRule("fresh"), eta=0.05, length_bias=0.5),
     ]
-    family = make_family(55, specs)
+    family = EnvironmentFamily(55, specs)
     return family, specs
 
 

@@ -15,8 +15,8 @@ import pytest
 
 from rmlab.bestofn import bon_exhaustive, bon_fast, bon_mc_check
 from rmlab.cli import ExperimentConfig, derive_seed, main
-from rmlab.envs import (DirectionRule, EnvironmentSpec, PreferenceSample,
-                        make_family, sample_env)
+from rmlab.envs import (DirectionRule, EnvironmentFamily, EnvironmentSpec,
+                        PreferenceSample, sample_env)
 from rmlab.net import NetDims, RewardNet, fd_check
 from rmlab.training import (TrainConfig, TrainRun, sfc, train,
                             weighted_grad_step, _stack_pairs)
@@ -231,7 +231,7 @@ class TestCriterion9SfcRhoOrdering:
                             beta=0.0, alpha=0.0, direction=DirectionRule("fresh"),
                             eta=0.05, length_bias=0.5),
         ]
-        family = make_family(fs, specs)
+        family = EnvironmentFamily(fs, specs)
         runs, trains = {}, {}
         for s in specs:
             trains[s.env_id] = sample_env(family, s.env_id, "train")

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from rmlab import cli
 from rmlab.cli import ExperimentConfig, canonical_hash, derive_seed, main
-from rmlab.envs import read_dataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,14 +37,14 @@ def run(verb, config, out):
     return main([verb, "--config", config, "--out", str(out)])
 
 
-def run_cli(verb, config, out):
+def run_cli(verb, config, out, *flags):
     """One verb in a fresh interpreter, as a user runs it."""
-    env = {k: v for k, v in os.environ.items() if k != "LAB_OUT"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + (
         [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "rmlab.cli", verb, "--config", config,
-                           "--out", str(out)], env=env, capture_output=True, text=True,
-                          timeout=120)
+                           "--out", str(out), *flags], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def _inline_family(**env_a):
@@ -64,6 +65,19 @@ class TestConfig:
         assert derive_seed(7, "family") == derive_seed(7, "family")
         assert derive_seed(7, "family") != derive_seed(7, "train:standard:A")
         assert derive_seed(7, "family") != derive_seed(8, "family")
+
+    def test_config_hash_unchanged(self):
+        # A lab whose stored config hash differs throws its manifest away and
+        # rebuilds everything, so these must not move.
+        assert ExperimentConfig().config_hash() == \
+            "d6a5253b9354955146b94408b43fc85e05aa3b3a9381cee43bf89fd5042e9a7e"
+        assert ExperimentConfig(**TINY).config_hash() == \
+            "e666907f731787041841ffd0663d56a6820253df63843a317ac374c2235a338c"
+
+    def test_readme_config_example_is_valid(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Config file keys")[1].split("```json")[1].split("```")[0]
+        ExperimentConfig(**json.loads(block))
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -100,6 +114,10 @@ class TestConfig:
         {"family": _inline_family(seed=1.7)},
         {"family": _inline_family(n_train=10.9)},
         {"family": _inline_family(n_test="12")},
+        {"family": dict(_inline_family(), family_seed=1.7)},
+        {"family": dict(_inline_family(), family_seed=True)},
+        {"family": dict(_inline_family(), family_seed="7")},
+        {"subsample_fractions": [0.25]},  # removed: no verb read the subsampled sets
     ])
     def test_malformed_config_exits_2_without_traceback(self, tmp_path, override):
         config = write_config(tmp_path, **override)
@@ -109,6 +127,12 @@ class TestConfig:
         assert proc.stderr.startswith("error: config")
         assert "Traceback" not in proc.stderr
         assert not (out / "manifest.json").exists()
+
+    def test_subsample_flag_is_rejected(self, tmp_path):
+        proc = run_cli("gen", write_config(tmp_path), tmp_path / "out", "--subsample", "0.25")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --subsample" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestGen:
@@ -133,23 +157,6 @@ class TestGen:
         m2 = json.loads((out / "manifest.json").read_text())["artifacts"]
         assert {k: v["sha256"] for k, v in m1.items()} == \
                {k: v["sha256"] for k, v in m2.items()}
-
-    def test_subsample_flag_writes_fractional_dataset(self, tmp_path):
-        config = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["gen", "--config", config, "--out", str(out),
-                     "--subsample", "0.25"]) == 0
-        sub = out / "datasets" / "A_train_sub0.25.npz"
-        assert sub.exists()
-        assert len(read_dataset(sub)) == int(0.25 * TINY["n_train"])
-
-    def test_lab_out_env_var_wins(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path)
-        winner = tmp_path / "env_out"
-        monkeypatch.setenv("LAB_OUT", str(winner))
-        assert run("gen", config, tmp_path / "ignored") == 0
-        assert (winner / "manifest.json").exists()
-        assert not (tmp_path / "ignored" / "manifest.json").exists()
 
     def test_entry_at_an_old_path_is_regenerated(self, tmp_path, capsys):
         # An output dir from before the .npz format records its datasets as
@@ -205,6 +212,24 @@ class TestGen:
         manifest = out / "manifest.json"
         manifest.write_bytes(manifest.read_bytes()[:100])
         proc = run_cli("report", config, out)
+        assert proc.returncode == 2
+        assert "corrupt manifest" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("damage", [
+        lambda m: m.pop("artifacts"),
+        lambda m: m.update(artifacts={"family": "x"}),
+        lambda m: m["artifacts"]["family"].update(path=None),
+        lambda m: m.pop("timings"),
+    ], ids=["no-artifacts", "entry-not-object", "path-not-string", "no-timings"])
+    def test_malformed_manifest_exits_2_without_traceback(self, tmp_path, damage):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        damage(manifest)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("gen", config, out)
         assert proc.returncode == 2
         assert "corrupt manifest" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -412,6 +437,32 @@ class TestPipeline:
         assert run("gen", config, out) == 0
         assert run("bon", config, out) == 2
         assert not (out / "models").exists()
+
+    def test_pool_forks_no_more_workers_than_stale_jobs(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, jobs=64)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        sizes = []
+
+        class RecordingPool:  # runs the jobs in this process; records the pool size
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        ws = cli.Workspace(replace(ExperimentConfig.from_file(config), out_dir=str(out)))
+        wanted = [(cli._run_key("standard", e), ws.config.train_config("standard", e), e)
+                  for e in ("A", "B")]
+        assert cli._ensure_runs(ws, wanted) == 2
+        assert sizes == [2]
 
     def test_jobs_flag_matches_serial_results(self, done, tmp_path_factory):
         config, serial_out = done

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rmlab import envs
-from rmlab.envs import (DirectionRule, EnvironmentSpec, LENGTH_COORD, default_family,
-                        make_family, read_dataset, sample_env, spec_from_dict,
-                        spec_to_dict, subsample, write_dataset)
+from rmlab.envs import (DirectionRule, EnvironmentFamily, EnvironmentSpec, LENGTH_COORD,
+                        default_family, read_dataset, sample_env, spec_from_dict,
+                        spec_to_dict, write_dataset)
 from rmlab.errors import FamilyError, GenerationError
 from rmlab.evaluation import accuracy
 from rmlab.training import TrainConfig, train
@@ -30,7 +30,7 @@ def mc_family():
         big_spec("OFF", 14, beta=0.0, alpha=0.0, rule=DirectionRule("fresh"),
                  eta=0.05),
     ]
-    family = make_family(404, specs)
+    family = EnvironmentFamily(404, specs)
     tests = {s.env_id: sample_env(family, s.env_id, "test") for s in specs}
     return family, {s.env_id: s for s in specs}, tests
 
@@ -49,8 +49,8 @@ def projection_rule_accuracy(family, env_id, dataset):
 class TestMakeFamily:
     def test_same_seed_identical_invariants(self, small_family):
         _, specs = small_family
-        fam1 = make_family(55, list(specs))
-        fam2 = make_family(55, list(specs))
+        fam1 = EnvironmentFamily(55, list(specs))
+        fam2 = EnvironmentFamily(55, list(specs))
         assert np.array_equal(fam1.w, fam2.w)
         assert np.array_equal(fam1.m, fam2.m)
 
@@ -61,13 +61,13 @@ class TestMakeFamily:
     def test_needs_two_environments(self):
         spec = big_spec("X", 1, 0.5, 1.0, DirectionRule("fresh"))
         with pytest.raises(FamilyError):
-            make_family(1, [spec])
+            EnvironmentFamily(1, [spec])
 
     def test_duplicate_ids_rejected(self):
         s1 = big_spec("X", 1, 0.5, 1.0, DirectionRule("fresh"))
         s2 = big_spec("X", 2, 0.5, 1.0, DirectionRule("fresh"))
         with pytest.raises(FamilyError):
-            make_family(1, [s1, s2])
+            EnvironmentFamily(1, [s1, s2])
 
     def test_bayes_rule_hits_label_noise_ceiling(self, mc_family, true_margins):
         family, specs, tests = mc_family
@@ -84,7 +84,7 @@ class TestMakeFamily:
                      n_test=10),
             big_spec("F", 22, 0.5, 1.0, DirectionRule("fresh"), n_test=10),
         ]
-        family = make_family(9, specs)
+        family = EnvironmentFamily(9, specs)
         u = family.directions["E"]
         assert u[envs.RESERVED_COORDS[0]] == pytest.approx(1.0)
         assert np.linalg.norm(u) == pytest.approx(1.0)
@@ -96,7 +96,7 @@ class TestSampleEnv:
                                     beta=0.0, alpha=0.0,
                                     direction=DirectionRule("fresh"), eta=0.05,
                                     length_bias=0.5)
-        fam = make_family(404, [spec, big_spec("PAD", 99, 0.5, 1.0,
+        fam = EnvironmentFamily(404, [spec, big_spec("PAD", 99, 0.5, 1.0,
                                                DirectionRule("fresh"), n_test=10)])
         tr = sample_env(fam, "OFF2", "train")
         te = sample_env(fam, "OFF2", "test")
@@ -161,7 +161,7 @@ class TestShortcutOracle:
     def test_beta_one_all_marked(self):
         specs = [big_spec("ALL", 41, 1.0, 1.0, DirectionRule("fresh"), n_test=300),
                  big_spec("PAD", 42, 0.5, 1.0, DirectionRule("fresh"), n_test=10)]
-        family = make_family(2, specs)
+        family = EnvironmentFamily(2, specs)
         ds = sample_env(family, "ALL", "test")
         assert ds.planted.all()
 
@@ -255,13 +255,3 @@ class TestDatasetIO:
         _, specs = small_family
         for spec in specs:
             assert spec_from_dict(spec_to_dict(spec)) == spec
-
-    def test_subsample_size_and_determinism(self, small_sets):
-        ds = small_sets[("P", "train")]
-        sub1 = subsample(ds, 0.25, seed=3)
-        sub2 = subsample(ds, 0.25, seed=3)
-        assert len(sub1.samples) == int(0.25 * len(ds.samples))
-        assert all(np.array_equal(a.v, b.v)
-                   for a, b in zip(sub1.samples, sub2.samples))
-        with pytest.raises(GenerationError):
-            subsample(ds, 0.0, seed=1)

@@ -292,7 +292,7 @@ class TestFlatAdamW:
             adamw_step(state, net, grad)
             for name in ("w1", "b1", "w2"):
                 assert np.array_equal(getattr(net, name), ref[name]), (step, name)
-        assert state.step == 200 and state.current_lr() < base_lr
+        assert state.step == 200 and schedule_lr(base_lr, 0.1, total, state.step) < base_lr
 
     def test_named_blocks_write_through_to_theta(self, default_dims):
         net = RewardNet.zeros(default_dims)

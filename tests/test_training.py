@@ -225,7 +225,7 @@ class TestTrain:
         assert np.array_equal(std.primary.w2, forced.primary.w2)
 
     def test_near_deterministic_shortcut_env_fits_train_set(self):
-        from rmlab.envs import DirectionRule, EnvironmentSpec, make_family
+        from rmlab.envs import DirectionRule, EnvironmentFamily, EnvironmentSpec
 
         specs = [
             EnvironmentSpec("SEP", seed=71, n_train=2000, n_test=100, beta=0.99,
@@ -234,7 +234,7 @@ class TestTrain:
             EnvironmentSpec("PAD", seed=72, n_train=100, n_test=100, beta=0.5,
                             alpha=1.0, direction=DirectionRule("fresh")),
         ]
-        family = make_family(88, specs)
+        family = EnvironmentFamily(88, specs)
         tr = sample_env(family, "SEP", "train")
         te = sample_env(family, "SEP", "test")
         run = train(TrainConfig(mode="standard", epochs=5, seed=41), tr)
