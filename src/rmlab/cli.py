@@ -13,23 +13,23 @@ Exit codes: 0 success, 1 assertion failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
 from . import bestofn, envs, evaluation, svg
 from .errors import ConfigError, LabError, MissingArtifactError
-from .training import TrainConfig, TrainRun, train
+from .training import MODES, TrainConfig, TrainRun, train
 
 DEFAULT_OUT = "labout"
-DEFAULT_MODES = ["standard", "text_only", "shortcut_aware"]
-SFD_MODES = ["standard", "shortcut_aware"]
-BON_MODES = ["standard", "shortcut_aware"]
+AUDIT_MODES = ("standard", "shortcut_aware")  # the modes sfd and bon compare
 DEFAULT_N_GRID = [1, 2, 4, 8, 16, 32, 64]
 
 
@@ -44,12 +44,18 @@ def canonical_hash(doc) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_json(path, doc) -> None:
-    """Write a temp file, then swap it in: an interrupted write keeps the old file."""
+def _replace_file(path, doc) -> None:
+    """Write ``doc`` (text, CSV rows for a ``.csv`` path, else a JSON document)
+    to a temp file, then swap it in: an interrupted write keeps the old file."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            if isinstance(doc, str):
+                fh.write(doc)
+            elif path.endswith(".csv"):
+                csv.writer(fh).writerows(doc)
+            else:
+                json.dump(doc, fh, sort_keys=True, indent=1)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -73,7 +79,6 @@ class ExperimentConfig:
     family: dict | str = "default"
     n_train: int = 8000
     n_test: int = 1000
-    modes: list = field(default_factory=lambda: list(DEFAULT_MODES))
     train: dict = field(default_factory=dict)  # TrainConfig overrides, minus mode/seed
     n_pools: int = 200
     pool_size: int = 64
@@ -93,15 +98,14 @@ class ExperimentConfig:
                  'family must be "default" or an inline spec object'),
                 (ints([self.n_train, self.n_test, self.n_pools, self.pool_size, self.jobs]),
                  "n_train, n_test, n_pools, pool_size and jobs must be integers >= 1"),
-                (isinstance(self.modes, list) and self.modes
-                 and all(m in DEFAULT_MODES for m in self.modes),
-                 f"modes must be a nonempty list drawn from {list(DEFAULT_MODES)}"),
                 (ints(self.n_grid), "n_grid must be a nonempty list of integers >= 1"),
                 (isinstance(self.train, dict) and set(self.train) <= allowed,
                  f"train must be an object with keys from {sorted(allowed)}")]:
             if not ok:
                 raise ConfigError(f"config: {what}")
-        TrainConfig(mode=DEFAULT_MODES[0], **self.train)  # value types and ranges
+        if max(self.n_grid) > self.pool_size:
+            raise ConfigError(f"config: n_grid entries must be <= pool_size={self.pool_size}")
+        TrainConfig(mode=MODES[0], **self.train)  # value types and ranges
         if self.family != "default":
             try:
                 self.build_family()
@@ -110,8 +114,9 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         doc = {k: v for k, v in asdict(self).items() if k not in ("out_dir", "jobs")}
-        # subsample_fractions is gone; its old default keeps every lab's config hash
-        return dict(doc, subsample_fractions=[])
+        # modes and subsample_fractions are gone; their old defaults keep every
+        # lab's config hash
+        return dict(doc, modes=list(MODES), subsample_fractions=[])
 
     def config_hash(self) -> str:
         # jobs/out_dir affect execution, not results, so they stay out of the hash
@@ -200,6 +205,12 @@ class Workspace:
         self.manifest["artifacts"][key] = {"path": self.rel(path),
                                            "sha256": _file_sha256(path)}
 
+    def write(self, key: str, rel: str, doc) -> None:
+        """Write an artifact at ``rel`` through ``_replace_file`` and record it."""
+        path = self.path(rel)
+        _replace_file(path, doc)
+        self.record(key, path)
+
     def artifact_path(self, key: str) -> str:
         entry = self.manifest["artifacts"].get(key)
         if not entry:
@@ -214,7 +225,7 @@ class Workspace:
     def save_manifest(self, timing_key: str | None = None, seconds: float | None = None):
         if timing_key is not None:
             self.manifest["timings"][timing_key] = seconds
-        _write_json(self.manifest_path, self.manifest)
+        _replace_file(self.manifest_path, self.manifest)
 
 
 class OutputLock:
@@ -260,10 +271,8 @@ def cmd_gen(ws: Workspace) -> None:
     t0 = time.monotonic()
     family = ws.config.build_family()
     specs = family.specs.values()
-    fam_path = ws.path("family.json")
-    _write_json(fam_path, {"family_seed": family.family_seed, "m_scale": envs.M_SCALE,
-                           "envs": [envs.spec_to_dict(s) for s in specs]})
-    ws.record("family", fam_path)
+    ws.write("family", "family.json", {"family_seed": family.family_seed, "m_scale": envs.M_SCALE,
+                                       "envs": [envs.spec_to_dict(s) for s in specs]})
 
     for spec in specs:
         for split in ("train", "test"):
@@ -311,9 +320,14 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
                      ws.manifest["artifacts"][data_key].get("fingerprint", ""), run_dir))
     with (ProcessPoolExecutor(max_workers=min(ws.config.jobs, len(jobs)))
           if ws.config.jobs > 1 and jobs else nullcontext()) as pool:
-        for key, path in zip(keys, (pool.map if pool else map)(_train_one, jobs)):
-            ws.record(key, path)
-            print(f"train: finished {key}")
+        try:
+            for key, path in zip(keys, (pool.map if pool else map)(_train_one, jobs)):
+                ws.record(key, path)
+                ws.save_manifest()  # a run that dies later keeps this one
+                print(f"train: finished {key}")
+        except BrokenProcessPool:
+            raise LabError("a training worker died; the finished runs are recorded, "
+                           "rerun to train the rest") from None
     return len(jobs)
 
 
@@ -329,35 +343,31 @@ def _load_run(ws: Workspace, key: str) -> TrainRun:
     return TrainRun.load(os.path.dirname(ws.artifact_path(key)))
 
 
-def cmd_train(ws: Workspace, modes=None) -> None:
+def cmd_train(ws: Workspace, modes=MODES) -> None:
     """Train one model per (mode, environment)."""
     t0 = time.monotonic()
     env_order = ws.config.build_family().env_order
     wanted = [(_run_key(mode, e), ws.config.train_config(mode, e), e)
-              for mode in (modes or ws.config.modes) for e in env_order]
+              for mode in modes for e in env_order]
     if _ensure_runs(ws, wanted):  # only a call that trained may set the timing
         ws.save_manifest("train", time.monotonic() - t0)
 
 
 def cmd_matrix(ws: Workspace) -> None:
-    """Cross-distribution accuracy matrices for every requested mode."""
+    """Cross-distribution accuracy matrices for every mode."""
     t0 = time.monotonic()
     cmd_train(ws)
     env_order = ws.config.build_family().env_order
     test_sets = {e: _load_dataset(ws, e, "test") for e in env_order}
 
     summary = {}
-    for mode in ws.config.modes:
+    for mode in MODES:
         nets = {e: _load_run(ws, _run_key(mode, e)).primary for e in env_order}
         matrix = evaluation.gen_matrix(mode, nets, test_sets, env_order)
-        csv_path = ws.path("reports", f"matrix_{mode}.csv")
-        matrix.write_csv(csv_path)
-        ws.record(f"report:matrix:{mode}", csv_path)
-        svg_path = ws.path("reports", f"matrix_{mode}.svg")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg.heatmap_svg(env_order, env_order, matrix.acc,
-                                     f"accuracy matrix ({mode})", lo=0.0, hi=1.0))
-        ws.record(f"report:matrix-svg:{mode}", svg_path)
+        ws.write(f"report:matrix:{mode}", f"reports/matrix_{mode}.csv", matrix.csv_rows())
+        ws.write(f"report:matrix-svg:{mode}", f"reports/matrix_{mode}.svg",
+                 svg.heatmap_svg(env_order, env_order, matrix.acc,
+                                 f"accuracy matrix ({mode})", lo=0.0, hi=1.0))
         summary[mode] = {
             "matrix": matrix.to_dict(),
             "mean_iid": matrix.mean_diagonal,
@@ -366,9 +376,7 @@ def cmd_matrix(ws: Workspace) -> None:
         }
         print(f"matrix[{mode}]: iid={matrix.mean_diagonal:.4f} "
               f"ood={matrix.mean_off_diagonal:.4f}")
-    path = ws.path("reports", "matrix_summary.json")
-    _write_json(path, summary)
-    ws.record("report:matrix-summary", path)
+    ws.write("report:matrix-summary", "reports/matrix_summary.json", summary)
     ws.save_manifest("matrix", time.monotonic() - t0)
 
 
@@ -376,15 +384,13 @@ def cmd_sfd(ws: Workspace) -> None:
     """Shortcut-failure degradation reports for every o.o.d. cell."""
     t0 = time.monotonic()
     env_order = ws.config.build_family().env_order
-    audit_modes = [m for m in SFD_MODES if m in ws.config.modes]
-
-    cmd_train(ws, modes=audit_modes)
+    cmd_train(ws, modes=AUDIT_MODES)
     proxies = [(_proxy_key(mode, e), ws.config.proxy_config(mode, e), e)
-               for mode in audit_modes for e in env_order]
+               for mode in AUDIT_MODES for e in env_order]
     _ensure_runs(ws, proxies)
 
     test_sets = {e: _load_dataset(ws, e, "test") for e in env_order}
-    for mode in audit_modes:
+    for mode in AUDIT_MODES:
         reports = []
         for train_env in env_order:
             run = _load_run(ws, _run_key(mode, train_env))
@@ -395,9 +401,7 @@ def cmd_sfd(ws: Workspace) -> None:
                 rep = evaluation.sfd_report(run.primary, proxy, test_sets[test_env],
                                             train_env=train_env, mode=mode)
                 reports.append(rep.to_dict())
-        path = ws.path("reports", f"sfd_{mode}.json")
-        _write_json(path, reports)
-        ws.record(f"report:sfd:{mode}", path)
+        ws.write(f"report:sfd:{mode}", f"reports/sfd_{mode}.json", reports)
         vals = [r["sfd"] for r in reports if r["sfd"] is not None]
         print(f"sfd[{mode}]: {len(reports)} cells, "
               f"range [{min(vals):.3f}, {max(vals):.3f}]" if vals else
@@ -410,14 +414,10 @@ def cmd_bon(ws: Workspace) -> None:
     t0 = time.monotonic()
     family = ws.config.build_family()
     env_order = family.env_order
-    bon_modes = [m for m in BON_MODES if m in ws.config.modes]
-    bad = [n for n in ws.config.n_grid if not 1 <= n <= ws.config.pool_size]
-    if bad:
-        raise ConfigError(f"n_grid entries {bad} outside [1, pool_size={ws.config.pool_size}]")
-    cmd_train(ws, modes=bon_modes)
+    cmd_train(ws, modes=AUDIT_MODES)
 
     nets = {f"{mode}/{e}": _load_run(ws, _run_key(mode, e)).primary
-            for mode, e in sorted((m, e) for m in bon_modes for e in env_order)}
+            for mode, e in sorted((m, e) for m in AUDIT_MODES for e in env_order)}
 
     rows = []
     for pool_env in env_order:
@@ -433,34 +433,27 @@ def cmd_bon(ws: Workspace) -> None:
             for n, score in curve.points:
                 rows.append({"mode": mode, "train_env": train_env,
                              "pool_env": pool_env, "n": n, "score": score})
-        svg_path = ws.path("reports", f"bon_{pool_env}.svg")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg.line_chart_svg(
-                {name: curve.points for name, curve in curves.items()},
-                f"best-of-N on env {pool_env} pools", "N", "judge score"))
-        ws.record(f"report:bon-svg:{pool_env}", svg_path)
+        ws.write(f"report:bon-svg:{pool_env}", f"reports/bon_{pool_env}.svg",
+                 svg.line_chart_svg({name: curve.points for name, curve in curves.items()},
+                                    f"best-of-N on env {pool_env} pools", "N", "judge score"))
 
-    csv_path = ws.path("reports", "bon_curves.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("mode,train_env,pool_env,n,score\n")
-        for r in rows:
-            fh.write(f"{r['mode']},{r['train_env']},{r['pool_env']},"
-                     f"{r['n']},{r['score']!r}\n")
-    ws.record("report:bon-curves", csv_path)
+    # LF line ends (the matrix CSVs get csv.writer's CRLF), so the bytes of
+    # earlier labs' curve files stay valid
+    ws.write("report:bon-curves", "reports/bon_curves.csv",
+             "mode,train_env,pool_env,n,score\n" + "".join(
+                 f"{r['mode']},{r['train_env']},{r['pool_env']},{r['n']},{r['score']!r}\n"
+                 for r in rows))
 
     n_max = max(ws.config.n_grid)
     summary = {"n_max": n_max, "ood_best_at_n_max": {}}
-    for mode in bon_modes:
+    for mode in AUDIT_MODES:  # every family has an o.o.d. pool for each net
         vals = [r["score"] for r in rows
                 if r["mode"] == mode and r["n"] == n_max
                 and r["train_env"] != r["pool_env"]]
-        summary["ood_best_at_n_max"][mode] = sum(vals) / len(vals) if vals else None
-    path = ws.path("reports", "bon_summary.json")
-    _write_json(path, summary)
-    ws.record("report:bon-summary", path)
+        summary["ood_best_at_n_max"][mode] = sum(vals) / len(vals)
+    ws.write("report:bon-summary", "reports/bon_summary.json", summary)
     print(f"bon: ood best-of-{n_max} " +
-          " ".join(f"{m}={v:.3f}" for m, v in summary["ood_best_at_n_max"].items()
-                   if v is not None))
+          " ".join(f"{m}={v:.3f}" for m, v in summary["ood_best_at_n_max"].items()))
     ws.save_manifest("bon", time.monotonic() - t0)
 
 
@@ -471,69 +464,70 @@ def _default_family_checks(summary, sfd_docs, bon_summary, env_order):
     def check(name, ok):
         checks.append({"name": name, "passed": bool(ok)})
 
-    text = summary.get("text_only")
-    if text:
-        check("text_only mean i.i.d. >= 0.85", text["mean_iid"] >= 0.85)
-        check("text_only mean o.o.d. <= 0.60", text["mean_ood"] <= 0.60)
-        matrix = evaluation.GenMatrix(**{k: text["matrix"][k]
-                                         for k in ("mode", "envs", "acc")})
-        if "B" in env_order and "C" in env_order:
-            check("text_only B->C <= 0.55", matrix.cell("B", "C") <= 0.55)
-
-    std, sa = summary.get("standard"), summary.get("shortcut_aware")
-    if std and sa:
-        check("shortcut_aware o.o.d. mean >= standard + 0.05",
-              sa["mean_ood"] >= std["mean_ood"] + 0.05)
-        check("shortcut_aware i.i.d. mean >= standard - 0.03",
-              sa["mean_iid"] >= std["mean_iid"] - 0.03)
-        check("gap(standard) > gap(shortcut_aware)", std["gap"] > sa["gap"])
+    text, std, sa = (summary[m] for m in ("text_only", "standard", "shortcut_aware"))
+    check("text_only mean i.i.d. >= 0.85", text["mean_iid"] >= 0.85)
+    check("text_only mean o.o.d. <= 0.60", text["mean_ood"] <= 0.60)
+    if "B" in env_order and "C" in env_order:
+        b, c = env_order.index("B"), env_order.index("C")
+        check("text_only B->C <= 0.55", text["matrix"]["acc"][b][c] <= 0.55)
+    check("shortcut_aware o.o.d. mean >= standard + 0.05",
+          sa["mean_ood"] >= std["mean_ood"] + 0.05)
+    check("shortcut_aware i.i.d. mean >= standard - 0.03",
+          sa["mean_iid"] >= std["mean_iid"] - 0.03)
+    check("gap(standard) > gap(shortcut_aware)", std["gap"] > sa["gap"])
     for mode, docs in sfd_docs.items():
-        missing = [d for d in docs if d["sfd"] is None]
-        check(f"sfd[{mode}] splits nondegenerate", not missing)
-    if "standard" in sfd_docs:
-        std_cells = {(d["train_env"], d["test_env"]): d["sfd"]
-                     for d in sfd_docs["standard"] if d["sfd"] is not None}
-        check("standard sfd > 0 on every o.o.d. cell",
-              std_cells and all(v > 0 for v in std_cells.values()))
-        if ("B", "C") in std_cells:
-            check("standard sfd B->C >= 0.15", std_cells[("B", "C")] >= 0.15)
-        if "shortcut_aware" in sfd_docs:
-            sa_cells = {(d["train_env"], d["test_env"]): d["sfd"]
-                        for d in sfd_docs["shortcut_aware"] if d["sfd"] is not None}
-            check("shortcut_aware sfd < standard sfd in every cell",
-                  sa_cells.keys() == std_cells.keys()
-                  and all(sa_cells[k] < std_cells[k] for k in std_cells))
-    if bon_summary:
-        best = bon_summary["ood_best_at_n_max"]
-        if best.get("standard") is not None and best.get("shortcut_aware") is not None:
-            check(f"best-of-{bon_summary['n_max']} shortcut_aware >= standard (o.o.d.)",
-                  best["shortcut_aware"] >= best["standard"])
+        check(f"sfd[{mode}] splits nondegenerate", all(d["sfd"] is not None for d in docs))
+    std_cells, sa_cells = ({(d["train_env"], d["test_env"]): d["sfd"]
+                            for d in sfd_docs[m] if d["sfd"] is not None}
+                           for m in ("standard", "shortcut_aware"))
+    check("standard sfd > 0 on every o.o.d. cell",
+          std_cells and all(v > 0 for v in std_cells.values()))
+    if ("B", "C") in std_cells:
+        check("standard sfd B->C >= 0.15", std_cells[("B", "C")] >= 0.15)
+    check("shortcut_aware sfd < standard sfd in every cell",
+          sa_cells.keys() == std_cells.keys()
+          and all(sa_cells[k] < std_cells[k] for k in std_cells))
+    best = bon_summary["ood_best_at_n_max"]
+    check(f"best-of-{bon_summary['n_max']} shortcut_aware >= standard (o.o.d.)",
+          best["shortcut_aware"] >= best["standard"])
     return checks
 
 
 def cmd_report(ws: Workspace) -> int:
-    """Aggregate all artifacts, run the assertion suite, emit the report."""
+    """Aggregate all artifacts, run the assertion suite, emit the report.
+
+    The checks read the outputs of matrix, sfd and bon; while one is missing,
+    it is listed in ``missing_artifacts``, no check runs and the report fails."""
     t0 = time.monotonic()
-    verified, missing = {}, []  # each recorded key, plus the one required input
-    for key in sorted(set(ws.manifest["artifacts"]) | {"report:matrix-summary"}):
+    inputs = ["report:matrix-summary", *(f"report:sfd:{m}" for m in AUDIT_MODES),
+              "report:bon-summary"]
+    verified, missing = {}, []  # each recorded key, plus the required inputs
+    for key in sorted(set(ws.manifest["artifacts"]) | set(inputs)):
         try:
             verified[key] = ws.artifact_path(key)
         except MissingArtifactError as exc:
             missing.append(f"{key}: {exc}")
     env_order = ws.config.build_family().env_order
 
-    def load(key, default=None):
-        """A verified JSON report, or ``default``."""
-        if key not in verified:
-            return default
+    def load(key):
         with open(verified[key], encoding="utf-8") as fh:
             return json.load(fh)
 
-    summary = load("report:matrix-summary", {})
-    sfd_docs = {m: load(f"report:sfd:{m}") for m in SFD_MODES if f"report:sfd:{m}" in verified}
-    bon_summary = load("report:bon-summary")
-
-    checks = _default_family_checks(summary, sfd_docs, bon_summary, env_order)
+    summary, sfd_docs, bon_summary, checks, lines = {}, {}, None, [], []
+    if all(key in verified for key in inputs):
+        summary, bon_summary = load("report:matrix-summary"), load("report:bon-summary")
+        sfd_docs = {m: load(f"report:sfd:{m}") for m in AUDIT_MODES}
+        checks = _default_family_checks(summary, sfd_docs, bon_summary, env_order)
+        for mode in sorted(summary):
+            s = summary[mode]
+            lines.append(f"{mode:>15}: i.i.d. {s['mean_iid']:.4f}  "
+                         f"o.o.d. {s['mean_ood']:.4f}  gap {s['gap']:.4f}")
+        for mode, docs in sorted(sfd_docs.items()):
+            vals = [d["sfd"] for d in docs if d["sfd"] is not None]
+            if vals:
+                lines.append(f"{mode:>15}: sfd range [{min(vals):.4f}, {max(vals):.4f}]")
+        for mode, val in sorted(bon_summary["ood_best_at_n_max"].items()):
+            lines.append(f"{mode:>15}: o.o.d. best-of-{bon_summary['n_max']} {val:.4f}")
     failed = [c["name"] for c in checks if not c["passed"]]
     ok = not failed and not missing
 
@@ -547,25 +541,9 @@ def cmd_report(ws: Workspace) -> int:
         "missing_artifacts": missing,
         "passed": ok,
     }
-    path = ws.path("reports", "report.json")
-    _write_json(path, report)
-    ws.record("report:final", path)
+    ws.write("report:final", "reports/report.json", report)
 
-    lines = [f"lab report (config {report['config_hash'][:12]})", ""]
-    for mode in sorted(summary):
-        s = summary[mode]
-        lines.append(f"{mode:>15}: i.i.d. {s['mean_iid']:.4f}  "
-                     f"o.o.d. {s['mean_ood']:.4f}  gap {s['gap']:.4f}")
-    for mode, docs in sorted(sfd_docs.items()):
-        vals = [d["sfd"] for d in docs if d["sfd"] is not None]
-        if vals:
-            lines.append(f"{mode:>15}: sfd range [{min(vals):.4f}, {max(vals):.4f}]")
-    if bon_summary:
-        for mode, val in sorted(bon_summary["ood_best_at_n_max"].items()):
-            if val is not None:
-                lines.append(f"{mode:>15}: o.o.d. best-of-{bon_summary['n_max']} "
-                             f"{val:.4f}")
-    lines.append("")
+    lines = [f"lab report (config {report['config_hash'][:12]})", "", *lines, ""]
     for c in checks:
         lines.append(f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}")
     for m in missing:
@@ -573,10 +551,7 @@ def cmd_report(ws: Workspace) -> int:
     lines.append("")
     lines.append("RESULT: " + ("PASS" if ok else "FAIL"))
     text = "\n".join(lines) + "\n"
-    summary_path = ws.path("reports", "summary.txt")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    ws.record("report:summary", summary_path)
+    ws.write("report:summary", "reports/summary.txt", text)
     ws.save_manifest("report", time.monotonic() - t0)
     print(text, end="")
     return 0 if ok else 1
@@ -588,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="shortcut-learning lab for multimodal reward models")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, doc in [("gen", "generate environment datasets"),
-                      ("train", "train models for the requested modes"),
+                      ("train", "train one model per mode and environment"),
                       ("matrix", "cross-distribution accuracy matrices"),
                       ("sfd", "shortcut-failure degradation reports"),
                       ("bon", "best-of-N curves"),
@@ -597,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--mode", help="comma-separated mode list override")
         p.add_argument("--jobs", type=int, help="parallel training jobs")
     return parser
 
@@ -611,8 +585,6 @@ def load_config(args) -> ExperimentConfig:
         flags["master_seed"] = args.seed
     if args.out:
         flags["out_dir"] = args.out
-    if args.mode:
-        flags["modes"] = [m.strip() for m in args.mode.split(",") if m.strip()]
     if args.jobs is not None:
         flags["jobs"] = args.jobs
     return replace(config, **flags)

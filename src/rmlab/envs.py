@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import zipfile
 from dataclasses import dataclass, field
 
@@ -97,6 +98,10 @@ class EnvironmentSpec:
     marker_follows: str = "label"
 
     def __post_init__(self):
+        # env_id names files and manifest keys (``dataset:<env>:<split>``)
+        if not (isinstance(self.env_id, str) and re.fullmatch(r"[A-Za-z0-9_-]+", self.env_id)):
+            raise GenerationError(f"env_id {self.env_id!r} must be a nonempty string of "
+                                  "letters, digits, '_' and '-'")
         for name in ("beta", "eta", "length_bias"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:

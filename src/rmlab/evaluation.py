@@ -10,7 +10,6 @@ the fail side of a shortcut split.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,20 +57,15 @@ class GenMatrix:
                 for i in range(len(self.envs)) for j in range(len(self.envs)) if i != j]
         return float(np.mean(vals))
 
-    def cell(self, train_env: str, test_env: str) -> float:
-        return self.acc[self.envs.index(train_env)][self.envs.index(test_env)]
-
     def to_dict(self) -> dict:
         return {"mode": self.mode, "envs": self.envs, "acc": self.acc,
                 "mean_diagonal": self.mean_diagonal,
                 "mean_off_diagonal": self.mean_off_diagonal}
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["train_env"] + list(self.envs))
-            for env, row in zip(self.envs, self.acc):
-                writer.writerow([env] + [repr(x) for x in row])
+    def csv_rows(self) -> list:
+        """A header row of test envs, then one row of reprs per train env."""
+        return [["train_env"] + list(self.envs)] + [
+            [env] + [repr(x) for x in row] for env, row in zip(self.envs, self.acc)]
 
 
 def gen_matrix(mode: str, nets: dict, test_sets: dict, env_order=None) -> GenMatrix:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from rmlab import cli
 from rmlab.cli import ExperimentConfig, canonical_hash, derive_seed, main
+from rmlab.errors import LabError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,7 +53,7 @@ def _inline_family(**env_a):
     """A valid two-env inline family, with env A's fields overridden."""
     base = {"seed": 1, "n_train": 10, "n_test": 10, "beta": 0.5, "alpha": 1.0,
             "eta": 0.05, "length_bias": 0.5, "direction": {"kind": "fresh"}}
-    return {"family_seed": 1, "envs": [dict(base, env_id="A", **env_a),
+    return {"family_seed": 1, "envs": [dict(base, **{"env_id": "A", **env_a}),
                                        dict(base, env_id="B", seed=2)]}
 
 
@@ -87,16 +89,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(path)
 
-    def test_mode_flag_overrides(self, tmp_path):
-        config = write_config(tmp_path)
-        out = tmp_path / "o1"
-        assert main(["gen", "--config", config, "--out", str(out),
-                     "--mode", "standard"]) == 0
+    def test_mode_flag_is_rejected(self, tmp_path):
+        proc = run_cli("gen", write_config(tmp_path), tmp_path / "out", "--mode", "standard")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --mode" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
-    def test_bad_mode_flag_exits_2(self, tmp_path):
-        config = write_config(tmp_path)
-        assert main(["gen", "--config", config, "--out", str(tmp_path / "o2"),
-                     "--mode", "nonsense"]) == 2
+    def test_modes_key_is_rejected(self, tmp_path):
+        # removed: every verb runs all three modes
+        proc = run_cli("gen", write_config(tmp_path, modes=["standard"]), tmp_path / "out")
+        assert proc.returncode == 2
+        assert "error: config: unknown keys ['modes']" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("override", [
         {"train": {"mode": "standard"}},  # mode is set per job, not in train
@@ -118,6 +122,11 @@ class TestConfig:
         {"family": dict(_inline_family(), family_seed=True)},
         {"family": dict(_inline_family(), family_seed="7")},
         {"subsample_fractions": [0.25]},  # removed: no verb read the subsampled sets
+        # env_id names files and manifest keys: no path parts, separators or non-strings
+        {"family": _inline_family(env_id="../x")},
+        {"family": _inline_family(env_id="")},
+        {"family": _inline_family(env_id="A:B")},
+        {"family": _inline_family(env_id=7)},
     ])
     def test_malformed_config_exits_2_without_traceback(self, tmp_path, override):
         config = write_config(tmp_path, **override)
@@ -378,7 +387,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("part", ["aux", "epoch_sfc_stats", "sfc_trace"])
     def test_damaged_run_part_is_flagged_and_retrained(self, tmp_path, capsys, part):
-        config = write_config(tmp_path, modes=["shortcut_aware"])
+        config = write_config(tmp_path)
         out = tmp_path / "out"
         for verb in ("gen", "matrix"):
             assert run(verb, config, out) == 0
@@ -396,7 +405,7 @@ class TestPipeline:
         assert path.read_bytes() == good
 
     def test_run_recorded_at_old_primary_path_is_retrained(self, tmp_path, capsys):
-        config = write_config(tmp_path, modes=["standard"])
+        config = write_config(tmp_path)
         out = tmp_path / "out"
         for verb in ("gen", "matrix"):
             assert run(verb, config, out) == 0
@@ -421,7 +430,7 @@ class TestPipeline:
         assert not old.exists()
 
     def test_train_timing_left_to_calls_that_train(self, tmp_path):
-        config = write_config(tmp_path, modes=["standard"])
+        config = write_config(tmp_path)
         out = tmp_path / "out"
         for verb in ("gen", "matrix"):
             assert run(verb, config, out) == 0
@@ -434,9 +443,19 @@ class TestPipeline:
     def test_n_grid_beyond_pool_size_rejected_before_training(self, tmp_path):
         config = write_config(tmp_path, n_grid=[1, 16], pool_size=8)
         out = tmp_path / "out"
-        assert run("gen", config, out) == 0
-        assert run("bon", config, out) == 2
+        assert run("gen", config, out) == 2
         assert not (out / "models").exists()
+
+    def test_report_requires_sfd_and_bon_outputs(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        for verb in ("gen", "matrix"):
+            assert run(verb, config, out) == 0
+        assert run("report", config, out) == 1
+        report = json.loads((out / "reports" / "report.json").read_text())
+        assert [m.split(": ")[0] for m in report["missing_artifacts"]] == [
+            "report:bon-summary", "report:sfd:shortcut_aware", "report:sfd:standard"]
+        assert report["checks"] == [] and not report["passed"]
 
     def test_pool_forks_no_more_workers_than_stale_jobs(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, jobs=64)
@@ -463,6 +482,35 @@ class TestPipeline:
                   for e in ("A", "B")]
         assert cli._ensure_runs(ws, wanted) == 2
         assert sizes == [2]
+
+    def test_dead_worker_exits_2_keeping_finished_runs(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, jobs=2)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+
+        class DyingPool:  # the first job finishes, then a worker is killed
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                yield fn(jobs[0])
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
+        ws = cli.Workspace(replace(ExperimentConfig.from_file(config), out_dir=str(out)))
+        wanted = [(cli._run_key("standard", e), ws.config.train_config("standard", e), e)
+                  for e in ("A", "B")]
+        with pytest.raises(LabError, match="worker died"):
+            cli._ensure_runs(ws, wanted)
+        recorded = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert "model:standard:A" in recorded and "model:standard:B" not in recorded
+        assert cli._ensure_runs(cli.Workspace(replace(ws.config, jobs=1)), wanted) == 1
 
     def test_jobs_flag_matches_serial_results(self, done, tmp_path_factory):
         config, serial_out = done

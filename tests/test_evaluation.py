@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rmlab.cli import ExperimentConfig, Workspace
 from rmlab.envs import Dataset
 from rmlab.errors import DegenerateSplitError, MissingArtifactError
 from rmlab.evaluation import (accuracy, gen_matrix, score_correlation, sfd_report,
@@ -67,7 +68,8 @@ class TestGenMatrix:
 
     def test_csv_emission(self, matrix, tmp_path):
         path = tmp_path / "m.csv"
-        matrix.write_csv(path)
+        Workspace(ExperimentConfig(out_dir=str(tmp_path))).write(
+            "report:matrix:standard", "m.csv", matrix.csv_rows())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "train_env,P,Q"
         assert len(lines) == 3
