@@ -76,7 +76,6 @@ class ExperimentConfig:
 
     master_seed: int = 131
     out_dir: str = DEFAULT_OUT
-    family: dict | str = "default"
     n_train: int = 8000
     n_test: int = 1000
     train: dict = field(default_factory=dict)  # TrainConfig overrides, minus mode/seed
@@ -94,8 +93,6 @@ class ExperimentConfig:
         for ok, what in [
                 (type(self.master_seed) is int, "master_seed must be an integer"),
                 (isinstance(self.out_dir, str), "out_dir must be a string"),
-                (self.family == "default" or isinstance(self.family, dict),
-                 'family must be "default" or an inline spec object'),
                 (ints([self.n_train, self.n_test, self.n_pools, self.pool_size, self.jobs]),
                  "n_train, n_test, n_pools, pool_size and jobs must be integers >= 1"),
                 (ints(self.n_grid), "n_grid must be a nonempty list of integers >= 1"),
@@ -105,18 +102,16 @@ class ExperimentConfig:
                 raise ConfigError(f"config: {what}")
         if max(self.n_grid) > self.pool_size:
             raise ConfigError(f"config: n_grid entries must be <= pool_size={self.pool_size}")
-        TrainConfig(mode=MODES[0], **self.train)  # value types and ranges
-        if self.family != "default":
-            try:
-                self.build_family()
-            except (KeyError, TypeError, ValueError, LabError) as exc:
-                raise ConfigError(f"config: bad inline family: {exc!r}") from None
+        try:
+            TrainConfig(mode=MODES[0], **self.train)  # value types and ranges
+        except ConfigError as exc:
+            raise ConfigError(f"config: train: {exc}") from None
 
     def to_dict(self) -> dict:
         doc = {k: v for k, v in asdict(self).items() if k not in ("out_dir", "jobs")}
-        # modes and subsample_fractions are gone; their old defaults keep every
-        # lab's config hash
-        return dict(doc, modes=list(MODES), subsample_fractions=[])
+        # family, modes and subsample_fractions are gone; their old defaults
+        # keep every lab's config hash
+        return dict(doc, family="default", modes=list(MODES), subsample_fractions=[])
 
     def config_hash(self) -> str:
         # jobs/out_dir affect execution, not results, so they stay out of the hash
@@ -137,11 +132,8 @@ class ExperimentConfig:
         return cls(**doc)
 
     def build_family(self) -> envs.EnvironmentFamily:
-        if self.family == "default":
-            return envs.default_family(derive_seed(self.master_seed, "family"),
-                                       n_train=self.n_train, n_test=self.n_test)[0]
-        return envs.EnvironmentFamily(self.family["family_seed"],
-                                      [envs.spec_from_dict(d) for d in self.family["envs"]])
+        return envs.default_family(derive_seed(self.master_seed, "family"),
+                                   n_train=self.n_train, n_test=self.n_test)[0]
 
     def train_config(self, mode: str, env_id: str) -> TrainConfig:
         seed = derive_seed(self.master_seed, f"train:{mode}:{env_id}")
@@ -458,7 +450,8 @@ def cmd_bon(ws: Workspace) -> None:
 
 
 def _default_family_checks(summary, sfd_docs, bon_summary, env_order):
-    """The directional claims the default pipeline is expected to satisfy."""
+    """The 12 directional claims the default pipeline is expected to satisfy;
+    a degenerate (None) sfd cell fails the checks that read it."""
     checks = []
 
     def check(name, ok):
@@ -467,9 +460,8 @@ def _default_family_checks(summary, sfd_docs, bon_summary, env_order):
     text, std, sa = (summary[m] for m in ("text_only", "standard", "shortcut_aware"))
     check("text_only mean i.i.d. >= 0.85", text["mean_iid"] >= 0.85)
     check("text_only mean o.o.d. <= 0.60", text["mean_ood"] <= 0.60)
-    if "B" in env_order and "C" in env_order:
-        b, c = env_order.index("B"), env_order.index("C")
-        check("text_only B->C <= 0.55", text["matrix"]["acc"][b][c] <= 0.55)
+    b, c = env_order.index("B"), env_order.index("C")
+    check("text_only B->C <= 0.55", text["matrix"]["acc"][b][c] <= 0.55)
     check("shortcut_aware o.o.d. mean >= standard + 0.05",
           sa["mean_ood"] >= std["mean_ood"] + 0.05)
     check("shortcut_aware i.i.d. mean >= standard - 0.03",
@@ -482,8 +474,8 @@ def _default_family_checks(summary, sfd_docs, bon_summary, env_order):
                            for m in ("standard", "shortcut_aware"))
     check("standard sfd > 0 on every o.o.d. cell",
           std_cells and all(v > 0 for v in std_cells.values()))
-    if ("B", "C") in std_cells:
-        check("standard sfd B->C >= 0.15", std_cells[("B", "C")] >= 0.15)
+    check("standard sfd B->C >= 0.15",
+          ("B", "C") in std_cells and std_cells[("B", "C")] >= 0.15)
     check("shortcut_aware sfd < standard sfd in every cell",
           sa_cells.keys() == std_cells.keys()
           and all(sa_cells[k] < std_cells[k] for k in std_cells))

@@ -56,34 +56,27 @@ class DirectionRule:
     """How an environment's shortcut direction is obtained.
 
     kind: "fresh" (next unused family direction), "orthogonal_to" (next
-    unused direction, asserted orthogonal to ``ref``'s), "negated" (minus
-    ``ref``'s direction), or "explicit" (a caller-supplied vector, projected
-    onto the family's reserved shortcut subspace and renormalized).
+    unused direction, asserted orthogonal to ``ref``'s), or "negated" (minus
+    ``ref``'s direction).
     """
 
     kind: str
     ref: str | None = None
-    vector: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("fresh", "orthogonal_to", "negated", "explicit"):
+        if self.kind not in ("fresh", "orthogonal_to", "negated"):
             raise FamilyError(f"unknown direction rule {self.kind!r}")
         if self.kind in ("orthogonal_to", "negated") and not self.ref:
             raise FamilyError(f"direction rule {self.kind!r} needs a ref env")
-        if self.kind == "explicit" and self.vector is None:
-            raise FamilyError("explicit direction rule needs a vector")
 
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
     """Generative parameters of one preference environment.
 
-    ``marker_follows`` decides where a planted marker sits: "truth" marks the
-    genuinely better answer and the label flip happens independently
-    (annotation-noise analog: a text artifact of the worse answer survives
-    labeling mistakes), while "label" marks whatever ends up chosen
-    (synthetic-corruption analog: the label is defined by the corruption, so
-    the marker is perfectly aligned with it).
+    A planted marker sits on whichever answer ends up chosen, after the label
+    flip (synthetic-corruption analog: the label is defined by the
+    corruption, so the marker is perfectly aligned with it).
     """
 
     env_id: str
@@ -95,7 +88,6 @@ class EnvironmentSpec:
     direction: DirectionRule
     eta: float = 0.05  # label flip probability
     length_bias: float = 0.5  # target fraction of pairs with a longer chosen answer
-    marker_follows: str = "label"
 
     def __post_init__(self):
         # env_id names files and manifest keys (``dataset:<env>:<split>``)
@@ -112,9 +104,6 @@ class EnvironmentSpec:
             raise GenerationError(f"{self.env_id}: seed must be >= 0")
         if self.n_train < 1 or self.n_test < 1:
             raise GenerationError(f"{self.env_id}: split sizes must be >= 1")
-        if self.marker_follows not in ("truth", "label"):
-            raise GenerationError(
-                f"{self.env_id}: marker_follows must be 'truth' or 'label'")
 
 
 @dataclass
@@ -222,24 +211,11 @@ class EnvironmentFamily:
                         raise FamilyError(f"{spec.env_id}: unknown ref env {rule.ref!r}")
                     if abs(float(u @ ref)) > 1e-9:
                         raise FamilyError("reserved directions are not orthogonal")
-            elif rule.kind == "negated":
+            else:  # negated
                 ref = dirs.get(rule.ref)
                 if ref is None:
                     raise FamilyError(f"{spec.env_id}: unknown ref env {rule.ref!r}")
                 u = -ref
-            else:  # explicit
-                vec = np.asarray(rule.vector, dtype=np.float64)
-                if vec.shape != (D_A,):
-                    raise FamilyError(f"{spec.env_id}: explicit direction must have length {D_A}")
-                u = np.zeros(D_A)
-                for coord in RESERVED_COORDS:
-                    u[coord] = vec[coord]
-                norm = np.linalg.norm(u)
-                if norm < 1e-9:
-                    raise FamilyError(
-                        f"{spec.env_id}: explicit direction has no component on the "
-                        "family's reserved shortcut coordinates")
-                u = u / norm
             dirs[spec.env_id] = u
         return dirs
 
@@ -259,35 +235,16 @@ class EnvironmentFamily:
 
 
 def spec_to_dict(spec: EnvironmentSpec) -> dict:
+    # "marker_follows" and "vector" name settings that are gone; their fixed
+    # values keep family.json and every dataset fingerprint byte-identical
     rule = spec.direction
     return {
         "env_id": spec.env_id, "seed": spec.seed,
         "n_train": spec.n_train, "n_test": spec.n_test,
         "beta": spec.beta, "alpha": spec.alpha, "eta": spec.eta,
-        "length_bias": spec.length_bias, "marker_follows": spec.marker_follows,
-        "direction": {"kind": rule.kind, "ref": rule.ref,
-                      "vector": list(rule.vector) if rule.vector else None},
+        "length_bias": spec.length_bias, "marker_follows": "label",
+        "direction": {"kind": rule.kind, "ref": rule.ref, "vector": None},
     }
-
-
-def spec_from_dict(doc: dict) -> EnvironmentSpec:
-    """Inverse of ``spec_to_dict``; numbers of the wrong type are rejected."""
-    ints = ("seed", "n_train", "n_test")
-    for key in ints + ("beta", "alpha", "eta", "length_bias"):
-        # exact type test: a bool is not a number here, a float not an integer
-        if type(doc[key]) not in ((int,) if key in ints else (int, float)):
-            raise FamilyError(f"{doc['env_id']}: {key}={doc[key]!r} is not "
-                              f"{'an integer' if key in ints else 'a real number'}")
-    rule = doc["direction"]
-    vec = tuple(rule["vector"]) if rule.get("vector") else None
-    return EnvironmentSpec(
-        env_id=doc["env_id"], seed=doc["seed"],
-        n_train=doc["n_train"], n_test=doc["n_test"],
-        beta=float(doc["beta"]), alpha=float(doc["alpha"]),
-        eta=float(doc["eta"]), length_bias=float(doc["length_bias"]),
-        marker_follows=doc.get("marker_follows", "label"),
-        direction=DirectionRule(kind=rule["kind"], ref=rule.get("ref"), vector=vec),
-    )
 
 
 def default_family(family_seed: int = DEFAULT_FAMILY_SEED,
@@ -366,8 +323,7 @@ def sample_env(family: EnvironmentFamily, env_id: str, split: str) -> Dataset:
         y_clean = 1 if s[0] > s[1] else -1
         y = -y_clean if rng.random() < spec.eta else y_clean
         if applied:
-            marked = y_clean if spec.marker_follows == "truth" else y
-            answers[0 if marked == 1 else 1] += spec.alpha * u_dir
+            answers[0 if y == 1 else 1] += spec.alpha * u_dir
         else:
             # Unplanted pairs carry low-variance background noise on the
             # marker coordinates; any learned marker weight only adds margin
@@ -418,7 +374,7 @@ _COLUMN_TYPES = {"v": ((D_V,), np.float64), "q": ((D_Q,), np.float64),
 def read_dataset(path, fingerprint: str = "") -> Dataset:
     """Load a file written by write_dataset; anything else raises GenerationError."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {k: npz[k] for k in ("env_id", "split") + COLUMNS}
     except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise GenerationError(f"{path} is not a valid dataset file ({exc})") from None

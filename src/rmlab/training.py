@@ -58,6 +58,11 @@ class TrainConfig:
             raise ConfigError("batch_size, epochs and hidden must be >= 1")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ConfigError("warmup_ratio must be in [0, 1)")
+        # chained comparisons are False for NaN, so these also reject it
+        if not (0.0 < self.base_lr < math.inf and 0.0 < self.aux_lr_scale < math.inf):
+            raise ConfigError("base_lr and aux_lr_scale must be finite and > 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

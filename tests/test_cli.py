@@ -49,14 +49,6 @@ def run_cli(verb, config, out, *flags):
                           text=True, timeout=120)
 
 
-def _inline_family(**env_a):
-    """A valid two-env inline family, with env A's fields overridden."""
-    base = {"seed": 1, "n_train": 10, "n_test": 10, "beta": 0.5, "alpha": 1.0,
-            "eta": 0.05, "length_bias": 0.5, "direction": {"kind": "fresh"}}
-    return {"family_seed": 1, "envs": [dict(base, **{"env_id": "A", **env_a}),
-                                       dict(base, env_id="B", seed=2)]}
-
-
 class TestConfig:
     def test_hash_ignores_key_order(self):
         a = {"x": 1, "y": [1, 2], "z": {"k": 3}}
@@ -106,27 +98,26 @@ class TestConfig:
         {"train": {"mode": "standard"}},  # mode is set per job, not in train
         {"n_train": "many"},
         {"train": {"bogus": 3}},
-        {"family": {"family_seed": 1, "envs": [{"env_id": "A"}]}},  # no direction
-        {"family": {"envs": []}},  # no family_seed
-        {"family": {"family_seed": 1, "envs": "x"}},
-        {"family": {"family_seed": 1, "envs": [  # negative per-env seed
-            {"env_id": env_id, "seed": seed, "n_train": 10, "n_test": 10, "beta": 0.5,
-             "alpha": 1.0, "eta": 0.05, "length_bias": 0.5, "direction": {"kind": "fresh"}}
-            for env_id, seed in (("A", -5), ("B", 2))]}},
         {"train": {"sfc_normalized": True}},  # removed: weights are always normalized
-        # numbers of the wrong type are rejected, not truncated or parsed
-        {"family": _inline_family(seed=1.7)},
-        {"family": _inline_family(n_train=10.9)},
-        {"family": _inline_family(n_test="12")},
-        {"family": dict(_inline_family(), family_seed=1.7)},
-        {"family": dict(_inline_family(), family_seed=True)},
-        {"family": dict(_inline_family(), family_seed="7")},
         {"subsample_fractions": [0.25]},  # removed: no verb read the subsampled sets
-        # env_id names files and manifest keys: no path parts, separators or non-strings
-        {"family": _inline_family(env_id="../x")},
-        {"family": _inline_family(env_id="")},
-        {"family": _inline_family(env_id="A:B")},
-        {"family": _inline_family(env_id=7)},
+        {"family": "default"},  # removed: the default family is the only one
+        # json reads NaN and Infinity; a non-finite or negative rate or decay
+        # must stop gen, not surface after all 15 jobs have trained
+        {"train": {"base_lr": float("nan")}},
+        {"train": {"base_lr": -0.001}},
+        {"train": {"aux_lr_scale": float("inf")}},
+        {"train": {"weight_decay": -5.0}},
+        {"train": {"base_lr": 0.0}},
+        {"train": {"weight_decay": float("inf")}},
+        # every TrainConfig range or type error is reported as a config error
+        {"train": {"epochs": 0}},
+        {"train": {"warmup_ratio": 1.0}},
+        {"train": {"hidden": True}},
+        # top-level types and ranges
+        {"master_seed": 1.5},
+        {"master_seed": True},
+        {"n_grid": []},
+        {"jobs": 0},
     ])
     def test_malformed_config_exits_2_without_traceback(self, tmp_path, override):
         config = write_config(tmp_path, **override)
@@ -354,6 +345,7 @@ class TestPipeline:
         # directional checks may legitimately fail at this tiny scale; the
         # exit code must agree with the verdict either way
         assert code == (0 if report["passed"] else 1)
+        assert len(report["checks"]) == 12
 
     @pytest.mark.parametrize("victim, key", [
         ("models/standard/A/run.json", "model:standard:A"),
@@ -522,6 +514,22 @@ class TestPipeline:
         a = (serial_out / "reports" / "matrix_standard.csv").read_bytes()
         b = (out / "reports" / "matrix_standard.csv").read_bytes()
         assert a == b
+
+
+class TestReportChecks:
+    def test_degenerate_standard_b_to_c_fails_its_check(self):
+        envs_ = ["A", "B", "C"]
+        summary = {m: {"mean_iid": 0.9, "mean_ood": 0.5, "gap": 0.4,
+                       "matrix": {"acc": [[0.5] * 3 for _ in envs_]}}
+                   for m in ("text_only", "standard", "shortcut_aware")}
+        sfd_docs = {m: [{"train_env": a, "test_env": b,
+                         "sfd": None if (m, a, b) == ("standard", "B", "C") else sfd}
+                        for a in envs_ for b in envs_ if a != b]
+                    for m, sfd in (("standard", 0.3), ("shortcut_aware", 0.1))}
+        bon = {"n_max": 64, "ood_best_at_n_max": {"standard": 0.5, "shortcut_aware": 0.6}}
+        checks = cli._default_family_checks(summary, sfd_docs, bon, envs_)
+        assert len(checks) == 12
+        assert {c["name"]: c["passed"] for c in checks}["standard sfd B->C >= 0.15"] is False
 
 
 class TestDeterminism:

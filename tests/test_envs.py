@@ -5,8 +5,8 @@ import pytest
 
 from rmlab import envs
 from rmlab.envs import (DirectionRule, EnvironmentFamily, EnvironmentSpec, LENGTH_COORD,
-                        default_family, read_dataset, sample_env, spec_from_dict,
-                        spec_to_dict, write_dataset)
+                        dataset_fingerprint, default_family, read_dataset, sample_env,
+                        write_dataset)
 from rmlab.errors import FamilyError, GenerationError
 from rmlab.evaluation import accuracy
 from rmlab.training import TrainConfig, train
@@ -75,19 +75,12 @@ class TestMakeFamily:
             acc = np.mean(true_margins(family, tests[env_id]) > 0)
             assert acc == pytest.approx(1.0 - specs[env_id].eta, abs=0.01)
 
-    def test_explicit_direction_projected_onto_reserved_coords(self):
-        vec = np.zeros(16)
-        vec[envs.RESERVED_COORDS[0]] = 2.0
-        vec[0] = 5.0  # outside the reserved block, must be ignored
-        specs = [
-            big_spec("E", 21, 0.5, 1.0, DirectionRule("explicit", vector=tuple(vec)),
-                     n_test=10),
-            big_spec("F", 22, 0.5, 1.0, DirectionRule("fresh"), n_test=10),
-        ]
-        family = EnvironmentFamily(9, specs)
-        u = family.directions["E"]
-        assert u[envs.RESERVED_COORDS[0]] == pytest.approx(1.0)
-        assert np.linalg.norm(u) == pytest.approx(1.0)
+    @pytest.mark.parametrize("family_seed", [1.7, True, "7"])
+    def test_family_seed_must_be_an_integer(self, family_seed):
+        # a bool, float or string is rejected, never truncated or parsed
+        specs = [big_spec(e, i, 0.5, 1.0, DirectionRule("fresh")) for i, e in enumerate("AB")]
+        with pytest.raises(FamilyError):
+            EnvironmentFamily(family_seed, specs)
 
 
 class TestSampleEnv:
@@ -155,6 +148,12 @@ class TestSampleEnv:
         with pytest.raises(GenerationError):
             EnvironmentSpec("BAD", seed=1, n_train=10, n_test=10, beta=1.5,
                             alpha=1.0, direction=DirectionRule("fresh"))
+
+    @pytest.mark.parametrize("env_id", ["../x", "", "A:B", 7])
+    def test_env_id_must_be_a_plain_name(self, env_id):
+        # env_id names files and manifest keys: no path parts, separators or non-strings
+        with pytest.raises(GenerationError):
+            big_spec(env_id, 1, 0.5, 1.0, DirectionRule("fresh"))
 
 
 class TestShortcutOracle:
@@ -251,7 +250,16 @@ class TestDatasetIO:
         with pytest.raises(GenerationError):
             read_dataset(path)
 
-    def test_spec_round_trip(self, small_family):
-        _, specs = small_family
-        for spec in specs:
-            assert spec_from_dict(spec_to_dict(spec)) == spec
+    # recorded while a spec still carried marker_follows and an explicit
+    # direction vector; spec_to_dict writes their old values, so a lab's
+    # family.json and dataset fingerprints keep their bytes
+    DEFAULT_TRAIN_FINGERPRINTS = {
+        "A": "c2d89be9854cd636981ac8e940b32c7e163fc20e4cd02723af4b6cb95424cb0c",
+        "B": "c6ff44e15402d203b8f481b4f99191d914ca6524343c5345fdf913100aa5d638",
+        "C": "8340964f3f403a0beedeccbaa5244447906b34ee7e439d2a8422957a352c25d1",
+    }
+
+    def test_default_fingerprints_unchanged(self):
+        family, specs = default_family()
+        assert {s.env_id: dataset_fingerprint(family, s, "train")
+                for s in specs} == self.DEFAULT_TRAIN_FINGERPRINTS

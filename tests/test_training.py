@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rmlab.envs import sample_env
@@ -215,11 +215,17 @@ class TestTrain:
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
         assert np.array_equal(a.b1, b.b1)
 
-    def test_uniform_override_reproduces_standard_bitwise(self, small_sets):
+    # 1500 pairs: batch 100 divides them, 64 leaves a short last batch
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), batch_size=st.integers(16, 256))
+    @example(seed=31, batch_size=64)
+    @example(seed=31, batch_size=100)
+    def test_uniform_override_reproduces_standard_bitwise(self, small_sets, seed, batch_size):
         ds = small_sets[("P", "train")]
-        std = train(TrainConfig(mode="standard", epochs=3, seed=31), ds)
-        forced = train(TrainConfig(mode="shortcut_aware", epochs=3, seed=31,
-                                   force_uniform_weights=True), ds)
+        std = train(TrainConfig(mode="standard", epochs=2, seed=seed,
+                                batch_size=batch_size), ds)
+        forced = train(TrainConfig(mode="shortcut_aware", epochs=2, seed=seed,
+                                   batch_size=batch_size, force_uniform_weights=True), ds)
         assert np.array_equal(std.primary.w1, forced.primary.w1)
         assert np.array_equal(std.primary.b1, forced.primary.b1)
         assert np.array_equal(std.primary.w2, forced.primary.w2)
