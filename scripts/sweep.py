@@ -14,7 +14,9 @@ a result, not an error. The file holds no wall-clock data, so rerunning a
 sweep rewrites it byte for byte.
 
 Exit status: 0 when every verb of every seed ran, 2 when one exited 2 (the
-seed's stderr is printed) or its report.json is missing.
+seed's stderr is printed), its report.json is missing, or an I/O error stopped
+the sweep (an ``--out`` that is not a usable directory, a verb that cannot
+start, a ``sweep.json`` that cannot be written).
 """
 
 from __future__ import annotations
@@ -97,14 +99,14 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=2, help="training workers per verb")
     args = parser.parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    path = out / "sweep.json"
     try:
+        out.mkdir(parents=True, exist_ok=True)
         doc = sweep(args.seeds, out, args.config, args.jobs)
-    except RuntimeError as exc:
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    path = out / "sweep.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(doc['seeds_passed'])}/{len(doc['seeds'])} seeds pass every check; "
           f"wrote {path}")
     return 0

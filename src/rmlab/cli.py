@@ -25,6 +25,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
 from . import bestofn, envs, evaluation, svg
+from .envs import ENVS
 from .errors import ConfigError, LabError, MissingArtifactError
 from .training import MODES, TrainConfig, TrainRun, train
 
@@ -72,17 +73,15 @@ def _file_sha256(path) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Everything one pipeline run needs, hashable in canonical form."""
+    """The settings that decide a lab's results, hashable in canonical form."""
 
     master_seed: int = 131
-    out_dir: str = DEFAULT_OUT
     n_train: int = 8000
     n_test: int = 1000
     train: dict = field(default_factory=dict)  # TrainConfig overrides, minus mode/seed
     n_pools: int = 200
     pool_size: int = 64
     n_grid: list = field(default_factory=lambda: list(DEFAULT_N_GRID))
-    jobs: int = 1
 
     def __post_init__(self):
         """Reject a malformed config (types, ranges, train keys) up front."""
@@ -92,9 +91,8 @@ class ExperimentConfig:
         allowed = set(TrainConfig.__dataclass_fields__) - {"mode", "seed"}
         for ok, what in [
                 (type(self.master_seed) is int, "master_seed must be an integer"),
-                (isinstance(self.out_dir, str), "out_dir must be a string"),
-                (ints([self.n_train, self.n_test, self.n_pools, self.pool_size, self.jobs]),
-                 "n_train, n_test, n_pools, pool_size and jobs must be integers >= 1"),
+                (ints([self.n_train, self.n_test, self.n_pools, self.pool_size]),
+                 "n_train, n_test, n_pools and pool_size must be integers >= 1"),
                 (ints(self.n_grid), "n_grid must be a nonempty list of integers >= 1"),
                 (isinstance(self.train, dict) and set(self.train) <= allowed,
                  f"train must be an object with keys from {sorted(allowed)}")]:
@@ -108,13 +106,11 @@ class ExperimentConfig:
             raise ConfigError(f"config: train: {exc}") from None
 
     def to_dict(self) -> dict:
-        doc = {k: v for k, v in asdict(self).items() if k not in ("out_dir", "jobs")}
         # family, modes and subsample_fractions are gone; their old defaults
         # keep every lab's config hash
-        return dict(doc, family="default", modes=list(MODES), subsample_fractions=[])
+        return dict(asdict(self), family="default", modes=list(MODES), subsample_fractions=[])
 
     def config_hash(self) -> str:
-        # jobs/out_dir affect execution, not results, so they stay out of the hash
         return canonical_hash(self.to_dict())
 
     @classmethod
@@ -145,11 +141,11 @@ class ExperimentConfig:
 
 
 class Workspace:
-    """Paths, manifest bookkeeping, and resume logic for one output dir."""
+    """Paths, manifest bookkeeping, and resume logic for one output dir;
+    ``jobs`` is the number of training workers."""
 
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        self.out = config.out_dir
+    def __init__(self, config: ExperimentConfig, out: str, jobs: int = 1):
+        self.config, self.out, self.jobs = config, out, jobs
         self.manifest_path = os.path.join(self.out, "manifest.json")
         self.manifest = {"config_hash": config.config_hash(), "artifacts": {},
                          "timings": {}}
@@ -310,8 +306,8 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
         keys.append(key)
         jobs.append((config.to_dict(), ws.artifact_path(data_key),
                      ws.manifest["artifacts"][data_key].get("fingerprint", ""), run_dir))
-    with (ProcessPoolExecutor(max_workers=min(ws.config.jobs, len(jobs)))
-          if ws.config.jobs > 1 and jobs else nullcontext()) as pool:
+    with (ProcessPoolExecutor(max_workers=min(ws.jobs, len(jobs)))
+          if ws.jobs > 1 and jobs else nullcontext()) as pool:
         try:
             for key, path in zip(keys, (pool.map if pool else map)(_train_one, jobs)):
                 ws.record(key, path)
@@ -335,12 +331,14 @@ def _load_run(ws: Workspace, key: str) -> TrainRun:
     return TrainRun.load(os.path.dirname(ws.artifact_path(key)))
 
 
-def cmd_train(ws: Workspace, modes=MODES) -> None:
-    """Train one model per (mode, environment)."""
+def cmd_train(ws: Workspace) -> None:
+    """Train the lab's 15 nets: one per (mode, environment), then the paired
+    text-only proxy of each audited net."""
     t0 = time.monotonic()
-    env_order = ws.config.build_family().env_order
-    wanted = [(_run_key(mode, e), ws.config.train_config(mode, e), e)
-              for mode in modes for e in env_order]
+    wanted = ([(_run_key(mode, e), ws.config.train_config(mode, e), e)
+               for mode in MODES for e in ENVS]
+              + [(_proxy_key(mode, e), ws.config.proxy_config(mode, e), e)
+                 for mode in AUDIT_MODES for e in ENVS])
     if _ensure_runs(ws, wanted):  # only a call that trained may set the timing
         ws.save_manifest("train", time.monotonic() - t0)
 
@@ -349,16 +347,15 @@ def cmd_matrix(ws: Workspace) -> None:
     """Cross-distribution accuracy matrices for every mode."""
     t0 = time.monotonic()
     cmd_train(ws)
-    env_order = ws.config.build_family().env_order
-    test_sets = {e: _load_dataset(ws, e, "test") for e in env_order}
+    test_sets = {e: _load_dataset(ws, e, "test") for e in ENVS}
 
     summary = {}
     for mode in MODES:
-        nets = {e: _load_run(ws, _run_key(mode, e)).primary for e in env_order}
-        matrix = evaluation.gen_matrix(mode, nets, test_sets, env_order)
+        nets = {e: _load_run(ws, _run_key(mode, e)).primary for e in ENVS}
+        matrix = evaluation.gen_matrix(mode, nets, test_sets, ENVS)
         ws.write(f"report:matrix:{mode}", f"reports/matrix_{mode}.csv", matrix.csv_rows())
         ws.write(f"report:matrix-svg:{mode}", f"reports/matrix_{mode}.svg",
-                 svg.heatmap_svg(env_order, env_order, matrix.acc,
+                 svg.heatmap_svg(ENVS, ENVS, matrix.acc,
                                  f"accuracy matrix ({mode})", lo=0.0, hi=1.0))
         summary[mode] = {
             "matrix": matrix.to_dict(),
@@ -375,19 +372,15 @@ def cmd_matrix(ws: Workspace) -> None:
 def cmd_sfd(ws: Workspace) -> None:
     """Shortcut-failure degradation reports for every o.o.d. cell."""
     t0 = time.monotonic()
-    env_order = ws.config.build_family().env_order
-    cmd_train(ws, modes=AUDIT_MODES)
-    proxies = [(_proxy_key(mode, e), ws.config.proxy_config(mode, e), e)
-               for mode in AUDIT_MODES for e in env_order]
-    _ensure_runs(ws, proxies)
+    cmd_train(ws)
 
-    test_sets = {e: _load_dataset(ws, e, "test") for e in env_order}
+    test_sets = {e: _load_dataset(ws, e, "test") for e in ENVS}
     for mode in AUDIT_MODES:
         reports = []
-        for train_env in env_order:
+        for train_env in ENVS:
             run = _load_run(ws, _run_key(mode, train_env))
             proxy = _load_run(ws, _proxy_key(mode, train_env)).primary
-            for test_env in env_order:
+            for test_env in ENVS:
                 if test_env == train_env:
                     continue
                 rep = evaluation.sfd_report(run.primary, proxy, test_sets[test_env],
@@ -405,14 +398,13 @@ def cmd_bon(ws: Workspace) -> None:
     """Best-of-N curves for every net over i.i.d. and o.o.d. pools."""
     t0 = time.monotonic()
     family = ws.config.build_family()
-    env_order = family.env_order
-    cmd_train(ws, modes=AUDIT_MODES)
+    cmd_train(ws)
 
     nets = {f"{mode}/{e}": _load_run(ws, _run_key(mode, e)).primary
-            for mode, e in sorted((m, e) for m in AUDIT_MODES for e in env_order)}
+            for mode, e in sorted((m, e) for m in AUDIT_MODES for e in ENVS)}
 
     rows = []
-    for pool_env in env_order:
+    for pool_env in ENVS:
         pools = bestofn.make_pools(
             family, ws.config.n_pools, m=ws.config.pool_size,
             seed=derive_seed(ws.config.master_seed, f"pools:{pool_env}"),
@@ -449,7 +441,7 @@ def cmd_bon(ws: Workspace) -> None:
     ws.save_manifest("bon", time.monotonic() - t0)
 
 
-def _default_family_checks(summary, sfd_docs, bon_summary, env_order):
+def _default_family_checks(summary, sfd_docs, bon_summary):
     """The 12 directional claims the default pipeline is expected to satisfy;
     a degenerate (None) sfd cell fails the checks that read it."""
     checks = []
@@ -460,7 +452,7 @@ def _default_family_checks(summary, sfd_docs, bon_summary, env_order):
     text, std, sa = (summary[m] for m in ("text_only", "standard", "shortcut_aware"))
     check("text_only mean i.i.d. >= 0.85", text["mean_iid"] >= 0.85)
     check("text_only mean o.o.d. <= 0.60", text["mean_ood"] <= 0.60)
-    b, c = env_order.index("B"), env_order.index("C")
+    b, c = ENVS.index("B"), ENVS.index("C")
     check("text_only B->C <= 0.55", text["matrix"]["acc"][b][c] <= 0.55)
     check("shortcut_aware o.o.d. mean >= standard + 0.05",
           sa["mean_ood"] >= std["mean_ood"] + 0.05)
@@ -499,7 +491,6 @@ def cmd_report(ws: Workspace) -> int:
             verified[key] = ws.artifact_path(key)
         except MissingArtifactError as exc:
             missing.append(f"{key}: {exc}")
-    env_order = ws.config.build_family().env_order
 
     def load(key):
         with open(verified[key], encoding="utf-8") as fh:
@@ -509,7 +500,7 @@ def cmd_report(ws: Workspace) -> int:
     if all(key in verified for key in inputs):
         summary, bon_summary = load("report:matrix-summary"), load("report:bon-summary")
         sfd_docs = {m: load(f"report:sfd:{m}") for m in AUDIT_MODES}
-        checks = _default_family_checks(summary, sfd_docs, bon_summary, env_order)
+        checks = _default_family_checks(summary, sfd_docs, bon_summary)
         for mode in sorted(summary):
             s = summary[mode]
             lines.append(f"{mode:>15}: i.i.d. {s['mean_iid']:.4f}  "
@@ -525,7 +516,7 @@ def cmd_report(ws: Workspace) -> int:
 
     report = {
         "config_hash": ws.config.config_hash(),
-        "envs": env_order,
+        "envs": list(ENVS),
         "matrix_summary": summary,
         "sfd": sfd_docs,
         "bon_summary": bon_summary,
@@ -555,7 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="shortcut-learning lab for multimodal reward models")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, doc in [("gen", "generate environment datasets"),
-                      ("train", "train one model per mode and environment"),
+                      ("train", "train all 15 nets: one per mode and environment, "
+                                "plus the 6 text-only proxies"),
                       ("matrix", "cross-distribution accuracy matrices"),
                       ("sfd", "shortcut-failure degradation reports"),
                       ("bon", "best-of-N curves"),
@@ -563,23 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=doc)
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--jobs", type=int, help="parallel training jobs")
+        p.add_argument("--out", default=DEFAULT_OUT, help="output directory")
+        p.add_argument("--jobs", type=int, default=1, help="parallel training jobs")
     return parser
 
 
 def load_config(args) -> ExperimentConfig:
-    """The config file (or the defaults) with the flags applied, validated."""
+    """The config file (or the defaults) with ``--seed`` applied, validated."""
     config = (ExperimentConfig.from_file(args.config) if args.config
               else ExperimentConfig())
-    flags = {}
-    if args.seed is not None:
-        flags["master_seed"] = args.seed
-    if args.out:
-        flags["out_dir"] = args.out
-    if args.jobs is not None:
-        flags["jobs"] = args.jobs
-    return replace(config, **flags)
+    return config if args.seed is None else replace(config, master_seed=args.seed)
 
 
 COMMANDS = {
@@ -594,9 +579,13 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not args.out:
+            raise LabError("--out must name a directory")
+        if args.jobs < 1:
+            raise LabError("--jobs must be an integer >= 1")
         config = load_config(args)
-        with OutputLock(config.out_dir):
-            ws = Workspace(config)
+        with OutputLock(args.out):
+            ws = Workspace(config, args.out, args.jobs)
             if args.verb == "report":
                 return cmd_report(ws)
             COMMANDS[args.verb](ws)

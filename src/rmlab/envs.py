@@ -49,6 +49,7 @@ CORRUPTION_EPS = 0.3  # answer-twin spread of marker-carrying pairs
 LENGTH_RNG_TAG = 0x6C656E  # split-level stream for length-order forcing
 
 DEFAULT_FAMILY_SEED = 20240 + 7
+ENVS = ("A", "B", "C")  # the default family's environments, in report order
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,6 @@ class EnvironmentFamily:
 
         self.family_seed = family_seed
         self.specs = {s.env_id: s for s in specs}
-        self.env_order = ids
 
         # Shortcut directions sit on reserved answer coordinates. Axis
         # alignment matters: AdamW's per-coordinate normalization is not
@@ -255,17 +255,18 @@ def default_family(family_seed: int = DEFAULT_FAMILY_SEED,
     alone; C's direction is the negation of B's so a B-fitted shortcut
     transfers below chance; A's direction is orthogonal to both.
     """
+    a, b, c = ENVS
     specs = [
-        EnvironmentSpec("A", seed=family_seed + 1, n_train=n_train, n_test=n_test,
+        EnvironmentSpec(a, seed=family_seed + 1, n_train=n_train, n_test=n_test,
                         beta=0.85, alpha=1.0, direction=DirectionRule("fresh"),
                         eta=0.05, length_bias=0.598),
-        EnvironmentSpec("B", seed=family_seed + 2, n_train=n_train, n_test=n_test,
+        EnvironmentSpec(b, seed=family_seed + 2, n_train=n_train, n_test=n_test,
                         beta=0.99, alpha=2.0,
-                        direction=DirectionRule("orthogonal_to", ref="A"),
+                        direction=DirectionRule("orthogonal_to", ref=a),
                         eta=0.05, length_bias=0.315),
-        EnvironmentSpec("C", seed=family_seed + 3, n_train=n_train, n_test=n_test,
+        EnvironmentSpec(c, seed=family_seed + 3, n_train=n_train, n_test=n_test,
                         beta=0.85, alpha=1.0,
-                        direction=DirectionRule("negated", ref="B"),
+                        direction=DirectionRule("negated", ref=b),
                         eta=0.05, length_bias=0.678),
     ]
     return EnvironmentFamily(family_seed, specs), specs

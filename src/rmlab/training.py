@@ -44,7 +44,6 @@ class TrainConfig:
     seed: int = 0
     hidden: int = 64
     aux_lr_scale: float = 8.0  # text branch lr multiplier; see note in train()
-    force_uniform_weights: bool = False  # diagnostic: overrides all weights to 1
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -238,9 +237,8 @@ def train(config: TrainConfig, dataset) -> TrainRun:
             idx = perm[start:start + config.batch_size]
             b_c, b_r = x_c[idx], x_r[idx]
             if config.mode == "shortcut_aware":
-                override = ones[:len(idx)] if config.force_uniform_weights else None
                 batch, g_primary, g_aux = weighted_grad_step(
-                    primary, aux, b_c, b_r, xt_c[idx], xt_r[idx], weight_override=override)
+                    primary, aux, b_c, b_r, xt_c[idx], xt_r[idx])
                 batch_loss = batch.loss_mm
                 adamw_step(opt, primary, g_primary)
                 adamw_step(aux_opt, aux, g_aux)

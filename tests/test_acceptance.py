@@ -9,6 +9,7 @@ import math
 import os
 import time
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,8 +189,9 @@ class TestCriterion7SfcIdentities:
     def test_uniform_override_reproduces_standard(self, small_sets):
         ds = small_sets[("P", "train")]
         std = train(TrainConfig(mode="standard", epochs=3, seed=47), ds)
-        forced = train(TrainConfig(mode="shortcut_aware", epochs=3, seed=47,
-                                   force_uniform_weights=True), ds)
+        # the weights are sfc / mean(sfc), so an sfc of ones makes every weight 1
+        with mock.patch("rmlab.training.sfc", lambda loss_mm, loss_t: np.ones_like(loss_mm)):
+            forced = train(TrainConfig(mode="shortcut_aware", epochs=3, seed=47), ds)
         assert np.array_equal(std.primary.w1, forced.primary.w1)
         assert np.array_equal(std.primary.b1, forced.primary.b1)
         assert np.array_equal(std.primary.w2, forced.primary.w2)

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -39,14 +38,14 @@ def run(verb, config, out):
     return main([verb, "--config", config, "--out", str(out)])
 
 
-def run_cli(verb, config, out, *flags):
+def run_cli(verb, config, out, *flags, cwd=None):
     """One verb in a fresh interpreter, as a user runs it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + (
         [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "rmlab.cli", verb, "--config", config,
                            "--out", str(out), *flags], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, cwd=cwd)
 
 
 class TestConfig:
@@ -72,6 +71,7 @@ class TestConfig:
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("Config file keys")[1].split("```json")[1].split("```")[0]
         ExperimentConfig(**json.loads(block))
+        assert set(json.loads(block)) == set(ExperimentConfig.__dataclass_fields__)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -118,6 +118,10 @@ class TestConfig:
         {"master_seed": True},
         {"n_grid": []},
         {"jobs": 0},
+        # removed: the output dir and the worker count are flags, not settings
+        {"out_dir": "x"},
+        {"jobs": 2},
+        {"train": {"force_uniform_weights": True}},
     ])
     def test_malformed_config_exits_2_without_traceback(self, tmp_path, override):
         config = write_config(tmp_path, **override)
@@ -127,6 +131,16 @@ class TestConfig:
         assert proc.stderr.startswith("error: config")
         assert "Traceback" not in proc.stderr
         assert not (out / "manifest.json").exists()
+
+    # --out and --jobs are flags only; an empty --out must not fall back to labout
+    @pytest.mark.parametrize("out, flags", [("out", ["--jobs", "0"]), ("out", ["--jobs", "-1"]),
+                                            ("", [])], ids=["jobs-0", "jobs-neg", "empty-out"])
+    def test_bad_flag_exits_2_without_traceback(self, tmp_path, out, flags):
+        proc = run_cli("gen", write_config(tmp_path), out, *flags, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("*/manifest.json"))
 
     def test_subsample_flag_is_rejected(self, tmp_path):
         proc = run_cli("gen", write_config(tmp_path), tmp_path / "out", "--subsample", "0.25")
@@ -432,6 +446,24 @@ class TestPipeline:
         assert after["train"] == timings["train"]
         assert "bon" in after
 
+    def test_first_model_verb_trains_all_15_nets(self, tmp_path, capsys):
+        # one job list: bon alone trains the matrix nets and the sfd proxies
+        # too, so matrix and sfd after it train nothing
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        capsys.readouterr()
+        assert run("bon", config, out) == 0
+        assert capsys.readouterr().out.count("train: finished") == 15
+        keys = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert sorted(k for k in keys if k.startswith("model:")) == sorted(
+            f"model:{m}:{e}" for m in ("standard", "text_only", "shortcut_aware",
+                                       "proxy-standard", "proxy-shortcut_aware")
+            for e in ("A", "B", "C"))
+        for verb in ("matrix", "sfd"):
+            assert run(verb, config, out) == 0
+        assert "train: finished" not in capsys.readouterr().out
+
     def test_n_grid_beyond_pool_size_rejected_before_training(self, tmp_path):
         config = write_config(tmp_path, n_grid=[1, 16], pool_size=8)
         out = tmp_path / "out"
@@ -450,7 +482,7 @@ class TestPipeline:
         assert report["checks"] == [] and not report["passed"]
 
     def test_pool_forks_no_more_workers_than_stale_jobs(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path, jobs=64)
+        config = write_config(tmp_path)
         out = tmp_path / "out"
         assert run("gen", config, out) == 0
         sizes = []
@@ -469,14 +501,14 @@ class TestPipeline:
                 return [fn(job) for job in jobs]
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        ws = cli.Workspace(replace(ExperimentConfig.from_file(config), out_dir=str(out)))
+        ws = cli.Workspace(ExperimentConfig.from_file(config), str(out), jobs=64)
         wanted = [(cli._run_key("standard", e), ws.config.train_config("standard", e), e)
                   for e in ("A", "B")]
         assert cli._ensure_runs(ws, wanted) == 2
         assert sizes == [2]
 
     def test_dead_worker_exits_2_keeping_finished_runs(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path, jobs=2)
+        config = write_config(tmp_path)
         out = tmp_path / "out"
         assert run("gen", config, out) == 0
 
@@ -495,14 +527,14 @@ class TestPipeline:
                 raise BrokenProcessPool("a child process terminated abruptly")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
-        ws = cli.Workspace(replace(ExperimentConfig.from_file(config), out_dir=str(out)))
+        ws = cli.Workspace(ExperimentConfig.from_file(config), str(out), jobs=2)
         wanted = [(cli._run_key("standard", e), ws.config.train_config("standard", e), e)
                   for e in ("A", "B")]
         with pytest.raises(LabError, match="worker died"):
             cli._ensure_runs(ws, wanted)
         recorded = json.loads((out / "manifest.json").read_text())["artifacts"]
         assert "model:standard:A" in recorded and "model:standard:B" not in recorded
-        assert cli._ensure_runs(cli.Workspace(replace(ws.config, jobs=1)), wanted) == 1
+        assert cli._ensure_runs(cli.Workspace(ws.config, str(out)), wanted) == 1
 
     def test_jobs_flag_matches_serial_results(self, done, tmp_path_factory):
         config, serial_out = done
@@ -527,7 +559,7 @@ class TestReportChecks:
                         for a in envs_ for b in envs_ if a != b]
                     for m, sfd in (("standard", 0.3), ("shortcut_aware", 0.1))}
         bon = {"n_max": 64, "ood_best_at_n_max": {"standard": 0.5, "shortcut_aware": 0.6}}
-        checks = cli._default_family_checks(summary, sfd_docs, bon, envs_)
+        checks = cli._default_family_checks(summary, sfd_docs, bon)
         assert len(checks) == 12
         assert {c["name"]: c["passed"] for c in checks}["standard sfd B->C >= 0.15"] is False
 

@@ -175,6 +175,11 @@ class TestShortcutOracle:
 
 
 class TestDefaultFamily:
+    def test_env_ids_are_the_envs_constant(self):
+        family, specs = default_family(n_train=10, n_test=10)
+        assert tuple(family.specs) == envs.ENVS
+        assert tuple(s.env_id for s in specs) == envs.ENVS
+
     def test_direction_relations(self):
         family, _ = default_family(n_train=10, n_test=10)
         assert family.directions["B"] @ family.directions["C"] == pytest.approx(-1.0)

@@ -68,7 +68,7 @@ class TestGenMatrix:
 
     def test_csv_emission(self, matrix, tmp_path):
         path = tmp_path / "m.csv"
-        Workspace(ExperimentConfig(out_dir=str(tmp_path))).write(
+        Workspace(ExperimentConfig(), str(tmp_path)).write(
             "report:matrix:standard", "m.csv", matrix.csv_rows())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "train_env,P,Q"

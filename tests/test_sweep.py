@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_cli import write_config
 
 SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "sweep.py"
@@ -38,3 +40,16 @@ def test_two_seed_sweep_reports_every_seed(tmp_path):
     assert doc["runs"][0]["deltas"] != doc["runs"][1]["deltas"]
     assert sum(doc["check_pass_counts"].values()) == \
         sum(r["checks_passed"] for r in doc["runs"])
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+def test_unusable_out_exits_2_without_traceback(tmp_path, sub):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    proc = subprocess.run([sys.executable, str(SWEEP), "--seeds", "3",
+                           "--config", write_config(tmp_path), "--out", str(blocker / sub)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert blocker.read_text() == "not a directory"
