@@ -27,7 +27,7 @@ import numpy as np
 
 from . import net as netmod
 from .envs import D_A, D_Q, D_V
-from .errors import ConfigError, GenerationError
+from .errors import ConfigError
 
 EXHAUSTIVE_MAX_M = 20
 JUDGE_MID = 5.0
@@ -72,14 +72,9 @@ def make_pools(family, n_pools: int, m: int = 64, seed: int = 0,
     is planted on a beta fraction of candidates, independently of quality,
     which is what misleads a shortcut-keyed reward net on these pools.
     """
-    if n_pools < 1 or m < 1:
-        raise GenerationError("need at least one pool and one candidate")
     spec = u_dir = None
     if env_id is not None:
-        spec = family.specs.get(env_id)
-        if spec is None:
-            raise GenerationError(f"env {env_id!r} is not part of this family")
-        u_dir = family.directions[env_id]
+        spec, u_dir = family.specs[env_id], family.directions[env_id]
 
     pools = []
     mix = np.asarray(scale_mix, dtype=np.float64)

@@ -13,12 +13,8 @@ class DomainError(LabError):
     """Numeric argument outside its valid domain."""
 
 
-class FamilyError(LabError):
-    """Invalid environment-family construction."""
-
-
 class GenerationError(LabError):
-    """Invalid environment spec at sampling time."""
+    """A dataset file is not a valid ``write_dataset`` archive."""
 
 
 class ConfigError(LabError):
@@ -27,10 +23,6 @@ class ConfigError(LabError):
 
 class ScheduleExhausted(LabError):
     """Optimizer stepped past its configured total step count."""
-
-
-class DegenerateSplitError(LabError):
-    """The evaluation set is empty, so the metric is undefined."""
 
 
 class MissingArtifactError(LabError):

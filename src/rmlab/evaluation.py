@@ -1,6 +1,6 @@
 """Evaluation machinery: pairwise accuracy, cross-distribution generalization
-matrices, the shortcut-failure degradation metric, score correlations, and the
-sfc ordering diagnostic.
+matrices, the shortcut-failure degradation metric, and the sfc ordering
+diagnostic.
 
 Accuracy uses the strict comparison reward(chosen) > reward(rejected); ties
 count as incorrect. This matters for degenerate scorers (an all-zero net ties
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net as netmod
-from .errors import DegenerateSplitError, MissingArtifactError
 from .net import RewardNet
 from .training import _stack_pairs, mean_sfc_over
 
@@ -34,8 +33,6 @@ def _correct(net: RewardNet, dataset, mask_vision: bool) -> np.ndarray:
 
 def accuracy(net: RewardNet, dataset, mask_vision: bool = False) -> float:
     """Fraction of pairs where the chosen answer strictly outscores the other."""
-    if len(dataset) == 0:
-        raise DegenerateSplitError("accuracy needs a nonempty dataset")
     return float(np.mean(_correct(net, dataset, mask_vision)))
 
 
@@ -68,14 +65,9 @@ class GenMatrix:
             [env] + [repr(x) for x in row] for env, row in zip(self.envs, self.acc)]
 
 
-def gen_matrix(mode: str, nets: dict, test_sets: dict, env_order=None) -> GenMatrix:
+def gen_matrix(mode: str, nets: dict, test_sets: dict, env_order) -> GenMatrix:
     """Evaluate every trained net on every environment's test split."""
-    envs = list(env_order) if env_order else sorted(nets)
-    for env in envs:
-        if env not in nets:
-            raise MissingArtifactError(f"no trained model for env {env!r}")
-        if env not in test_sets:
-            raise MissingArtifactError(f"no test set for env {env!r}")
+    envs = list(env_order)
     mask = mode == "text_only"
     acc = [[accuracy(nets[train_env], test_sets[test_env], mask_vision=mask)
             for test_env in envs] for train_env in envs]
@@ -120,37 +112,6 @@ def sfd_report(mm_net, text_net, test_set, *, train_env="", mode="") -> SFDRepor
                      acc_on_success=acc_s, acc_on_fail=acc_f, sfd=gap)
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    x = x - x.mean()
-    y = y - y.mean()
-    denom = np.sqrt((x * x).sum() * (y * y).sum())
-    if denom == 0.0:
-        return None
-    return float((x * y).sum() / denom)
-
-
-@dataclass
-class BiasDiag:
-    """Correlation between a net's scores and its text-only proxy's scores."""
-
-    response_r: float | None  # over individual answer scores (2 per pair)
-    margin_r: float | None  # over per-pair score margins
-
-    def to_dict(self) -> dict:
-        return vars(self).copy()
-
-
-def score_correlation(mm_net, text_net, test_set) -> BiasDiag:
-    """Pearson correlations of per-response scores and per-pair margins."""
-    if len(test_set) == 0:
-        raise DegenerateSplitError("score_correlation needs a nonempty test set")
-    mm_c, mm_r = _pair_scores(mm_net, test_set, mask_vision=False)
-    t_c, t_r = _pair_scores(text_net, test_set, mask_vision=True)
-    response_r = _pearson(np.concatenate([mm_c, mm_r]), np.concatenate([t_c, t_r]))
-    margin_r = _pearson(mm_c - mm_r, t_c - t_r)
-    return BiasDiag(response_r=response_r, margin_r=margin_r)
-
-
 @dataclass
 class SfcOrderingRow:
     env_id: str
@@ -175,13 +136,12 @@ class SfcOrderingDiag:
 def sfc_rho_diagnostic(specs_by_env: dict, runs_by_env: dict, train_sets: dict) -> SfcOrderingDiag:
     """Check that environments whose shortcut explains less get higher sfc.
 
+    Every run is a ``shortcut_aware`` one, so it has an auxiliary branch.
     Needs at least two distinct beta values; otherwise the diagnostic is
     skipped with a notice in the result.
     """
     rows = []
     for env_id, run in sorted(runs_by_env.items()):
-        if run.aux is None:
-            raise MissingArtifactError(f"run for {env_id!r} has no auxiliary branch")
         spec = specs_by_env[env_id]
         rows.append(SfcOrderingRow(
             env_id=env_id, beta=spec.beta, rho_proxy=1.0 - spec.beta,

@@ -194,8 +194,6 @@ def weighted_grad_step(primary: RewardNet, aux: RewardNet,
 def train(config: TrainConfig, dataset) -> TrainRun:
     """Run one training job over the dataset and return its artifacts."""
     n = len(dataset)
-    if n == 0:
-        raise ConfigError("dataset is empty")
     dims = NetDims(d_v=dataset.v.shape[1], d_q=dataset.q.shape[1],
                    d_a=dataset.a1.shape[1], hidden=config.hidden)
 

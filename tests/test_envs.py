@@ -7,7 +7,7 @@ from rmlab import envs
 from rmlab.envs import (DirectionRule, EnvironmentFamily, EnvironmentSpec, LENGTH_COORD,
                         dataset_fingerprint, default_family, read_dataset, sample_env,
                         write_dataset)
-from rmlab.errors import FamilyError, GenerationError
+from rmlab.errors import GenerationError
 from rmlab.evaluation import accuracy
 from rmlab.training import TrainConfig, train
 
@@ -58,29 +58,11 @@ class TestMakeFamily:
         family, _ = small_family
         assert np.linalg.norm(family.w) > 0
 
-    def test_needs_two_environments(self):
-        spec = big_spec("X", 1, 0.5, 1.0, DirectionRule("fresh"))
-        with pytest.raises(FamilyError):
-            EnvironmentFamily(1, [spec])
-
-    def test_duplicate_ids_rejected(self):
-        s1 = big_spec("X", 1, 0.5, 1.0, DirectionRule("fresh"))
-        s2 = big_spec("X", 2, 0.5, 1.0, DirectionRule("fresh"))
-        with pytest.raises(FamilyError):
-            EnvironmentFamily(1, [s1, s2])
-
     def test_bayes_rule_hits_label_noise_ceiling(self, mc_family, true_margins):
         family, specs, tests = mc_family
         for env_id in ("HI", "ANTI", "OFF"):
             acc = np.mean(true_margins(family, tests[env_id]) > 0)
             assert acc == pytest.approx(1.0 - specs[env_id].eta, abs=0.01)
-
-    @pytest.mark.parametrize("family_seed", [1.7, True, "7"])
-    def test_family_seed_must_be_an_integer(self, family_seed):
-        # a bool, float or string is rejected, never truncated or parsed
-        specs = [big_spec(e, i, 0.5, 1.0, DirectionRule("fresh")) for i, e in enumerate("AB")]
-        with pytest.raises(FamilyError):
-            EnvironmentFamily(family_seed, specs)
 
 
 class TestSampleEnv:
@@ -139,22 +121,6 @@ class TestSampleEnv:
         test_keys = {key(s) for s in small_sets[("P", "test")].samples}
         assert not train_keys & test_keys
 
-    def test_unknown_env_rejected(self, small_family):
-        family, _ = small_family
-        with pytest.raises(GenerationError):
-            sample_env(family, "NOPE", "train")
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(GenerationError):
-            EnvironmentSpec("BAD", seed=1, n_train=10, n_test=10, beta=1.5,
-                            alpha=1.0, direction=DirectionRule("fresh"))
-
-    @pytest.mark.parametrize("env_id", ["../x", "", "A:B", 7])
-    def test_env_id_must_be_a_plain_name(self, env_id):
-        # env_id names files and manifest keys: no path parts, separators or non-strings
-        with pytest.raises(GenerationError):
-            big_spec(env_id, 1, 0.5, 1.0, DirectionRule("fresh"))
-
 
 class TestShortcutOracle:
     def test_beta_one_all_marked(self):
@@ -184,6 +150,19 @@ class TestDefaultFamily:
         family, _ = default_family(n_train=10, n_test=10)
         assert family.directions["B"] @ family.directions["C"] == pytest.approx(-1.0)
         assert family.directions["A"] @ family.directions["B"] == pytest.approx(0.0)
+        e = np.eye(envs.D_A)
+        assert np.array_equal(family.directions["A"], e[11])
+        assert np.array_equal(family.directions["B"], e[12])
+        assert np.array_equal(family.directions["C"], -e[12])
+
+    def test_direction_axes_of_every_rule(self, mc_family):
+        # fresh, orthogonal_to, negated, fresh: the next reserved axis for
+        # each non-negated rule, minus the ref's axis for the negated one
+        family, _, _ = mc_family
+        e = np.eye(envs.D_A)
+        expected = {"HI": e[11], "SEP": e[12], "ANTI": -e[12], "OFF": e[13]}
+        for env_id, u in expected.items():
+            assert np.array_equal(family.directions[env_id], u)
 
     def test_paper_profile_length_biases(self):
         _, specs = default_family(n_train=10, n_test=10)

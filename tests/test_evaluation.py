@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from rmlab.cli import ExperimentConfig, Workspace
-from rmlab.envs import Dataset
-from rmlab.errors import DegenerateSplitError, MissingArtifactError
-from rmlab.evaluation import (accuracy, gen_matrix, score_correlation, sfd_report,
-                              sfc_rho_diagnostic)
+from rmlab.evaluation import accuracy, gen_matrix, sfd_report, sfc_rho_diagnostic
 from rmlab.net import NetDims, RewardNet
 from rmlab.training import TrainConfig, train
 
@@ -39,10 +36,6 @@ class TestAccuracy:
         transformed.w2 = 2.0 * transformed.w2  # scores double exactly
         assert accuracy(transformed, ds) == base
 
-    def test_empty_dataset_rejected(self, default_dims):
-        with pytest.raises(DegenerateSplitError):
-            accuracy(RewardNet.zeros(default_dims), Dataset(env_id="x", split="test"))
-
 
 @pytest.fixture(scope="module")
 def matrix(small_sets, trained_p):
@@ -60,11 +53,6 @@ class TestGenMatrix:
 
     def test_diagonal_at_least_off_diagonal(self, matrix):
         assert matrix.mean_diagonal >= matrix.mean_off_diagonal
-
-    def test_missing_model_rejected(self, small_sets, trained_p):
-        with pytest.raises(MissingArtifactError):
-            gen_matrix("standard", {"P": trained_p.primary},
-                       {"P": small_sets[("P", "test")]}, ["P", "Q"])
 
     def test_csv_emission(self, matrix, tmp_path):
         path = tmp_path / "m.csv"
@@ -106,50 +94,6 @@ class TestShortcutSplitAndSfd:
                          train_env="P", mode="standard")
         assert rep.sfd is None and rep.n_success == 0
         assert rep.n_fail == len(small_sets[("P", "test")].samples)
-
-
-class TestScoreCorrelation:
-    def test_vision_blind_twin_correlates_perfectly(self, small_sets, default_dims):
-        rng = np.random.default_rng(3)
-        net = RewardNet.init(default_dims, seed=61)
-        net.w1[:, :default_dims.d_v] = 0.0
-        net.w1[:, default_dims.d_v + default_dims.d_q:] = 0.2 * rng.standard_normal(
-            (default_dims.hidden, default_dims.d_a))
-        net.b1 = rng.standard_normal(default_dims.hidden)
-        diag = score_correlation(net, net, small_sets[("P", "test")])
-        assert diag.response_r == pytest.approx(1.0, abs=1e-9)
-        assert diag.margin_r == pytest.approx(1.0, abs=1e-9)
-
-    def test_independent_nets_nearly_uncorrelated(self, small_sets, default_dims):
-        a = RewardNet.init(default_dims, seed=62)
-        b = RewardNet.init(default_dims, seed=63)
-        for net in (a, b):
-            net.b1 = np.random.default_rng(net.seed).standard_normal(default_dims.hidden)
-            net.w1[:, default_dims.d_v + default_dims.d_q:] = (
-                np.random.default_rng(net.seed + 1).standard_normal(
-                    (default_dims.hidden, default_dims.d_a)) * 0.2)
-        diag = score_correlation(a, b, small_sets[("P", "test")])
-        assert abs(diag.response_r) <= 0.2
-
-    def test_zero_variance_reported_missing(self, small_sets, default_dims):
-        zero = RewardNet.zeros(default_dims)
-        diag = score_correlation(zero, zero, small_sets[("P", "test")])
-        assert diag.response_r is None and diag.margin_r is None
-
-    def test_empty_set_rejected(self, default_dims):
-        zero = RewardNet.zeros(default_dims)
-        with pytest.raises(DegenerateSplitError):
-            score_correlation(zero, zero, Dataset(env_id="x", split="test"))
-
-    def test_shortcut_aware_less_text_correlated_than_standard(self, small_sets):
-        tr, te = small_sets[("P", "train")], small_sets[("P", "test")]
-        std = train(TrainConfig(mode="standard", epochs=8, seed=51), tr)
-        proxy = train(TrainConfig(mode="text_only", epochs=8, seed=51), tr)
-        sa = train(TrainConfig(mode="shortcut_aware", epochs=8, seed=51), tr)
-        r_std = score_correlation(std.primary, proxy.primary, te)
-        r_sa = score_correlation(sa.primary, sa.aux, te)
-        assert r_std.response_r > r_sa.response_r
-        assert r_std.margin_r > r_sa.margin_r
 
 
 class TestSfcRhoDiagnostic:

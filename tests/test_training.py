@@ -253,12 +253,6 @@ class TestTrain:
         assert abs(accuracy(text.primary, te, mask_vision=True)
                    - accuracy(run.primary, te)) <= 0.02
 
-    def test_empty_dataset_rejected(self):
-        from rmlab.envs import Dataset
-
-        with pytest.raises(ConfigError):
-            train(TrainConfig(mode="standard"), Dataset(env_id="x", split="train"))
-
     def test_save_load_round_trip(self, runs, tmp_path):
         run = runs["shortcut_aware"]
         path = run.save(tmp_path / "run")
