@@ -6,7 +6,7 @@ from .envs import (DirectionRule, EnvironmentFamily, EnvironmentSpec, Preference
 from .net import NetDims, RewardNet, batch_scores, batch_pair_grads, fd_check
 from .training import TrainConfig, TrainRun, sfc, train
 from .evaluation import accuracy, gen_matrix, sfd_report, sfc_rho_diagnostic
-from .bestofn import (CandidatePool, simulated_judge, make_pools, score_pool,
+from .bestofn import (CandidatePools, simulated_judge, make_pools, score_pool,
                       bon_exhaustive, bon_estimates, bon_fast, bon_mc_check, bon_curve)
 
 __version__ = "0.1.0"

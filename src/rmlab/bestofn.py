@@ -36,68 +36,94 @@ JUDGE_SIGMA = 0.1
 
 
 @dataclass
-class CandidatePool:
-    """One query context with M candidate answers, judge-scored."""
+class CandidatePools:
+    """Query contexts with M judge-scored candidate answers each, as arrays
+    with a leading pool axis."""
 
-    pool_id: int
-    v: np.ndarray
-    q: np.ndarray
-    answers: np.ndarray  # (M, d_a)
-    judge_scores: np.ndarray  # (M,)
-    rewards: dict = field(default_factory=dict)  # net name -> (M,) scores
+    v: np.ndarray  # (n_pools, d_v)
+    q: np.ndarray  # (n_pools, d_q)
+    answers: np.ndarray  # (n_pools, M, d_a)
+    judge_scores: np.ndarray  # (n_pools, M)
+    rewards: dict = field(default_factory=dict)  # net name -> (n_pools, M) scores
+
+    def __len__(self) -> int:
+        return self.answers.shape[0]
 
     @property
     def size(self) -> int:
-        return self.answers.shape[0]
+        return self.answers.shape[1]
 
 
 def simulated_judge(family, v, q, answers: np.ndarray, noise=0.0) -> np.ndarray:
     """Each answer row's ground-truth quality, mapped affinely onto 0-10.
 
-    ``noise`` is pre-drawn Gaussian noise on that scale. Quality is one dot per row
-    with the hoisted ``v @ w`` and ``q @ m``; one product over the pool rounds differently.
+    ``v`` (..., d_v), ``q`` (..., d_q) and ``answers`` (..., M, d_a) may carry
+    leading pool axes; ``noise`` is pre-drawn Gaussian noise on the 0-10 scale.
+    Quality is ``(v @ w) @ a + (q @ m) @ a``: one gemv per pool for ``v @ w``
+    and ``q @ m``, then one dot per answer row, all through stacked
+    ``np.matmul``, which makes the same BLAS call per slice. One product over
+    a pool, or ``einsum``, sums in another order and changes the scores.
     """
-    vw, qm = v @ family.w, q @ family.m
-    quality = np.array([vw @ a + qm @ a for a in answers])
+    def rowdots(vec):  # (..., M) dots of each answer row with the pool's vec
+        return np.matmul(answers[..., None, :], vec[..., None, :, None])[..., 0, 0]
+
+    quality = rowdots(np.matmul(v[..., None, :], family.w)[..., 0, :]) \
+        + rowdots(np.matmul(q[..., None, :], family.m)[..., 0, :])
     return JUDGE_MID + JUDGE_SLOPE * (quality / family.score_scale()) + noise
 
 
 def make_pools(family, n_pools: int, m: int = 64, seed: int = 0,
                env_id: str | None = None, judge_sigma: float = JUDGE_SIGMA,
-               scale_mix=(0.5, 1.0, 2.0)) -> list:
+               scale_mix=(0.5, 1.0, 2.0)) -> CandidatePools:
     """Generate judge-scored candidate pools.
 
     Candidates are drawn at a mixture of noise scales so quality varies enough
     for best-of-N headroom. Given ``env_id``, that environment's shortcut marker
     is planted on a beta fraction of candidates, independently of quality,
     which is what misleads a shortcut-keyed reward net on these pools.
-    """
-    spec = u_dir = None
-    if env_id is not None:
-        spec, u_dir = family.specs[env_id], family.directions[env_id]
 
-    pools = []
+    Pool ``pid`` draws from its own stream ``[seed, 0xB0, pid]`` in a fixed
+    order: v and q, the scale picks, the raw answers, the plant draws (given
+    ``env_id``), the judge noise. The loop only draws; the arithmetic runs
+    once over all pools.
+    """
+    vq = np.empty((n_pools, D_V + D_Q))
+    picks = np.empty((n_pools, m), dtype=np.int64)
+    raw = np.empty((n_pools, m, D_A))
+    plant_u = np.empty((n_pools, m))
+    noise = np.empty((n_pools, m))
     mix = np.asarray(scale_mix, dtype=np.float64)
     for pid in range(n_pools):
         rng = np.random.default_rng([seed, 0xB0, pid])
-        v, q = rng.standard_normal(D_V), rng.standard_normal(D_Q)
-        scales = mix[rng.integers(0, len(mix), size=m)]
-        answers = family.strip_shortcut_components(
-            rng.standard_normal((m, D_A)) * scales[:, None])
-        if spec is not None:
-            planted = rng.random(m) < spec.beta
-            answers[planted] += spec.alpha * u_dir
-        pools.append(CandidatePool(pid, v, q, answers, simulated_judge(
-            family, v, q, answers, judge_sigma * rng.standard_normal(m))))
-    return pools
+        rng.standard_normal(out=vq[pid])
+        picks[pid] = rng.integers(0, len(mix), size=m)
+        rng.standard_normal(out=raw[pid])
+        if env_id is not None:
+            rng.random(out=plant_u[pid])
+        rng.standard_normal(out=noise[pid])
+
+    v, q = vq[:, :D_V].copy(), vq[:, D_V:].copy()
+    raw *= mix[picks][..., None]  # in place: one (n_pools, M, d_a) array in memory
+    answers = family.strip_shortcut_components(raw)
+    if env_id is not None:
+        # unbuffered: answers[mask] += ... would copy every planted row first
+        np.add.at(answers, plant_u < family.specs[env_id].beta,
+                  family.specs[env_id].alpha * family.directions[env_id])
+    return CandidatePools(v, q, answers, simulated_judge(
+        family, v, q, answers, judge_sigma * noise))
 
 
-def score_pool(pool: CandidatePool, nets: dict) -> None:
-    """Attach each named net's reward scores, all taken on one feature matrix."""
-    x = np.hstack([np.tile(pool.v, (pool.size, 1)),
-                   np.tile(pool.q, (pool.size, 1)), pool.answers])
-    for name, network in nets.items():
-        pool.rewards[name] = netmod.batch_scores(network, x)
+def score_pool(pools: CandidatePools, nets: dict) -> None:
+    """Attach each named net's reward scores. Each pool is scored as its own
+    (M, input_dim) block of ``[v|q|a]`` feature rows, one buffer reused."""
+    scores = {name: np.empty((len(pools), pools.size)) for name in nets}
+    x = np.empty((pools.size, D_V + D_Q + D_A))
+    for pid in range(len(pools)):
+        x[:, :D_V], x[:, D_V:D_V + D_Q], x[:, D_V + D_Q:] = \
+            pools.v[pid], pools.q[pid], pools.answers[pid]
+        for name, network in nets.items():
+            scores[name][pid] = netmod.batch_scores(network, x)
+    pools.rewards.update(scores)
 
 
 def _winner(rewards: np.ndarray, subset) -> int:
@@ -124,19 +150,30 @@ def bon_exhaustive(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:
 
 @lru_cache(maxsize=64)
 def _rank_weights(m: int, n_grid: tuple) -> np.ndarray:
-    """Row k: C(r-1, N-1) / C(M, N) for N = n_grid[k], correctly rounded."""
-    return np.array([[comb(r - 1, n - 1) / comb(m, n) for r in range(1, m + 1)]
-                     for n in n_grid])
+    """Row k: C(r-1, N-1) / C(M, N) for N = n_grid[k], correctly rounded.
+
+    Read-only: the cache hands this one array to every caller."""
+    weights = np.array([[comb(r - 1, n - 1) / comb(m, n) for r in range(1, m + 1)]
+                        for n in n_grid])
+    weights.flags.writeable = False
+    return weights
 
 
 def bon_estimates(rewards: np.ndarray, judges: np.ndarray, n_grid) -> np.ndarray:
-    """Closed form of the subset average for every N in ``n_grid``, one sort."""
-    m, n_grid = len(rewards), tuple(n_grid)
+    """Closed form of the subset average for every N in ``n_grid``, one sort.
+
+    ``rewards`` and ``judges`` are (..., M); the result is (..., len(n_grid)),
+    each value the same float as a call on that one pool."""
+    m, n_grid = rewards.shape[-1], tuple(n_grid)
     for n in n_grid:
         if not 1 <= n <= m:
             raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
-    order = np.lexsort((-np.arange(m), rewards))
-    return np.cumsum(_rank_weights(m, n_grid) * judges[order], axis=1)[:, -1]
+    order = np.lexsort((np.broadcast_to(-np.arange(m), rewards.shape), rewards), axis=-1)
+    ranked = np.take_along_axis(judges, order, axis=-1)
+    out = np.empty(rewards.shape[:-1] + (len(n_grid),))
+    for k, weights in enumerate(_rank_weights(m, n_grid)):  # one N row at a time
+        out[..., k] = np.cumsum(weights * ranked, axis=-1)[..., -1]
+    return out
 
 
 def bon_fast(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:
@@ -177,13 +214,13 @@ class BonCurve:
     points: list  # (n, mean score over pools)
 
 
-def bon_curve(net_names: list, pools: list, n_grid: list) -> dict:
+def bon_curve(net_names: list, pools: CandidatePools, n_grid: list) -> dict:
     """Mean best-of-N estimate over pools, for each named net's rewards."""
     curves = {}
     for name in net_names:
-        vals = np.empty((len(n_grid), len(pools)))  # contiguous rows: np.mean in pool order
-        for j, pool in enumerate(pools):
-            vals[:, j] = bon_estimates(pool.rewards[name], pool.judge_scores, n_grid)
+        # contiguous per-N rows, so each np.mean adds in pool order
+        vals = np.ascontiguousarray(
+            bon_estimates(pools.rewards[name], pools.judge_scores, n_grid).T)
         curves[name] = BonCurve(name=name, points=[
             (n, float(np.mean(row))) for n, row in zip(n_grid, vals)])
     return curves

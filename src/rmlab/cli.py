@@ -19,8 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
@@ -306,14 +304,19 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
         keys.append(key)
         jobs.append((config.to_dict(), ws.artifact_path(data_key),
                      ws.manifest["artifacts"][data_key].get("fingerprint", ""), run_dir))
-    with (ProcessPoolExecutor(max_workers=min(ws.jobs, len(jobs)))
-          if ws.jobs > 1 and jobs else nullcontext()) as pool:
+    pool, run, broken = nullcontext(), map, ()  # serial: no pool error to catch
+    if ws.jobs > 1 and jobs:  # the pool modules load only when a pool is made
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        pool = ProcessPoolExecutor(max_workers=min(ws.jobs, len(jobs)))
+        run, broken = pool.map, BrokenProcessPool
+    with pool:
         try:
-            for key, path in zip(keys, (pool.map if pool else map)(_train_one, jobs)):
+            for key, path in zip(keys, run(_train_one, jobs)):
                 ws.record(key, path)
                 ws.save_manifest()  # a run that dies later keeps this one
                 print(f"train: finished {key}")
-        except BrokenProcessPool:
+        except broken:
             raise LabError("a training worker died; the finished runs are recorded, "
                            "rerun to train the rest") from None
     return len(jobs)
@@ -409,8 +412,7 @@ def cmd_bon(ws: Workspace) -> None:
             family, ws.config.n_pools, m=ws.config.pool_size,
             seed=derive_seed(ws.config.master_seed, f"pools:{pool_env}"),
             env_id=pool_env)
-        for pool in pools:
-            bestofn.score_pool(pool, nets)
+        bestofn.score_pool(pools, nets)
         curves = bestofn.bon_curve(list(nets), pools, ws.config.n_grid)
         for name, curve in sorted(curves.items()):
             mode, train_env = name.split("/")

@@ -177,18 +177,21 @@ class EnvironmentFamily:
         return dirs
 
     def true_scores(self, v, q, answers: np.ndarray) -> np.ndarray:
-        """Vectorized invariant scores for an (n, D_A) answer matrix."""
-        return answers @ (self.w.T @ v + self.m.T @ q)
+        """Invariant scores of (..., k, D_A) answer blocks, for (..., D_V) v and
+        (..., D_Q) q; stacked ``np.matmul`` makes the per-slice gemv calls that
+        one (v, q) context makes."""
+        c = np.matmul(self.w.T, v[..., None]) + np.matmul(self.m.T, q[..., None])
+        return np.matmul(answers, c)[..., 0]
 
     def score_scale(self) -> float:
         """Std of s(v, q, a) over standard-normal inputs."""
         return float(np.sqrt(np.sum(self.w ** 2) + np.sum(self.m ** 2)))
 
     def strip_shortcut_components(self, answers: np.ndarray) -> np.ndarray:
-        """Zero the reserved shortcut coordinates of an (n, D_A) answer block."""
-        out = answers.copy()
-        out[:, list(RESERVED_COORDS)] = 0.0
-        return out
+        """Zero the reserved shortcut coordinates of a (..., D_A) answer block
+        in place, and return it."""
+        answers[..., list(RESERVED_COORDS)] = 0.0
+        return answers
 
 
 def spec_to_dict(spec: EnvironmentSpec) -> dict:
@@ -244,7 +247,9 @@ def sample_env(family: EnvironmentFamily, env_id: str, split: str) -> Dataset:
 
     Each sample has its own seeded stream (seed, split, index) so generation
     is order-independent and parallel-safe; the length-order forcing pass
-    uses a separate split-level stream.
+    uses a separate split-level stream. Pair i draws, in order: v and q, the
+    plant draw, both raw answers and the marker noise, the label-flip draw.
+    The loop only draws; the arithmetic runs once over the split.
     """
     spec = family.specs[env_id]
     code = _SPLIT_CODES[split]
@@ -252,42 +257,41 @@ def sample_env(family: EnvironmentFamily, env_id: str, split: str) -> Dataset:
     u_dir = family.directions[env_id]
     own_coords = np.flatnonzero(u_dir)
 
-    cols = Dataset(env_id, split, v=np.empty((n, D_V)), q=np.empty((n, D_Q)),
-                   a1=np.empty((n, D_A)), a2=np.empty((n, D_A)),
-                   y=np.empty(n, dtype=np.int8), planted=np.empty(n, dtype=bool),
-                   fingerprint=dataset_fingerprint(family, spec, split))
+    vq = np.empty((n, D_V + D_Q))
+    raw = np.empty((n, 2 * D_A + 2 * own_coords.size))  # first | second | marker noise
+    plant_u, flip_u = np.empty(n), np.empty(n)
     for i in range(n):
         rng = np.random.default_rng([spec.seed, code, i])
-        v = rng.standard_normal(D_V)
-        q = rng.standard_normal(D_Q)
-        applied = rng.random() < spec.beta
-        first = rng.standard_normal(D_A)
-        if applied:
-            # Marker-carrying pairs are corruption-style: the second answer
-            # is a lightly perturbed twin of the first, so the pair carries
-            # almost no invariant-signal margin and the planted marker is
-            # what separates it. Mirrors preference data built by injecting
-            # defects into a copy of the good response.
-            second = first + CORRUPTION_EPS * rng.standard_normal(D_A)
-        else:
-            second = rng.standard_normal(D_A)
-        answers = family.strip_shortcut_components(np.stack([first, second]))
-        marker_noise = SHORTCUT_NOISE * rng.standard_normal((2, own_coords.size))
-        s = family.true_scores(v, q, answers)
-        y_clean = 1 if s[0] > s[1] else -1
-        y = -y_clean if rng.random() < spec.eta else y_clean
-        if applied:
-            answers[0 if y == 1 else 1] += spec.alpha * u_dir
-        else:
-            # Unplanted pairs carry low-variance background noise on the
-            # marker coordinates; any learned marker weight only adds margin
-            # noise there, so these pairs actively push that weight down.
-            # That is the channel through which downweighting marker pairs
-            # changes what gets learned.
-            answers[:, own_coords] = marker_noise
-        cols.v[i], cols.q[i], cols.a1[i], cols.a2[i] = v, q, answers[0], answers[1]
-        cols.y[i], cols.planted[i] = y, applied
+        rng.standard_normal(out=vq[i])
+        plant_u[i] = rng.random()
+        rng.standard_normal(out=raw[i])
+        flip_u[i] = rng.random()
 
+    v, q = vq[:, :D_V].copy(), vq[:, D_V:].copy()
+    applied = plant_u < spec.beta
+    first, second = raw[:, :D_A], raw[:, D_A:2 * D_A]
+    # Marker-carrying pairs are corruption-style: the second answer is a
+    # lightly perturbed twin of the first, so the pair carries almost no
+    # invariant-signal margin and the planted marker is what separates it.
+    # Mirrors preference data built by injecting defects into a copy of the
+    # good response.
+    second = np.where(applied[:, None], first + CORRUPTION_EPS * second, second)
+    answers = family.strip_shortcut_components(np.stack([first, second], axis=1))
+    s = family.true_scores(v, q, answers)
+    y_clean = np.where(s[:, 0] > s[:, 1], 1, -1).astype(np.int8)
+    y = np.where(flip_u < spec.eta, -y_clean, y_clean)
+    rows = np.flatnonzero(applied)
+    answers[rows, np.where(y[rows] == 1, 0, 1)] += spec.alpha * u_dir  # onto the chosen answer
+    # Unplanted pairs carry low-variance background noise on the marker
+    # coordinates; any learned marker weight only adds margin noise there, so
+    # these pairs actively push that weight down. That is the channel through
+    # which downweighting marker pairs changes what gets learned.
+    rows = np.flatnonzero(~applied)
+    marker_noise = SHORTCUT_NOISE * raw[:, 2 * D_A:].reshape(n, 2, own_coords.size)
+    answers[np.ix_(rows, [0, 1], own_coords)] = marker_noise[rows]
+
+    cols = Dataset(env_id, split, v=v, q=q, a1=answers[:, 0].copy(), a2=answers[:, 1].copy(),
+                   y=y, planted=applied, fingerprint=dataset_fingerprint(family, spec, split))
     _force_length_order(cols, spec, code, n)
     return cols
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmlab.bestofn import (JUDGE_MID, JUDGE_SLOPE, bon_curve, bon_estimates,
-                           bon_exhaustive, bon_fast, bon_mc_check, make_pools,
-                           score_pool, simulated_judge)
+from rmlab.bestofn import (JUDGE_MID, JUDGE_SIGMA, JUDGE_SLOPE, _rank_weights, bon_curve,
+                           bon_estimates, bon_exhaustive, bon_fast, bon_mc_check,
+                           make_pools, score_pool, simulated_judge)
+from rmlab.envs import D_A, D_Q, D_V, RESERVED_COORDS, default_family
 from rmlab.errors import ConfigError
-from rmlab.net import NetDims, RewardNet
+from rmlab.net import NetDims, RewardNet, batch_scores
 
 
 class TestHandCase:
@@ -153,6 +154,31 @@ class TestBatchedMatchesLoop:
             bon_estimates(np.zeros(4), np.zeros(4), [1, 5])
         with pytest.raises(ConfigError):
             bon_fast(np.zeros(4), np.zeros(4), 0)
+        with pytest.raises(ConfigError):
+            bon_estimates(np.zeros((3, 4)), np.zeros((3, 4)), [5])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 64), (7, 1), (50, 64), (2, 3, 16)])
+    def test_leading_axes_equal_row_wise_calls(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        rewards = np.round(rng.standard_normal(shape), 1)  # many ties
+        judges = rng.standard_normal(shape) * 3 + 5
+        m = shape[-1]
+        grid = sorted({1, m, (m + 1) // 2, min(m, 4)})
+        batched = bon_estimates(rewards, judges, grid)
+        assert batched.shape == shape[:-1] + (len(grid),)
+        for idx in np.ndindex(*shape[:-1]):
+            row = bon_estimates(rewards[idx], judges[idx], grid)
+            assert (batched[idx] == row).all()
+            assert row.tolist() == [loop_bon_fast(rewards[idx], judges[idx], n) for n in grid]
+
+    def test_cached_rank_weights_are_read_only(self):
+        weights = _rank_weights(16, (1, 2, 16))
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            weights *= 2.0
+        assert _rank_weights(16, (1, 2, 16)) is weights
+        assert weights[0].tolist() == [1 / 16] * 16
 
 
 class TestMonteCarlo:
@@ -213,31 +239,29 @@ class TestJudgeAndPools:
         family, _ = small_family
         p1 = make_pools(family, n_pools=3, m=16, seed=6)
         p2 = make_pools(family, n_pools=3, m=16, seed=6)
-        for a, b in zip(p1, p2):
-            assert np.array_equal(a.judge_scores, b.judge_scores)
-            assert np.array_equal(a.answers, b.answers)
+        assert np.array_equal(p1.judge_scores, p2.judge_scores)
+        assert np.array_equal(p1.answers, p2.answers)
 
     def test_judge_mean_near_scale_midpoint(self, small_family):
         family, _ = small_family
         pools = make_pools(family, n_pools=40, m=32, seed=7, scale_mix=(1.0,))
-        mean = np.mean([p.judge_scores.mean() for p in pools])
+        mean = np.mean(pools.judge_scores.mean(axis=1))
         assert mean == pytest.approx(5.0, abs=0.2)
 
     def test_env_pools_carry_markers(self, small_family):
         family, _ = small_family
         pools = make_pools(family, n_pools=5, m=64, seed=8, env_id="P")
         u = family.directions["P"]
-        frac = np.mean([np.mean(p.answers @ u > 0.5) for p in pools])
+        frac = np.mean(pools.answers @ u > 0.5)
         assert frac == pytest.approx(0.85, abs=0.1)
 
     def test_curves_from_scored_pools(self, small_family, default_dims):
         family, _ = small_family
         pools = make_pools(family, n_pools=200, m=16, seed=9, judge_sigma=0.0,
                            scale_mix=(1.0,))
-        for pool in pools:
-            pool.rewards["oracle"] = family.true_scores(pool.v, pool.q, pool.answers)
-            pool.rewards["random"] = np.random.default_rng(
-                pool.pool_id).standard_normal(pool.size)
+        pools.rewards["oracle"] = family.true_scores(pools.v, pools.q, pools.answers)
+        pools.rewards["random"] = np.stack([np.random.default_rng(pid).standard_normal(
+            pools.size) for pid in range(len(pools))])
         curves = bon_curve(["oracle", "random"], pools, [1, 2, 4, 8, 16])
         oracle_scores = [s for _, s in curves["oracle"].points]
         assert all(b >= a - 1e-9 for a, b in zip(oracle_scores, oracle_scores[1:]))
@@ -245,16 +269,108 @@ class TestJudgeAndPools:
         random_scores = [s for _, s in curves["random"].points]
         assert max(random_scores) - min(random_scores) <= 0.2
         # N=1 point equals the plain judge mean for every net
-        plain = np.mean([p.judge_scores.mean() for p in pools])
+        plain = np.mean(pools.judge_scores.mean(axis=1))
         assert curves["oracle"].points[0][1] == pytest.approx(plain, abs=1e-12)
         assert curves["random"].points[0][1] == pytest.approx(plain, abs=1e-12)
 
+    def test_curve_points_equal_per_pool_estimates(self, small_family):
+        family, _ = small_family
+        pools = make_pools(family, n_pools=30, m=16, seed=11, env_id="P")
+        pools.rewards["r"] = np.round(np.random.default_rng(3).standard_normal((30, 16)), 1)
+        grid = [1, 2, 4, 8, 16]
+        per_pool = np.empty((len(grid), len(pools)))  # the per-(pool, net) loop
+        for j in range(len(pools)):
+            per_pool[:, j] = bon_estimates(pools.rewards["r"][j], pools.judge_scores[j], grid)
+        assert bon_curve(["r"], pools, grid)["r"].points == [
+            (n, float(np.mean(row))) for n, row in zip(grid, per_pool)]
+
     def test_score_pool_attaches_net_rewards(self, small_family, default_dims):
         family, _ = small_family
-        pool = make_pools(family, n_pools=1, m=8, seed=10)[0]
+        pools = make_pools(family, n_pools=3, m=8, seed=10)
         nets = {name: RewardNet.init(NetDims(16, 8, 16, 8), seed)
                 for name, seed in (("a", 77), ("b", 78))}
-        score_pool(pool, nets)
-        assert set(pool.rewards) == {"a", "b"}
-        assert all(r.shape == (8,) for r in pool.rewards.values())
-        assert not np.array_equal(pool.rewards["a"], pool.rewards["b"])
+        score_pool(pools, nets)
+        assert set(pools.rewards) == {"a", "b"}
+        assert all(r.shape == (3, 8) for r in pools.rewards.values())
+        assert not np.array_equal(pools.rewards["a"], pools.rewards["b"])
+        for pid in range(3):  # each pool scored on its own feature matrix
+            x = np.hstack([np.tile(pools.v[pid], (8, 1)), np.tile(pools.q[pid], (8, 1)),
+                           pools.answers[pid]])
+            for name, network in nets.items():
+                assert np.array_equal(pools.rewards[name][pid], batch_scores(network, x))
+
+
+def loop_strip(answers: np.ndarray) -> np.ndarray:
+    """Reference only: the strip_shortcut_components body the pools used."""
+    out = answers.copy()
+    out[:, list(RESERVED_COORDS)] = 0.0
+    return out
+
+
+def loop_simulated_judge(family, v, q, answers: np.ndarray, noise=0.0) -> np.ndarray:
+    """Reference only: the one-pool judge, kept verbatim."""
+    vw, qm = v @ family.w, q @ family.m
+    quality = np.array([vw @ a + qm @ a for a in answers])
+    return JUDGE_MID + JUDGE_SLOPE * (quality / family.score_scale()) + noise
+
+
+def loop_make_pools(family, n_pools: int, m: int = 64, seed: int = 0,
+                    env_id: str | None = None, judge_sigma: float = JUDGE_SIGMA,
+                    scale_mix=(0.5, 1.0, 2.0)) -> list:
+    """Reference only: the per-pool loop that the array-at-a-time pools
+    replaced, kept verbatim except that each pool is a (v, q, answers,
+    judge_scores) tuple."""
+    spec = u_dir = None
+    if env_id is not None:
+        spec, u_dir = family.specs[env_id], family.directions[env_id]
+
+    pools = []
+    mix = np.asarray(scale_mix, dtype=np.float64)
+    for pid in range(n_pools):
+        rng = np.random.default_rng([seed, 0xB0, pid])
+        v, q = rng.standard_normal(D_V), rng.standard_normal(D_Q)
+        scales = mix[rng.integers(0, len(mix), size=m)]
+        answers = loop_strip(rng.standard_normal((m, D_A)) * scales[:, None])
+        if spec is not None:
+            planted = rng.random(m) < spec.beta
+            answers[planted] += spec.alpha * u_dir
+        pools.append((v, q, answers, loop_simulated_judge(
+            family, v, q, answers, judge_sigma * rng.standard_normal(m))))
+    return pools
+
+
+class TestPoolsMatchLoop:
+    """The array-at-a-time pools hold the floats of the per-pool loop."""
+
+    @pytest.mark.parametrize("n_pools,m,seed", [(1, 1, 0), (1, 64, 5), (4, 1, 9),
+                                                (13, 16, 2), (40, 64, 131)])
+    @pytest.mark.parametrize("env_id", [None, "A", "B", "C"])
+    def test_every_field_equals_loop(self, n_pools, m, seed, env_id):
+        family = default_family(n_train=10, n_test=10)[0]
+        pools = make_pools(family, n_pools, m=m, seed=seed, env_id=env_id)
+        expected = loop_make_pools(family, n_pools, m=m, seed=seed, env_id=env_id)
+        for k, name in enumerate(("v", "q", "answers", "judge_scores")):
+            got, want = getattr(pools, name), np.stack([p[k] for p in expected])
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_small_family_and_options_equal_loop(self, small_family):
+        family, _ = small_family
+        for kw in ({"env_id": "P", "judge_sigma": 0.0}, {"env_id": "Q"},
+                   {"scale_mix": (1.0,)}, {"env_id": "P", "scale_mix": (0.25, 3.0)}):
+            pools = make_pools(family, 9, m=24, seed=77, **kw)
+            expected = loop_make_pools(family, 9, m=24, seed=77, **kw)
+            for k, name in enumerate(("v", "q", "answers", "judge_scores")):
+                assert np.array_equal(getattr(pools, name),
+                                      np.stack([p[k] for p in expected])), (kw, name)
+
+    def test_stacked_judge_equals_one_pool_calls(self, small_family):
+        family, _ = small_family
+        rng = np.random.default_rng(53)
+        v, q = rng.standard_normal((6, 16)), rng.standard_normal((6, 8))
+        answers = family.strip_shortcut_components(rng.standard_normal((6, 32, 16)))
+        noise = 0.1 * rng.standard_normal((6, 32))
+        stacked = simulated_judge(family, v, q, answers, noise)
+        for j in range(6):
+            assert stacked[j].tolist() == simulated_judge(
+                family, v[j], q[j], answers[j], noise[j]).tolist() == \
+                loop_simulated_judge(family, v[j], q[j], answers[j], noise[j]).tolist()

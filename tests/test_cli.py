@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -38,13 +39,18 @@ def run(verb, config, out):
     return main([verb, "--config", config, "--out", str(out)])
 
 
-def run_cli(verb, config, out, *flags, cwd=None):
-    """One verb in a fresh interpreter, as a user runs it."""
+def src_env() -> dict:
+    """This environment with the package sources first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + (
         [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_cli(verb, config, out, *flags, cwd=None):
+    """One verb in a fresh interpreter, as a user runs it."""
     return subprocess.run([sys.executable, "-m", "rmlab.cli", verb, "--config", config,
-                           "--out", str(out), *flags], env=env, capture_output=True,
+                           "--out", str(out), *flags], env=src_env(), capture_output=True,
                           text=True, timeout=120, cwd=cwd)
 
 
@@ -349,6 +355,22 @@ class TestPipeline:
         assert {name: hashlib.sha256((out / "reports" / name).read_bytes()).hexdigest()
                 for name in self.BON_DIGESTS} == self.BON_DIGESTS
 
+    # sha256 of the tiny lab's six dataset files, recorded with the per-row
+    # generator that the array-at-a-time one replaced
+    DATASET_DIGESTS = {
+        "A_test.npz": "77dc6ae6d77be84c575ca91436c51797a18b0893f4ae4c2c6858a18c5ed81539",
+        "A_train.npz": "b8eb58980cbcb8b6deb16fb228f2b3c07e3baecb8eae817f9ab37eea054070d1",
+        "B_test.npz": "9b9e6473c99bc4c8b554e1c2d06ec73e0d0fc115a86350e8b1778aa85654baf2",
+        "B_train.npz": "f889356dc42cfc0d0e40d69550e71f5df749d413f772e78ba906609f41bdbb88",
+        "C_test.npz": "78b12bbb9184b8200ce063740287f4267549ab5c0d51777fe5afb2e8f5c4c73d",
+        "C_train.npz": "27b11a7cf2905d8445a7c555905aa25c1d4750b9ed4ec58b4fe3857bdc766e82",
+    }
+
+    def test_datasets_bit_identical_to_recorded_digests(self, done):
+        _, out = done
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (out / "datasets").glob("*.npz")} == self.DATASET_DIGESTS
+
     def test_report_emits_consolidated_artifacts(self, done):
         config, out = done
         code = main(["report", "--config", config, "--out", str(out)])
@@ -500,7 +522,7 @@ class TestPipeline:
             def map(self, fn, jobs):
                 return [fn(job) for job in jobs]
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         ws = cli.Workspace(ExperimentConfig.from_file(config), str(out), jobs=64)
         wanted = [(cli._run_key("standard", e), ws.config.train_config("standard", e), e)
                   for e in ("A", "B")]
@@ -526,7 +548,7 @@ class TestPipeline:
                 yield fn(jobs[0])
                 raise BrokenProcessPool("a child process terminated abruptly")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
         ws = cli.Workspace(ExperimentConfig.from_file(config), str(out), jobs=2)
         wanted = [(cli._run_key("standard", e), ws.config.train_config("standard", e), e)
                   for e in ("A", "B")]
@@ -535,6 +557,20 @@ class TestPipeline:
         recorded = json.loads((out / "manifest.json").read_text())["artifacts"]
         assert "model:standard:A" in recorded and "model:standard:B" not in recorded
         assert cli._ensure_runs(cli.Workspace(ws.config, str(out)), wanted) == 1
+
+    def test_serial_run_loads_no_pool_modules(self, tmp_path):
+        config = write_config(tmp_path, train={"epochs": 1, "batch_size": 64, "hidden": 16})
+        out = tmp_path / "out"
+        probe = ("import sys\nimport rmlab.cli\n"
+                 "for verb in ('gen', 'matrix'):\n"
+                 "    assert rmlab.cli.main([verb, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                 "('concurrent', 'multiprocessing')))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, config, str(out)],
+                              env=src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert json.loads((out / "reports" / "matrix_summary.json").read_text())
 
     def test_jobs_flag_matches_serial_results(self, done, tmp_path_factory):
         config, serial_out = done

@@ -122,6 +122,80 @@ class TestSampleEnv:
         assert not train_keys & test_keys
 
 
+def loop_sample_env(family: EnvironmentFamily, env_id: str, split: str) -> envs.Dataset:
+    """Reference only: the per-row loop that the array-at-a-time generator
+    replaced, kept verbatim, with the one-pair ``strip_shortcut_components``
+    and ``true_scores`` bodies it called inlined."""
+    spec = family.specs[env_id]
+    code = envs._SPLIT_CODES[split]
+    n = spec.n_train if split == "train" else spec.n_test
+    u_dir = family.directions[env_id]
+    own_coords = np.flatnonzero(u_dir)
+
+    cols = envs.Dataset(env_id, split, v=np.empty((n, envs.D_V)), q=np.empty((n, envs.D_Q)),
+                        a1=np.empty((n, envs.D_A)), a2=np.empty((n, envs.D_A)),
+                        y=np.empty(n, dtype=np.int8), planted=np.empty(n, dtype=bool),
+                        fingerprint=dataset_fingerprint(family, spec, split))
+    for i in range(n):
+        rng = np.random.default_rng([spec.seed, code, i])
+        v = rng.standard_normal(envs.D_V)
+        q = rng.standard_normal(envs.D_Q)
+        applied = rng.random() < spec.beta
+        first = rng.standard_normal(envs.D_A)
+        if applied:
+            second = first + envs.CORRUPTION_EPS * rng.standard_normal(envs.D_A)
+        else:
+            second = rng.standard_normal(envs.D_A)
+        answers = np.stack([first, second]).copy()
+        answers[:, list(envs.RESERVED_COORDS)] = 0.0
+        marker_noise = envs.SHORTCUT_NOISE * rng.standard_normal((2, own_coords.size))
+        s = answers @ (family.w.T @ v + family.m.T @ q)
+        y_clean = 1 if s[0] > s[1] else -1
+        y = -y_clean if rng.random() < spec.eta else y_clean
+        if applied:
+            answers[0 if y == 1 else 1] += spec.alpha * u_dir
+        else:
+            answers[:, own_coords] = marker_noise
+        cols.v[i], cols.q[i], cols.a1[i], cols.a2[i] = v, q, answers[0], answers[1]
+        cols.y[i], cols.planted[i] = y, applied
+
+    envs._force_length_order(cols, spec, code, n)
+    return cols
+
+
+class TestSampleEnvMatchesLoop:
+    """The array-at-a-time generator gives the loop's bytes in every column."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert (got.env_id, got.split, got.fingerprint) == (want.env_id, want.split,
+                                                            want.fingerprint)
+        for c in envs.COLUMNS:
+            a, b = getattr(got, c), getattr(want, c)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), c
+
+    @pytest.mark.parametrize("family_seed,n", [(3, 1), (11, 2), (131, 97), (2024, 600)])
+    def test_default_family_every_env_and_split(self, family_seed, n):
+        family = default_family(family_seed, n_train=n, n_test=max(1, n // 3))[0]
+        for env_id in envs.ENVS:
+            for split in ("train", "test"):
+                self.assert_same(sample_env(family, env_id, split),
+                                 loop_sample_env(family, env_id, split))
+
+    def test_every_direction_rule_and_edge_rates(self, mc_family):
+        _, specs, _ = mc_family
+        small = [EnvironmentSpec(s.env_id, seed=s.seed, n_train=1, n_test=300, beta=s.beta,
+                                 alpha=s.alpha, direction=s.direction, eta=s.eta,
+                                 length_bias=s.length_bias) for s in specs.values()]
+        small.append(big_spec("ALL", 41, 1.0, 1.0, DirectionRule("fresh"), n_test=50,
+                              eta=1.0, length_bias=1.0))
+        family = EnvironmentFamily(404, small)
+        for spec in small:
+            for split in ("train", "test"):
+                self.assert_same(sample_env(family, spec.env_id, split),
+                                 loop_sample_env(family, spec.env_id, split))
+
+
 class TestShortcutOracle:
     def test_beta_one_all_marked(self):
         specs = [big_spec("ALL", 41, 1.0, 1.0, DirectionRule("fresh"), n_test=300),
