@@ -206,21 +206,13 @@ def bon_mc_check(rewards: np.ndarray, judges: np.ndarray, n: int,
     return est, stderr
 
 
-@dataclass
-class BonCurve:
-    """Expected judge score versus N for one reward net."""
-
-    name: str
-    points: list  # (n, mean score over pools)
-
-
 def bon_curve(net_names: list, pools: CandidatePools, n_grid: list) -> dict:
-    """Mean best-of-N estimate over pools, for each named net's rewards."""
+    """Mean best-of-N estimate over pools, for each named net's rewards:
+    name -> [(n, mean score), ...] in ``n_grid`` order."""
     curves = {}
     for name in net_names:
         # contiguous per-N rows, so each np.mean adds in pool order
         vals = np.ascontiguousarray(
             bon_estimates(pools.rewards[name], pools.judge_scores, n_grid).T)
-        curves[name] = BonCurve(name=name, points=[
-            (n, float(np.mean(row))) for n, row in zip(n_grid, vals)])
+        curves[name] = [(n, float(np.mean(row))) for n, row in zip(n_grid, vals)]
     return curves

@@ -275,11 +275,14 @@ def cmd_gen(ws: Workspace) -> None:
     ws.save_manifest("gen", time.monotonic() - t0)
 
 
-def _load_dataset(ws: Workspace, env_id: str, split: str):
+def _dataset_file(ws: Workspace, env_id: str, split: str) -> tuple:
+    """The hash-checked path and the fingerprint of a recorded dataset split."""
     key = _dataset_key(env_id, split)
-    path = ws.artifact_path(key)
-    fingerprint = ws.manifest["artifacts"][key].get("fingerprint", "")
-    return envs.read_dataset(path, fingerprint)
+    return ws.artifact_path(key), ws.manifest["artifacts"][key].get("fingerprint", "")
+
+
+def _load_dataset(ws: Workspace, env_id: str, split: str):
+    return envs.read_dataset(*_dataset_file(ws, env_id, split))
 
 
 def _train_one(job: tuple) -> str:
@@ -295,15 +298,15 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
     """Train whatever is stale in ``wanted``: (key, TrainConfig, env_id) triples.
 
     Returns the number of jobs trained."""
-    keys, jobs = [], []
+    keys, jobs, train_files = [], [], {}  # env_id -> its train split, hashed once
     for key, config, env_id in wanted:
         run_dir = os.path.join(ws.out, "models", *key.split(":")[1:])
         if ws.is_current(key, os.path.join(run_dir, "run.json")):
             continue
-        data_key = _dataset_key(env_id, "train")
+        if env_id not in train_files:
+            train_files[env_id] = _dataset_file(ws, env_id, "train")
         keys.append(key)
-        jobs.append((config.to_dict(), ws.artifact_path(data_key),
-                     ws.manifest["artifacts"][data_key].get("fingerprint", ""), run_dir))
+        jobs.append((config.to_dict(), *train_files[env_id], run_dir))
     pool, run, broken = nullcontext(), map, ()  # serial: no pool error to catch
     if ws.jobs > 1 and jobs:  # the pool modules load only when a pool is made
         from concurrent.futures import ProcessPoolExecutor
@@ -356,18 +359,14 @@ def cmd_matrix(ws: Workspace) -> None:
     for mode in MODES:
         nets = {e: _load_run(ws, _run_key(mode, e)).primary for e in ENVS}
         matrix = evaluation.gen_matrix(mode, nets, test_sets, ENVS)
-        ws.write(f"report:matrix:{mode}", f"reports/matrix_{mode}.csv", matrix.csv_rows())
+        iid, ood = matrix["mean_diagonal"], matrix["mean_off_diagonal"]
+        ws.write(f"report:matrix:{mode}", f"reports/matrix_{mode}.csv",
+                 [["train_env", *ENVS]]
+                 + [[e, *map(repr, row)] for e, row in zip(ENVS, matrix["acc"])])
         ws.write(f"report:matrix-svg:{mode}", f"reports/matrix_{mode}.svg",
-                 svg.heatmap_svg(ENVS, ENVS, matrix.acc,
-                                 f"accuracy matrix ({mode})", lo=0.0, hi=1.0))
-        summary[mode] = {
-            "matrix": matrix.to_dict(),
-            "mean_iid": matrix.mean_diagonal,
-            "mean_ood": matrix.mean_off_diagonal,
-            "gap": matrix.mean_diagonal - matrix.mean_off_diagonal,
-        }
-        print(f"matrix[{mode}]: iid={matrix.mean_diagonal:.4f} "
-              f"ood={matrix.mean_off_diagonal:.4f}")
+                 svg.heatmap_svg(ENVS, ENVS, matrix["acc"], f"accuracy matrix ({mode})"))
+        summary[mode] = {"matrix": matrix, "mean_iid": iid, "mean_ood": ood, "gap": iid - ood}
+        print(f"matrix[{mode}]: iid={iid:.4f} ood={ood:.4f}")
     ws.write("report:matrix-summary", "reports/matrix_summary.json", summary)
     ws.save_manifest("matrix", time.monotonic() - t0)
 
@@ -386,9 +385,8 @@ def cmd_sfd(ws: Workspace) -> None:
             for test_env in ENVS:
                 if test_env == train_env:
                     continue
-                rep = evaluation.sfd_report(run.primary, proxy, test_sets[test_env],
-                                            train_env=train_env, mode=mode)
-                reports.append(rep.to_dict())
+                reports.append(evaluation.sfd_report(run.primary, proxy, test_sets[test_env],
+                                                     train_env=train_env, mode=mode))
         ws.write(f"report:sfd:{mode}", f"reports/sfd_{mode}.json", reports)
         vals = [r["sfd"] for r in reports if r["sfd"] is not None]
         print(f"sfd[{mode}]: {len(reports)} cells, "
@@ -414,14 +412,15 @@ def cmd_bon(ws: Workspace) -> None:
             env_id=pool_env)
         bestofn.score_pool(pools, nets)
         curves = bestofn.bon_curve(list(nets), pools, ws.config.n_grid)
-        for name, curve in sorted(curves.items()):
+        del pools  # freed before the next environment's pools are built
+        for name, points in sorted(curves.items()):
             mode, train_env = name.split("/")
-            for n, score in curve.points:
+            for n, score in points:
                 rows.append({"mode": mode, "train_env": train_env,
                              "pool_env": pool_env, "n": n, "score": score})
         ws.write(f"report:bon-svg:{pool_env}", f"reports/bon_{pool_env}.svg",
-                 svg.line_chart_svg({name: curve.points for name, curve in curves.items()},
-                                    f"best-of-N on env {pool_env} pools", "N", "judge score"))
+                 svg.line_chart_svg(curves, f"best-of-N on env {pool_env} pools",
+                                    "N", "judge score"))
 
     # LF line ends (the matrix CSVs get csv.writer's CRLF), so the bytes of
     # earlier labs' curve files stay valid

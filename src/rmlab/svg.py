@@ -17,8 +17,8 @@ def _esc(text) -> str:
     return (str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def _cell_color(value: float, lo: float, hi: float) -> str:
-    t = 0.0 if hi <= lo else max(0.0, min(1.0, (value - lo) / (hi - lo)))
+def _cell_color(value: float) -> str:
+    t = max(0.0, min(1.0, value))
     # two-stop lerp: deep blue (low) to warm yellow (high)
     c0 = (39, 73, 109)
     c1 = (252, 211, 77)
@@ -26,9 +26,8 @@ def _cell_color(value: float, lo: float, hi: float) -> str:
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
 
-def heatmap_svg(row_labels, col_labels, values, title: str,
-                lo: float = 0.0, hi: float = 1.0) -> str:
-    """Grid heatmap with per-cell value labels; rows are train envs."""
+def heatmap_svg(row_labels, col_labels, values, title: str) -> str:
+    """Grid heatmap of [0, 1] values with per-cell labels; rows are train envs."""
     n_rows, n_cols = len(row_labels), len(col_labels)
     width = MARGIN + n_cols * CELL + 20
     height = MARGIN + n_rows * CELL + 30
@@ -50,8 +49,8 @@ def heatmap_svg(row_labels, col_labels, values, title: str,
         for j in range(n_cols):
             val = values[i][j]
             x, y = MARGIN + j * CELL, MARGIN + i * CELL
-            fill = _cell_color(val, lo, hi)
-            text_fill = "#1b1b1b" if (val - lo) / max(hi - lo, 1e-12) > 0.45 else "#f5f5f5"
+            fill = _cell_color(val)
+            text_fill = "#1b1b1b" if val > 0.45 else "#f5f5f5"
             parts.append(f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
                          f'fill="{fill}" stroke="#ffffff"/>')
             parts.append(f'<text x="{x + CELL / 2:.0f}" y="{y + CELL / 2 + 4:.0f}" '
@@ -61,15 +60,13 @@ def heatmap_svg(row_labels, col_labels, values, title: str,
 
 
 def line_chart_svg(series: dict, title: str, x_label: str, y_label: str) -> str:
-    """Multi-series line chart; series maps name -> [(x, y), ...]."""
+    """Multi-series line chart; series maps name -> nonempty [(x, y), ...]."""
     pad_l, pad_r, pad_t, pad_b = 64, 140, 40, 46
     plot_w = CHART_W - pad_l - pad_r
     plot_h = CHART_H - pad_t - pad_b
 
     xs = sorted({x for pts in series.values() for x, _ in pts})
     ys = [y for pts in series.values() for _, y in pts]
-    if not xs or not ys:
-        return ('<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>')
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if y_hi == y_lo:

@@ -74,17 +74,6 @@ class TrainConfig:
 
 
 @dataclass
-class EpochSfcStats:
-    """Mean sfc split by the generator's planted-shortcut flag, one epoch."""
-
-    epoch: int
-    mean_sfc_planted: float | None
-    mean_sfc_clean: float | None
-    n_planted: int
-    n_clean: int
-
-
-@dataclass
 class TrainRun:
     """Configuration plus the persisted outcome of one training job."""
 
@@ -94,6 +83,8 @@ class TrainRun:
     sfc_trace: list | None
     primary: RewardNet
     aux: RewardNet | None = None
+    # per shortcut_aware epoch {"epoch", "mean_sfc_planted", "mean_sfc_clean",
+    # "n_planted", "n_clean"}: mean sfc by planted flag, None on an empty side
     epoch_sfc_stats: list = field(default_factory=list)
 
     def save(self, run_dir) -> str:
@@ -107,7 +98,7 @@ class TrainRun:
                        "loss_trace": self.loss_trace, "sfc_trace": self.sfc_trace,
                        "primary": self.primary.to_dict(),
                        "aux": None if self.aux is None else self.aux.to_dict(),
-                       "epoch_sfc_stats": [vars(s) for s in self.epoch_sfc_stats]},
+                       "epoch_sfc_stats": self.epoch_sfc_stats},
                       fh, sort_keys=True)
         return path
 
@@ -120,7 +111,7 @@ class TrainRun:
                    loss_trace=doc["loss_trace"], sfc_trace=doc["sfc_trace"],
                    primary=RewardNet.from_dict(doc["primary"]),
                    aux=None if doc["aux"] is None else RewardNet.from_dict(doc["aux"]),
-                   epoch_sfc_stats=[EpochSfcStats(**row) for row in doc["epoch_sfc_stats"]])
+                   epoch_sfc_stats=doc["epoch_sfc_stats"])
 
 
 def sfc(loss_mm, loss_t):
@@ -250,13 +241,13 @@ def train(config: TrainConfig, dataset) -> TrainRun:
                 adamw_step(opt, primary, grad)
             loss_trace.append(float(np.mean(batch_loss)))
         if config.mode == "shortcut_aware":
-            epoch_stats.append(EpochSfcStats(
-                epoch=epoch,
-                mean_sfc_planted=float(sfc_sum[0] / sfc_count[0]) if sfc_count[0] else None,
-                mean_sfc_clean=float(sfc_sum[1] / sfc_count[1]) if sfc_count[1] else None,
-                n_planted=int(sfc_count[0]),
-                n_clean=int(sfc_count[1]),
-            ))
+            epoch_stats.append({
+                "epoch": epoch,
+                "mean_sfc_planted": float(sfc_sum[0] / sfc_count[0]) if sfc_count[0] else None,
+                "mean_sfc_clean": float(sfc_sum[1] / sfc_count[1]) if sfc_count[1] else None,
+                "n_planted": int(sfc_count[0]),
+                "n_clean": int(sfc_count[1]),
+            })
 
     return TrainRun(config=config, dataset_fingerprint=dataset.fingerprint,
                     loss_trace=loss_trace, sfc_trace=sfc_trace,

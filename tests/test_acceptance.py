@@ -208,9 +208,9 @@ class TestCriterion8ReweightingTargetsShortcutFailures:
             stats = run.epoch_sfc_stats
             assert stats, f"no sfc stats recorded for env {env}"
             for s in stats[1:]:
-                assert s.mean_sfc_clean > s.mean_sfc_planted, (
-                    f"env {env} epoch {s.epoch}: clean {s.mean_sfc_clean} "
-                    f"!> planted {s.mean_sfc_planted}")
+                assert s["mean_sfc_clean"] > s["mean_sfc_planted"], (
+                    f"env {env} epoch {s['epoch']}: clean {s['mean_sfc_clean']} "
+                    f"!> planted {s['mean_sfc_planted']}")
         report_pass(8, "mean sfc of unmarked pairs exceeds marked pairs in every "
                        "epoch after the first, in all 3 environments")
 
@@ -242,9 +242,9 @@ class TestCriterion9SfcRhoOrdering:
                             seed=derive_seed(master, f"rho:{s.env_id}")),
                 trains[s.env_id])
         diag = sfc_rho_diagnostic({s.env_id: s for s in specs}, runs, trains)
-        assert not diag.skipped
-        assert diag.ordered
-        vals = {r.beta: r.mean_sfc for r in diag.rows}
+        assert not diag["skipped"]
+        assert diag["ordered"]
+        vals = {r["beta"]: r["mean_sfc"] for r in diag["rows"]}
         report_pass(9, "mean sfc " + " > ".join(
             f"{vals[b]:.3f}(beta={b})" for b in sorted(vals)))
 

@@ -263,15 +263,15 @@ class TestJudgeAndPools:
         pools.rewards["random"] = np.stack([np.random.default_rng(pid).standard_normal(
             pools.size) for pid in range(len(pools))])
         curves = bon_curve(["oracle", "random"], pools, [1, 2, 4, 8, 16])
-        oracle_scores = [s for _, s in curves["oracle"].points]
+        oracle_scores = [s for _, s in curves["oracle"]]
         assert all(b >= a - 1e-9 for a, b in zip(oracle_scores, oracle_scores[1:]))
         # a reward with no signal selects uniformly: flat within sampling noise
-        random_scores = [s for _, s in curves["random"].points]
+        random_scores = [s for _, s in curves["random"]]
         assert max(random_scores) - min(random_scores) <= 0.2
         # N=1 point equals the plain judge mean for every net
         plain = np.mean(pools.judge_scores.mean(axis=1))
-        assert curves["oracle"].points[0][1] == pytest.approx(plain, abs=1e-12)
-        assert curves["random"].points[0][1] == pytest.approx(plain, abs=1e-12)
+        assert curves["oracle"][0][1] == pytest.approx(plain, abs=1e-12)
+        assert curves["random"][0][1] == pytest.approx(plain, abs=1e-12)
 
     def test_curve_points_equal_per_pool_estimates(self, small_family):
         family, _ = small_family
@@ -281,7 +281,7 @@ class TestJudgeAndPools:
         per_pool = np.empty((len(grid), len(pools)))  # the per-(pool, net) loop
         for j in range(len(pools)):
             per_pool[:, j] = bon_estimates(pools.rewards["r"][j], pools.judge_scores[j], grid)
-        assert bon_curve(["r"], pools, grid)["r"].points == [
+        assert bon_curve(["r"], pools, grid)["r"] == [
             (n, float(np.mean(row))) for n, row in zip(grid, per_pool)]
 
     def test_score_pool_attaches_net_rewards(self, small_family, default_dims):

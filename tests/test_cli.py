@@ -325,6 +325,12 @@ class TestPipeline:
         for doc in summary.values():
             assert 0.0 <= doc["mean_iid"] <= 1.0
 
+    def test_matrix_csv_emission(self, done):
+        _, out = done
+        lines = (out / "reports" / "matrix_standard.csv").read_text().strip().splitlines()
+        assert lines[0] == "train_env,A,B,C"
+        assert len(lines) == 4
+
     def test_sfd_reports_cover_off_diagonal_cells(self, done):
         _, out = done
         for mode in ("standard", "shortcut_aware"):
@@ -370,6 +376,37 @@ class TestPipeline:
         _, out = done
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in (out / "datasets").glob("*.npz")} == self.DATASET_DIGESTS
+
+    # sha256 of the tiny lab's matrix and sfd outputs and of one shortcut-aware
+    # run.json, recorded with the record classes (GenMatrix, SFDReport,
+    # EpochSfcStats) that the plain documents replaced
+    REPORT_DIGESTS = {
+        "reports/matrix_shortcut_aware.csv":
+            "3a951abad4dc0d1a1573385a9360f14ee39cf4794741e16f15d2683337f73b06",
+        "reports/matrix_shortcut_aware.svg":
+            "93e326fa408c5f5e2fa2962ef9b9bad14e21035bb2dbac1264a15055d9b397eb",
+        "reports/matrix_standard.csv":
+            "cfa6ff1b8bbb86b03e1c1f346b4031d301ade203ab70e970ee531d2bd480eb88",
+        "reports/matrix_standard.svg":
+            "f7b5e03c7c8c600df0d77e037dd0ffff2793a708e6e5274943f3efc0f4717e40",
+        "reports/matrix_summary.json":
+            "f25a2d2c8e9a4baf60270b054b5fe086840927373dd617105520b1dd41b02eec",
+        "reports/matrix_text_only.csv":
+            "90412b8fe9cf1f891962da28b66bf19606c00faa99c549a1bdfc05736a061377",
+        "reports/matrix_text_only.svg":
+            "633778d47653e47edb3d394f23a2c1af0de1f40dfb7bf883bb0b03525ceff2cf",
+        "reports/sfd_shortcut_aware.json":
+            "7254afe9806abb8d5daf3a2859ec00475b00bcd1bc3d83a96759b54529973fd3",
+        "reports/sfd_standard.json":
+            "a56b92d4e6265563c540df8c479c89bbda7663997fee46a25089ac187eb123ec",
+        "models/shortcut_aware/A/run.json":
+            "36b00aec51e3e819e58db29bf2069e4c60f348be923b9b9de6309b7ba55d006f",
+    }
+
+    def test_reports_bit_identical_to_recorded_digests(self, done):
+        _, out = done
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in self.REPORT_DIGESTS} == self.REPORT_DIGESTS
 
     def test_report_emits_consolidated_artifacts(self, done):
         config, out = done
@@ -485,6 +522,24 @@ class TestPipeline:
         for verb in ("matrix", "sfd"):
             assert run(verb, config, out) == 0
         assert "train: finished" not in capsys.readouterr().out
+
+    def test_train_hashes_each_stale_train_split_once(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        hashed, sha256 = [], cli._file_sha256
+        monkeypatch.setattr(cli, "_file_sha256",
+                            lambda path: hashed.append(os.path.basename(path)) or sha256(path))
+
+        def train_split_hashes():
+            counts = {n: hashed.count(n) for n in hashed if n.endswith("_train.npz")}
+            hashed.clear()
+            return counts
+
+        assert run("train", config, out) == 0  # cold: 5 jobs per split
+        assert train_split_hashes() == {f"{e}_train.npz": 1 for e in ("A", "B", "C")}
+        assert run("train", config, out) == 0  # warm: no job is stale
+        assert train_split_hashes() == {}
 
     def test_n_grid_beyond_pool_size_rejected_before_training(self, tmp_path):
         config = write_config(tmp_path, n_grid=[1, 16], pool_size=8)

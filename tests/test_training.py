@@ -305,8 +305,8 @@ class TestTrain:
 
     def test_epoch_sfc_stats_split_by_marker(self, runs):
         stats = runs["shortcut_aware"].epoch_sfc_stats
-        assert stats and all(s.n_planted + s.n_clean == 1500 for s in stats)
+        assert stats and all(s["n_planted"] + s["n_clean"] == 1500 for s in stats)
         # after the first epoch the text branch has the marker, so marked
         # pairs sit well below unmarked ones
         for s in stats[1:]:
-            assert s.mean_sfc_clean > s.mean_sfc_planted
+            assert s["mean_sfc_clean"] > s["mean_sfc_planted"]
