@@ -1,12 +1,8 @@
 """rmlab: a synthetic lab for studying text-only shortcut learning in
-multimodal reward models, and for training shortcut-aware ones."""
+multimodal reward models, and for training shortcut-aware ones.
 
-from .envs import (DirectionRule, EnvironmentFamily, EnvironmentSpec, PreferenceSample,
-                   Dataset, default_family, sample_env)
-from .net import NetDims, RewardNet, batch_scores, batch_pair_grads, fd_check
-from .training import TrainConfig, TrainRun, sfc, train
-from .evaluation import accuracy, gen_matrix, sfd_report, sfc_rho_diagnostic
-from .bestofn import (CandidatePools, simulated_judge, make_pools, score_pool,
-                      bon_exhaustive, bon_estimates, bon_fast, bon_mc_check, bon_curve)
+The package root imports nothing, so ``python -m rmlab.cli`` loads numpy only
+in the verbs that compute; import the modules themselves (``rmlab.envs``,
+``rmlab.training``, ...)."""
 
 __version__ = "0.1.0"

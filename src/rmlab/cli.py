@@ -7,6 +7,11 @@ command never perturbs existing streams and two runs from the same master
 seed produce byte-identical reports. Wall-clock timings live only in
 manifest.json, which is the one file allowed to differ between runs.
 
+gen, matrix, sfd and bon reuse their outputs when the inputs they were built
+from are unchanged (see ``Workspace.reuse``), and the array modules run only
+when a verb computes (see ``_lazy``), so a verb over an up-to-date lab,
+``report`` and ``--help`` never load numpy.
+
 Exit codes: 0 success, 1 assertion failure, 2 usage or I/O error.
 """
 
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -22,14 +28,41 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
-from . import bestofn, envs, evaluation, svg
-from .envs import ENVS
+from . import svg
+from .config import ENVS, MODES, TrainConfig
 from .errors import ConfigError, LabError, MissingArtifactError
-from .training import MODES, TrainConfig, TrainRun, train
 
 DEFAULT_OUT = "labout"
 AUDIT_MODES = ("standard", "shortcut_aware")  # the modes sfd and bon compare
 DEFAULT_N_GRID = [1, 2, 4, 8, 16, 32, 64]
+
+
+def _lazy(name: str):
+    """The module ``rmlab.<name>``, registered now and executed on its first
+    attribute access, which imports numpy. Every module of the package is in
+    ``sys.modules`` once ``cli`` is imported, so a profiler or tracer that walks
+    them to patch functions finds them all."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, sys.modules[full])
+        spec.loader.exec_module(sys.modules[full])
+    return sys.modules[full]
+
+
+_lazy("net")  # cli calls no net function; registered with the modules built on it
+envs, training, evaluation, bestofn = map(_lazy, ("envs", "training", "evaluation", "bestofn"))
+
+
+def __getattr__(name):
+    """``cli.train`` is ``training.train``, bound on first access, so that
+    importing ``cli`` runs no array module."""
+    if name != "train":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()["train"] = training.train
+    return training.train
 
 
 def derive_seed(master_seed: int, component: str) -> int:
@@ -140,10 +173,16 @@ class ExperimentConfig:
 
 class Workspace:
     """Paths, manifest bookkeeping, and resume logic for one output dir;
-    ``jobs`` is the number of training workers."""
+    ``jobs`` is the number of training workers.
+
+    A workspace hashes each artifact at most once: ``artifact_path``
+    remembers the entries whose file it has checked, and ``record`` refreshes
+    the entry it rewrites."""
 
     def __init__(self, config: ExperimentConfig, out: str, jobs: int = 1):
         self.config, self.out, self.jobs = config, out, jobs
+        self.verified = {}  # key -> (path, sha256) last checked against its file
+        self.rebuild = None  # {"verb", "inputs", "outputs"} while a verb rebuilds
         self.manifest_path = os.path.join(self.out, "manifest.json")
         self.manifest = {"config_hash": config.config_hash(), "artifacts": {},
                          "timings": {}}
@@ -188,8 +227,11 @@ class Workspace:
             stale, root = os.path.realpath(os.path.join(self.out, old)), os.path.realpath(self.out)
             if stale.startswith(root + os.sep) and os.path.isfile(stale):
                 os.remove(stale)
-        self.manifest["artifacts"][key] = {"path": self.rel(path),
-                                           "sha256": _file_sha256(path)}
+        rel, sha = self.rel(path), _file_sha256(path)
+        self.manifest["artifacts"][key] = {"path": rel, "sha256": sha}
+        self.verified[key] = (rel, sha)
+        if self.rebuild is not None:
+            self.rebuild["outputs"][key] = rel
 
     def write(self, key: str, rel: str, doc) -> None:
         """Write an artifact at ``rel`` through ``_replace_file`` and record it."""
@@ -202,11 +244,47 @@ class Workspace:
         if not entry:
             raise MissingArtifactError(f"artifact {key!r} not in manifest")
         path = os.path.join(self.out, entry["path"])
+        if self.verified.get(key) == (entry["path"], entry["sha256"]):
+            return path
         if not os.path.exists(path):
             raise MissingArtifactError(f"artifact {key!r} missing on disk: {entry['path']}")
         if _file_sha256(path) != entry["sha256"]:
             raise MissingArtifactError(f"artifact {key!r} failed its hash check")
+        self.verified[key] = (entry["path"], entry["sha256"])
         return path
+
+    def reuse(self, verb: str, input_keys) -> bool:
+        """True, after saying so, when the record of ``verb``'s last build
+        lists the verified sha256 of each of ``input_keys`` as it is now and
+        every output that build recorded is current.
+
+        Otherwise the record is dropped and ``verb`` rebuilds; ``finish``
+        writes the new record once every output is written. A missing or
+        malformed record only means a rebuild."""
+        inputs = {}
+        for key in input_keys:
+            self.artifact_path(key)
+            inputs[key] = self.manifest["artifacts"][key]["sha256"]
+        builds = self.manifest.get("builds")
+        if not isinstance(builds, dict):
+            builds = self.manifest["builds"] = {}
+        last = builds.pop(verb, None)
+        outputs = last.get("outputs") if isinstance(last, dict) else None
+        if (isinstance(outputs, dict) and outputs and last.get("inputs") == inputs
+                and all(isinstance(rel, str) and self.is_current(key, os.path.join(self.out, rel))
+                        for key, rel in outputs.items())):
+            builds[verb] = last
+            print(f"{verb}: skip (outputs up to date)")
+            return True
+        self.rebuild = {"verb": verb, "inputs": inputs, "outputs": {}}
+        return False
+
+    def finish(self, t0: float) -> None:
+        """Record the build that ``reuse`` started (its inputs and every output
+        recorded since) and the verb's wall time since ``t0``; save the manifest."""
+        verb = self.rebuild.pop("verb")
+        self.manifest["builds"][verb], self.rebuild = self.rebuild, None
+        self.save_manifest(verb, time.monotonic() - t0)
 
     def save_manifest(self, timing_key: str | None = None, seconds: float | None = None):
         if timing_key is not None:
@@ -252,9 +330,19 @@ def _dataset_key(env_id: str, split: str) -> str:
     return f"dataset:{env_id}:{split}"
 
 
+def _split_file(env_id: str, split: str) -> str:
+    return os.path.join("datasets", f"{env_id}_{split}.npz")
+
+
 def cmd_gen(ws: Workspace) -> None:
-    """Write every environment split to disk."""
+    """Write every environment split to disk; a split already current is
+    kept, and with the family description and all six current nothing is built."""
     t0 = time.monotonic()
+    if ws.is_current("family", os.path.join(ws.out, "family.json")) and all(
+            ws.is_current(_dataset_key(e, split), os.path.join(ws.out, _split_file(e, split)))
+            for e in ENVS for split in ("train", "test")):
+        print("gen: skip (outputs up to date)")
+        return
     family = ws.config.build_family()
     specs = family.specs.values()
     ws.write("family", "family.json", {"family_seed": family.family_seed, "m_scale": envs.M_SCALE,
@@ -263,7 +351,7 @@ def cmd_gen(ws: Workspace) -> None:
     for spec in specs:
         for split in ("train", "test"):
             key = _dataset_key(spec.env_id, split)
-            path = ws.path("datasets", f"{spec.env_id}_{split}.npz")
+            path = ws.path(_split_file(spec.env_id, split))
             if ws.is_current(key, path):
                 print(f"gen: skip {spec.env_id}/{split} (up to date)")
                 continue
@@ -289,7 +377,7 @@ def _train_one(job: tuple) -> str:
     """One training job, (config doc, dataset path, fingerprint, run dir);
     worker-safe. Returns the path of the saved ``run.json``."""
     config_doc, dataset_path, fingerprint, run_dir = job
-    run = train(TrainConfig.from_dict(config_doc),
+    run = training.train(TrainConfig.from_dict(config_doc),
                 envs.read_dataset(dataset_path, fingerprint))
     return run.save(run_dir)
 
@@ -309,6 +397,9 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
         jobs.append((config.to_dict(), *train_files[env_id], run_dir))
     pool, run, broken = nullcontext(), map, ()  # serial: no pool error to catch
     if ws.jobs > 1 and jobs:  # the pool modules load only when a pool is made
+        # executed before the fork (any attribute access runs a lazy module),
+        # so each worker inherits numpy instead of importing it
+        vars(envs), vars(training)
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
         pool = ProcessPoolExecutor(max_workers=min(ws.jobs, len(jobs)))
@@ -333,8 +424,8 @@ def _proxy_key(mode: str, env_id: str) -> str:
     return f"model:proxy-{mode}:{env_id}"
 
 
-def _load_run(ws: Workspace, key: str) -> TrainRun:
-    return TrainRun.load(os.path.dirname(ws.artifact_path(key)))
+def _load_run(ws: Workspace, key: str) -> training.TrainRun:
+    return training.TrainRun.load(os.path.dirname(ws.artifact_path(key)))
 
 
 def cmd_train(ws: Workspace) -> None:
@@ -349,10 +440,16 @@ def cmd_train(ws: Workspace) -> None:
         ws.save_manifest("train", time.monotonic() - t0)
 
 
+def _test_keys() -> list:
+    return [_dataset_key(e, "test") for e in ENVS]
+
+
 def cmd_matrix(ws: Workspace) -> None:
     """Cross-distribution accuracy matrices for every mode."""
     t0 = time.monotonic()
     cmd_train(ws)
+    if ws.reuse("matrix", [_run_key(m, e) for m in MODES for e in ENVS] + _test_keys()):
+        return
     test_sets = {e: _load_dataset(ws, e, "test") for e in ENVS}
 
     summary = {}
@@ -368,13 +465,16 @@ def cmd_matrix(ws: Workspace) -> None:
         summary[mode] = {"matrix": matrix, "mean_iid": iid, "mean_ood": ood, "gap": iid - ood}
         print(f"matrix[{mode}]: iid={iid:.4f} ood={ood:.4f}")
     ws.write("report:matrix-summary", "reports/matrix_summary.json", summary)
-    ws.save_manifest("matrix", time.monotonic() - t0)
+    ws.finish(t0)
 
 
 def cmd_sfd(ws: Workspace) -> None:
     """Shortcut-failure degradation reports for every o.o.d. cell."""
     t0 = time.monotonic()
     cmd_train(ws)
+    if ws.reuse("sfd", [k(m, e) for k in (_run_key, _proxy_key) for m in AUDIT_MODES
+                        for e in ENVS] + _test_keys()):
+        return
 
     test_sets = {e: _load_dataset(ws, e, "test") for e in ENVS}
     for mode in AUDIT_MODES:
@@ -392,14 +492,17 @@ def cmd_sfd(ws: Workspace) -> None:
         print(f"sfd[{mode}]: {len(reports)} cells, "
               f"range [{min(vals):.3f}, {max(vals):.3f}]" if vals else
               f"sfd[{mode}]: all splits degenerate")
-    ws.save_manifest("sfd", time.monotonic() - t0)
+    ws.finish(t0)
 
 
 def cmd_bon(ws: Workspace) -> None:
     """Best-of-N curves for every net over i.i.d. and o.o.d. pools."""
     t0 = time.monotonic()
-    family = ws.config.build_family()
     cmd_train(ws)
+    # the pools come from the config, which the manifest is keyed on
+    if ws.reuse("bon", [_run_key(m, e) for m in AUDIT_MODES for e in ENVS]):
+        return
+    family = ws.config.build_family()
 
     nets = {f"{mode}/{e}": _load_run(ws, _run_key(mode, e)).primary
             for mode, e in sorted((m, e) for m in AUDIT_MODES for e in ENVS)}
@@ -439,7 +542,7 @@ def cmd_bon(ws: Workspace) -> None:
     ws.write("report:bon-summary", "reports/bon_summary.json", summary)
     print(f"bon: ood best-of-{n_max} " +
           " ".join(f"{m}={v:.3f}" for m, v in summary["ood_best_at_n_max"].items()))
-    ws.save_manifest("bon", time.monotonic() - t0)
+    ws.finish(t0)
 
 
 def _default_family_checks(summary, sfd_docs, bon_summary):

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ENVS
 from .errors import GenerationError
 
 D_V = 16
@@ -48,7 +49,6 @@ CORRUPTION_EPS = 0.3  # answer-twin spread of marker-carrying pairs
 LENGTH_RNG_TAG = 0x6C656E  # split-level stream for length-order forcing
 
 DEFAULT_FAMILY_SEED = 20240 + 7
-ENVS = ("A", "B", "C")  # the default family's environments, in report order
 
 
 @dataclass(frozen=True)

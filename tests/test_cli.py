@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -297,6 +298,7 @@ class TestGen:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(json, "dump", dump_then_fail)
+        (out / "datasets" / "A_test.npz").unlink()  # so that gen saves its manifest
         assert run("gen", config, out) == 2
         monkeypatch.undo()
         assert (out / "manifest.json").read_bytes() == before
@@ -627,6 +629,31 @@ class TestPipeline:
         assert proc.stdout.splitlines()[-1] == "[]"
         assert json.loads((out / "reports" / "matrix_summary.json").read_text())
 
+    def test_pool_workers_inherit_the_training_stack(self, tmp_path):
+        # numpy loads only in verbs that compute, so the pool must be made
+        # after the training modules have run: forked workers then inherit
+        # them instead of each importing numpy. A module registered but not
+        # yet run (cli registers them lazily) is not a plain module.
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("gen", config, out).returncode == 0
+        probe = ("import sys, types, concurrent.futures\nimport rmlab.cli\nseen = []\n"
+                 "class RecordingPool:\n"
+                 "    def __init__(self, max_workers):\n"
+                 "        seen.append([type(sys.modules.get(m)) is types.ModuleType\n"
+                 "                     for m in ('rmlab.training', 'rmlab.envs', 'numpy')])\n"
+                 "    def __enter__(self):\n        return self\n"
+                 "    def __exit__(self, *exc):\n        return False\n"
+                 "    def map(self, fn, jobs):\n        return [fn(job) for job in jobs]\n"
+                 "concurrent.futures.ProcessPoolExecutor = RecordingPool\n"
+                 "assert rmlab.cli.main(['train', '--config', sys.argv[1], '--out', sys.argv[2],"
+                 " '--jobs', '2']) == 0\n"
+                 "print(seen)\n")
+        proc = subprocess.run([sys.executable, "-c", probe, config, str(out)],
+                              env=src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[[True, True, True]]"
+
     def test_jobs_flag_matches_serial_results(self, done, tmp_path_factory):
         config, serial_out = done
         tmp = tmp_path_factory.mktemp("jobs")
@@ -637,6 +664,124 @@ class TestPipeline:
         a = (serial_out / "reports" / "matrix_standard.csv").read_bytes()
         b = (out / "reports" / "matrix_standard.csv").read_bytes()
         assert a == b
+
+
+def tree(out) -> dict:
+    """Bytes, mtime_ns and inode of every file under ``out``."""
+    return {p.relative_to(out).as_posix():
+            (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino)
+            for p in sorted(Path(out).rglob("*")) if p.is_file()}
+
+
+def file_sha(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture()
+def lab_copy(done, tmp_path):
+    """A private copy of the built tiny lab, for tests that damage it."""
+    config, out = done
+    shutil.copytree(out, tmp_path / "out")
+    return config, tmp_path / "out"
+
+
+RUN_JSONS = sorted(f"models/{m}/{e}/run.json" for e in ("A", "B", "C")
+                   for m in ("standard", "text_only", "shortcut_aware",
+                             "proxy-standard", "proxy-shortcut_aware"))
+
+
+class TestReuse:
+    def test_rerun_reuses_outputs_and_writes_nothing(self, done, capsys):
+        config, out = done
+        before = tree(out)
+        capsys.readouterr()
+        for verb in ("gen", "train", "matrix", "sfd", "bon"):
+            assert run(verb, config, out) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{verb}: skip (outputs up to date)" for verb in ("gen", "matrix", "sfd", "bon")]
+        assert tree(out) == before  # manifest.json included
+
+    def test_warm_verbs_hash_each_file_once(self, done, monkeypatch):
+        config, out = done
+        hashed, sha256 = [], cli._file_sha256
+        monkeypatch.setattr(cli, "_file_sha256", lambda path: hashed.append(
+            Path(path).relative_to(out).as_posix()) or sha256(path))
+        for verb in ("matrix", "sfd", "bon"):
+            assert run(verb, config, out) == 0
+            assert sorted(p for p in hashed if p.endswith("run.json")) == RUN_JSONS, verb
+            assert len(hashed) == len(set(hashed)), verb
+            hashed.clear()
+
+    def test_deleted_output_is_rebuilt(self, lab_copy, capsys):
+        config, out = lab_copy
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs = manifest["builds"]["bon"]["outputs"]
+        assert "reports/bon_B.svg" in outputs.values()
+        recorded = {rel: manifest["artifacts"][key]["sha256"] for key, rel in outputs.items()}
+        (out / "reports" / "bon_B.svg").unlink()
+        capsys.readouterr()
+        assert run("bon", config, out) == 0
+        assert "bon: ood best-of-16" in capsys.readouterr().out
+        assert {rel: file_sha(out / rel) for rel in recorded} == recorded
+        assert run("bon", config, out) == 0
+        assert capsys.readouterr().out == "bon: skip (outputs up to date)\n"
+
+    def test_rewritten_input_makes_its_readers_recompute(self, lab_copy, capsys):
+        config, out = lab_copy
+        reports = {k: v[0] for k, v in tree(out / "reports").items()}
+        path = out / "models" / "standard" / "A" / "run.json"
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"]["model:standard:A"]["sha256"] = sha = file_sha(path)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for verb in ("matrix", "sfd"):
+            assert run(verb, config, out) == 0
+        printed = capsys.readouterr().out
+        assert "skip" not in printed and "train: finished" not in printed
+        assert "matrix[standard]" in printed and "sfd[standard]" in printed
+        assert {k: v[0] for k, v in tree(out / "reports").items()} == reports
+        builds = json.loads((out / "manifest.json").read_text())["builds"]
+        assert builds["matrix"]["inputs"]["model:standard:A"] == sha
+        assert builds["sfd"]["inputs"]["model:standard:A"] == sha
+
+    @pytest.mark.parametrize("damage", [
+        lambda m: m.update(builds="x"),
+        lambda m: m["builds"].update(matrix=[]),
+        lambda m: m["builds"]["matrix"].pop("inputs"),
+        lambda m: m["builds"]["matrix"].update(outputs={}),
+        lambda m: m["builds"]["matrix"]["outputs"].update({"report:matrix-summary": 7}),
+        lambda m: m["builds"]["matrix"]["outputs"].update({"report:gone": "reports/gone.csv"}),
+    ], ids=["builds-not-object", "record-not-object", "no-inputs", "no-outputs",
+            "path-not-string", "unknown-output"])
+    def test_malformed_build_record_means_rebuild(self, lab_copy, damage, capsys):
+        config, out = lab_copy
+        manifest = json.loads((out / "manifest.json").read_text())
+        damage(manifest)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("matrix", config, out)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "matrix[standard]" in proc.stdout
+        capsys.readouterr()
+        assert run("matrix", config, out) == 0
+        assert capsys.readouterr().out == "matrix: skip (outputs up to date)\n"
+
+    def test_verbs_without_array_work_load_no_numpy(self, lab_copy):
+        config, out = lab_copy
+        probe = ("import json, sys\nimport rmlab.cli\nseen = []\n"
+                 "try:\n    rmlab.cli.main(['--help'])\nexcept SystemExit as exc:\n"
+                 "    seen.append(['--help', exc.code, 'numpy' in sys.modules])\n"
+                 "for verb in ('gen', 'train', 'matrix', 'sfd', 'bon', 'report'):\n"
+                 "    code = rmlab.cli.main([verb, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                 "    seen.append([verb, code, 'numpy' in sys.modules])\n"
+                 "print(json.dumps(seen))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, config, str(out)],
+                              env=src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert [verb for verb, _, loaded in seen if loaded] == []
+        assert [code for verb, code, _ in seen if verb != "report"] == [0] * 6
 
 
 class TestReportChecks:

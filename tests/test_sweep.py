@@ -42,6 +42,29 @@ def test_two_seed_sweep_reports_every_seed(tmp_path):
         sum(r["checks_passed"] for r in doc["runs"])
 
 
+def test_rerun_rewrites_sweep_json_and_no_seed_output(tmp_path):
+    # a second sweep over the same --out brings each seed directory up to
+    # date; only report's own two files are written again
+    config = write_config(tmp_path)
+    out = tmp_path / "sweep"
+    argv = [sys.executable, str(SWEEP), "--seeds", "5", "--config", config, "--out", str(out)]
+
+    def outputs():
+        return {p.relative_to(out).as_posix(): (p.read_bytes(), p.stat().st_mtime_ns)
+                for sub in ("reports", "models") for p in sorted(out.glob(f"seed*/{sub}/**/*"))
+                if p.is_file()}
+
+    assert subprocess.run(argv, capture_output=True, text=True, timeout=600).returncode == 0
+    sweep_json, before = (out / "sweep.json").read_bytes(), outputs()
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "sweep.json").read_bytes() == sweep_json
+    after = outputs()
+    assert {k: v[0] for k, v in after.items()} == {k: v[0] for k, v in before.items()}
+    rewritten = sorted(k for k in after if after[k][1] != before[k][1])
+    assert rewritten == ["seed5/reports/report.json", "seed5/reports/summary.txt"]
+
+
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
 def test_unusable_out_exits_2_without_traceback(tmp_path, sub):
     blocker = tmp_path / "taken"
