@@ -410,6 +410,50 @@ class TestPipeline:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in self.REPORT_DIGESTS} == self.REPORT_DIGESTS
 
+    # sha256 of the tiny lab's 15 run.json files, recorded with the training
+    # core that stepped each branch on full-width features (a text branch on
+    # zeroed vision columns) and made one AdamW update per branch: any drift
+    # in a trained net, a loss or sfc trace, an epoch stat or the JSON
+    # encoding changes them.
+    MODEL_DIGESTS = {
+        "proxy-shortcut_aware/A/run.json":
+            "f261e68c93bc343f736ad9e54dedff60334ca57b4a6f846327ddb79c173556d6",
+        "proxy-shortcut_aware/B/run.json":
+            "0f19e35968944cac4fc119b1407ce53977a40852ebd60f61c1c433e7b58ae5c6",
+        "proxy-shortcut_aware/C/run.json":
+            "babd04d8e76d4c9995ce41924979fe3601578efe9c6be5924f43842b7c4298ff",
+        "proxy-standard/A/run.json":
+            "4c5ac32fa04b09518eb9c1c9742b20d633eae82c27b65b1be773b4307b4f84a4",
+        "proxy-standard/B/run.json":
+            "9bcaaa2ad1dfd1de1a9b1fde7cd3aef405f17f2fb2afee7f8c2cdce522463401",
+        "proxy-standard/C/run.json":
+            "4ece8441ddf41374a1d20c3df7fcf39fa3897f3e7df13131a6e9095e74b4baca",
+        "shortcut_aware/A/run.json":
+            "36b00aec51e3e819e58db29bf2069e4c60f348be923b9b9de6309b7ba55d006f",
+        "shortcut_aware/B/run.json":
+            "862d718203e708f67efd5ccc6e0c1e2bf0afb932263db488c15791620336fa09",
+        "shortcut_aware/C/run.json":
+            "7187f40c36b043bbfdded80ddce65a444db54cfe4efe251a115531cca3bc0c94",
+        "standard/A/run.json":
+            "68dfa18b771bb281c6588bf742bf3efda549d1f9b9ee51a6f3c5deef9cdcd2ea",
+        "standard/B/run.json":
+            "582251f7807e6f0e7906c8c049a9fe26138408533f6014d49e31348fe79c5913",
+        "standard/C/run.json":
+            "90290cdd54e3827906467ab6d241c26b0a96c35e3fec47f44b10ea471552de18",
+        "text_only/A/run.json":
+            "bfec9fe4d800a717fe08dd167eec516e7c0b2f27d36241f0ed1cb4e8e7f2f897",
+        "text_only/B/run.json":
+            "a21ff4604bf3c45b76771a3cfde39b2a61d9987420afd4bb66e308b9c5214c75",
+        "text_only/C/run.json":
+            "deb319e1a826a24a4609c91d32f77f0bf6ea7d1dd0058193d850b788e3349a1a",
+    }
+
+    def test_models_bit_identical_to_recorded_digests(self, done):
+        _, out = done
+        models = out / "models"
+        assert {p.relative_to(models).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in models.rglob("run.json")} == self.MODEL_DIGESTS
+
     def test_report_emits_consolidated_artifacts(self, done):
         config, out = done
         code = main(["report", "--config", config, "--out", str(out)])
