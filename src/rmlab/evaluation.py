@@ -19,8 +19,8 @@ from .training import _stack_pairs, mean_sfc_over
 
 def _pair_scores(net: RewardNet, dataset, mask_vision: bool):
     """(chosen, rejected) score arrays of a net over a whole dataset."""
-    x_c, x_r = _stack_pairs(dataset, mask_vision=mask_vision)
-    return netmod.batch_scores(net, x_c), netmod.batch_scores(net, x_r)
+    x = _stack_pairs(dataset, mask_vision=mask_vision)
+    return netmod.batch_scores(net, x[:, 0]), netmod.batch_scores(net, x[:, 1])
 
 
 def _correct(net: RewardNet, dataset, mask_vision: bool) -> np.ndarray:

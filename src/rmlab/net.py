@@ -5,6 +5,10 @@ Everything is float64. A net scores one (image, query, answer) feature triple:
 
     reward = w2 . tanh(W1 [v|q|a] + b1)
 
+A text-only branch scores the same net on rows whose vision block is zero.
+Its gradient is taken from the ``q|a`` columns alone: the vision columns of
+W1 get an exact zero gradient, so those weights only decay.
+
 The pairwise loss is -log(sigmoid(reward_chosen - reward_rejected)). An
 output offset would cancel in that margin, so the net has none. The batched
 loss and its hand-derived gradient here are the only ones: training uses
@@ -28,14 +32,11 @@ PARAM_NAMES = ("w1", "b1", "w2")
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise: 1 / (1 + exp(-x))
+    for x >= 0 and exp(x) / (1 + exp(x)) below, both from e = exp(-|x|)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def bt_loss(margin):
@@ -88,8 +89,10 @@ class RewardNet:
     vector ``theta = [w1 | b1 | w2]``.
 
     ``w1`` (hidden, input_dim), ``b1`` and ``w2`` (hidden,) are views onto
-    theta; assigning any of them writes into theta. Two nets created from the
-    same (dims, seed) are parameter-identical.
+    theta; assigning any of them writes into theta. A float64 ``theta`` given
+    to the constructor is used in place, not copied, so a net can live in a
+    row of a (k, n_params) array that AdamW updates for k nets at once. Two
+    nets created from the same (dims, seed) are parameter-identical.
     """
 
     w1 = _Block()
@@ -100,7 +103,7 @@ class RewardNet:
         self.dims = dims
         self.seed = seed
         self.theta = (np.zeros(dims.n_params) if theta is None
-                      else np.array(theta, dtype=np.float64))
+                      else np.asarray(theta, dtype=np.float64))
         if self.theta.shape != (dims.n_params,):
             raise DimensionError(
                 f"theta: expected shape ({dims.n_params},), got {self.theta.shape}")
@@ -131,7 +134,7 @@ class RewardNet:
         return cls(dims, -1)
 
     def copy(self) -> "RewardNet":
-        return RewardNet(self.dims, self.seed, self.theta)
+        return RewardNet(self.dims, self.seed, self.theta.copy())
 
     def to_dict(self) -> dict:
         """Flat JSON document; float round-trip is bit-exact via repr."""
@@ -160,19 +163,20 @@ def batch_scores(net: RewardNet, x: np.ndarray) -> np.ndarray:
     return h @ net.w2
 
 
-def branch_forward(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray) -> np.ndarray:
-    """Hidden activations of a batch: chosen rows stacked over rejected rows,
-    shape (2b, hidden).
+def branch_forward(network: RewardNet, pairs: np.ndarray) -> np.ndarray:
+    """Hidden activations of a batch of (chosen, rejected) feature rows,
+    ``pairs`` of shape (b, 2, input_dim): chosen rows stacked over rejected
+    rows, shape (2b, hidden).
 
     Two matrix products fill the halves (one stacked product would block the
     reduction differently and change bits); every elementwise step then runs
     once over both halves.
     """
-    b = x_c.shape[0]
+    b = pairs.shape[0]
     h = np.empty((2 * b, network.dims.hidden))
     w1_t = network.w1.T
-    np.matmul(x_c, w1_t, out=h[:b])
-    np.matmul(x_r, w1_t, out=h[b:])
+    np.matmul(pairs[:, 0], w1_t, out=h[:b])
+    np.matmul(pairs[:, 1], w1_t, out=h[b:])
     h += network.b1
     return np.tanh(h, out=h)
 
@@ -183,43 +187,56 @@ def _pair_losses(network: RewardNet, h: np.ndarray) -> np.ndarray:
     return bt_loss(h[:b] @ network.w2 - h[b:] @ network.w2)
 
 
-def batch_losses(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray) -> np.ndarray:
-    """Per-sample pairwise losses for stacked chosen/rejected features."""
-    return _pair_losses(network, branch_forward(network, x_c, x_r))
+def batch_losses(network: RewardNet, pairs: np.ndarray) -> np.ndarray:
+    """Per-sample pairwise losses for a (b, 2, input_dim) batch of feature rows."""
+    return _pair_losses(network, branch_forward(network, pairs))
 
 
-def batch_pair_grads(network: RewardNet, x_c: np.ndarray, x_r: np.ndarray,
-                     h: np.ndarray, weights: np.ndarray):
-    """Per-sample losses plus the weighted mean gradient over the batch.
+def batch_pair_grads(network: RewardNet, pairs: np.ndarray, h: np.ndarray,
+                     weights: np.ndarray, out: np.ndarray | None = None):
+    """Per-sample margins plus the weighted mean gradient over the batch.
 
     ``h`` is the batch's ``branch_forward`` output. The gradient equals
     sum_i weights[i] * grad_i / batch_size, laid out like ``network.theta``
     and reduced with fixed-order matrix products so reruns are bit-identical.
+    It is written into ``out`` when given. The per-sample loss is ``bt_loss``
+    of the margins.
+
+    ``pairs`` are the batch's (b, 2, input_dim) feature rows, or for a text
+    branch their ``q|a`` columns, shape (b, 2, d_q + d_a). A text branch's
+    vision features are zero, so their ``w1`` gradient is zero: it is written
+    as an exact 0.0 instead of being multiplied out. Each ``w1`` column is
+    its own reduction over the batch, so the other columns keep their bits.
     """
-    n = x_c.shape[0]
+    n = pairs.shape[0]
     diff = h[:n] - h[n:]
     margins = diff @ network.w2
-    losses = bt_loss(margins)
     g = -(sigmoid(-margins)) * weights / n  # (n,) d(weighted mean loss)/dmargin
 
     coef = 1.0 - h * h
-    coef[:n] *= g[:, None]
-    coef[n:] *= g[:, None]
+    halves = coef.reshape(2, n, -1)  # a view: row i of each half times g[i]
+    halves *= g[:, None]
     coef *= network.w2
-    grad = np.empty_like(network.theta)
-    out = network.dims.views(grad)
-    np.matmul(coef[:n].T, x_c, out=out["w1"])
-    out["w1"] -= coef[n:].T @ x_r
-    np.subtract(coef[:n].sum(axis=0), coef[n:].sum(axis=0), out=out["b1"])
+    grad = np.empty_like(network.theta) if out is None else out
+    views = network.dims.views(grad)
+    skipped = network.dims.input_dim - pairs.shape[-1]
+    views["w1"][:, :skipped] = 0.0
+    w1 = views["w1"][:, skipped:]
+    np.matmul(coef[:n].T, pairs[:, 0], out=w1)
+    w1 -= coef[n:].T @ pairs[:, 1]
+    sums = halves.sum(axis=1)  # each half summed over its rows, as one call
+    np.subtract(sums[0], sums[1], out=views["b1"])
     diff *= g[:, None]
-    diff.sum(axis=0, out=out["w2"])
-    return losses, grad
+    diff.sum(axis=0, out=views["w2"])
+    return margins, grad
 
 
 def fd_check(net: RewardNet, sample, mask_vision: bool, label: int = 1,
              step: float = 1e-6) -> float:
     """Max relative error of the training gradient (``batch_pair_grads`` on a
     batch of one) against central finite differences of ``batch_losses``.
+    With ``mask_vision`` the vision block is zero and the gradient comes from
+    the text branch's ``q|a`` columns, as in training.
 
     Errors are scaled by the largest gradient magnitude present so that
     near-zero entries do not blow up the ratio.
@@ -228,16 +245,17 @@ def fd_check(net: RewardNet, sample, mask_vision: bool, label: int = 1,
         raise DimensionError(f"label must be +1 or -1, got {label}")
     v = np.zeros_like(sample.v) if mask_vision else sample.v
     chosen, rejected = (sample.a1, sample.a2) if label == 1 else (sample.a2, sample.a1)
-    x_c, x_r = (np.concatenate([v, sample.q, a])[None, :] for a in (chosen, rejected))
-    _, grad = batch_pair_grads(net, x_c, x_r, branch_forward(net, x_c, x_r), np.ones(1))
+    pairs = np.stack([np.concatenate([v, sample.q, a]) for a in (chosen, rejected)])[None]
+    grad_rows = pairs[..., net.dims.d_v:] if mask_vision else pairs
+    _, grad = batch_pair_grads(net, grad_rows, branch_forward(net, pairs), np.ones(1))
     work = net.copy()
     fd = np.empty_like(grad)
     for i in range(fd.size):
         orig = work.theta[i]
         work.theta[i] = orig + step
-        up = batch_losses(work, x_c, x_r)[0]
+        up = batch_losses(work, pairs)[0]
         work.theta[i] = orig - step
-        down = batch_losses(work, x_c, x_r)[0]
+        down = batch_losses(work, pairs)[0]
         work.theta[i] = orig
         fd[i] = (up - down) / (2.0 * step)
     scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)), 1e-8)
@@ -257,9 +275,15 @@ def schedule_lr(base_lr: float, warmup_ratio: float, total_steps: int, step: int
 
 @dataclass
 class OptimizerState:
-    """AdamW moments (laid out like the net's theta) plus the lr schedule."""
+    """AdamW moments plus the lr schedule, for one net or for k nets updated
+    together.
 
-    base_lr: float
+    For one net the moments are laid out like its theta and ``base_lr`` is a
+    number. For k nets they are (k, n_params) arrays, one row per net, and
+    ``base_lr`` is a tuple of k base rates: each row keeps its own schedule.
+    """
+
+    base_lr: float | tuple
     warmup_ratio: float
     total_steps: int
     weight_decay: float
@@ -280,13 +304,24 @@ class OptimizerState:
         return cls(base_lr, warmup_ratio, total_steps, weight_decay,
                    m=np.zeros_like(net.theta), v=np.zeros_like(net.theta))
 
+    def lr(self):
+        """The scheduled lr of the current step: a number, or a (k, 1) column
+        of each row's rate."""
+        if isinstance(self.base_lr, tuple):
+            return np.array([[schedule_lr(base, self.warmup_ratio, self.total_steps,
+                                          self.step)] for base in self.base_lr])
+        return schedule_lr(self.base_lr, self.warmup_ratio, self.total_steps, self.step)
 
-def adamw_step(state: OptimizerState, net: RewardNet, grad: np.ndarray) -> None:
-    """One in-place AdamW update of ``net.theta`` with decoupled weight decay
-    at the scheduled lr. ``grad`` is laid out like theta.
+
+def adamw_step(state: OptimizerState, net, grad: np.ndarray) -> None:
+    """One in-place AdamW update with decoupled weight decay at the scheduled
+    lr. ``net`` is a RewardNet and ``grad`` is laid out like its theta; or,
+    for a state over k nets, ``net`` is their (k, n_params) stacked thetas and
+    ``grad`` their stacked gradients.
 
     Every element sees the same operations in the same order as the textbook
-    per-parameter form, so results are bit-identical to it:
+    per-parameter form, so results are bit-identical to it, and a row of a
+    stacked update to a single-net update at that row's lr:
     m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g,
     u = m_hat / (sqrt(v_hat) + eps), p = p - lr*(u + wd*p).
     """
@@ -294,10 +329,11 @@ def adamw_step(state: OptimizerState, net: RewardNet, grad: np.ndarray) -> None:
         raise ScheduleExhausted(
             f"optimizer already ran its {state.total_steps} scheduled steps")
     state.step += 1
-    lr = schedule_lr(state.base_lr, state.warmup_ratio, state.total_steps, state.step)
+    lr = state.lr()
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    m, v, u, tmp, p = state.m, state.v, state._u, state._tmp, net.theta
+    p = net.theta if isinstance(net, RewardNet) else net
+    m, v, u, tmp = state.m, state.v, state._u, state._tmp
 
     m *= ADAM_BETA1
     np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)

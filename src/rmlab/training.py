@@ -26,7 +26,7 @@ import numpy as np
 from .config import MODES, TrainConfig  # noqa: F401 -- re-exported
 from .errors import DomainError
 from .net import (NetDims, OptimizerState, RewardNet, _pair_losses, adamw_step,
-                  batch_losses, batch_pair_grads, branch_forward)
+                  batch_losses, batch_pair_grads, branch_forward, bt_loss)
 
 LOSS_FLOOR = 1e-300  # keeps the sfc ratio defined if a margin saturates
 
@@ -50,14 +50,16 @@ class TrainRun:
         bit-exactly through JSON repr) and return that path."""
         os.makedirs(run_dir, exist_ok=True)
         path = os.path.join(run_dir, "run.json")
+        # one dumps string: json.dump would stream through the pure-Python
+        # encoder, for the same bytes
+        text = json.dumps({"config": self.config.to_dict(),
+                           "dataset_fingerprint": self.dataset_fingerprint,
+                           "loss_trace": self.loss_trace, "sfc_trace": self.sfc_trace,
+                           "primary": self.primary.to_dict(),
+                           "aux": None if self.aux is None else self.aux.to_dict(),
+                           "epoch_sfc_stats": self.epoch_sfc_stats}, sort_keys=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"config": self.config.to_dict(),
-                       "dataset_fingerprint": self.dataset_fingerprint,
-                       "loss_trace": self.loss_trace, "sfc_trace": self.sfc_trace,
-                       "primary": self.primary.to_dict(),
-                       "aux": None if self.aux is None else self.aux.to_dict(),
-                       "epoch_sfc_stats": self.epoch_sfc_stats},
-                      fh, sort_keys=True)
+            fh.write(text)
         return path
 
     @classmethod
@@ -79,40 +81,41 @@ def sfc(loss_mm, loss_t):
     Both losses are treated as detached constants; the result is in (0, 1),
     decreasing in loss_mm and increasing in loss_t.
     """
-    if np.any(loss_mm <= 0.0) or np.any(loss_t <= 0.0):
+    if np.less_equal(loss_mm, 0.0).any() or np.less_equal(loss_t, 0.0).any():
         raise DomainError(f"sfc needs strictly positive losses, got ({loss_mm}, {loss_t})")
     return loss_t / (loss_mm + loss_t)
 
 
-def _stack_pairs(dataset, mask_vision: bool):
-    """Chosen/rejected concatenated feature matrices for a whole dataset."""
+def _stack_pairs(dataset, mask_vision: bool = False) -> np.ndarray:
+    """The (n, 2, input_dim) tensor of a whole dataset's concatenated feature
+    rows: ``[:, 0]`` the chosen answer's, ``[:, 1]`` the rejected one's. With
+    ``mask_vision`` the vision block is zero."""
     d_v, d_q = dataset.v.shape[1], dataset.q.shape[1]
-    x_c = np.empty((len(dataset), d_v + d_q + dataset.a1.shape[1]))
-    x_c[:, :d_v] = 0.0 if mask_vision else dataset.v
-    x_c[:, d_v:d_v + d_q] = dataset.q
-    x_r = x_c.copy()
+    x = np.empty((len(dataset), 2, d_v + d_q + dataset.a1.shape[1]))
+    x[:, :, :d_v] = 0.0 if mask_vision else dataset.v[:, None]
+    x[:, :, d_v:d_v + d_q] = dataset.q[:, None]
     first_chosen = (dataset.y == 1)[:, None]
-    x_c[:, d_v + d_q:] = np.where(first_chosen, dataset.a1, dataset.a2)
-    x_r[:, d_v + d_q:] = np.where(first_chosen, dataset.a2, dataset.a1)
-    return x_c, x_r
+    x[:, 0, d_v + d_q:] = np.where(first_chosen, dataset.a1, dataset.a2)
+    x[:, 1, d_v + d_q:] = np.where(first_chosen, dataset.a2, dataset.a1)
+    return x
 
 
 @dataclass
 class SfcBatch:
     """Exact per-sample quantities used by one shortcut-aware batch step,
-    one array entry per sample."""
+    one array entry per sample, and the batch-mean sfc."""
 
     loss_mm: np.ndarray
     loss_t: np.ndarray
     sfc: np.ndarray
     weight: np.ndarray
+    mean_sfc: float
 
 
-def weighted_grad_step(primary: RewardNet, aux: RewardNet,
-                       x_c: np.ndarray, x_r: np.ndarray,
-                       xt_c: np.ndarray, xt_r: np.ndarray,
+def weighted_grad_step(primary: RewardNet, aux: RewardNet, pairs: np.ndarray,
                        weight_override: np.ndarray | None = None):
-    """Gradients for one shortcut-aware batch.
+    """Gradients for one shortcut-aware batch of (b, 2, input_dim) feature
+    rows; the auxiliary branch sees them with the vision block zeroed.
 
     Primary gradients are the weighted mean of per-sample pair gradients, each
     weight the sample's sfc over the batch-mean sfc (so weights average 1);
@@ -123,21 +126,27 @@ def weighted_grad_step(primary: RewardNet, aux: RewardNet,
     training; passing previously recorded weights demonstrates the weights
     are detached constants).
 
-    Returns (SfcBatch, primary_grad, aux_grad).
+    Returns (SfcBatch, grads): row 0 of the (2, n_params) ``grads`` is the
+    primary gradient, row 1 the auxiliary one.
     """
-    h_mm = branch_forward(primary, x_c, x_r)
-    h_t = branch_forward(aux, xt_c, xt_r)
+    d_v = primary.dims.d_v
+    text = pairs.copy()
+    text[..., :d_v] = 0.0
+    h_mm = branch_forward(primary, pairs)
+    h_t = branch_forward(aux, text)
     loss_mm = np.maximum(_pair_losses(primary, h_mm), LOSS_FLOOR)
     loss_t = np.maximum(_pair_losses(aux, h_t), LOSS_FLOOR)
     sfc_vals = sfc(loss_mm, loss_t)
+    mean_sfc = sfc_vals.sum() / sfc_vals.size  # np.mean's bits, less overhead
     if weight_override is None:
-        weights = sfc_vals / np.mean(sfc_vals)
+        weights = sfc_vals / mean_sfc
     else:
         weights = np.asarray(weight_override, dtype=np.float64)
 
-    _, primary_grad = batch_pair_grads(primary, x_c, x_r, h_mm, weights)
-    _, aux_grad = batch_pair_grads(aux, xt_c, xt_r, h_t, np.ones_like(weights))
-    return SfcBatch(loss_mm, loss_t, sfc_vals, weights), primary_grad, aux_grad
+    grads = np.empty((2, primary.theta.size))
+    batch_pair_grads(primary, pairs, h_mm, weights, out=grads[0])
+    batch_pair_grads(aux, text[..., d_v:], h_t, np.ones_like(weights), out=grads[1])
+    return SfcBatch(loss_mm, loss_t, sfc_vals, weights, float(mean_sfc)), grads
 
 
 def train(config: TrainConfig, dataset) -> TrainRun:
@@ -148,63 +157,69 @@ def train(config: TrainConfig, dataset) -> TrainRun:
 
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = steps_per_epoch * config.epochs
+    dual = config.mode == "shortcut_aware"
 
     primary = RewardNet.init(dims, config.seed)
-    opt = OptimizerState.for_net(primary, config.base_lr, config.warmup_ratio,
-                                 total_steps, config.weight_decay)
-    aux = aux_opt = None
-    if config.mode == "shortcut_aware":
-        aux = RewardNet.init(dims, config.seed)  # bit-identical to primary
-        # The text branch shares the schedule shape but runs at a scaled lr.
-        # If both branches learn the planted text pattern at the same rate,
-        # their losses track each other and every sfc sits at ~0.5; the proxy
-        # has to stay ahead on text-learnable samples for the coefficient to
-        # discriminate at this scale.
-        aux_opt = OptimizerState.for_net(aux, config.base_lr * config.aux_lr_scale,
-                                         config.warmup_ratio, total_steps,
-                                         config.weight_decay)
+    aux = None
+    if dual:
+        # Both branches start bit-identical and live in the rows of one
+        # (2, n_params) theta, so one AdamW update steps both. The text branch
+        # shares the schedule shape but runs at a scaled lr. If both branches
+        # learn the planted text pattern at the same rate, their losses track
+        # each other and every sfc sits at ~0.5; the proxy has to stay ahead
+        # on text-learnable samples for the coefficient to discriminate at
+        # this scale.
+        theta = np.stack([primary.theta, primary.theta])
+        primary, aux = (RewardNet(dims, config.seed, row) for row in theta)
+        opt = OptimizerState((config.base_lr, config.base_lr * config.aux_lr_scale),
+                             config.warmup_ratio, total_steps, config.weight_decay,
+                             m=np.zeros_like(theta), v=np.zeros_like(theta))
+    else:
+        opt = OptimizerState.for_net(primary, config.base_lr, config.warmup_ratio,
+                                     total_steps, config.weight_decay)
 
-    mask_primary = config.mode == "text_only"
-    x_c, x_r = _stack_pairs(dataset, mask_vision=mask_primary)
-    xt_c = xt_r = None
-    if config.mode == "shortcut_aware":
-        xt_c, xt_r = _stack_pairs(dataset, mask_vision=True)
+    text_only = config.mode == "text_only"
+    x = _stack_pairs(dataset, mask_vision=text_only)
+    # a text-only net's gradient comes from the q|a columns alone
+    grad_cols = slice(dims.d_v if text_only else 0, None)
     flags = dataset.planted
     ones = np.ones(config.batch_size)
 
     shuffle_rng = np.random.default_rng([config.seed, 0x5F5])
-    loss_trace, sfc_trace = [], [] if config.mode == "shortcut_aware" else None
+    loss_trace, sfc_trace = [], [] if dual else None
     epoch_stats = []
 
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
-        sfc_sum = np.zeros(2)  # planted, clean
-        sfc_count = np.zeros(2, dtype=np.int64)
+        sum_planted = sum_clean = 0.0
+        n_planted = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            b_c, b_r = x_c[idx], x_r[idx]
-            if config.mode == "shortcut_aware":
-                batch, g_primary, g_aux = weighted_grad_step(
-                    primary, aux, b_c, b_r, xt_c[idx], xt_r[idx])
-                batch_loss = batch.loss_mm
-                adamw_step(opt, primary, g_primary)
-                adamw_step(aux_opt, aux, g_aux)
-                sfc_trace.append(float(np.mean(batch.sfc)))
-                planted = flags[idx]
-                sfc_sum += [batch.sfc[planted].sum(), batch.sfc[~planted].sum()]
-                sfc_count += [int(planted.sum()), int((~planted).sum())]
+            pairs = x.take(idx, axis=0)
+            if dual:
+                batch, grads = weighted_grad_step(primary, aux, pairs)
+                adamw_step(opt, theta, grads)
+                losses = batch.loss_mm
+                sfc_trace.append(batch.mean_sfc)
+                planted = flags.take(idx)
+                sum_planted += batch.sfc[planted].sum()
+                sum_clean += batch.sfc[~planted].sum()
+                n_planted += int(np.count_nonzero(planted))
             else:
-                batch_loss, grad = batch_pair_grads(
-                    primary, b_c, b_r, branch_forward(primary, b_c, b_r), ones[:len(idx)])
+                margins, grad = batch_pair_grads(primary, pairs[..., grad_cols],
+                                                 branch_forward(primary, pairs),
+                                                 ones[:len(idx)])
                 adamw_step(opt, primary, grad)
-            loss_trace.append(float(np.mean(batch_loss)))
-        if config.mode == "shortcut_aware":
+                losses = bt_loss(margins)
+            loss_trace.append(float(losses.sum() / losses.size))
+        if dual:
+            n_clean = n - n_planted
             epoch_stats.append({
                 "epoch": epoch,
-                "mean_sfc_planted": float(sfc_sum[0] / sfc_count[0]) if sfc_count[0] else None,
-                "mean_sfc_clean": float(sfc_sum[1] / sfc_count[1]) if sfc_count[1] else None,
-                "n_planted": int(sfc_count[0]),
-                "n_clean": int(sfc_count[1]),
+                "mean_sfc_planted": float(sum_planted / n_planted) if n_planted else None,
+                "mean_sfc_clean": float(sum_clean / n_clean) if n_clean else None,
+                "n_planted": n_planted,
+                "n_clean": n_clean,
             })
 
     return TrainRun(config=config, dataset_fingerprint=dataset.fingerprint,
@@ -214,8 +229,7 @@ def train(config: TrainConfig, dataset) -> TrainRun:
 
 def mean_sfc_over(primary: RewardNet, aux: RewardNet, dataset) -> float:
     """Mean end-state sfc of a dataset under a trained branch pair."""
-    x_c, x_r = _stack_pairs(dataset, mask_vision=False)
-    xt_c, xt_r = _stack_pairs(dataset, mask_vision=True)
-    loss_mm = np.maximum(batch_losses(primary, x_c, x_r), LOSS_FLOOR)
-    loss_t = np.maximum(batch_losses(aux, xt_c, xt_r), LOSS_FLOOR)
+    loss_mm = np.maximum(batch_losses(primary, _stack_pairs(dataset)), LOSS_FLOOR)
+    loss_t = np.maximum(batch_losses(aux, _stack_pairs(dataset, mask_vision=True)),
+                        LOSS_FLOOR)
     return float(np.mean(sfc(loss_mm, loss_t)))

@@ -178,12 +178,9 @@ class TestCriterion7SfcIdentities:
         ds = small_sets[("P", "train")]
         dims = NetDims(16, 8, 16, 16)
         primary, aux = RewardNet.init(dims, 5), RewardNet.init(dims, 6)
-        x_c, x_r = _stack_pairs(ds, mask_vision=False)
-        xt_c, xt_r = _stack_pairs(ds, mask_vision=True)
+        x = _stack_pairs(ds)
         for start in (0, 64, 128):
-            batch, _, _ = weighted_grad_step(
-                primary, aux, x_c[start:start + 64], x_r[start:start + 64],
-                xt_c[start:start + 64], xt_r[start:start + 64])
+            batch, _ = weighted_grad_step(primary, aux, x[start:start + 64])
             assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_uniform_override_reproduces_standard(self, small_sets):

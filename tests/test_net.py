@@ -10,7 +10,7 @@ from rmlab.envs import PreferenceSample
 from rmlab.errors import DimensionError, ScheduleExhausted
 from rmlab.net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_losses,
                        batch_pair_grads, batch_scores, branch_forward, fd_check,
-                       schedule_lr)
+                       schedule_lr, sigmoid)
 
 
 def make_sample(rng, dims):
@@ -21,19 +21,17 @@ def make_sample(rng, dims):
 
 
 def pair_rows(sample, mask_vision, label):
-    """1-row chosen and rejected feature matrices of one sample."""
+    """The (1, 2, input_dim) chosen/rejected feature rows of one sample."""
     v = np.zeros_like(sample.v) if mask_vision else sample.v
     chosen, rejected = (sample.a1, sample.a2) if label == 1 else (sample.a2, sample.a1)
-    return (np.concatenate([v, sample.q, chosen])[None, :],
-            np.concatenate([v, sample.q, rejected])[None, :])
+    return np.stack([np.concatenate([v, sample.q, a]) for a in (chosen, rejected)])[None]
 
 
 def pair_grad(net, sample, mask_vision, label):
     """(loss, flat gradient) of one pair through the batched training path."""
-    x_c, x_r = pair_rows(sample, mask_vision, label)
-    losses, grad = batch_pair_grads(net, x_c, x_r, branch_forward(net, x_c, x_r),
-                                    np.ones(1))
-    return float(losses[0]), grad
+    pairs = pair_rows(sample, mask_vision, label)
+    margins, grad = batch_pair_grads(net, pairs, branch_forward(net, pairs), np.ones(1))
+    return float(netmod.bt_loss(margins)[0]), grad
 
 
 def loop_forward(doc, v, q, a):
@@ -111,7 +109,7 @@ def fd_grads_reference(net, sample, mask_vision, label, step=1e-6):
     """Test-local central differences, independent of fd_check."""
     out = {}
     work = net.copy()
-    x_c, x_r = pair_rows(sample, mask_vision, label)
+    pairs = pair_rows(sample, mask_vision, label)
     for name in ("w1", "b1", "w2"):
         param = getattr(work, name)
         grad = np.zeros_like(param)
@@ -119,9 +117,9 @@ def fd_grads_reference(net, sample, mask_vision, label, step=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = batch_losses(work, x_c, x_r)[0]
+            up = batch_losses(work, pairs)[0]
             flat[i] = orig - step
-            down = batch_losses(work, x_c, x_r)[0]
+            down = batch_losses(work, pairs)[0]
             flat[i] = orig
             grad.ravel()[i] = (up - down) / (2 * step)
         out[name] = grad
@@ -181,12 +179,12 @@ class TestFdCheck:
         net = RewardNet.init(default_dims, seed=9)
         real_grads = netmod.batch_pair_grads
 
-        def corrupted(n, x_c, x_r, h, weights):
-            loss, grad = real_grads(n, x_c, x_r, h, weights)
+        def corrupted(n, pairs, h, weights):
+            margins, grad = real_grads(n, pairs, h, weights)
             w1 = n.dims.views(grad)["w1"]
             idx = np.unravel_index(np.argmax(np.abs(w1)), w1.shape)
             w1[idx] *= 2.0
-            return loss, grad
+            return margins, grad
 
         monkeypatch.setattr(netmod, "batch_pair_grads", corrupted)
         assert netmod.fd_check(net, random_sample, mask_vision=False) > 1e-2
@@ -336,3 +334,98 @@ class TestDeterminismAndSerialization:
         back = RewardNet.from_dict(json.loads(json.dumps(old)))
         assert np.array_equal(back.theta, net.theta)
         assert back.theta.shape == (default_dims.hidden * (default_dims.input_dim + 2),)
+
+
+def masked_sigmoid(x):
+    """The boolean-mask logistic that ``sigmoid`` replaced, kept as the
+    reference: each side of zero through its own exp."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 700.0, -700.0,
+             745.0, -745.0, 800.0, -800.0, math.inf, -math.inf]
+
+    def test_bit_identical_to_masked_formula(self):
+        x = np.concatenate([self.EDGES,
+                            np.random.default_rng(3).standard_normal(10_000) * 40.0])
+        assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+    def test_nan_stays_nan_and_scalars_work(self):
+        assert np.isnan(sigmoid(np.array([np.nan]))).all()
+        assert sigmoid(0.0) == 0.5 and sigmoid(-800.0) == 0.0 and sigmoid(800.0) == 1.0
+
+
+class TestTextBranchGradient:
+    """A text branch's vision features are zero, so training takes its
+    gradient from the q|a columns alone; that must give the bits of the
+    full-width product, vision block included."""
+
+    @pytest.mark.parametrize("hidden", [16, 64])
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_narrow_features_match_zero_padded_bit_for_bit(self, hidden, batch):
+        dims = NetDims(d_v=16, d_q=8, d_a=16, hidden=hidden)
+        net = RewardNet.init(dims, seed=hidden + batch)
+        rng = np.random.default_rng(batch)
+        net.w1 = rng.standard_normal(net.w1.shape)  # answer block nonzero too
+        pairs = rng.standard_normal((batch, 2, dims.input_dim))
+        pairs[..., :dims.d_v] = 0.0
+        h = branch_forward(net, pairs)
+        weights = rng.random(batch)
+        full_margins, full = batch_pair_grads(net, pairs, h, weights)
+        margins, narrow = batch_pair_grads(net, pairs[..., dims.d_v:], h, weights)
+        assert narrow.tobytes() == full.tobytes()
+        assert margins.tobytes() == full_margins.tobytes()
+        vision = dims.views(narrow)["w1"][:, :dims.d_v]
+        assert not vision.any() and not np.signbit(vision).any()  # exact +0.0
+
+    def test_out_buffer_receives_the_gradient(self, default_dims):
+        net = RewardNet.init(default_dims, seed=4)
+        pairs = np.random.default_rng(4).standard_normal((5, 2, default_dims.input_dim))
+        h = branch_forward(net, pairs)
+        out = np.full((2, default_dims.n_params), np.nan)
+        _, grad = batch_pair_grads(net, pairs, h, np.ones(5), out=out[1])
+        assert grad.base is out and np.isnan(out[0]).all()
+        assert grad.tobytes() == batch_pair_grads(net, pairs, h, np.ones(5))[1].tobytes()
+
+
+class TestStackedAdamW:
+    def test_rows_bit_identical_to_single_net_updates(self):
+        dims = NetDims(d_v=3, d_q=2, d_a=3, hidden=5)
+        total, warmup, wd, base_lrs = 40, 0.1, 0.05, (3e-3, 2.4e-2)
+        singles = [RewardNet.init(dims, seed=19) for _ in base_lrs]
+        singles[1].b1 = np.random.default_rng(2).standard_normal(dims.hidden)
+        states = [OptimizerState.for_net(net, lr, warmup, total, wd)
+                  for net, lr in zip(singles, base_lrs)]
+        theta = np.stack([net.theta for net in singles])
+        rows = [RewardNet(dims, 19, row) for row in theta]  # views onto theta
+        stacked = OptimizerState(base_lrs, warmup, total, wd,
+                                 m=np.zeros_like(theta), v=np.zeros_like(theta))
+        rng = np.random.default_rng(3)
+        for step in range(total):  # warmup ends after step 4
+            grads = rng.standard_normal(theta.shape) * rng.choice([1e-6, 1.0, 1e3])
+            grads[:, -1] = 0.0 if step % 3 else grads[:, -1]
+            for net, state, grad in zip(singles, states, grads):
+                adamw_step(state, net, grad)
+            adamw_step(stacked, theta, grads)
+            for row, net in zip(rows, singles):
+                assert row.theta.tobytes() == net.theta.tobytes(), step
+            assert stacked.m.tobytes() == np.stack([s.m for s in states]).tobytes()
+            assert stacked.v.tobytes() == np.stack([s.v for s in states]).tobytes()
+        with pytest.raises(ScheduleExhausted):
+            adamw_step(stacked, theta, grads)
+
+    def test_net_on_a_row_writes_through_and_copies_detach(self, default_dims):
+        theta = np.zeros((2, default_dims.n_params))
+        net = RewardNet(default_dims, 0, theta[1])
+        net.b1 = 1.0
+        assert theta[1].any() and not theta[0].any()
+        twin = net.copy()
+        twin.b1 = 2.0
+        assert np.all(net.b1 == 1.0)

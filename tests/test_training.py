@@ -91,8 +91,9 @@ class TestStackPairs:
             chosen, rejected = (s.a1, s.a2) if s.y == 1 else (s.a2, s.a1)
             ref_c[i] = np.concatenate([v, s.q, chosen])
             ref_r[i] = np.concatenate([v, s.q, rejected])
-        x_c, x_r = _stack_pairs(ds, mask_vision=mask_vision)
-        assert np.array_equal(x_c, ref_c) and np.array_equal(x_r, ref_r)
+        x = _stack_pairs(ds, mask_vision=mask_vision)
+        assert x.shape == (len(samples), 2, ref_c.shape[1])
+        assert np.array_equal(x[:, 0], ref_c) and np.array_equal(x[:, 1], ref_r)
         assert {s.y for s in samples} == {1, -1}
 
 
@@ -109,10 +110,7 @@ class TestConfig:
 class TestWeightedGradStep:
     @pytest.fixture()
     def tiny_batch(self, small_sets):
-        ds = small_sets[("P", "train")]
-        x_c, x_r = _stack_pairs(ds, mask_vision=False)
-        xt_c, xt_r = _stack_pairs(ds, mask_vision=True)
-        return x_c[:8], x_r[:8], xt_c[:8], xt_r[:8]
+        return _stack_pairs(small_sets[("P", "train")])[:8]
 
     @pytest.fixture()
     def nets(self, small_sets):
@@ -124,17 +122,12 @@ class TestWeightedGradStep:
 
     def test_batch_of_one_scales_single_gradient(self, small_sets, nets):
         primary, aux = nets
-        ds = small_sets[("P", "train")]
-        x_c, x_r = _stack_pairs(ds, mask_vision=False)
-        xt_c, xt_r = _stack_pairs(ds, mask_vision=True)
+        one = _stack_pairs(small_sets[("P", "train")])[:1]
         w = 0.37
-        _, flat, _ = weighted_grad_step(
-            primary, aux, x_c[:1], x_r[:1], xt_c[:1], xt_r[:1],
-            weight_override=np.array([w]))
+        _, flat = weighted_grad_step(primary, aux, one, weight_override=np.array([w]))
         _, single_flat = netmod.batch_pair_grads(
-            primary, x_c[:1], x_r[:1], netmod.branch_forward(primary, x_c[:1], x_r[:1]),
-            np.ones(1))
-        grads, single = primary.dims.views(flat), primary.dims.views(single_flat)
+            primary, one, netmod.branch_forward(primary, one), np.ones(1))
+        grads, single = primary.dims.views(flat[0]), primary.dims.views(single_flat)
         for name in ("w1", "b1", "w2"):
             ref = np.atleast_1d(w * single[name])
             got = np.atleast_1d(grads[name])
@@ -142,11 +135,13 @@ class TestWeightedGradStep:
 
     def test_records_are_the_exact_quantities(self, nets, tiny_batch):
         primary, aux = nets
-        x_c, x_r, xt_c, xt_r = tiny_batch
-        batch, _, _ = weighted_grad_step(primary, aux, x_c, x_r, xt_c, xt_r)
-        loss_mm = batch_losses(primary, x_c, x_r)
-        loss_t = batch_losses(aux, xt_c, xt_r)
-        assert len(batch.sfc) == len(x_c)
+        batch, _ = weighted_grad_step(primary, aux, tiny_batch)
+        text = tiny_batch.copy()
+        text[..., :primary.dims.d_v] = 0.0
+        loss_mm = batch_losses(primary, tiny_batch)
+        loss_t = batch_losses(aux, text)
+        assert len(batch.sfc) == len(tiny_batch)
+        assert batch.mean_sfc == np.mean(batch.sfc)
         for i in range(len(batch.sfc)):
             rec_mm, rec_t, rec_sfc = batch.loss_mm[i], batch.loss_t[i], batch.sfc[i]
             assert rec_mm == pytest.approx(loss_mm[i], abs=1e-15)
@@ -156,7 +151,7 @@ class TestWeightedGradStep:
 
     def test_normalized_weights_average_to_one(self, nets, tiny_batch):
         primary, aux = nets
-        batch, _, _ = weighted_grad_step(primary, aux, *tiny_batch)
+        batch, _ = weighted_grad_step(primary, aux, tiny_batch)
         assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_weights_are_detached_constants(self, nets, tiny_batch):
@@ -164,13 +159,13 @@ class TestWeightedGradStep:
         # give bit-identical primary gradients: the weights are numbers, not
         # functions of the aux parameters.
         primary, aux = nets
-        batch, flat, _ = weighted_grad_step(primary, aux, *tiny_batch)
+        batch, flat = weighted_grad_step(primary, aux, tiny_batch)
         weights = batch.weight.copy()
         perturbed = aux.copy()
         perturbed.w1 = perturbed.w1 + 0.5
-        _, flat2, _ = weighted_grad_step(primary, perturbed, *tiny_batch,
-                                         weight_override=weights)
-        grads, grads2 = primary.dims.views(flat), primary.dims.views(flat2)
+        _, flat2 = weighted_grad_step(primary, perturbed, tiny_batch,
+                                      weight_override=weights)
+        grads, grads2 = primary.dims.views(flat[0]), primary.dims.views(flat2[0])
         for name in ("w1", "b1", "w2"):
             assert np.array_equal(np.atleast_1d(grads[name]),
                                   np.atleast_1d(grads2[name]))
