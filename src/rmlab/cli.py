@@ -10,7 +10,8 @@ manifest.json, which is the one file allowed to differ between runs.
 gen, matrix, sfd and bon reuse their outputs when the inputs they were built
 from are unchanged (see ``Workspace.reuse``), and the array modules run only
 when a verb computes (see ``_lazy``), so a verb over an up-to-date lab,
-``report`` and ``--help`` never load numpy.
+``report`` and ``--help`` never load numpy. The ``rmlab`` command leaves
+through ``entry``, which skips interpreter teardown.
 
 Exit codes: 0 success, 1 assertion failure, 2 usage or I/O error.
 """
@@ -18,17 +19,15 @@ Exit codes: 0 success, 1 assertion failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import importlib.util
 import json
 import os
 import sys
 import time
-from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from collections import namedtuple
+from contextlib import nullcontext, suppress
 
-from . import svg
 from .config import ENVS, MODES, TrainConfig
 from .errors import ConfigError, LabError, MissingArtifactError
 
@@ -39,9 +38,9 @@ DEFAULT_N_GRID = [1, 2, 4, 8, 16, 32, 64]
 
 def _lazy(name: str):
     """The module ``rmlab.<name>``, registered now and executed on its first
-    attribute access, which imports numpy. Every module of the package is in
-    ``sys.modules`` once ``cli`` is imported, so a profiler or tracer that walks
-    them to patch functions finds them all."""
+    attribute access; only then does an array module import numpy. Every
+    module of the package is in ``sys.modules`` once ``cli`` is imported, so a
+    profiler or tracer that walks them to patch functions finds them all."""
     full = f"{__package__}.{name}"
     if full not in sys.modules:
         spec = importlib.util.find_spec(full)
@@ -53,7 +52,8 @@ def _lazy(name: str):
 
 
 _lazy("net")  # cli calls no net function; registered with the modules built on it
-envs, training, evaluation, bestofn = map(_lazy, ("envs", "training", "evaluation", "bestofn"))
+envs, training, evaluation, bestofn, svg = map(
+    _lazy, ("envs", "training", "evaluation", "bestofn", "svg"))
 
 
 def __getattr__(name):
@@ -85,6 +85,8 @@ def _replace_file(path, doc) -> None:
             if isinstance(doc, str):
                 fh.write(doc)
             elif path.endswith(".csv"):
+                import csv  # only matrix writes CSV rows
+
                 csv.writer(fh).writerows(doc)
             else:
                 json.dump(doc, fh, sort_keys=True, indent=1)
@@ -102,24 +104,22 @@ def _file_sha256(path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class ExperimentConfig:
-    """The settings that decide a lab's results, hashable in canonical form."""
+class ExperimentConfig(namedtuple("ExperimentConfig", "master_seed n_train n_test train "
+                                  "n_pools pool_size n_grid",
+                                  defaults=(131, 8000, 1000, {}, 200, 64, DEFAULT_N_GRID))):
+    """The settings that decide a lab's results, hashable in canonical form.
+    ``train`` holds TrainConfig overrides, minus mode and seed. A config is
+    read-only: the default ``train`` and ``n_grid`` are shared."""
 
-    master_seed: int = 131
-    n_train: int = 8000
-    n_test: int = 1000
-    train: dict = field(default_factory=dict)  # TrainConfig overrides, minus mode/seed
-    n_pools: int = 200
-    pool_size: int = 64
-    n_grid: list = field(default_factory=lambda: list(DEFAULT_N_GRID))
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
         """Reject a malformed config (types, ranges, train keys) up front."""
         def ints(x):  # a nonempty list of integers >= 1
             return isinstance(x, list) and x and all(type(n) is int and n >= 1 for n in x)
 
-        allowed = set(TrainConfig.__dataclass_fields__) - {"mode", "seed"}
+        self = super().__new__(cls, *args, **kwargs)
+        allowed = set(TrainConfig._fields) - {"mode", "seed"}
         for ok, what in [
                 (type(self.master_seed) is int, "master_seed must be an integer"),
                 (ints([self.n_train, self.n_test, self.n_pools, self.pool_size]),
@@ -135,11 +135,12 @@ class ExperimentConfig:
             TrainConfig(mode=MODES[0], **self.train)  # value types and ranges
         except ConfigError as exc:
             raise ConfigError(f"config: train: {exc}") from None
+        return self
 
     def to_dict(self) -> dict:
         # family, modes and subsample_fractions are gone; their old defaults
         # keep every lab's config hash
-        return dict(asdict(self), family="default", modes=list(MODES), subsample_fractions=[])
+        return dict(self._asdict(), family="default", modes=list(MODES), subsample_fractions=[])
 
     def config_hash(self) -> str:
         return canonical_hash(self.to_dict())
@@ -153,7 +154,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config {path} is not valid JSON ({exc})") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} must be a JSON object")
-        unknown = set(doc) - set(cls.__dataclass_fields__)
+        unknown = set(doc) - set(cls._fields)
         if unknown:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
         return cls(**doc)
@@ -168,7 +169,8 @@ class ExperimentConfig:
 
     def proxy_config(self, audited_mode: str, env_id: str) -> TrainConfig:
         # Paired proxy: same init seed as the audited model, text-only loss.
-        return replace(self.train_config(audited_mode, env_id), mode="text_only")
+        return TrainConfig(**dict(self.train_config(audited_mode, env_id)._asdict(),
+                                  mode="text_only"))
 
 
 class Workspace:
@@ -644,23 +646,24 @@ def cmd_report(ws: Workspace) -> int:
     return 0 if ok else 1
 
 
+VERBS = {"gen": "generate environment datasets",
+         "train": "train all 15 nets: one per mode and env, plus 6 text-only proxies",
+         "matrix": "cross-distribution accuracy matrices",
+         "sfd": "shortcut-failure degradation reports",
+         "bon": "best-of-N curves",
+         "report": "consolidated report and assertion suite"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="rmlab",
-        description="shortcut-learning lab for multimodal reward models")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, doc in [("gen", "generate environment datasets"),
-                      ("train", "train all 15 nets: one per mode and environment, "
-                                "plus the 6 text-only proxies"),
-                      ("matrix", "cross-distribution accuracy matrices"),
-                      ("sfd", "shortcut-failure degradation reports"),
-                      ("bon", "best-of-N curves"),
-                      ("report", "consolidated report and assertion suite")]:
-        p = sub.add_parser(verb, help=doc)
-        p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--out", default=DEFAULT_OUT, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel training jobs")
+        prog="rmlab", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="shortcut-learning lab for multimodal reward models",
+        epilog="verbs:\n" + "".join(f"  {verb:<8}{doc}\n" for verb, doc in VERBS.items()))
+    parser.add_argument("verb", choices=VERBS, metavar="verb", help="one of the verbs below")
+    parser.add_argument("--config", help="experiment config JSON")
+    parser.add_argument("--seed", type=int, help="master seed override")
+    parser.add_argument("--out", default=DEFAULT_OUT, help="output directory")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel training jobs")
     return parser
 
 
@@ -668,7 +671,9 @@ def load_config(args) -> ExperimentConfig:
     """The config file (or the defaults) with ``--seed`` applied, validated."""
     config = (ExperimentConfig.from_file(args.config) if args.config
               else ExperimentConfig())
-    return config if args.seed is None else replace(config, master_seed=args.seed)
+    if args.seed is None:
+        return config
+    return ExperimentConfig(**dict(config._asdict(), master_seed=args.seed))
 
 
 COMMANDS = {
@@ -702,5 +707,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The ``rmlab`` command: ``main()``, then flush stdout and stderr and end
+    the process with ``os._exit``, which skips interpreter teardown (and so
+    closes no file: every file a verb opens is closed before ``main`` returns).
+    ``--help`` and usage errors leave through argparse's ``SystemExit``."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(BrokenPipeError):  # a reader that left loses the output, not the code
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -8,7 +8,7 @@ three training modes; TrainConfig holds one training run's hyperparameters.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 
 from .errors import ConfigError
 
@@ -16,28 +16,23 @@ ENVS = ("A", "B", "C")  # the default family's environments, in report order
 MODES = ("standard", "text_only", "shortcut_aware")
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters of one training run."""
+class TrainConfig(namedtuple("TrainConfig", "mode base_lr epochs batch_size weight_decay "
+                             "warmup_ratio seed hidden aux_lr_scale",
+                             # aux_lr_scale, the text branch lr multiplier: see training.train()
+                             defaults=(5e-4, 44, 64, 0.05, 0.1, 0, 64, 8.0))):
+    """Hyperparameters of one training run, immutable and checked when made."""
 
-    mode: str
-    base_lr: float = 5e-4
-    epochs: int = 44
-    batch_size: int = 64
-    weight_decay: float = 0.05
-    warmup_ratio: float = 0.1
-    seed: int = 0
-    hidden: int = 64
-    aux_lr_scale: float = 8.0  # text branch lr multiplier; see note in training.train()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        for f in fields(self)[1:]:  # after mode, each field takes its default's type
-            value, kind = getattr(self, f.name), type(f.default)
+        for name, default in self._field_defaults.items():  # each takes its default's type
+            value, kind = getattr(self, name), type(default)
             if (isinstance(value, bool) != (kind is bool)
                     or not isinstance(value, (int, float) if kind is float else kind)):
-                raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
+                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
         if min(self.batch_size, self.epochs, self.hidden) < 1:
             raise ConfigError("batch_size, epochs and hidden must be >= 1")
         if not 0.0 <= self.warmup_ratio < 1.0:
@@ -47,12 +42,13 @@ class TrainConfig:
             raise ConfigError("base_lr and aux_lr_scale must be finite and > 0")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ConfigError("weight_decay must be finite and >= 0")
+        return self
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
         """Keys that are not fields are ignored, so a ``run.json`` that records
         a setting this version no longer has still loads."""
-        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
+        return cls(**{name: doc[name] for name in cls._fields if name in doc})

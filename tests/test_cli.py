@@ -78,7 +78,16 @@ class TestConfig:
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("Config file keys")[1].split("```json")[1].split("```")[0]
         ExperimentConfig(**json.loads(block))
-        assert set(json.loads(block)) == set(ExperimentConfig.__dataclass_fields__)
+        assert set(json.loads(block)) == set(ExperimentConfig._fields)
+
+    def test_help_lists_every_verb(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        printed = capsys.readouterr().out
+        assert list(cli.VERBS) == ["gen", "train", "matrix", "sfd", "bon", "report"]
+        for verb, doc in cli.VERBS.items():
+            assert f"  {verb:<8}{doc}\n" in printed
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -812,20 +821,93 @@ class TestReuse:
         assert capsys.readouterr().out == "matrix: skip (outputs up to date)\n"
 
     def test_verbs_without_array_work_load_no_numpy(self, lab_copy):
+        # nor dataclasses or csv, and the svg module stays registered, unrun
         config, out = lab_copy
         probe = ("import json, sys\nimport rmlab.cli\nseen = []\n"
+                 "def loaded():\n"
+                 "    return [m for m in ('numpy', 'dataclasses', 'csv') if m in sys.modules] + (\n"
+                 "        [] if type(sys.modules['rmlab.svg']).__name__ == '_LazyModule'\n"
+                 "        else ['rmlab.svg'])\n"
                  "try:\n    rmlab.cli.main(['--help'])\nexcept SystemExit as exc:\n"
-                 "    seen.append(['--help', exc.code, 'numpy' in sys.modules])\n"
+                 "    seen.append(['--help', exc.code, loaded()])\n"
                  "for verb in ('gen', 'train', 'matrix', 'sfd', 'bon', 'report'):\n"
                  "    code = rmlab.cli.main([verb, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-                 "    seen.append([verb, code, 'numpy' in sys.modules])\n"
+                 "    seen.append([verb, code, loaded()])\n"
                  "print(json.dumps(seen))\n")
         proc = subprocess.run([sys.executable, "-c", probe, config, str(out)],
                               env=src_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert [verb for verb, _, loaded in seen if loaded] == []
+        assert [[verb, loaded] for verb, _, loaded in seen if loaded] == []
         assert [code for verb, code, _ in seen if verb != "report"] == [0] * 6
+
+
+def piped_env() -> dict:
+    """``src_env`` with stdout block-buffered on a pipe, so a line that the
+    process does not flush before it exits is lost."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def piped_cli(*args):
+    return subprocess.run([sys.executable, "-m", "rmlab.cli", *args], env=piped_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestFastExit:
+    """The command ends in ``os._exit`` after flushing: every printed line
+    arrives, the exit codes hold, and the lock and manifest are left whole."""
+
+    @staticmethod
+    def assert_lab_whole(out):
+        assert not (out / ".lock").exists()
+        json.loads((out / "manifest.json").read_text())
+
+    def test_gen_prints_every_line(self, tmp_path):
+        out = tmp_path / "out"
+        proc = piped_cli("gen", "--config", write_config(tmp_path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"gen: wrote datasets/{e}_{split}.npz ({n} samples)"
+            for e in ("A", "B", "C") for split, n in (("train", 360), ("test", 120))]
+        self.assert_lab_whole(out)
+
+    def test_failing_report_prints_whole_summary(self, lab_copy):
+        config, out = lab_copy
+        (out / "models" / "standard" / "A" / "run.json").unlink()
+        proc = piped_cli("report", "--config", config, "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == (out / "reports" / "summary.txt").read_text()
+        assert proc.stdout.count("\n[PASS] ") + proc.stdout.count("\n[FAIL] ") == 13
+        assert proc.stdout.endswith("\nRESULT: FAIL\n")
+        self.assert_lab_whole(out)
+
+    @pytest.mark.parametrize("args, code, stderr", [
+        (["gen", "--jobs", "0"], 2, "error: --jobs must be an integer >= 1\n"),
+        (["bogus"], 2, "error: argument verb: invalid choice: 'bogus'"),
+        (["--help"], 0, ""),
+    ], ids=["jobs-0", "unknown-verb", "help"])
+    def test_usage_exits(self, lab_copy, args, code, stderr):
+        config, out = lab_copy
+        proc = piped_cli(*args, "--config", config, "--out", str(out))
+        assert proc.returncode == code
+        assert stderr in proc.stderr and "Traceback" not in proc.stderr
+        if code == 0:
+            assert proc.stderr == ""
+            assert proc.stdout.endswith(f"  report  {cli.VERBS['report']}\n")
+        self.assert_lab_whole(out)
+
+    def test_reader_that_leaves_early_keeps_the_exit_code(self, lab_copy):
+        config, out = lab_copy
+        with subprocess.Popen([sys.executable, "-m", "rmlab.cli", "gen", "--config", config,
+                               "--out", str(out)], env=piped_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()  # long before the verb prints its line
+            _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert stderr == b""
+        self.assert_lab_whole(out)
 
 
 class TestReportChecks:
