@@ -682,6 +682,7 @@ COMMANDS = {
     "matrix": cmd_matrix,
     "sfd": cmd_sfd,
     "bon": cmd_bon,
+    "report": cmd_report,
 }
 
 
@@ -694,11 +695,7 @@ def main(argv=None) -> int:
             raise LabError("--jobs must be an integer >= 1")
         config = load_config(args)
         with OutputLock(args.out):
-            ws = Workspace(config, args.out, args.jobs)
-            if args.verb == "report":
-                return cmd_report(ws)
-            COMMANDS[args.verb](ws)
-            return 0
+            return COMMANDS[args.verb](Workspace(config, args.out, args.jobs)) or 0
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ them, and fd_check validates them against central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -273,55 +273,32 @@ def schedule_lr(base_lr: float, warmup_ratio: float, total_steps: int, step: int
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-@dataclass
 class OptimizerState:
-    """AdamW moments plus the lr schedule, for one net or for k nets updated
-    together.
+    """AdamW moments plus the lr schedule for k nets updated together: the
+    rows of one (k, n_params) ``theta``. ``base_lr`` is a tuple of k base
+    rates, so each row keeps its own schedule."""
 
-    For one net the moments are laid out like its theta and ``base_lr`` is a
-    number. For k nets they are (k, n_params) arrays, one row per net, and
-    ``base_lr`` is a tuple of k base rates: each row keeps its own schedule.
-    """
-
-    base_lr: float | tuple
-    warmup_ratio: float
-    total_steps: int
-    weight_decay: float
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    # preallocated work buffers for adamw_step
-    _u: np.ndarray = field(init=False, repr=False)
-    _tmp: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._u = np.empty_like(self.m)
-        self._tmp = np.empty_like(self.m)
-
-    @classmethod
-    def for_net(cls, net: RewardNet, base_lr: float, warmup_ratio: float,
-                total_steps: int, weight_decay: float) -> "OptimizerState":
-        return cls(base_lr, warmup_ratio, total_steps, weight_decay,
-                   m=np.zeros_like(net.theta), v=np.zeros_like(net.theta))
-
-    def lr(self):
-        """The scheduled lr of the current step: a number, or a (k, 1) column
-        of each row's rate."""
-        if isinstance(self.base_lr, tuple):
-            return np.array([[schedule_lr(base, self.warmup_ratio, self.total_steps,
-                                          self.step)] for base in self.base_lr])
-        return schedule_lr(self.base_lr, self.warmup_ratio, self.total_steps, self.step)
+    def __init__(self, theta: np.ndarray, base_lr: tuple, warmup_ratio: float,
+                 total_steps: int, weight_decay: float):
+        self.base_lr = base_lr
+        self.warmup_ratio = warmup_ratio
+        self.total_steps = total_steps
+        self.weight_decay = weight_decay
+        self.step = 0
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        # preallocated work buffers for adamw_step
+        self._u = np.empty_like(theta)
+        self._tmp = np.empty_like(theta)
 
 
-def adamw_step(state: OptimizerState, net, grad: np.ndarray) -> None:
+def adamw_step(state: OptimizerState, theta: np.ndarray, grad: np.ndarray) -> None:
     """One in-place AdamW update with decoupled weight decay at the scheduled
-    lr. ``net`` is a RewardNet and ``grad`` is laid out like its theta; or,
-    for a state over k nets, ``net`` is their (k, n_params) stacked thetas and
-    ``grad`` their stacked gradients.
+    lr of the (k, n_params) stacked thetas ``theta``, given their stacked
+    gradients ``grad``.
 
     Every element sees the same operations in the same order as the textbook
-    per-parameter form, so results are bit-identical to it, and a row of a
-    stacked update to a single-net update at that row's lr:
+    per-parameter form at its row's lr, so results are bit-identical to it:
     m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g,
     u = m_hat / (sqrt(v_hat) + eps), p = p - lr*(u + wd*p).
     """
@@ -329,10 +306,10 @@ def adamw_step(state: OptimizerState, net, grad: np.ndarray) -> None:
         raise ScheduleExhausted(
             f"optimizer already ran its {state.total_steps} scheduled steps")
     state.step += 1
-    lr = state.lr()
+    lr = np.array([[schedule_lr(base, state.warmup_ratio, state.total_steps, state.step)]
+                   for base in state.base_lr])  # (k, 1): each row's rate
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    p = net.theta if isinstance(net, RewardNet) else net
     m, v, u, tmp = state.m, state.v, state._u, state._tmp
 
     m *= ADAM_BETA1
@@ -347,7 +324,7 @@ def adamw_step(state: OptimizerState, net, grad: np.ndarray) -> None:
     tmp += ADAM_EPS
     np.divide(m, bc1, out=u)
     u /= tmp
-    np.multiply(p, state.weight_decay, out=tmp)
+    np.multiply(theta, state.weight_decay, out=tmp)
     tmp += u
     tmp *= lr
-    p -= tmp
+    theta -= tmp

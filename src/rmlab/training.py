@@ -159,24 +159,19 @@ def train(config: TrainConfig, dataset) -> TrainRun:
     total_steps = steps_per_epoch * config.epochs
     dual = config.mode == "shortcut_aware"
 
-    primary = RewardNet.init(dims, config.seed)
-    aux = None
-    if dual:
-        # Both branches start bit-identical and live in the rows of one
-        # (2, n_params) theta, so one AdamW update steps both. The text branch
-        # shares the schedule shape but runs at a scaled lr. If both branches
-        # learn the planted text pattern at the same rate, their losses track
-        # each other and every sfc sits at ~0.5; the proxy has to stay ahead
-        # on text-learnable samples for the coefficient to discriminate at
-        # this scale.
-        theta = np.stack([primary.theta, primary.theta])
-        primary, aux = (RewardNet(dims, config.seed, row) for row in theta)
-        opt = OptimizerState((config.base_lr, config.base_lr * config.aux_lr_scale),
-                             config.warmup_ratio, total_steps, config.weight_decay,
-                             m=np.zeros_like(theta), v=np.zeros_like(theta))
-    else:
-        opt = OptimizerState.for_net(primary, config.base_lr, config.warmup_ratio,
-                                     total_steps, config.weight_decay)
+    # The nets start bit-identical as the rows of one theta that a single
+    # AdamW update steps. The text branch runs at a scaled lr: if both branches
+    # learn the planted text pattern at the same rate, their losses track each
+    # other and every sfc sits at ~0.5; the proxy has to stay ahead on
+    # text-learnable samples for the coefficient to discriminate at this scale.
+    base_lrs = ((config.base_lr, config.base_lr * config.aux_lr_scale) if dual
+                else (config.base_lr,))
+    theta = np.stack([RewardNet.init(dims, config.seed).theta] * len(base_lrs))
+    nets = [RewardNet(dims, config.seed, row) for row in theta]
+    primary, aux = nets[0], nets[1] if dual else None
+    opt = OptimizerState(theta, base_lrs, config.warmup_ratio, total_steps,
+                         config.weight_decay)
+    grads = np.empty_like(theta)  # a single branch's gradient goes in row 0
 
     text_only = config.mode == "text_only"
     x = _stack_pairs(dataset, mask_vision=text_only)
@@ -198,7 +193,6 @@ def train(config: TrainConfig, dataset) -> TrainRun:
             pairs = x.take(idx, axis=0)
             if dual:
                 batch, grads = weighted_grad_step(primary, aux, pairs)
-                adamw_step(opt, theta, grads)
                 losses = batch.loss_mm
                 sfc_trace.append(batch.mean_sfc)
                 planted = flags.take(idx)
@@ -206,11 +200,11 @@ def train(config: TrainConfig, dataset) -> TrainRun:
                 sum_clean += batch.sfc[~planted].sum()
                 n_planted += int(np.count_nonzero(planted))
             else:
-                margins, grad = batch_pair_grads(primary, pairs[..., grad_cols],
-                                                 branch_forward(primary, pairs),
-                                                 ones[:len(idx)])
-                adamw_step(opt, primary, grad)
+                margins, _ = batch_pair_grads(primary, pairs[..., grad_cols],
+                                              branch_forward(primary, pairs),
+                                              ones[:len(idx)], out=grads[0])
                 losses = bt_loss(margins)
+            adamw_step(opt, theta, grads)
             loss_trace.append(float(losses.sum() / losses.size))
         if dual:
             n_clean = n - n_planted

@@ -219,9 +219,10 @@ class TestAdamW:
     def test_zero_gradient_zero_decay_is_noop(self, default_dims):
         net = RewardNet.init(default_dims, seed=12)
         before = net.to_dict()
-        state = OptimizerState.for_net(net, base_lr=0.1, warmup_ratio=0.0,
-                                       total_steps=10, weight_decay=0.0)
-        adamw_step(state, net, np.zeros_like(net.theta))
+        theta = net.theta[None]  # a one-row view: the update writes through to net
+        state = OptimizerState(theta, base_lr=(0.1,), warmup_ratio=0.0,
+                               total_steps=10, weight_decay=0.0)
+        adamw_step(state, theta, np.zeros_like(theta))
         assert net.to_dict() == before
 
     def test_matches_hand_recursion_two_steps(self):
@@ -230,11 +231,12 @@ class TestAdamW:
         # 1 / (1 + eps) every step, so theta_2 = theta_0 - (lr_1 + lr_2)/(1+eps).
         dims = NetDims(d_v=0, d_q=0, d_a=0, hidden=1)
         net = RewardNet(dims=dims, seed=0, theta=[1.0, 1.0])  # theta is [b1 | w2]
-        state = OptimizerState.for_net(net, base_lr=0.1, warmup_ratio=0.0,
-                                       total_steps=4, weight_decay=0.0)
-        grad = np.array([1.0, 1.0])
-        adamw_step(state, net, grad)
-        adamw_step(state, net, grad)
+        theta = net.theta[None]
+        state = OptimizerState(theta, base_lr=(0.1,), warmup_ratio=0.0,
+                               total_steps=4, weight_decay=0.0)
+        grad = np.array([[1.0, 1.0]])
+        adamw_step(state, theta, grad)
+        adamw_step(state, theta, grad)
         lr1 = 0.1 * 0.5 * (1 + math.cos(math.pi * 1 / 4))
         lr2 = 0.1 * 0.5 * (1 + math.cos(math.pi * 2 / 4))
         expected = 1.0 - (lr1 + lr2) / (1.0 + 1e-8)
@@ -243,11 +245,12 @@ class TestAdamW:
 
     def test_step_overflow_raises(self, default_dims):
         net = RewardNet.init(default_dims, seed=13)
-        state = OptimizerState.for_net(net, 0.1, 0.0, 1, 0.0)
-        grad = np.zeros_like(net.theta)
-        adamw_step(state, net, grad)
+        theta = net.theta[None]
+        state = OptimizerState(theta, (0.1,), 0.0, 1, 0.0)
+        grad = np.zeros_like(theta)
+        adamw_step(state, theta, grad)
         with pytest.raises(ScheduleExhausted):
-            adamw_step(state, net, grad)
+            adamw_step(state, theta, grad)
 
 
 def dict_adamw_step(state, params, grads, lr_fn, wd):
@@ -277,7 +280,8 @@ class TestFlatAdamW:
         net.b1 = np.random.default_rng(1).standard_normal(dims.hidden)
         ref = {"w1": net.w1.copy(), "b1": net.b1.copy(), "w2": net.w2.copy()}
         total, wd, base_lr = 250, 0.05, 3e-3
-        state = OptimizerState.for_net(net, base_lr, 0.1, total, wd)
+        theta = net.theta[None]
+        state = OptimizerState(theta, (base_lr,), 0.1, total, wd)
         ref_state = {"step": 0,
                      "m": {n: np.zeros(ref[n].shape) for n in ref},
                      "v": {n: np.zeros(ref[n].shape) for n in ref}}
@@ -287,7 +291,7 @@ class TestFlatAdamW:
             grad[-1] = 0.0 if step % 3 else grad[-1]  # zero and nonzero entries
             dict_adamw_step(ref_state, ref, dims.views(grad),
                             lambda k: schedule_lr(base_lr, 0.1, total, k), wd)
-            adamw_step(state, net, grad)
+            adamw_step(state, theta, grad[None])
             for name in ("w1", "b1", "w2"):
                 assert np.array_equal(getattr(net, name), ref[name]), (step, name)
         assert state.step == 200 and schedule_lr(base_lr, 0.1, total, state.step) < base_lr
@@ -401,23 +405,29 @@ class TestStackedAdamW:
         total, warmup, wd, base_lrs = 40, 0.1, 0.05, (3e-3, 2.4e-2)
         singles = [RewardNet.init(dims, seed=19) for _ in base_lrs]
         singles[1].b1 = np.random.default_rng(2).standard_normal(dims.hidden)
-        states = [OptimizerState.for_net(net, lr, warmup, total, wd)
-                  for net, lr in zip(singles, base_lrs)]
+        # each row's reference: the per-name update of its own net at its own rate
+        refs = [{n: getattr(net, n).copy() for n in netmod.PARAM_NAMES} for net in singles]
+        states = [{"step": 0, "m": {n: np.zeros(ref[n].shape) for n in ref},
+                   "v": {n: np.zeros(ref[n].shape) for n in ref}} for ref in refs]
+
+        def flat(blocks):
+            return np.concatenate([blocks[n].ravel() for n in netmod.PARAM_NAMES])
+
         theta = np.stack([net.theta for net in singles])
         rows = [RewardNet(dims, 19, row) for row in theta]  # views onto theta
-        stacked = OptimizerState(base_lrs, warmup, total, wd,
-                                 m=np.zeros_like(theta), v=np.zeros_like(theta))
+        stacked = OptimizerState(theta, base_lrs, warmup, total, wd)
         rng = np.random.default_rng(3)
         for step in range(total):  # warmup ends after step 4
             grads = rng.standard_normal(theta.shape) * rng.choice([1e-6, 1.0, 1e3])
             grads[:, -1] = 0.0 if step % 3 else grads[:, -1]
-            for net, state, grad in zip(singles, states, grads):
-                adamw_step(state, net, grad)
+            for ref, state, grad, base in zip(refs, states, grads, base_lrs):
+                dict_adamw_step(state, ref, dims.views(grad),
+                                lambda k, base=base: schedule_lr(base, warmup, total, k), wd)
             adamw_step(stacked, theta, grads)
-            for row, net in zip(rows, singles):
-                assert row.theta.tobytes() == net.theta.tobytes(), step
-            assert stacked.m.tobytes() == np.stack([s.m for s in states]).tobytes()
-            assert stacked.v.tobytes() == np.stack([s.v for s in states]).tobytes()
+            for row, ref in zip(rows, refs):
+                assert row.theta.tobytes() == flat(ref).tobytes(), step
+            assert stacked.m.tobytes() == np.stack([flat(s["m"]) for s in states]).tobytes()
+            assert stacked.v.tobytes() == np.stack([flat(s["v"]) for s in states]).tobytes()
         with pytest.raises(ScheduleExhausted):
             adamw_step(stacked, theta, grads)
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rmlab.envs import sample_env
+from rmlab.envs import ENVS, default_family, sample_env
 from rmlab.errors import ConfigError, DomainError
 from rmlab.evaluation import accuracy
-from rmlab.net import RewardNet
+from rmlab.net import RewardNet, schedule_lr
 from rmlab.training import (MODES, TrainConfig, TrainRun, batch_losses, sfc, train,
                             weighted_grad_step, _stack_pairs)
 from rmlab import net as netmod
@@ -297,6 +297,26 @@ class TestTrain:
             traces += np.asarray(run.sfc_trace).tobytes()
         assert (weights.hexdigest(), hashlib.sha256(traces).hexdigest()) == \
             self.REFERENCE_DIGESTS[mode]
+
+    @pytest.mark.parametrize("mode, branch", [("text_only", "primary"),
+                                              ("shortcut_aware", "aux")])
+    def test_text_branch_vision_weights_only_decay(self, mode, branch):
+        # a text branch's vision columns get an exact zero gradient, so AdamW
+        # only decays them, at the rate of the branch's own row
+        family, _ = default_family(3, n_train=300, n_test=10)
+        ds = sample_env(family, ENVS[0], "train")
+        cfg = TrainConfig(mode=mode, epochs=3, hidden=16)
+        run = train(cfg, ds)
+        dims = run.primary.dims
+        base = cfg.base_lr if branch == "primary" else cfg.base_lr * cfg.aux_lr_scale
+        total = math.ceil(len(ds) / cfg.batch_size) * cfg.epochs
+        init = RewardNet.init(dims, cfg.seed).w1[:, :dims.d_v]
+        expected = init.copy()
+        for t in range(1, total + 1):
+            expected -= (expected * cfg.weight_decay) * schedule_lr(
+                base, cfg.warmup_ratio, total, t)
+        assert not np.array_equal(expected, init)
+        assert getattr(run, branch).w1[:, :dims.d_v].tobytes() == expected.tobytes()
 
     def test_epoch_sfc_stats_split_by_marker(self, runs):
         stats = runs["shortcut_aware"].epoch_sfc_stats
