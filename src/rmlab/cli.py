@@ -28,7 +28,7 @@ import time
 from collections import namedtuple
 from contextlib import nullcontext, suppress
 
-from .config import ENVS, MODES, TrainConfig
+from .config import ENVS, MODES, TrainConfig, canonical_hash
 from .errors import ConfigError, LabError, MissingArtifactError
 
 DEFAULT_OUT = "labout"
@@ -69,11 +69,6 @@ def derive_seed(master_seed: int, component: str) -> int:
     """Stable 63-bit sub-seed for a named component of the pipeline."""
     digest = hashlib.sha256(f"{master_seed}:{component}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def canonical_hash(doc) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _replace_file(path, doc) -> None:
@@ -332,18 +327,11 @@ def _dataset_key(env_id: str, split: str) -> str:
     return f"dataset:{env_id}:{split}"
 
 
-def _split_file(env_id: str, split: str) -> str:
-    return os.path.join("datasets", f"{env_id}_{split}.npz")
-
-
 def cmd_gen(ws: Workspace) -> None:
-    """Write every environment split to disk; a split already current is
-    kept, and with the family description and all six current nothing is built."""
+    """Write the family description and every environment split to disk."""
     t0 = time.monotonic()
-    if ws.is_current("family", os.path.join(ws.out, "family.json")) and all(
-            ws.is_current(_dataset_key(e, split), os.path.join(ws.out, _split_file(e, split)))
-            for e in ENVS for split in ("train", "test")):
-        print("gen: skip (outputs up to date)")
+    # the family and its splits come from the config, which the manifest is keyed on
+    if ws.reuse("gen", []):
         return
     family = ws.config.build_family()
     specs = family.specs.values()
@@ -353,16 +341,13 @@ def cmd_gen(ws: Workspace) -> None:
     for spec in specs:
         for split in ("train", "test"):
             key = _dataset_key(spec.env_id, split)
-            path = ws.path(_split_file(spec.env_id, split))
-            if ws.is_current(key, path):
-                print(f"gen: skip {spec.env_id}/{split} (up to date)")
-                continue
+            path = ws.path(os.path.join("datasets", f"{spec.env_id}_{split}.npz"))
             dataset = envs.sample_env(family, spec.env_id, split)
             envs.write_dataset(dataset, path)
             ws.record(key, path)
             ws.manifest["artifacts"][key]["fingerprint"] = dataset.fingerprint
             print(f"gen: wrote {ws.rel(path)} ({len(dataset)} samples)")
-    ws.save_manifest("gen", time.monotonic() - t0)
+    ws.finish(t0)
 
 
 def _dataset_file(ws: Workspace, env_id: str, split: str) -> tuple:
@@ -388,15 +373,13 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
     """Train whatever is stale in ``wanted``: (key, TrainConfig, env_id) triples.
 
     Returns the number of jobs trained."""
-    keys, jobs, train_files = [], [], {}  # env_id -> its train split, hashed once
+    keys, jobs = [], []
     for key, config, env_id in wanted:
         run_dir = os.path.join(ws.out, "models", *key.split(":")[1:])
         if ws.is_current(key, os.path.join(run_dir, "run.json")):
             continue
-        if env_id not in train_files:
-            train_files[env_id] = _dataset_file(ws, env_id, "train")
         keys.append(key)
-        jobs.append((config.to_dict(), *train_files[env_id], run_dir))
+        jobs.append((config.to_dict(), *_dataset_file(ws, env_id, "train"), run_dir))
     pool, run, broken = nullcontext(), map, ()  # serial: no pool error to catch
     if ws.jobs > 1 and jobs:  # the pool modules load only when a pool is made
         # executed before the fork (any attribute access runs a lazy module),

@@ -2,11 +2,14 @@
 a config, checks a lab and reuses its outputs without loading the array stack.
 
 ENVS names the default family's environments in report order; MODES names the
-three training modes; TrainConfig holds one training run's hyperparameters.
+three training modes; TrainConfig holds one training run's hyperparameters;
+canonical_hash is the one hash of a JSON document, for configs and datasets.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import namedtuple
 
@@ -14,6 +17,12 @@ from .errors import ConfigError
 
 ENVS = ("A", "B", "C")  # the default family's environments, in report order
 MODES = ("standard", "text_only", "shortcut_aware")
+
+
+def canonical_hash(doc) -> str:
+    """sha256 of ``doc`` as compact JSON with sorted keys."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 class TrainConfig(namedtuple("TrainConfig", "mode base_lr epochs batch_size weight_decay "

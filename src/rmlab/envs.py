@@ -27,14 +27,12 @@ neutral rather than an artifact of leftover random weights.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ENVS
+from .config import ENVS, canonical_hash
 from .errors import GenerationError
 
 D_V = 16
@@ -236,10 +234,8 @@ _SPLIT_CODES = {"train": 0, "test": 1}
 
 
 def dataset_fingerprint(family: EnvironmentFamily, spec: EnvironmentSpec, split: str) -> str:
-    doc = {"family_seed": family.family_seed, "split": split,
-           "spec": spec_to_dict(spec), "m_scale": M_SCALE}
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return canonical_hash({"family_seed": family.family_seed, "split": split,
+                           "spec": spec_to_dict(spec), "m_scale": M_SCALE})
 
 
 def sample_env(family: EnvironmentFamily, env_id: str, split: str) -> Dataset:

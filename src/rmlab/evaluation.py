@@ -12,21 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import net as netmod
-from .net import RewardNet
+from .net import RewardNet, branch_forward, pair_margins
 from .training import _stack_pairs, mean_sfc_over
 
 
-def _pair_scores(net: RewardNet, dataset, mask_vision: bool):
-    """(chosen, rejected) score arrays of a net over a whole dataset."""
-    x = _stack_pairs(dataset, mask_vision=mask_vision)
-    return netmod.batch_scores(net, x[:, 0]), netmod.batch_scores(net, x[:, 1])
-
-
 def _correct(net: RewardNet, dataset, mask_vision: bool) -> np.ndarray:
-    """Per pair, whether the chosen answer strictly outscores the other."""
-    chosen, rejected = _pair_scores(net, dataset, mask_vision)
-    return chosen > rejected
+    """Per pair, whether the chosen answer strictly outscores the other, on
+    training's forward pass: for doubles, c - r > 0 holds exactly when c > r."""
+    x = _stack_pairs(dataset, mask_vision=mask_vision)
+    return pair_margins(net, branch_forward(net, x)) > 0
 
 
 def accuracy(net: RewardNet, dataset, mask_vision: bool = False) -> float:

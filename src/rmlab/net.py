@@ -11,8 +11,9 @@ W1 get an exact zero gradient, so those weights only decay.
 
 The pairwise loss is -log(sigmoid(reward_chosen - reward_rejected)). An
 output offset would cancel in that margin, so the net has none. The batched
-loss and its hand-derived gradient here are the only ones: training uses
-them, and fd_check validates them against central finite differences.
+margin (``pair_margins``), loss and hand-derived gradient here are the only
+ones: training uses them, evaluation compares the same margins with zero, and
+fd_check validates them against central finite differences.
 """
 
 from __future__ import annotations
@@ -181,15 +182,16 @@ def branch_forward(network: RewardNet, pairs: np.ndarray) -> np.ndarray:
     return np.tanh(h, out=h)
 
 
-def _pair_losses(network: RewardNet, h: np.ndarray) -> np.ndarray:
-    """Per-sample losses from stacked activations, scored like batch_scores."""
+def pair_margins(network: RewardNet, h: np.ndarray) -> np.ndarray:
+    """Per-sample reward margins, chosen minus rejected, from ``branch_forward``
+    activations ``h``; each half is scored like batch_scores."""
     b = h.shape[0] // 2
-    return bt_loss(h[:b] @ network.w2 - h[b:] @ network.w2)
+    return h[:b] @ network.w2 - h[b:] @ network.w2
 
 
 def batch_losses(network: RewardNet, pairs: np.ndarray) -> np.ndarray:
     """Per-sample pairwise losses for a (b, 2, input_dim) batch of feature rows."""
-    return _pair_losses(network, branch_forward(network, pairs))
+    return bt_loss(pair_margins(network, branch_forward(network, pairs)))
 
 
 def batch_pair_grads(network: RewardNet, pairs: np.ndarray, h: np.ndarray,

@@ -25,8 +25,8 @@ import numpy as np
 
 from .config import MODES, TrainConfig  # noqa: F401 -- re-exported
 from .errors import DomainError
-from .net import (NetDims, OptimizerState, RewardNet, _pair_losses, adamw_step,
-                  batch_losses, batch_pair_grads, branch_forward, bt_loss)
+from .net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_losses,
+                  batch_pair_grads, branch_forward, bt_loss, pair_margins)
 
 LOSS_FLOOR = 1e-300  # keeps the sfc ratio defined if a margin saturates
 
@@ -134,8 +134,8 @@ def weighted_grad_step(primary: RewardNet, aux: RewardNet, pairs: np.ndarray,
     text[..., :d_v] = 0.0
     h_mm = branch_forward(primary, pairs)
     h_t = branch_forward(aux, text)
-    loss_mm = np.maximum(_pair_losses(primary, h_mm), LOSS_FLOOR)
-    loss_t = np.maximum(_pair_losses(aux, h_t), LOSS_FLOOR)
+    loss_mm = np.maximum(bt_loss(pair_margins(primary, h_mm)), LOSS_FLOOR)
+    loss_t = np.maximum(bt_loss(pair_margins(aux, h_t)), LOSS_FLOOR)
     sfc_vals = sfc(loss_mm, loss_t)
     mean_sfc = sfc_vals.sum() / sfc_vals.size  # np.mean's bits, less overhead
     if weight_override is None:

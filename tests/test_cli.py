@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from blas_core import openblas_core
 from rmlab import cli
 from rmlab.cli import ExperimentConfig, canonical_hash, derive_seed, main
 from rmlab.errors import LabError
@@ -315,6 +316,16 @@ class TestGen:
         assert run("gen", config, out) == 0
 
 
+def for_this_kernel(digests: dict) -> dict:
+    """The digests recorded for the OpenBLAS kernel this process runs. A kernel
+    with none recorded fails, naming itself: float bits depend on the kernel."""
+    core = openblas_core()
+    if core not in digests:
+        pytest.fail(f"no digests recorded for OpenBLAS core {core!r} (recorded: "
+                    f"{', '.join(sorted(digests))}); record them from a run on it")
+    return digests[core]
+
+
 @pytest.fixture(scope="module")
 def done(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipe")
@@ -361,16 +372,20 @@ class TestPipeline:
 
     # sha256 of the tiny lab's best-of-N outputs, recorded with the per-call
     # rank-loop estimator and per-candidate judge that the batched path
-    # replaced: a one-ulp drift in any curve point changes them.
-    BON_DIGESTS = {
+    # replaced: a one-ulp drift in any curve point changes them. Keyed on the
+    # OpenBLAS kernel (see for_this_kernel).
+    BON_DIGESTS = {"SkylakeX": {
         "bon_curves.csv": "90955216fde685d1c0fc7e01e716aa12a096a70a5dd619249eb6b815f3a79154",
         "bon_summary.json": "28588b68b4bb6baf9cc3eef1742682cb183af88c388cd3273a8b7a5a4c563c11",
-    }
+    }}
+    BON_DIGESTS["Haswell"] = dict(BON_DIGESTS["SkylakeX"], **{
+        "bon_curves.csv": "37dce12340f6ebcc7ab52ea5570649cb71e1af4a085664c30f0440e6b359c9b1"})
 
     def test_bon_outputs_bit_identical_to_recorded_digests(self, done):
         _, out = done
+        digests = for_this_kernel(self.BON_DIGESTS)
         assert {name: hashlib.sha256((out / "reports" / name).read_bytes()).hexdigest()
-                for name in self.BON_DIGESTS} == self.BON_DIGESTS
+                for name in digests} == digests
 
     # sha256 of the tiny lab's six dataset files, recorded with the per-row
     # generator that the array-at-a-time one replaced
@@ -390,8 +405,9 @@ class TestPipeline:
 
     # sha256 of the tiny lab's matrix and sfd outputs and of one shortcut-aware
     # run.json, recorded with the record classes (GenMatrix, SFDReport,
-    # EpochSfcStats) that the plain documents replaced
-    REPORT_DIGESTS = {
+    # EpochSfcStats) that the plain documents replaced; keyed on the OpenBLAS
+    # kernel
+    REPORT_DIGESTS = {"SkylakeX": {
         "reports/matrix_shortcut_aware.csv":
             "3a951abad4dc0d1a1573385a9360f14ee39cf4794741e16f15d2683337f73b06",
         "reports/matrix_shortcut_aware.svg":
@@ -412,19 +428,24 @@ class TestPipeline:
             "a56b92d4e6265563c540df8c479c89bbda7663997fee46a25089ac187eb123ec",
         "models/shortcut_aware/A/run.json":
             "36b00aec51e3e819e58db29bf2069e4c60f348be923b9b9de6309b7ba55d006f",
-    }
+    }}
+    REPORT_DIGESTS["Haswell"] = dict(REPORT_DIGESTS["SkylakeX"], **{
+        "models/shortcut_aware/A/run.json":
+            "07bdceded6abebcd1817fef9ba91acd394a90a494db6f44ff9dfc900701cb9ef"})
 
     def test_reports_bit_identical_to_recorded_digests(self, done):
         _, out = done
+        digests = for_this_kernel(self.REPORT_DIGESTS)
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in self.REPORT_DIGESTS} == self.REPORT_DIGESTS
+                for name in digests} == digests
 
     # sha256 of the tiny lab's 15 run.json files, recorded with the training
     # core that stepped each branch on full-width features (a text branch on
     # zeroed vision columns) and made one AdamW update per branch: any drift
     # in a trained net, a loss or sfc trace, an epoch stat or the JSON
-    # encoding changes them.
-    MODEL_DIGESTS = {
+    # encoding changes them. Keyed on the OpenBLAS kernel: at hidden 16 the
+    # SkylakeX and Haswell kernels sum the forward products in different orders.
+    MODEL_DIGESTS = {"SkylakeX": {
         "proxy-shortcut_aware/A/run.json":
             "f261e68c93bc343f736ad9e54dedff60334ca57b4a6f846327ddb79c173556d6",
         "proxy-shortcut_aware/B/run.json":
@@ -455,13 +476,55 @@ class TestPipeline:
             "a21ff4604bf3c45b76771a3cfde39b2a61d9987420afd4bb66e308b9c5214c75",
         "text_only/C/run.json":
             "deb319e1a826a24a4609c91d32f77f0bf6ea7d1dd0058193d850b788e3349a1a",
-    }
+    }, "Haswell": {
+        "proxy-shortcut_aware/A/run.json":
+            "95d973540e024689d02cc6c520b770e0c196f9b087e6c03dbaa0c72d76a64ff9",
+        "proxy-shortcut_aware/B/run.json":
+            "a7b7667ecc7d73093d3e786ae8a61481f7b926ed489ba3792c8f80a67ddab47c",
+        "proxy-shortcut_aware/C/run.json":
+            "7ecd5267d7b1dfda567e109c3f40ff670093eb3ead4bf7a438cf88773f720a69",
+        "proxy-standard/A/run.json":
+            "ed4f61cfdc4e8dccd313c2dd723cf617d8aa8da80f86fe056360f77afa00f067",
+        "proxy-standard/B/run.json":
+            "bd74859370364554f0b0b1fc81f5e5516890abfc70d1225722fbe88edc724c43",
+        "proxy-standard/C/run.json":
+            "b6094cb992207fc8e17da7153db0391ec3eb8b1a19ec91ff1180db55d2b3b9e2",
+        "shortcut_aware/A/run.json":
+            "07bdceded6abebcd1817fef9ba91acd394a90a494db6f44ff9dfc900701cb9ef",
+        "shortcut_aware/B/run.json":
+            "54dd5e8fc66dc5059443a1b33369f5e58bc1978433ed5a775af2aa20b491194f",
+        "shortcut_aware/C/run.json":
+            "08d509de7d59efd3fddcc8762d2c5a30a1e02a356780ae9665c7bd276b117858",
+        "standard/A/run.json":
+            "504133eace8b5683cebbc7471c8aa6def03667829a8f2fc147438c6de4b03565",
+        "standard/B/run.json":
+            "a8b48815f8cb0100c9ecea82ec9761682b164848aca782db55cf41bc948d8f14",
+        "standard/C/run.json":
+            "f99fd5f0ca460c39d95c35da268f0b1feb1fa9065c6b75367fabea173c7e718f",
+        "text_only/A/run.json":
+            "35880b4ba6610d7643d2a7ef67613414c32fb6f684e18fd07db9da5d6c1acf9b",
+        "text_only/B/run.json":
+            "3bee4a21ca0fb69c67bc492647306ac935f1c5a44a35136f9eca703107e5f2a3",
+        "text_only/C/run.json":
+            "ea5ece351e58c69227c367592a3c6f3dd4468520e4cb37df016b748385911d2b",
+    }}
 
     def test_models_bit_identical_to_recorded_digests(self, done):
         _, out = done
         models = out / "models"
         assert {p.relative_to(models).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in models.rglob("run.json")} == self.MODEL_DIGESTS
+                for p in models.rglob("run.json")} == for_this_kernel(self.MODEL_DIGESTS)
+
+    def test_haswell_kernel_matches_its_recorded_bits(self):
+        # the digest tests above, rerun on OpenBLAS's Haswell kernel: its
+        # recorded values are checked even on a host that picks SkylakeX
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             str(Path(__file__)), "-k", "digests"],
+            env=dict(src_env(), OPENBLAS_CORETYPE="Haswell"), capture_output=True,
+            text=True, timeout=300, cwd=SRC.parent)
+        assert proc.returncode == 0, proc.stdout[-3000:]
+        assert "4 passed" in proc.stdout.splitlines()[-1], proc.stdout[-3000:]
 
     def test_report_emits_consolidated_artifacts(self, done):
         config, out = done
@@ -799,26 +862,45 @@ class TestReuse:
         assert builds["sfd"]["inputs"]["model:standard:A"] == sha
 
     @pytest.mark.parametrize("damage", [
-        lambda m: m.update(builds="x"),
-        lambda m: m["builds"].update(matrix=[]),
-        lambda m: m["builds"]["matrix"].pop("inputs"),
-        lambda m: m["builds"]["matrix"].update(outputs={}),
-        lambda m: m["builds"]["matrix"]["outputs"].update({"report:matrix-summary": 7}),
-        lambda m: m["builds"]["matrix"]["outputs"].update({"report:gone": "reports/gone.csv"}),
+        lambda m, verb: m.update(builds="x"),
+        lambda m, verb: m["builds"].update({verb: []}),
+        lambda m, verb: m["builds"][verb].pop("inputs"),
+        lambda m, verb: m["builds"][verb].update(outputs={}),
+        lambda m, verb: m["builds"][verb]["outputs"].update({"family": 7}),
+        lambda m, verb: m["builds"][verb]["outputs"].update({"report:gone": "reports/gone.csv"}),
     ], ids=["builds-not-object", "record-not-object", "no-inputs", "no-outputs",
             "path-not-string", "unknown-output"])
     def test_malformed_build_record_means_rebuild(self, lab_copy, damage, capsys):
         config, out = lab_copy
+        for verb, rebuilt in (("matrix", "matrix[standard]"),
+                              ("gen", "gen: wrote datasets/A_train.npz")):
+            manifest = json.loads((out / "manifest.json").read_text())
+            damage(manifest, verb)
+            (out / "manifest.json").write_text(json.dumps(manifest))
+            proc = run_cli(verb, config, out)
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert rebuilt in proc.stdout
+            capsys.readouterr()
+            assert run(verb, config, out) == 0
+            assert capsys.readouterr().out == f"{verb}: skip (outputs up to date)\n"
+
+    def test_lab_without_a_gen_record_regenerates_the_same_bytes(self, lab_copy, capsys):
+        # a lab built before gen kept a build record
+        config, out = lab_copy
         manifest = json.loads((out / "manifest.json").read_text())
-        damage(manifest)
+        del manifest["builds"]["gen"]
         (out / "manifest.json").write_text(json.dumps(manifest))
-        proc = run_cli("matrix", config, out)
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "matrix[standard]" in proc.stdout
+        datasets = tree(out / "datasets")
         capsys.readouterr()
-        assert run("matrix", config, out) == 0
+        assert run("gen", config, out) == 0
+        assert capsys.readouterr().out.count("gen: wrote") == 6
+        assert {k: v[0] for k, v in tree(out / "datasets").items()} == \
+            {k: v[0] for k, v in datasets.items()}
+        assert run("matrix", config, out) == 0  # the nets and the test splits are current
         assert capsys.readouterr().out == "matrix: skip (outputs up to date)\n"
+        assert run("gen", config, out) == 0
+        assert capsys.readouterr().out == "gen: skip (outputs up to date)\n"
 
     def test_verbs_without_array_work_load_no_numpy(self, lab_copy):
         # nor dataclasses or csv, and the svg module stays registered, unrun

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rmlab.evaluation import accuracy, gen_matrix, sfd_report, sfc_rho_diagnostic
-from rmlab.net import NetDims, RewardNet
-from rmlab.training import TrainConfig, train
+from rmlab import net as netmod
+from rmlab.evaluation import _correct, accuracy, gen_matrix, sfd_report, sfc_rho_diagnostic
+from rmlab.net import NetDims, RewardNet, branch_forward, pair_margins
+from rmlab.training import TrainConfig, _stack_pairs, train
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,49 @@ class TestAccuracy:
         transformed = trained_p.primary.copy()
         transformed.w2 = 2.0 * transformed.w2  # scores double exactly
         assert accuracy(transformed, ds) == base
+
+
+# evaluation's scoring before it used pair_margins, copied verbatim (its
+# _correct renamed): the reference the new path must match element for element
+def _pair_scores(net: RewardNet, dataset, mask_vision: bool):
+    """(chosen, rejected) score arrays of a net over a whole dataset."""
+    x = _stack_pairs(dataset, mask_vision=mask_vision)
+    return netmod.batch_scores(net, x[:, 0]), netmod.batch_scores(net, x[:, 1])
+
+
+def reference_correct(net: RewardNet, dataset, mask_vision: bool) -> np.ndarray:
+    """Per pair, whether the chosen answer strictly outscores the other."""
+    chosen, rejected = _pair_scores(net, dataset, mask_vision)
+    return chosen > rejected
+
+
+class TestScoringPath:
+    """``_correct`` compares training's pair margins with zero; the verbatim
+    copy above scored each half with ``batch_scores`` and compared them."""
+
+    @pytest.mark.parametrize("hidden", [16, 64])
+    @pytest.mark.parametrize("mask_vision", [False, True])
+    def test_matches_the_per_half_scores(self, small_sets, hidden, mask_vision):
+        dims = NetDims(16, 8, 16, hidden)
+        theta = np.random.default_rng(hidden).uniform(-0.5, 0.5, dims.n_params)
+        zero = RewardNet.zeros(dims)  # every pair ties, and a tie is not correct
+        for net in (RewardNet(dims, 0, theta), zero):
+            for ds in small_sets.values():
+                x = _stack_pairs(ds, mask_vision=mask_vision)
+                chosen, rejected = _pair_scores(net, ds, mask_vision)
+                assert np.array_equal(pair_margins(net, branch_forward(net, x)),
+                                      chosen - rejected)
+                got = _correct(net, ds, mask_vision)
+                assert got.dtype == bool
+                assert np.array_equal(got, reference_correct(net, ds, mask_vision))
+                assert got.any() == (net is not zero)
+
+    @pytest.mark.parametrize("mask_vision", [False, True])
+    def test_matches_on_trained_nets(self, trained_p, text_p, small_sets, mask_vision):
+        for net in (trained_p.primary, text_p.primary):
+            for ds in small_sets.values():
+                assert np.array_equal(_correct(net, ds, mask_vision),
+                                      reference_correct(net, ds, mask_vision))
 
 
 @pytest.fixture(scope="module")

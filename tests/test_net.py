@@ -71,13 +71,15 @@ class TestForward:
 
 def masked_score(net, v, q, a):
     """Text-only score on the pipeline's path: the vision-masked rows of a
-    one-pair dataset, scored by evaluation."""
+    one-pair dataset through the forward pass that evaluation scores with,
+    its chosen half scored as ``pair_margins`` does."""
     from rmlab.envs import Dataset
-    from rmlab.evaluation import _pair_scores
+    from rmlab.training import _stack_pairs
 
     one = Dataset("x", "test", v=v[None, :], q=q[None, :], a1=a[None, :], a2=a[None, :],
                   y=np.ones(1, dtype=np.int8), planted=np.zeros(1, dtype=bool))
-    return float(_pair_scores(net, one, mask_vision=True)[0][0])
+    h = branch_forward(net, _stack_pairs(one, mask_vision=True))
+    return float((h[:1] @ net.w2)[0])
 
 
 class TestMaskedForward:
