@@ -5,12 +5,12 @@ best-of-N selection over a uniformly random N-subset is
 
     (1 / C(M, N)) * sum over all N-subsets of judge(argmax reward in subset)
 
-computed by enumeration (small M) and in closed form. Sorting candidates so
-that rank i (ascending, 1-based) beats every lower rank, the rank-i candidate
-wins a random subset with probability C(i-1, N-1) / C(M, N). Argmax ties break
-toward the lowest candidate index, so the sort places equal rewards in
-descending index order; both paths and the Monte Carlo check share that rule,
-which makes their agreement exact. The closed form sorts a pool once for a
+computed in closed form. Sorting candidates so that rank i (ascending,
+1-based) beats every lower rank, the rank-i candidate wins a random subset
+with probability C(i-1, N-1) / C(M, N). Argmax ties break toward the lowest
+candidate index, so the sort places equal rewards in descending index order;
+the tests' enumeration and Monte Carlo oracles share that rule, which makes
+their agreement exact. The closed form sorts a pool once for a
 whole N grid and adds the weighted judge scores in rank order by a sequential
 cumsum (np.sum is pairwise and rounds differently); the leading zero-weight
 ranks add only +-0.0.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -29,7 +28,6 @@ from . import net as netmod
 from .envs import D_A, D_Q, D_V
 from .errors import ConfigError
 
-EXHAUSTIVE_MAX_M = 20
 JUDGE_MID = 5.0
 JUDGE_SLOPE = 1.25  # maps +-4 sd of the quality signal onto [0, 10]
 JUDGE_SIGMA = 0.1
@@ -126,28 +124,6 @@ def score_pool(pools: CandidatePools, nets: dict) -> None:
     pools.rewards.update(scores)
 
 
-def _winner(rewards: np.ndarray, subset) -> int:
-    """Argmax index within the subset; ties go to the lowest candidate index."""
-    best = subset[0]
-    for i in subset[1:]:
-        if rewards[i] > rewards[best]:
-            best = i
-    return best
-
-
-def bon_exhaustive(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:
-    """Enumerate every N-subset; guard rails keep this to small pools."""
-    m = len(rewards)
-    if not 1 <= n <= m:
-        raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
-    if m > EXHAUSTIVE_MAX_M:
-        raise ConfigError(f"M={m} exceeds the enumeration guard; use bon_fast")
-    total = 0.0
-    for subset in combinations(range(m), n):
-        total += judges[_winner(rewards, subset)]
-    return total / comb(m, n)
-
-
 @lru_cache(maxsize=64)
 def _rank_weights(m: int, n_grid: tuple) -> np.ndarray:
     """Row k: C(r-1, N-1) / C(M, N) for N = n_grid[k], correctly rounded.
@@ -179,31 +155,6 @@ def bon_estimates(rewards: np.ndarray, judges: np.ndarray, n_grid) -> np.ndarray
 def bon_fast(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:
     """Closed form of the same subset average, exact for any M."""
     return float(bon_estimates(rewards, judges, (n,))[0])
-
-
-def bon_mc_check(rewards: np.ndarray, judges: np.ndarray, n: int,
-                 draws: int, seed: int = 0):
-    """Monte Carlo estimate and standard error over uniform N-subsets."""
-    if draws < 1:
-        raise ConfigError("draws must be >= 1")
-    m = len(rewards)
-    if not 1 <= n <= m:
-        raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
-    rng = np.random.default_rng([seed, 0x3C])
-    # A uniform random N-subset is the first N entries of a random permutation.
-    keys = rng.random((draws, m))
-    subsets = np.argpartition(keys, n - 1, axis=1)[:, :n]
-    sub_rewards = rewards[subsets]
-    best_pos = sub_rewards.argmax(axis=1)
-    # argmax returns the first maximum in array order, which is not the
-    # lowest candidate index; resolve ties explicitly.
-    best_val = sub_rewards[np.arange(draws), best_pos]
-    tied = sub_rewards == best_val[:, None]
-    winner_idx = np.where(tied, subsets, m + 1).min(axis=1)
-    scores = judges[winner_idx]
-    est = float(scores.mean())
-    stderr = float(scores.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
-    return est, stderr
 
 
 def bon_curve(net_names: list, pools: CandidatePools, n_grid: list) -> dict:

@@ -7,10 +7,12 @@ command never perturbs existing streams and two runs from the same master
 seed produce byte-identical reports. Wall-clock timings live only in
 manifest.json, which is the one file allowed to differ between runs.
 
-gen, matrix, sfd and bon reuse their outputs when the inputs they were built
-from are unchanged (see ``Workspace.reuse``), and the array modules run only
-when a verb computes (see ``_lazy``), so a verb over an up-to-date lab,
-``report`` and ``--help`` never load numpy. The ``rmlab`` command leaves
+matrix, sfd and bon share one build (``_evaluate``): whichever runs first on
+a stale lab writes the outputs of all three. That build and gen reuse their
+outputs when the inputs they were built from are unchanged (see
+``Workspace.reuse``), and the array modules run only when a verb computes
+(see ``_lazy``), so a verb over an up-to-date lab, ``report`` and ``--help``
+never load numpy. The ``rmlab`` command leaves
 through ``entry``, which skips interpreter teardown.
 
 Exit codes: 0 success, 1 assertion failure, 2 usage or I/O error.
@@ -179,7 +181,7 @@ class Workspace:
     def __init__(self, config: ExperimentConfig, out: str, jobs: int = 1):
         self.config, self.out, self.jobs = config, out, jobs
         self.verified = {}  # key -> (path, sha256) last checked against its file
-        self.rebuild = None  # {"verb", "inputs", "outputs"} while a verb rebuilds
+        self.rebuild = None  # {"build", "inputs", "outputs"} while a verb rebuilds
         self.manifest_path = os.path.join(self.out, "manifest.json")
         self.manifest = {"config_hash": config.config_hash(), "artifacts": {},
                          "timings": {}}
@@ -250,10 +252,10 @@ class Workspace:
         self.verified[key] = (entry["path"], entry["sha256"])
         return path
 
-    def reuse(self, verb: str, input_keys) -> bool:
-        """True, after saying so, when the record of ``verb``'s last build
-        lists the verified sha256 of each of ``input_keys`` as it is now and
-        every output that build recorded is current.
+    def reuse(self, verb: str, build: str, input_keys) -> bool:
+        """True, after ``verb`` says so, when the record of ``build``'s last
+        run lists the verified sha256 of each of ``input_keys`` as it is now
+        and every output that run recorded is current.
 
         Otherwise the record is dropped and ``verb`` rebuilds; ``finish``
         writes the new record once every output is written. A missing or
@@ -265,23 +267,23 @@ class Workspace:
         builds = self.manifest.get("builds")
         if not isinstance(builds, dict):
             builds = self.manifest["builds"] = {}
-        last = builds.pop(verb, None)
+        last = builds.pop(build, None)
         outputs = last.get("outputs") if isinstance(last, dict) else None
         if (isinstance(outputs, dict) and outputs and last.get("inputs") == inputs
                 and all(isinstance(rel, str) and self.is_current(key, os.path.join(self.out, rel))
                         for key, rel in outputs.items())):
-            builds[verb] = last
+            builds[build] = last
             print(f"{verb}: skip (outputs up to date)")
             return True
-        self.rebuild = {"verb": verb, "inputs": inputs, "outputs": {}}
+        self.rebuild = {"build": build, "inputs": inputs, "outputs": {}}
         return False
 
     def finish(self, t0: float) -> None:
         """Record the build that ``reuse`` started (its inputs and every output
-        recorded since) and the verb's wall time since ``t0``; save the manifest."""
-        verb = self.rebuild.pop("verb")
-        self.manifest["builds"][verb], self.rebuild = self.rebuild, None
-        self.save_manifest(verb, time.monotonic() - t0)
+        recorded since) and its wall time since ``t0``; save the manifest."""
+        build = self.rebuild.pop("build")
+        self.manifest["builds"][build], self.rebuild = self.rebuild, None
+        self.save_manifest(build, time.monotonic() - t0)
 
     def save_manifest(self, timing_key: str | None = None, seconds: float | None = None):
         if timing_key is not None:
@@ -331,7 +333,7 @@ def cmd_gen(ws: Workspace) -> None:
     """Write the family description and every environment split to disk."""
     t0 = time.monotonic()
     # the family and its splits come from the config, which the manifest is keyed on
-    if ws.reuse("gen", []):
+    if ws.reuse("gen", "gen", []):
         return
     family = ws.config.build_family()
     specs = family.specs.values()
@@ -354,10 +356,6 @@ def _dataset_file(ws: Workspace, env_id: str, split: str) -> tuple:
     """The hash-checked path and the fingerprint of a recorded dataset split."""
     key = _dataset_key(env_id, split)
     return ws.artifact_path(key), ws.manifest["artifacts"][key].get("fingerprint", "")
-
-
-def _load_dataset(ws: Workspace, env_id: str, split: str):
-    return envs.read_dataset(*_dataset_file(ws, env_id, split))
 
 
 def _train_one(job: tuple) -> str:
@@ -409,38 +407,42 @@ def _proxy_key(mode: str, env_id: str) -> str:
     return f"model:proxy-{mode}:{env_id}"
 
 
-def _load_run(ws: Workspace, key: str) -> training.TrainRun:
-    return training.TrainRun.load(os.path.dirname(ws.artifact_path(key)))
+def _nets(config: ExperimentConfig) -> list:
+    """(key, TrainConfig, env_id) of the lab's 15 nets: one per (mode,
+    environment), then the paired text-only proxy of each audited net."""
+    return ([(_run_key(mode, e), config.train_config(mode, e), e)
+             for mode in MODES for e in ENVS]
+            + [(_proxy_key(mode, e), config.proxy_config(mode, e), e)
+               for mode in AUDIT_MODES for e in ENVS])
 
 
 def cmd_train(ws: Workspace) -> None:
-    """Train the lab's 15 nets: one per (mode, environment), then the paired
-    text-only proxy of each audited net."""
+    """Train the lab's 15 nets."""
     t0 = time.monotonic()
-    wanted = ([(_run_key(mode, e), ws.config.train_config(mode, e), e)
-               for mode in MODES for e in ENVS]
-              + [(_proxy_key(mode, e), ws.config.proxy_config(mode, e), e)
-                 for mode in AUDIT_MODES for e in ENVS])
-    if _ensure_runs(ws, wanted):  # only a call that trained may set the timing
+    if _ensure_runs(ws, _nets(ws.config)):  # only a call that trained may set the timing
         ws.save_manifest("train", time.monotonic() - t0)
 
 
-def _test_keys() -> list:
-    return [_dataset_key(e, "test") for e in ENVS]
-
-
-def cmd_matrix(ws: Workspace) -> None:
-    """Cross-distribution accuracy matrices for every mode."""
+def _evaluate(ws: Workspace, verb: str) -> None:
+    """The one build behind ``matrix``, ``sfd`` and ``bon``, run by whichever
+    of them ``verb`` is: bring the 15 nets up to date, then write the outputs
+    of all three from one load of each net and of each test split."""
     t0 = time.monotonic()
     cmd_train(ws)
-    if ws.reuse("matrix", [_run_key(m, e) for m in MODES for e in ENVS] + _test_keys()):
+    keys = [key for key, _, _ in _nets(ws.config)]
+    # the best-of-N pools come from the config, which the manifest is keyed on
+    if ws.reuse(verb, "evaluate", keys + [_dataset_key(e, "test") for e in ENVS]):
         return
-    test_sets = {e: _load_dataset(ws, e, "test") for e in ENVS}
+    for old in ("matrix", "sfd", "bon"):  # the per-verb records of older labs
+        ws.manifest["builds"].pop(old, None)
+    nets = {key: training.TrainRun.load(os.path.dirname(ws.artifact_path(key))).primary
+            for key in keys}
+    test_sets = {e: envs.read_dataset(*_dataset_file(ws, e, "test")) for e in ENVS}
 
     summary = {}
     for mode in MODES:
-        nets = {e: _load_run(ws, _run_key(mode, e)).primary for e in ENVS}
-        matrix = evaluation.gen_matrix(mode, nets, test_sets, ENVS)
+        matrix = evaluation.gen_matrix(mode, {e: nets[_run_key(mode, e)] for e in ENVS},
+                                       test_sets, ENVS)
         iid, ood = matrix["mean_diagonal"], matrix["mean_off_diagonal"]
         ws.write(f"report:matrix:{mode}", f"reports/matrix_{mode}.csv",
                  [["train_env", *ENVS]]
@@ -450,56 +452,29 @@ def cmd_matrix(ws: Workspace) -> None:
         summary[mode] = {"matrix": matrix, "mean_iid": iid, "mean_ood": ood, "gap": iid - ood}
         print(f"matrix[{mode}]: iid={iid:.4f} ood={ood:.4f}")
     ws.write("report:matrix-summary", "reports/matrix_summary.json", summary)
-    ws.finish(t0)
 
-
-def cmd_sfd(ws: Workspace) -> None:
-    """Shortcut-failure degradation reports for every o.o.d. cell."""
-    t0 = time.monotonic()
-    cmd_train(ws)
-    if ws.reuse("sfd", [k(m, e) for k in (_run_key, _proxy_key) for m in AUDIT_MODES
-                        for e in ENVS] + _test_keys()):
-        return
-
-    test_sets = {e: _load_dataset(ws, e, "test") for e in ENVS}
-    for mode in AUDIT_MODES:
-        reports = []
-        for train_env in ENVS:
-            run = _load_run(ws, _run_key(mode, train_env))
-            proxy = _load_run(ws, _proxy_key(mode, train_env)).primary
-            for test_env in ENVS:
-                if test_env == train_env:
-                    continue
-                reports.append(evaluation.sfd_report(run.primary, proxy, test_sets[test_env],
-                                                     train_env=train_env, mode=mode))
+    for mode in AUDIT_MODES:  # shortcut-failure degradation of every o.o.d. cell
+        reports = [evaluation.sfd_report(nets[_run_key(mode, train_env)],
+                                         nets[_proxy_key(mode, train_env)], test_sets[test_env],
+                                         train_env=train_env, mode=mode)
+                   for train_env in ENVS for test_env in ENVS if test_env != train_env]
         ws.write(f"report:sfd:{mode}", f"reports/sfd_{mode}.json", reports)
         vals = [r["sfd"] for r in reports if r["sfd"] is not None]
         print(f"sfd[{mode}]: {len(reports)} cells, "
               f"range [{min(vals):.3f}, {max(vals):.3f}]" if vals else
               f"sfd[{mode}]: all splits degenerate")
-    ws.finish(t0)
 
-
-def cmd_bon(ws: Workspace) -> None:
-    """Best-of-N curves for every net over i.i.d. and o.o.d. pools."""
-    t0 = time.monotonic()
-    cmd_train(ws)
-    # the pools come from the config, which the manifest is keyed on
-    if ws.reuse("bon", [_run_key(m, e) for m in AUDIT_MODES for e in ENVS]):
-        return
     family = ws.config.build_family()
-
-    nets = {f"{mode}/{e}": _load_run(ws, _run_key(mode, e)).primary
-            for mode, e in sorted((m, e) for m in AUDIT_MODES for e in ENVS)}
-
+    audited = {f"{mode}/{e}": nets[_run_key(mode, e)]
+               for mode, e in sorted((m, e) for m in AUDIT_MODES for e in ENVS)}
     rows = []
     for pool_env in ENVS:
         pools = bestofn.make_pools(
             family, ws.config.n_pools, m=ws.config.pool_size,
             seed=derive_seed(ws.config.master_seed, f"pools:{pool_env}"),
             env_id=pool_env)
-        bestofn.score_pool(pools, nets)
-        curves = bestofn.bon_curve(list(nets), pools, ws.config.n_grid)
+        bestofn.score_pool(pools, audited)
+        curves = bestofn.bon_curve(list(audited), pools, ws.config.n_grid)
         del pools  # freed before the next environment's pools are built
         for name, points in sorted(curves.items()):
             mode, train_env = name.split("/")
@@ -518,16 +493,32 @@ def cmd_bon(ws: Workspace) -> None:
                  for r in rows))
 
     n_max = max(ws.config.n_grid)
-    summary = {"n_max": n_max, "ood_best_at_n_max": {}}
+    best = {}
     for mode in AUDIT_MODES:  # every family has an o.o.d. pool for each net
         vals = [r["score"] for r in rows
                 if r["mode"] == mode and r["n"] == n_max
                 and r["train_env"] != r["pool_env"]]
-        summary["ood_best_at_n_max"][mode] = sum(vals) / len(vals)
-    ws.write("report:bon-summary", "reports/bon_summary.json", summary)
-    print(f"bon: ood best-of-{n_max} " +
-          " ".join(f"{m}={v:.3f}" for m, v in summary["ood_best_at_n_max"].items()))
+        best[mode] = sum(vals) / len(vals)
+    ws.write("report:bon-summary", "reports/bon_summary.json",
+             {"n_max": n_max, "ood_best_at_n_max": best})
+    print(f"bon: ood best-of-{n_max} " + " ".join(f"{m}={v:.3f}" for m, v in best.items()))
     ws.finish(t0)
+
+
+def cmd_matrix(ws: Workspace) -> None:
+    """Cross-distribution accuracy matrices for every mode (``_evaluate``)."""
+    _evaluate(ws, "matrix")
+
+
+def cmd_sfd(ws: Workspace) -> None:
+    """Shortcut-failure degradation reports for every o.o.d. cell (``_evaluate``)."""
+    _evaluate(ws, "sfd")
+
+
+def cmd_bon(ws: Workspace) -> None:
+    """Best-of-N curves for every audited net over i.i.d. and o.o.d. pools
+    (``_evaluate``)."""
+    _evaluate(ws, "bon")
 
 
 def _default_family_checks(summary, sfd_docs, bon_summary):
@@ -631,9 +622,9 @@ def cmd_report(ws: Workspace) -> int:
 
 VERBS = {"gen": "generate environment datasets",
          "train": "train all 15 nets: one per mode and env, plus 6 text-only proxies",
-         "matrix": "cross-distribution accuracy matrices",
-         "sfd": "shortcut-failure degradation reports",
-         "bon": "best-of-N curves",
+         "matrix": "cross-distribution accuracy matrices (one build with sfd and bon)",
+         "sfd": "shortcut-failure degradation reports (one build with matrix and bon)",
+         "bon": "best-of-N curves (one build with matrix and sfd)",
          "report": "consolidated report and assertion suite"}
 
 

@@ -1,5 +1,5 @@
 """Reward network numerics: a fixed two-layer scoring net with hand-derived
-gradients, a finite-difference checker, and AdamW with warmup + cosine decay.
+gradients, and AdamW with warmup + cosine decay.
 
 Everything is float64. A net scores one (image, query, answer) feature triple:
 
@@ -12,8 +12,8 @@ W1 get an exact zero gradient, so those weights only decay.
 The pairwise loss is -log(sigmoid(reward_chosen - reward_rejected)). An
 output offset would cancel in that margin, so the net has none. The batched
 margin (``pair_margins``), loss and hand-derived gradient here are the only
-ones: training uses them, evaluation compares the same margins with zero, and
-fd_check validates them against central finite differences.
+ones: training uses them, and evaluation compares the same margins with zero.
+The tests check the gradient against central finite differences.
 """
 
 from __future__ import annotations
@@ -231,37 +231,6 @@ def batch_pair_grads(network: RewardNet, pairs: np.ndarray, h: np.ndarray,
     diff *= g[:, None]
     diff.sum(axis=0, out=views["w2"])
     return margins, grad
-
-
-def fd_check(net: RewardNet, sample, mask_vision: bool, label: int = 1,
-             step: float = 1e-6) -> float:
-    """Max relative error of the training gradient (``batch_pair_grads`` on a
-    batch of one) against central finite differences of ``batch_losses``.
-    With ``mask_vision`` the vision block is zero and the gradient comes from
-    the text branch's ``q|a`` columns, as in training.
-
-    Errors are scaled by the largest gradient magnitude present so that
-    near-zero entries do not blow up the ratio.
-    """
-    if label not in (1, -1):
-        raise DimensionError(f"label must be +1 or -1, got {label}")
-    v = np.zeros_like(sample.v) if mask_vision else sample.v
-    chosen, rejected = (sample.a1, sample.a2) if label == 1 else (sample.a2, sample.a1)
-    pairs = np.stack([np.concatenate([v, sample.q, a]) for a in (chosen, rejected)])[None]
-    grad_rows = pairs[..., net.dims.d_v:] if mask_vision else pairs
-    _, grad = batch_pair_grads(net, grad_rows, branch_forward(net, pairs), np.ones(1))
-    work = net.copy()
-    fd = np.empty_like(grad)
-    for i in range(fd.size):
-        orig = work.theta[i]
-        work.theta[i] = orig + step
-        up = batch_losses(work, pairs)[0]
-        work.theta[i] = orig - step
-        down = batch_losses(work, pairs)[0]
-        work.theta[i] = orig
-        fd[i] = (up - down) / (2.0 * step)
-    scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)), 1e-8)
-    return float(np.max(np.abs(grad - fd))) / scale
 
 
 def schedule_lr(base_lr: float, warmup_ratio: float, total_steps: int, step: int) -> float:

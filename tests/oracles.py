@@ -1,0 +1,100 @@
+"""Reference implementations that only the tests compare the lab against.
+
+- ``fd_check``: the training gradient against central finite differences.
+- ``bon_exhaustive``: best-of-N by enumerating every N-subset (small pools).
+- ``bon_mc_check``: best-of-N by Monte Carlo over uniform N-subsets.
+
+Every path breaks an argmax tie toward the lowest candidate index, the rule
+``rmlab.bestofn.bon_estimates`` sorts by, so their agreement is exact. The
+net functions are looked up on ``rmlab.net`` at call time, so a test that
+patches one there reaches ``fd_check`` too.
+"""
+
+from itertools import combinations
+from math import comb
+
+import numpy as np
+
+from rmlab import net as netmod
+from rmlab.errors import ConfigError, DimensionError
+
+EXHAUSTIVE_MAX_M = 20
+
+
+def fd_check(net, sample, mask_vision: bool, label: int = 1,
+             step: float = 1e-6) -> float:
+    """Max relative error of the training gradient (``batch_pair_grads`` on a
+    batch of one) against central finite differences of ``batch_losses``.
+    With ``mask_vision`` the vision block is zero and the gradient comes from
+    the text branch's ``q|a`` columns, as in training.
+
+    Errors are scaled by the largest gradient magnitude present so that
+    near-zero entries do not blow up the ratio.
+    """
+    if label not in (1, -1):
+        raise DimensionError(f"label must be +1 or -1, got {label}")
+    v = np.zeros_like(sample.v) if mask_vision else sample.v
+    chosen, rejected = (sample.a1, sample.a2) if label == 1 else (sample.a2, sample.a1)
+    pairs = np.stack([np.concatenate([v, sample.q, a]) for a in (chosen, rejected)])[None]
+    grad_rows = pairs[..., net.dims.d_v:] if mask_vision else pairs
+    _, grad = netmod.batch_pair_grads(net, grad_rows, netmod.branch_forward(net, pairs),
+                                      np.ones(1))
+    work = net.copy()
+    fd = np.empty_like(grad)
+    for i in range(fd.size):
+        orig = work.theta[i]
+        work.theta[i] = orig + step
+        up = netmod.batch_losses(work, pairs)[0]
+        work.theta[i] = orig - step
+        down = netmod.batch_losses(work, pairs)[0]
+        work.theta[i] = orig
+        fd[i] = (up - down) / (2.0 * step)
+    scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)), 1e-8)
+    return float(np.max(np.abs(grad - fd))) / scale
+
+
+def _winner(rewards: np.ndarray, subset) -> int:
+    """Argmax index within the subset; ties go to the lowest candidate index."""
+    best = subset[0]
+    for i in subset[1:]:
+        if rewards[i] > rewards[best]:
+            best = i
+    return best
+
+
+def bon_exhaustive(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:
+    """Enumerate every N-subset; guard rails keep this to small pools."""
+    m = len(rewards)
+    if not 1 <= n <= m:
+        raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
+    if m > EXHAUSTIVE_MAX_M:
+        raise ConfigError(f"M={m} exceeds the enumeration guard; use bon_fast")
+    total = 0.0
+    for subset in combinations(range(m), n):
+        total += judges[_winner(rewards, subset)]
+    return total / comb(m, n)
+
+
+def bon_mc_check(rewards: np.ndarray, judges: np.ndarray, n: int,
+                 draws: int, seed: int = 0):
+    """Monte Carlo estimate and standard error over uniform N-subsets."""
+    if draws < 1:
+        raise ConfigError("draws must be >= 1")
+    m = len(rewards)
+    if not 1 <= n <= m:
+        raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
+    rng = np.random.default_rng([seed, 0x3C])
+    # A uniform random N-subset is the first N entries of a random permutation.
+    keys = rng.random((draws, m))
+    subsets = np.argpartition(keys, n - 1, axis=1)[:, :n]
+    sub_rewards = rewards[subsets]
+    best_pos = sub_rewards.argmax(axis=1)
+    # argmax returns the first maximum in array order, which is not the
+    # lowest candidate index; resolve ties explicitly.
+    best_val = sub_rewards[np.arange(draws), best_pos]
+    tied = sub_rewards == best_val[:, None]
+    winner_idx = np.where(tied, subsets, m + 1).min(axis=1)
+    scores = judges[winner_idx]
+    est = float(scores.mean())
+    stderr = float(scores.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
+    return est, stderr

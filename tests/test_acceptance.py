@@ -14,11 +14,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from rmlab.bestofn import bon_exhaustive, bon_fast, bon_mc_check
+from oracles import bon_exhaustive, bon_mc_check, fd_check
+from rmlab.bestofn import bon_fast
 from rmlab.cli import ExperimentConfig, derive_seed, main
 from rmlab.envs import (DirectionRule, EnvironmentFamily, EnvironmentSpec,
                         PreferenceSample, sample_env)
-from rmlab.net import NetDims, RewardNet, fd_check
+from rmlab.net import NetDims, RewardNet
 from rmlab.training import (TrainConfig, TrainRun, sfc, train,
                             weighted_grad_step, _stack_pairs)
 

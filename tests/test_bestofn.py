@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import bon_exhaustive, bon_mc_check
 from rmlab.bestofn import (JUDGE_MID, JUDGE_SIGMA, JUDGE_SLOPE, _rank_weights, bon_curve,
-                           bon_estimates, bon_exhaustive, bon_fast, bon_mc_check,
-                           make_pools, score_pool, simulated_judge)
+                           bon_estimates, bon_fast, make_pools, score_pool, simulated_judge)
 from rmlab.envs import D_A, D_Q, D_V, RESERVED_COORDS, default_family
 from rmlab.errors import ConfigError
 from rmlab.net import NetDims, RewardNet, batch_scores

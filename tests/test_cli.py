@@ -615,13 +615,13 @@ class TestPipeline:
     def test_train_timing_left_to_calls_that_train(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"
-        for verb in ("gen", "matrix"):
+        for verb in ("gen", "train"):
             assert run(verb, config, out) == 0
         timings = json.loads((out / "manifest.json").read_text())["timings"]
-        assert run("bon", config, out) == 0  # every bon model is already trained
+        assert run("bon", config, out) == 0  # every net is already trained
         after = json.loads((out / "manifest.json").read_text())["timings"]
         assert after["train"] == timings["train"]
-        assert "bon" in after
+        assert "evaluate" in after
 
     def test_first_model_verb_trains_all_15_nets(self, tmp_path, capsys):
         # one job list: bon alone trains the matrix nets and the sfd proxies
@@ -666,14 +666,16 @@ class TestPipeline:
         assert not (out / "models").exists()
 
     def test_report_requires_sfd_and_bon_outputs(self, tmp_path):
+        # and the matrix summary: train writes none of the three
         config = write_config(tmp_path)
         out = tmp_path / "out"
-        for verb in ("gen", "matrix"):
+        for verb in ("gen", "train"):
             assert run(verb, config, out) == 0
         assert run("report", config, out) == 1
         report = json.loads((out / "reports" / "report.json").read_text())
         assert [m.split(": ")[0] for m in report["missing_artifacts"]] == [
-            "report:bon-summary", "report:sfd:shortcut_aware", "report:sfd:standard"]
+            "report:bon-summary", "report:matrix-summary", "report:sfd:shortcut_aware",
+            "report:sfd:standard"]
         assert report["checks"] == [] and not report["passed"]
 
     def test_pool_forks_no_more_workers_than_stale_jobs(self, tmp_path, monkeypatch):
@@ -831,7 +833,7 @@ class TestReuse:
     def test_deleted_output_is_rebuilt(self, lab_copy, capsys):
         config, out = lab_copy
         manifest = json.loads((out / "manifest.json").read_text())
-        outputs = manifest["builds"]["bon"]["outputs"]
+        outputs = manifest["builds"]["evaluate"]["outputs"]
         assert "reports/bon_B.svg" in outputs.values()
         recorded = {rel: manifest["artifacts"][key]["sha256"] for key, rel in outputs.items()}
         (out / "reports" / "bon_B.svg").unlink()
@@ -851,15 +853,18 @@ class TestReuse:
         manifest["artifacts"]["model:standard:A"]["sha256"] = sha = file_sha(path)
         (out / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        for verb in ("matrix", "sfd"):
-            assert run(verb, config, out) == 0
+        assert run("sfd", config, out) == 0
         printed = capsys.readouterr().out
         assert "skip" not in printed and "train: finished" not in printed
         assert "matrix[standard]" in printed and "sfd[standard]" in printed
+        assert "bon: ood best-of-16" in printed
         assert {k: v[0] for k, v in tree(out / "reports").items()} == reports
         builds = json.loads((out / "manifest.json").read_text())["builds"]
-        assert builds["matrix"]["inputs"]["model:standard:A"] == sha
-        assert builds["sfd"]["inputs"]["model:standard:A"] == sha
+        assert builds["evaluate"]["inputs"]["model:standard:A"] == sha
+        for verb in ("matrix", "bon"):
+            assert run(verb, config, out) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{verb}: skip (outputs up to date)" for verb in ("matrix", "bon")]
 
     @pytest.mark.parametrize("damage", [
         lambda m, verb: m.update(builds="x"),
@@ -872,10 +877,10 @@ class TestReuse:
             "path-not-string", "unknown-output"])
     def test_malformed_build_record_means_rebuild(self, lab_copy, damage, capsys):
         config, out = lab_copy
-        for verb, rebuilt in (("matrix", "matrix[standard]"),
-                              ("gen", "gen: wrote datasets/A_train.npz")):
+        for build, verb, rebuilt in (("evaluate", "matrix", "matrix[standard]"),
+                                     ("gen", "gen", "gen: wrote datasets/A_train.npz")):
             manifest = json.loads((out / "manifest.json").read_text())
-            damage(manifest, verb)
+            damage(manifest, build)
             (out / "manifest.json").write_text(json.dumps(manifest))
             proc = run_cli(verb, config, out)
             assert proc.returncode == 0, proc.stderr
@@ -901,6 +906,52 @@ class TestReuse:
         assert capsys.readouterr().out == "matrix: skip (outputs up to date)\n"
         assert run("gen", config, out) == 0
         assert capsys.readouterr().out == "gen: skip (outputs up to date)\n"
+
+    @pytest.mark.parametrize("first", ["matrix", "sfd", "bon"])
+    def test_any_model_verb_builds_every_model_output(self, tmp_path, capsys, first):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("gen", config, out) == 0
+        assert run(first, config, out) == 0
+        digests = {**for_this_kernel(TestPipeline.REPORT_DIGESTS),
+                   **{f"reports/{name}": sha for name, sha in
+                      for_this_kernel(TestPipeline.BON_DIGESTS).items()}}
+        assert {name: file_sha(out / name) for name in digests} == digests
+        assert all((out / "reports" / f"bon_{e}.svg").exists() for e in ("A", "B", "C"))
+        built = tree(out)
+        # the other two, in one process: each prints its skip line alone,
+        # writes nothing and never loads numpy
+        others = [verb for verb in ("matrix", "sfd", "bon") if verb != first]
+        probe = ("import json, sys\nimport rmlab.cli\n"
+                 "for verb in sys.argv[3:]:\n"
+                 "    code = rmlab.cli.main([verb, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                 "    print(json.dumps([verb, code, 'numpy' in sys.modules]))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, config, str(out), *others],
+                              env=src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            line for verb in others
+            for line in (f"{verb}: skip (outputs up to date)", json.dumps([verb, 0, False]))]
+        assert tree(out) == built  # manifest.json included
+
+    def test_per_verb_build_records_are_replaced_by_one(self, lab_copy, capsys):
+        # a lab built when matrix, sfd and bon each kept a build record
+        config, out = lab_copy
+        manifest = json.loads((out / "manifest.json").read_text())
+        shared = manifest["builds"].pop("evaluate")
+        manifest["builds"].update({verb: shared for verb in ("matrix", "sfd", "bon")})
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        reports = {k: v[0] for k, v in tree(out / "reports").items()}
+        capsys.readouterr()
+        assert run("bon", config, out) == 0
+        assert "matrix[standard]" in capsys.readouterr().out
+        assert {k: v[0] for k, v in tree(out / "reports").items()} == reports
+        assert sorted(json.loads((out / "manifest.json").read_text())["builds"]) == [
+            "evaluate", "gen"]
+        for verb in ("matrix", "sfd"):
+            assert run(verb, config, out) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{verb}: skip (outputs up to date)" for verb in ("matrix", "sfd")]
 
     def test_verbs_without_array_work_load_no_numpy(self, lab_copy):
         # nor dataclasses or csv, and the svg module stays registered, unrun

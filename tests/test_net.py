@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import fd_check
 from rmlab import net as netmod
 from rmlab.envs import PreferenceSample
 from rmlab.errors import DimensionError, ScheduleExhausted
 from rmlab.net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_losses,
-                       batch_pair_grads, batch_scores, branch_forward, fd_check,
-                       schedule_lr, sigmoid)
+                       batch_pair_grads, batch_scores, branch_forward, schedule_lr,
+                       sigmoid)
 
 
 def make_sample(rng, dims):
@@ -189,7 +190,7 @@ class TestFdCheck:
             return margins, grad
 
         monkeypatch.setattr(netmod, "batch_pair_grads", corrupted)
-        assert netmod.fd_check(net, random_sample, mask_vision=False) > 1e-2
+        assert fd_check(net, random_sample, mask_vision=False) > 1e-2
 
 
 class TestSchedule:
