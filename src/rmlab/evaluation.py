@@ -1,6 +1,5 @@
 """Evaluation machinery: pairwise accuracy, cross-distribution generalization
-matrices, the shortcut-failure degradation metric, and the sfc ordering
-diagnostic.
+matrices and the shortcut-failure degradation metric.
 
 Accuracy uses the strict comparison reward(chosen) > reward(rejected); ties
 count as incorrect. This matters for degenerate scorers (an all-zero net ties
@@ -13,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .net import RewardNet, branch_forward, pair_margins
-from .training import _stack_pairs, mean_sfc_over
+from .training import _stack_pairs
 
 
 def _correct(net: RewardNet, dataset, mask_vision: bool) -> np.ndarray:
@@ -63,23 +62,3 @@ def sfd_report(mm_net, text_net, test_set, *, train_env="", mode="") -> dict:
             "n_success": n_success, "n_fail": n_fail,
             "acc_on_success": acc_s, "acc_on_fail": acc_f, "sfd": gap}
 
-
-def sfc_rho_diagnostic(specs_by_env: dict, runs_by_env: dict, train_sets: dict) -> dict:
-    """Check that environments whose shortcut explains less get higher sfc.
-
-    Every run is a ``shortcut_aware`` one, so it has an auxiliary branch.
-    Returns ``{"rows", "skipped", "ordered"}``: per environment a row
-    ``{"env_id", "beta", "rho_proxy" (1 - beta), "mean_sfc" (end of
-    training)}``; ``ordered`` is whether lower beta gives strictly higher mean
-    sfc, and None (skipped) with fewer than two distinct beta values.
-    """
-    rows = [{"env_id": env_id, "beta": specs_by_env[env_id].beta,
-             "rho_proxy": 1.0 - specs_by_env[env_id].beta,
-             "mean_sfc": mean_sfc_over(run.primary, run.aux, train_sets[env_id])}
-            for env_id, run in sorted(runs_by_env.items())]
-    if len({r["beta"] for r in rows}) < 2:
-        return {"rows": rows, "skipped": True, "ordered": None}
-    by_beta = sorted(rows, key=lambda r: r["beta"])
-    ordered = all(by_beta[i]["mean_sfc"] > by_beta[i + 1]["mean_sfc"]
-                  for i in range(len(by_beta) - 1))
-    return {"rows": rows, "skipped": False, "ordered": ordered}

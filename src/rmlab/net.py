@@ -130,13 +130,6 @@ class RewardNet:
         net.w2 = rng.uniform(-lim2, lim2, size=dims.hidden)
         return net
 
-    @classmethod
-    def zeros(cls, dims: NetDims) -> "RewardNet":
-        return cls(dims, -1)
-
-    def copy(self) -> "RewardNet":
-        return RewardNet(self.dims, self.seed, self.theta.copy())
-
     def to_dict(self) -> dict:
         """Flat JSON document; float round-trip is bit-exact via repr."""
         return {
@@ -187,11 +180,6 @@ def pair_margins(network: RewardNet, h: np.ndarray) -> np.ndarray:
     activations ``h``; each half is scored like batch_scores."""
     b = h.shape[0] // 2
     return h[:b] @ network.w2 - h[b:] @ network.w2
-
-
-def batch_losses(network: RewardNet, pairs: np.ndarray) -> np.ndarray:
-    """Per-sample pairwise losses for a (b, 2, input_dim) batch of feature rows."""
-    return bt_loss(pair_margins(network, branch_forward(network, pairs)))
 
 
 def batch_pair_grads(network: RewardNet, pairs: np.ndarray, h: np.ndarray,

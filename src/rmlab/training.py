@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MODES, TrainConfig  # noqa: F401 -- re-exported
+from .config import TrainConfig
 from .errors import DomainError
-from .net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_losses,
-                  batch_pair_grads, branch_forward, bt_loss, pair_margins)
+from .net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_pair_grads,
+                  branch_forward, bt_loss, pair_margins)
 
 LOSS_FLOOR = 1e-300  # keeps the sfc ratio defined if a margin saturates
 
@@ -112,8 +112,7 @@ class SfcBatch:
     mean_sfc: float
 
 
-def weighted_grad_step(primary: RewardNet, aux: RewardNet, pairs: np.ndarray,
-                       weight_override: np.ndarray | None = None):
+def weighted_grad_step(primary: RewardNet, aux: RewardNet, pairs: np.ndarray):
     """Gradients for one shortcut-aware batch of (b, 2, input_dim) feature
     rows; the auxiliary branch sees them with the vision block zeroed.
 
@@ -121,10 +120,7 @@ def weighted_grad_step(primary: RewardNet, aux: RewardNet, pairs: np.ndarray,
     weight the sample's sfc over the batch-mean sfc (so weights average 1);
     auxiliary gradients are the unweighted mean of text-only pair gradients.
     Each branch runs its forward pass once: the sfc losses and the gradients
-    come from the same activations. ``weight_override`` bypasses the sfc
-    weights entirely (diagnostics: all ones reduces the step to standard
-    training; passing previously recorded weights demonstrates the weights
-    are detached constants).
+    come from the same activations.
 
     Returns (SfcBatch, grads): row 0 of the (2, n_params) ``grads`` is the
     primary gradient, row 1 the auxiliary one.
@@ -138,10 +134,7 @@ def weighted_grad_step(primary: RewardNet, aux: RewardNet, pairs: np.ndarray,
     loss_t = np.maximum(bt_loss(pair_margins(aux, h_t)), LOSS_FLOOR)
     sfc_vals = sfc(loss_mm, loss_t)
     mean_sfc = sfc_vals.sum() / sfc_vals.size  # np.mean's bits, less overhead
-    if weight_override is None:
-        weights = sfc_vals / mean_sfc
-    else:
-        weights = np.asarray(weight_override, dtype=np.float64)
+    weights = sfc_vals / mean_sfc
 
     grads = np.empty((2, primary.theta.size))
     batch_pair_grads(primary, pairs, h_mm, weights, out=grads[0])
@@ -219,11 +212,3 @@ def train(config: TrainConfig, dataset) -> TrainRun:
     return TrainRun(config=config, dataset_fingerprint=dataset.fingerprint,
                     loss_trace=loss_trace, sfc_trace=sfc_trace,
                     primary=primary, aux=aux, epoch_sfc_stats=epoch_stats)
-
-
-def mean_sfc_over(primary: RewardNet, aux: RewardNet, dataset) -> float:
-    """Mean end-state sfc of a dataset under a trained branch pair."""
-    loss_mm = np.maximum(batch_losses(primary, _stack_pairs(dataset)), LOSS_FLOOR)
-    loss_t = np.maximum(batch_losses(aux, _stack_pairs(dataset, mask_vision=True)),
-                        LOSS_FLOOR)
-    return float(np.mean(sfc(loss_mm, loss_t)))

@@ -1,13 +1,17 @@
-"""Reference implementations that only the tests compare the lab against.
+"""Reference implementations and helpers that only the tests use.
 
+- ``zero_net``, ``copy_net`` and ``batch_losses``: an all-zero net, a
+  detached copy of a net, and per-pair losses on training's forward pass.
 - ``fd_check``: the training gradient against central finite differences.
 - ``bon_exhaustive``: best-of-N by enumerating every N-subset (small pools).
 - ``bon_mc_check``: best-of-N by Monte Carlo over uniform N-subsets.
+- ``mean_sfc_over`` and ``sfc_rho_diagnostic``: end-of-training sfc per
+  environment, and whether it orders the environments by beta.
 
-Every path breaks an argmax tie toward the lowest candidate index, the rule
-``rmlab.bestofn.bon_estimates`` sorts by, so their agreement is exact. The
-net functions are looked up on ``rmlab.net`` at call time, so a test that
-patches one there reaches ``fd_check`` too.
+Every best-of-N path breaks an argmax tie toward the lowest candidate index,
+the rule ``rmlab.bestofn.bon_estimates`` sorts by, so their agreement is
+exact. The net functions are looked up on ``rmlab.net`` at call time, so a
+test that patches one there reaches ``fd_check`` too.
 """
 
 from itertools import combinations
@@ -17,8 +21,25 @@ import numpy as np
 
 from rmlab import net as netmod
 from rmlab.errors import ConfigError, DimensionError
+from rmlab.training import LOSS_FLOOR, _stack_pairs, sfc
 
 EXHAUSTIVE_MAX_M = 20
+
+
+def zero_net(dims):
+    """A net whose every parameter is zero: it scores every answer 0."""
+    return netmod.RewardNet(dims, -1)
+
+
+def copy_net(net):
+    """A net with the same dims, seed and parameters that shares no memory."""
+    return netmod.RewardNet(net.dims, net.seed, net.theta.copy())
+
+
+def batch_losses(network, pairs: np.ndarray) -> np.ndarray:
+    """Per-sample pairwise losses for a (b, 2, input_dim) batch of feature rows."""
+    return netmod.bt_loss(netmod.pair_margins(network,
+                                              netmod.branch_forward(network, pairs)))
 
 
 def fd_check(net, sample, mask_vision: bool, label: int = 1,
@@ -39,14 +60,14 @@ def fd_check(net, sample, mask_vision: bool, label: int = 1,
     grad_rows = pairs[..., net.dims.d_v:] if mask_vision else pairs
     _, grad = netmod.batch_pair_grads(net, grad_rows, netmod.branch_forward(net, pairs),
                                       np.ones(1))
-    work = net.copy()
+    work = copy_net(net)
     fd = np.empty_like(grad)
     for i in range(fd.size):
         orig = work.theta[i]
         work.theta[i] = orig + step
-        up = netmod.batch_losses(work, pairs)[0]
+        up = batch_losses(work, pairs)[0]
         work.theta[i] = orig - step
-        down = netmod.batch_losses(work, pairs)[0]
+        down = batch_losses(work, pairs)[0]
         work.theta[i] = orig
         fd[i] = (up - down) / (2.0 * step)
     scale = max(np.max(np.abs(grad)), np.max(np.abs(fd)), 1e-8)
@@ -98,3 +119,32 @@ def bon_mc_check(rewards: np.ndarray, judges: np.ndarray, n: int,
     est = float(scores.mean())
     stderr = float(scores.std(ddof=1) / np.sqrt(draws)) if draws > 1 else float("inf")
     return est, stderr
+
+
+def mean_sfc_over(primary, aux, dataset) -> float:
+    """Mean end-state sfc of a dataset under a trained branch pair."""
+    loss_mm = np.maximum(batch_losses(primary, _stack_pairs(dataset)), LOSS_FLOOR)
+    loss_t = np.maximum(batch_losses(aux, _stack_pairs(dataset, mask_vision=True)),
+                        LOSS_FLOOR)
+    return float(np.mean(sfc(loss_mm, loss_t)))
+
+
+def sfc_rho_diagnostic(specs_by_env: dict, runs_by_env: dict, train_sets: dict) -> dict:
+    """Check that environments whose shortcut explains less get higher sfc.
+
+    Every run is a ``shortcut_aware`` one, so it has an auxiliary branch.
+    Returns ``{"rows", "skipped", "ordered"}``: per environment a row
+    ``{"env_id", "beta", "rho_proxy" (1 - beta), "mean_sfc" (end of
+    training)}``; ``ordered`` is whether lower beta gives strictly higher mean
+    sfc, and None (skipped) with fewer than two distinct beta values.
+    """
+    rows = [{"env_id": env_id, "beta": specs_by_env[env_id].beta,
+             "rho_proxy": 1.0 - specs_by_env[env_id].beta,
+             "mean_sfc": mean_sfc_over(run.primary, run.aux, train_sets[env_id])}
+            for env_id, run in sorted(runs_by_env.items())]
+    if len({r["beta"] for r in rows}) < 2:
+        return {"rows": rows, "skipped": True, "ordered": None}
+    by_beta = sorted(rows, key=lambda r: r["beta"])
+    ordered = all(by_beta[i]["mean_sfc"] > by_beta[i + 1]["mean_sfc"]
+                  for i in range(len(by_beta) - 1))
+    return {"rows": rows, "skipped": False, "ordered": ordered}

@@ -215,7 +215,7 @@ class TestCriterion8ReweightingTargetsShortcutFailures:
 
 class TestCriterion9SfcRhoOrdering:
     def test_mean_sfc_decreasing_in_beta(self):
-        from rmlab.evaluation import sfc_rho_diagnostic
+        from oracles import sfc_rho_diagnostic
 
         master = ExperimentConfig().master_seed
         fs = derive_seed(master, "rho-family")

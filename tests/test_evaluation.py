@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import copy_net, sfc_rho_diagnostic, zero_net
 from rmlab import net as netmod
-from rmlab.evaluation import _correct, accuracy, gen_matrix, sfd_report, sfc_rho_diagnostic
+from rmlab.evaluation import _correct, accuracy, gen_matrix, sfd_report
 from rmlab.net import NetDims, RewardNet, branch_forward, pair_margins
 from rmlab.training import TrainConfig, _stack_pairs, train
 
@@ -21,7 +22,7 @@ def text_p(small_sets):
 
 class TestAccuracy:
     def test_zero_net_scores_zero_ties_lose(self, small_sets, default_dims):
-        net = RewardNet.zeros(default_dims)
+        net = zero_net(default_dims)
         assert accuracy(net, small_sets[("P", "test")]) == 0.0
 
     def test_bayes_oracle_near_ceiling(self, small_family, small_sets, true_margins):
@@ -32,7 +33,7 @@ class TestAccuracy:
     def test_invariant_under_increasing_transform(self, trained_p, small_sets):
         ds = small_sets[("P", "test")]
         base = accuracy(trained_p.primary, ds)
-        transformed = trained_p.primary.copy()
+        transformed = copy_net(trained_p.primary)
         transformed.w2 = 2.0 * transformed.w2  # scores double exactly
         assert accuracy(transformed, ds) == base
 
@@ -60,7 +61,7 @@ class TestScoringPath:
     def test_matches_the_per_half_scores(self, small_sets, hidden, mask_vision):
         dims = NetDims(16, 8, 16, hidden)
         theta = np.random.default_rng(hidden).uniform(-0.5, 0.5, dims.n_params)
-        zero = RewardNet.zeros(dims)  # every pair ties, and a tie is not correct
+        zero = zero_net(dims)  # every pair ties, and a tie is not correct
         for net in (RewardNet(dims, 0, theta), zero):
             for ds in small_sets.values():
                 x = _stack_pairs(ds, mask_vision=mask_vision)
@@ -108,7 +109,7 @@ class TestShortcutSplitAndSfd:
             accuracy(text_p.primary, ds, mask_vision=True) * len(ds))
 
     def test_zero_net_puts_all_ties_in_fail(self, trained_p, small_sets):
-        net = RewardNet.zeros(NetDims(16, 8, 16, 8))
+        net = zero_net(NetDims(16, 8, 16, 8))
         rep = sfd_report(trained_p.primary, net, small_sets[("P", "test")])
         assert rep["n_success"] == 0
         assert rep["n_fail"] == len(small_sets[("P", "test")].samples)
@@ -124,7 +125,7 @@ class TestShortcutSplitAndSfd:
         assert -1.0 <= rep["sfd"] <= 1.0
 
     def test_report_survives_degenerate_split(self, small_sets, default_dims):
-        zero = RewardNet.zeros(default_dims)
+        zero = zero_net(default_dims)
         rep = sfd_report(zero, zero, small_sets[("P", "test")],
                          train_env="P", mode="standard")
         assert rep["sfd"] is None and rep["n_success"] == 0

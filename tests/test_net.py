@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fd_check
+from oracles import batch_losses, copy_net, fd_check, zero_net
 from rmlab import net as netmod
 from rmlab.envs import PreferenceSample
 from rmlab.errors import DimensionError, ScheduleExhausted
-from rmlab.net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_losses,
-                       batch_pair_grads, batch_scores, branch_forward, schedule_lr,
-                       sigmoid)
+from rmlab.net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_pair_grads,
+                       batch_scores, branch_forward, schedule_lr, sigmoid)
 
 
 def make_sample(rng, dims):
@@ -55,7 +54,7 @@ def score(net, v, q, a):
 
 class TestForward:
     def test_zero_net_scores_zero(self, default_dims):
-        net = RewardNet.zeros(default_dims)
+        net = zero_net(default_dims)
         rng = np.random.default_rng(0)
         out = score(net, rng.standard_normal(16), rng.standard_normal(8),
                     rng.standard_normal(16))
@@ -111,7 +110,7 @@ class TestMaskedForward:
 def fd_grads_reference(net, sample, mask_vision, label, step=1e-6):
     """Test-local central differences, independent of fd_check."""
     out = {}
-    work = net.copy()
+    work = copy_net(net)
     pairs = pair_rows(sample, mask_vision, label)
     for name in ("w1", "b1", "w2"):
         param = getattr(work, name)
@@ -131,7 +130,7 @@ def fd_grads_reference(net, sample, mask_vision, label, step=1e-6):
 
 class TestPairGrad:
     def test_equal_scores_give_log_two(self, default_dims, random_sample):
-        net = RewardNet.zeros(default_dims)
+        net = zero_net(default_dims)
         loss, _ = pair_grad(net, random_sample, mask_vision=False, label=1)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -168,7 +167,7 @@ class TestPairGrad:
 
 class TestFdCheck:
     def test_zero_net_error_tiny(self, default_dims, random_sample):
-        net = RewardNet.zeros(default_dims)
+        net = zero_net(default_dims)
         assert fd_check(net, random_sample, mask_vision=False) <= 1e-7
 
     def test_random_draws_pass(self, default_dims):
@@ -300,7 +299,7 @@ class TestFlatAdamW:
         assert state.step == 200 and schedule_lr(base_lr, 0.1, total, state.step) < base_lr
 
     def test_named_blocks_write_through_to_theta(self, default_dims):
-        net = RewardNet.zeros(default_dims)
+        net = zero_net(default_dims)
         net.w1 = np.ones_like(net.w1)
         net.b1[3] = 2.0
         net.w2 = np.full(default_dims.hidden, 4.0)
@@ -439,6 +438,6 @@ class TestStackedAdamW:
         net = RewardNet(default_dims, 0, theta[1])
         net.b1 = 1.0
         assert theta[1].any() and not theta[0].any()
-        twin = net.copy()
+        twin = copy_net(net)
         twin.b1 = 2.0
         assert np.all(net.b1 == 1.0)

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import batch_losses, copy_net
+from rmlab.config import MODES
 from rmlab.envs import ENVS, default_family, sample_env
 from rmlab.errors import ConfigError, DomainError
 from rmlab.evaluation import accuracy
 from rmlab.net import RewardNet, schedule_lr
-from rmlab.training import (MODES, TrainConfig, TrainRun, batch_losses, sfc, train,
-                            weighted_grad_step, _stack_pairs)
+from rmlab.training import (TrainConfig, TrainRun, sfc, train, weighted_grad_step,
+                            _stack_pairs)
 from rmlab import net as netmod
 
 
@@ -120,18 +122,22 @@ class TestWeightedGradStep:
         dims = NetDims(16, 8, 16, hidden=16)
         return RewardNet.init(dims, 3), RewardNet.init(dims, 4)
 
-    def test_batch_of_one_scales_single_gradient(self, small_sets, nets):
+    def test_gradient_is_sfc_weighted_mean_of_single_gradients(self, nets, tiny_batch):
+        # linearity at the step's own sfc weights: the primary gradient is
+        # sum_i weight[i] * (row i's gradient at weight 1) / batch size
         primary, aux = nets
-        one = _stack_pairs(small_sets[("P", "train")])[:1]
-        w = 0.37
-        _, flat = weighted_grad_step(primary, aux, one, weight_override=np.array([w]))
-        _, single_flat = netmod.batch_pair_grads(
-            primary, one, netmod.branch_forward(primary, one), np.ones(1))
-        grads, single = primary.dims.views(flat[0]), primary.dims.views(single_flat)
+        batch, flat = weighted_grad_step(primary, aux, tiny_batch)
+        ref_flat = np.zeros(primary.dims.n_params)
+        for i, w in enumerate(batch.weight):
+            one = tiny_batch[i:i + 1]
+            _, single = netmod.batch_pair_grads(
+                primary, one, netmod.branch_forward(primary, one), np.ones(1))
+            ref_flat += w * single
+        ref_flat /= len(tiny_batch)
+        grads, ref = primary.dims.views(flat[0]), primary.dims.views(ref_flat)
         for name in ("w1", "b1", "w2"):
-            ref = np.atleast_1d(w * single[name])
-            got = np.atleast_1d(grads[name])
-            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(grads[name] - ref[name])) <= (
+                1e-12 * max(1.0, np.max(np.abs(ref[name]))))
 
     def test_records_are_the_exact_quantities(self, nets, tiny_batch):
         primary, aux = nets
@@ -155,20 +161,20 @@ class TestWeightedGradStep:
         assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_weights_are_detached_constants(self, nets, tiny_batch):
-        # Recomputing with the recorded weights but a perturbed aux net must
-        # give bit-identical primary gradients: the weights are numbers, not
-        # functions of the aux parameters.
+        # The primary gradient is the plain weighted pair gradient with the
+        # recorded weights as constants: no term flows through the aux net.
         primary, aux = nets
         batch, flat = weighted_grad_step(primary, aux, tiny_batch)
-        weights = batch.weight.copy()
-        perturbed = aux.copy()
+        _, ref = netmod.batch_pair_grads(primary, tiny_batch,
+                                         netmod.branch_forward(primary, tiny_batch),
+                                         batch.weight)
+        assert flat[0].tobytes() == ref.tobytes()
+        # the weights do depend on the aux net, so holding them constant is a
+        # real property of the step, not a vacuous one
+        perturbed = copy_net(aux)
         perturbed.w1 = perturbed.w1 + 0.5
-        _, flat2 = weighted_grad_step(primary, perturbed, tiny_batch,
-                                      weight_override=weights)
-        grads, grads2 = primary.dims.views(flat[0]), primary.dims.views(flat2[0])
-        for name in ("w1", "b1", "w2"):
-            assert np.array_equal(np.atleast_1d(grads[name]),
-                                  np.atleast_1d(grads2[name]))
+        moved, _ = weighted_grad_step(primary, perturbed, tiny_batch)
+        assert not np.array_equal(moved.weight, batch.weight)
 
 
 @pytest.fixture(scope="module")
