@@ -18,7 +18,7 @@ ranks add only +-0.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -31,6 +31,7 @@ from .errors import ConfigError
 JUDGE_MID = 5.0
 JUDGE_SLOPE = 1.25  # maps +-4 sd of the quality signal onto [0, 10]
 JUDGE_SIGMA = 0.1
+SCALE_MIX = (0.5, 1.0, 2.0)  # candidate noise scales, picked uniformly
 
 
 @dataclass
@@ -42,7 +43,6 @@ class CandidatePools:
     q: np.ndarray  # (n_pools, d_q)
     answers: np.ndarray  # (n_pools, M, d_a)
     judge_scores: np.ndarray  # (n_pools, M)
-    rewards: dict = field(default_factory=dict)  # net name -> (n_pools, M) scores
 
     def __len__(self) -> int:
         return self.answers.shape[0]
@@ -70,50 +70,45 @@ def simulated_judge(family, v, q, answers: np.ndarray, noise=0.0) -> np.ndarray:
     return JUDGE_MID + JUDGE_SLOPE * (quality / family.score_scale()) + noise
 
 
-def make_pools(family, n_pools: int, m: int = 64, seed: int = 0,
-               env_id: str | None = None, judge_sigma: float = JUDGE_SIGMA,
-               scale_mix=(0.5, 1.0, 2.0)) -> CandidatePools:
-    """Generate judge-scored candidate pools.
+def make_pools(family, n_pools: int, m: int, seed: int, env_id: str) -> CandidatePools:
+    """Generate judge-scored candidate pools of ``env_id``.
 
-    Candidates are drawn at a mixture of noise scales so quality varies enough
-    for best-of-N headroom. Given ``env_id``, that environment's shortcut marker
-    is planted on a beta fraction of candidates, independently of quality,
+    Candidates are drawn at the ``SCALE_MIX`` noise scales so quality varies
+    enough for best-of-N headroom. The environment's shortcut marker is
+    planted on a beta fraction of candidates, independently of quality,
     which is what misleads a shortcut-keyed reward net on these pools.
 
     Pool ``pid`` draws from its own stream ``[seed, 0xB0, pid]`` in a fixed
-    order: v and q, the scale picks, the raw answers, the plant draws (given
-    ``env_id``), the judge noise. The loop only draws; the arithmetic runs
-    once over all pools.
+    order: v and q, the scale picks, the raw answers, the plant draws, the
+    judge noise. The loop only draws; the arithmetic runs once over all pools.
     """
     vq = np.empty((n_pools, D_V + D_Q))
     picks = np.empty((n_pools, m), dtype=np.int64)
     raw = np.empty((n_pools, m, D_A))
     plant_u = np.empty((n_pools, m))
     noise = np.empty((n_pools, m))
-    mix = np.asarray(scale_mix, dtype=np.float64)
+    mix = np.asarray(SCALE_MIX, dtype=np.float64)
     for pid in range(n_pools):
         rng = np.random.default_rng([seed, 0xB0, pid])
         rng.standard_normal(out=vq[pid])
         picks[pid] = rng.integers(0, len(mix), size=m)
         rng.standard_normal(out=raw[pid])
-        if env_id is not None:
-            rng.random(out=plant_u[pid])
+        rng.random(out=plant_u[pid])
         rng.standard_normal(out=noise[pid])
 
     v, q = vq[:, :D_V].copy(), vq[:, D_V:].copy()
     raw *= mix[picks][..., None]  # in place: one (n_pools, M, d_a) array in memory
     answers = family.strip_shortcut_components(raw)
-    if env_id is not None:
-        # unbuffered: answers[mask] += ... would copy every planted row first
-        np.add.at(answers, plant_u < family.specs[env_id].beta,
-                  family.specs[env_id].alpha * family.directions[env_id])
+    # unbuffered: answers[mask] += ... would copy every planted row first
+    np.add.at(answers, plant_u < family.specs[env_id].beta,
+              family.specs[env_id].alpha * family.directions[env_id])
     return CandidatePools(v, q, answers, simulated_judge(
-        family, v, q, answers, judge_sigma * noise))
+        family, v, q, answers, JUDGE_SIGMA * noise))
 
 
-def score_pool(pools: CandidatePools, nets: dict) -> None:
-    """Attach each named net's reward scores. Each pool is scored as its own
-    (M, input_dim) block of ``[v|q|a]`` feature rows, one buffer reused."""
+def score_pool(pools: CandidatePools, nets: dict) -> dict:
+    """name -> (n_pools, M) reward scores of each named net. Each pool is scored
+    as its own (M, input_dim) block of ``[v|q|a]`` feature rows, one buffer reused."""
     scores = {name: np.empty((len(pools), pools.size)) for name in nets}
     x = np.empty((pools.size, D_V + D_Q + D_A))
     for pid in range(len(pools)):
@@ -121,7 +116,7 @@ def score_pool(pools: CandidatePools, nets: dict) -> None:
             pools.v[pid], pools.q[pid], pools.answers[pid]
         for name, network in nets.items():
             scores[name][pid] = netmod.batch_scores(network, x)
-    pools.rewards.update(scores)
+    return scores
 
 
 @lru_cache(maxsize=64)
@@ -157,13 +152,12 @@ def bon_fast(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:
     return float(bon_estimates(rewards, judges, (n,))[0])
 
 
-def bon_curve(net_names: list, pools: CandidatePools, n_grid: list) -> dict:
-    """Mean best-of-N estimate over pools, for each named net's rewards:
-    name -> [(n, mean score), ...] in ``n_grid`` order."""
+def bon_curve(rewards: dict, judges: np.ndarray, n_grid: list) -> dict:
+    """Mean best-of-N estimate over pools for each net's (n_pools, M) rewards
+    against ``judges``: name -> [(n, mean score), ...] in ``n_grid`` order."""
     curves = {}
-    for name in net_names:
+    for name, scores in rewards.items():
         # contiguous per-N rows, so each np.mean adds in pool order
-        vals = np.ascontiguousarray(
-            bon_estimates(pools.rewards[name], pools.judge_scores, n_grid).T)
+        vals = np.ascontiguousarray(bon_estimates(scores, judges, n_grid).T)
         curves[name] = [(n, float(np.mean(row))) for n, row in zip(n_grid, vals)]
     return curves

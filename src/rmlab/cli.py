@@ -158,7 +158,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "master_seed n_train n_tes
 
     def build_family(self) -> envs.EnvironmentFamily:
         return envs.default_family(derive_seed(self.master_seed, "family"),
-                                   n_train=self.n_train, n_test=self.n_test)[0]
+                                   self.n_train, self.n_test)[0]
 
     def train_config(self, mode: str, env_id: str) -> TrainConfig:
         seed = derive_seed(self.master_seed, f"train:{mode}:{env_id}")
@@ -467,38 +467,29 @@ def _evaluate(ws: Workspace, verb: str) -> None:
     family = ws.config.build_family()
     audited = {f"{mode}/{e}": nets[_run_key(mode, e)]
                for mode, e in sorted((m, e) for m in AUDIT_MODES for e in ENVS)}
-    rows = []
+    n_max = max(ws.config.n_grid)
+    # LF line ends (the matrix CSVs get csv.writer's CRLF), so the bytes of
+    # earlier labs' curve files stay valid
+    lines, ood = ["mode,train_env,pool_env,n,score\n"], {mode: [] for mode in AUDIT_MODES}
     for pool_env in ENVS:
-        pools = bestofn.make_pools(
-            family, ws.config.n_pools, m=ws.config.pool_size,
-            seed=derive_seed(ws.config.master_seed, f"pools:{pool_env}"),
-            env_id=pool_env)
-        bestofn.score_pool(pools, audited)
-        curves = bestofn.bon_curve(list(audited), pools, ws.config.n_grid)
+        seed = derive_seed(ws.config.master_seed, f"pools:{pool_env}")
+        pools = bestofn.make_pools(family, ws.config.n_pools, ws.config.pool_size, seed, pool_env)
+        curves = bestofn.bon_curve(bestofn.score_pool(pools, audited), pools.judge_scores,
+                                   ws.config.n_grid)
         del pools  # freed before the next environment's pools are built
         for name, points in sorted(curves.items()):
             mode, train_env = name.split("/")
             for n, score in points:
-                rows.append({"mode": mode, "train_env": train_env,
-                             "pool_env": pool_env, "n": n, "score": score})
+                lines.append(f"{mode},{train_env},{pool_env},{n},{score!r}\n")
+                if n == n_max and train_env != pool_env:
+                    ood[mode].append(score)
         ws.write(f"report:bon-svg:{pool_env}", f"reports/bon_{pool_env}.svg",
                  svg.line_chart_svg(curves, f"best-of-N on env {pool_env} pools",
                                     "N", "judge score"))
+    ws.write("report:bon-curves", "reports/bon_curves.csv", "".join(lines))
 
-    # LF line ends (the matrix CSVs get csv.writer's CRLF), so the bytes of
-    # earlier labs' curve files stay valid
-    ws.write("report:bon-curves", "reports/bon_curves.csv",
-             "mode,train_env,pool_env,n,score\n" + "".join(
-                 f"{r['mode']},{r['train_env']},{r['pool_env']},{r['n']},{r['score']!r}\n"
-                 for r in rows))
-
-    n_max = max(ws.config.n_grid)
-    best = {}
-    for mode in AUDIT_MODES:  # every family has an o.o.d. pool for each net
-        vals = [r["score"] for r in rows
-                if r["mode"] == mode and r["n"] == n_max
-                and r["train_env"] != r["pool_env"]]
-        best[mode] = sum(vals) / len(vals)
+    best = {mode: sum(vals) / len(vals)  # every family has an o.o.d. pool for each net
+            for mode, vals in ood.items()}
     ws.write("report:bon-summary", "reports/bon_summary.json",
              {"n_max": n_max, "ood_best_at_n_max": best})
     print(f"bon: ood best-of-{n_max} " + " ".join(f"{m}={v:.3f}" for m, v in best.items()))

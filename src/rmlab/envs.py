@@ -46,8 +46,6 @@ SHORTCUT_NOISE = 0.45  # background std of an environment's own marker coordinat
 CORRUPTION_EPS = 0.3  # answer-twin spread of marker-carrying pairs
 LENGTH_RNG_TAG = 0x6C656E  # split-level stream for length-order forcing
 
-DEFAULT_FAMILY_SEED = 20240 + 7
-
 
 @dataclass(frozen=True)
 class DirectionRule:
@@ -205,8 +203,7 @@ def spec_to_dict(spec: EnvironmentSpec) -> dict:
     }
 
 
-def default_family(family_seed: int = DEFAULT_FAMILY_SEED,
-                   n_train: int = 8000, n_test: int = 1000):
+def default_family(family_seed: int, n_train: int, n_test: int):
     """The three-environment default family.
 
     B's near-deterministic shortcut makes it perfectly separable by text

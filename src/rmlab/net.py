@@ -10,10 +10,11 @@ Its gradient is taken from the ``q|a`` columns alone: the vision columns of
 W1 get an exact zero gradient, so those weights only decay.
 
 The pairwise loss is -log(sigmoid(reward_chosen - reward_rejected)). An
-output offset would cancel in that margin, so the net has none. The batched
-margin (``pair_margins``), loss and hand-derived gradient here are the only
-ones: training uses them, and evaluation compares the same margins with zero.
-The tests check the gradient against central finite differences.
+output offset would cancel in that margin, so the net has none. There are two
+batched margins, whose last bits differ: ``pair_margins`` (h_c.w2 - h_r.w2)
+feeds evaluation and the sfc losses; ``batch_pair_grads`` ((h_c - h_r).w2)
+feeds every gradient and the single-branch loss trace. The tests check the
+gradient against central finite differences.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class NetDims:
     d_v: int
     d_q: int
     d_a: int
-    hidden: int = 32
+    hidden: int
 
     @property
     def input_dim(self) -> int:
@@ -186,11 +187,13 @@ def batch_pair_grads(network: RewardNet, pairs: np.ndarray, h: np.ndarray,
                      weights: np.ndarray, out: np.ndarray | None = None):
     """Per-sample margins plus the weighted mean gradient over the batch.
 
-    ``h`` is the batch's ``branch_forward`` output. The gradient equals
-    sum_i weights[i] * grad_i / batch_size, laid out like ``network.theta``
-    and reduced with fixed-order matrix products so reruns are bit-identical.
-    It is written into ``out`` when given. The per-sample loss is ``bt_loss``
-    of the margins.
+    The margins are ``(h_c - h_r) . w2``: every gradient and the single-branch
+    loss trace use them. Evaluation and the sfc losses use ``pair_margins``,
+    whose last bits differ. ``h`` is the batch's ``branch_forward`` output.
+    The gradient equals sum_i weights[i] * grad_i / batch_size, laid out like
+    ``network.theta`` and reduced with fixed-order matrix products so reruns
+    are bit-identical. It is written into ``out`` when given. The per-sample
+    loss is ``bt_loss`` of the margins.
 
     ``pairs`` are the batch's (b, 2, input_dim) feature rows, or for a text
     branch their ``q|a`` columns, shape (b, 2, d_q + d_a). A text branch's

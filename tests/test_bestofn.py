@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import bon_exhaustive, bon_mc_check
-from rmlab.bestofn import (JUDGE_MID, JUDGE_SIGMA, JUDGE_SLOPE, _rank_weights, bon_curve,
-                           bon_estimates, bon_fast, make_pools, score_pool, simulated_judge)
+from rmlab import bestofn
+from rmlab.bestofn import (JUDGE_MID, JUDGE_SIGMA, JUDGE_SLOPE, SCALE_MIX, _rank_weights,
+                           bon_curve, bon_estimates, bon_fast, make_pools, score_pool,
+                           simulated_judge)
 from rmlab.envs import D_A, D_Q, D_V, RESERVED_COORDS, default_family
 from rmlab.errors import ConfigError
 from rmlab.net import NetDims, RewardNet, batch_scores
@@ -237,14 +239,15 @@ class TestJudgeAndPools:
 
     def test_pools_deterministic(self, small_family):
         family, _ = small_family
-        p1 = make_pools(family, n_pools=3, m=16, seed=6)
-        p2 = make_pools(family, n_pools=3, m=16, seed=6)
+        p1 = make_pools(family, n_pools=3, m=16, seed=6, env_id="Q")
+        p2 = make_pools(family, n_pools=3, m=16, seed=6, env_id="Q")
         assert np.array_equal(p1.judge_scores, p2.judge_scores)
         assert np.array_equal(p1.answers, p2.answers)
 
-    def test_judge_mean_near_scale_midpoint(self, small_family):
+    def test_judge_mean_near_scale_midpoint(self, small_family, monkeypatch):
         family, _ = small_family
-        pools = make_pools(family, n_pools=40, m=32, seed=7, scale_mix=(1.0,))
+        monkeypatch.setattr(bestofn, "SCALE_MIX", (1.0,))
+        pools = make_pools(family, n_pools=40, m=32, seed=7, env_id="Q")
         mean = np.mean(pools.judge_scores.mean(axis=1))
         assert mean == pytest.approx(5.0, abs=0.2)
 
@@ -255,14 +258,15 @@ class TestJudgeAndPools:
         frac = np.mean(pools.answers @ u > 0.5)
         assert frac == pytest.approx(0.85, abs=0.1)
 
-    def test_curves_from_scored_pools(self, small_family, default_dims):
+    def test_curves_from_scored_pools(self, small_family, default_dims, monkeypatch):
         family, _ = small_family
-        pools = make_pools(family, n_pools=200, m=16, seed=9, judge_sigma=0.0,
-                           scale_mix=(1.0,))
-        pools.rewards["oracle"] = family.true_scores(pools.v, pools.q, pools.answers)
-        pools.rewards["random"] = np.stack([np.random.default_rng(pid).standard_normal(
-            pools.size) for pid in range(len(pools))])
-        curves = bon_curve(["oracle", "random"], pools, [1, 2, 4, 8, 16])
+        monkeypatch.setattr(bestofn, "JUDGE_SIGMA", 0.0)
+        monkeypatch.setattr(bestofn, "SCALE_MIX", (1.0,))
+        pools = make_pools(family, n_pools=200, m=16, seed=9, env_id="Q")
+        rewards = {"oracle": family.true_scores(pools.v, pools.q, pools.answers),
+                   "random": np.stack([np.random.default_rng(pid).standard_normal(
+                       pools.size) for pid in range(len(pools))])}
+        curves = bon_curve(rewards, pools.judge_scores, [1, 2, 4, 8, 16])
         oracle_scores = [s for _, s in curves["oracle"]]
         assert all(b >= a - 1e-9 for a, b in zip(oracle_scores, oracle_scores[1:]))
         # a reward with no signal selects uniformly: flat within sampling noise
@@ -276,28 +280,28 @@ class TestJudgeAndPools:
     def test_curve_points_equal_per_pool_estimates(self, small_family):
         family, _ = small_family
         pools = make_pools(family, n_pools=30, m=16, seed=11, env_id="P")
-        pools.rewards["r"] = np.round(np.random.default_rng(3).standard_normal((30, 16)), 1)
+        rewards = {"r": np.round(np.random.default_rng(3).standard_normal((30, 16)), 1)}
         grid = [1, 2, 4, 8, 16]
         per_pool = np.empty((len(grid), len(pools)))  # the per-(pool, net) loop
         for j in range(len(pools)):
-            per_pool[:, j] = bon_estimates(pools.rewards["r"][j], pools.judge_scores[j], grid)
-        assert bon_curve(["r"], pools, grid)["r"] == [
+            per_pool[:, j] = bon_estimates(rewards["r"][j], pools.judge_scores[j], grid)
+        assert bon_curve(rewards, pools.judge_scores, grid)["r"] == [
             (n, float(np.mean(row))) for n, row in zip(grid, per_pool)]
 
     def test_score_pool_attaches_net_rewards(self, small_family, default_dims):
         family, _ = small_family
-        pools = make_pools(family, n_pools=3, m=8, seed=10)
+        pools = make_pools(family, n_pools=3, m=8, seed=10, env_id="Q")
         nets = {name: RewardNet.init(NetDims(16, 8, 16, 8), seed)
                 for name, seed in (("a", 77), ("b", 78))}
-        score_pool(pools, nets)
-        assert set(pools.rewards) == {"a", "b"}
-        assert all(r.shape == (3, 8) for r in pools.rewards.values())
-        assert not np.array_equal(pools.rewards["a"], pools.rewards["b"])
+        rewards = score_pool(pools, nets)
+        assert set(rewards) == {"a", "b"}
+        assert all(r.shape == (3, 8) for r in rewards.values())
+        assert not np.array_equal(rewards["a"], rewards["b"])
         for pid in range(3):  # each pool scored on its own feature matrix
             x = np.hstack([np.tile(pools.v[pid], (8, 1)), np.tile(pools.q[pid], (8, 1)),
                            pools.answers[pid]])
             for name, network in nets.items():
-                assert np.array_equal(pools.rewards[name][pid], batch_scores(network, x))
+                assert np.array_equal(rewards[name][pid], batch_scores(network, x))
 
 
 def loop_strip(answers: np.ndarray) -> np.ndarray:
@@ -344,20 +348,24 @@ class TestPoolsMatchLoop:
 
     @pytest.mark.parametrize("n_pools,m,seed", [(1, 1, 0), (1, 64, 5), (4, 1, 9),
                                                 (13, 16, 2), (40, 64, 131)])
-    @pytest.mark.parametrize("env_id", [None, "A", "B", "C"])
+    @pytest.mark.parametrize("env_id", ["A", "B", "C"])
     def test_every_field_equals_loop(self, n_pools, m, seed, env_id):
-        family = default_family(n_train=10, n_test=10)[0]
-        pools = make_pools(family, n_pools, m=m, seed=seed, env_id=env_id)
+        family = default_family(20247, 10, 10)[0]
+        pools = make_pools(family, n_pools, m, seed, env_id)
         expected = loop_make_pools(family, n_pools, m=m, seed=seed, env_id=env_id)
         for k, name in enumerate(("v", "q", "answers", "judge_scores")):
             got, want = getattr(pools, name), np.stack([p[k] for p in expected])
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
-    def test_small_family_and_options_equal_loop(self, small_family):
+    def test_small_family_and_options_equal_loop(self, small_family, monkeypatch):
         family, _ = small_family
         for kw in ({"env_id": "P", "judge_sigma": 0.0}, {"env_id": "Q"},
-                   {"scale_mix": (1.0,)}, {"env_id": "P", "scale_mix": (0.25, 3.0)}):
-            pools = make_pools(family, 9, m=24, seed=77, **kw)
+                   {"env_id": "Q", "scale_mix": (1.0,)},
+                   {"env_id": "P", "scale_mix": (0.25, 3.0)}):
+            kw = {"judge_sigma": JUDGE_SIGMA, "scale_mix": SCALE_MIX, **kw}
+            monkeypatch.setattr(bestofn, "JUDGE_SIGMA", kw["judge_sigma"])
+            monkeypatch.setattr(bestofn, "SCALE_MIX", kw["scale_mix"])
+            pools = make_pools(family, 9, 24, 77, kw["env_id"])
             expected = loop_make_pools(family, 9, m=24, seed=77, **kw)
             for k, name in enumerate(("v", "q", "answers", "judge_scores")):
                 assert np.array_equal(getattr(pools, name),

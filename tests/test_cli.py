@@ -370,6 +370,21 @@ class TestPipeline:
         assert summary["n_max"] == 16
         assert set(summary["ood_best_at_n_max"]) == {"standard", "shortcut_aware"}
 
+    def test_bon_summary_is_mean_of_ood_csv_rows(self, done):
+        # ties the two files together: each mode's summary value is the mean,
+        # in file order, of its o.o.d. curve points at n_max
+        _, out = done
+        header, *lines = (out / "reports" / "bon_curves.csv").read_text().splitlines()
+        assert header == "mode,train_env,pool_env,n,score"
+        rows = [line.split(",") for line in lines]
+        summary = json.loads((out / "reports" / "bon_summary.json").read_text())
+        n_max = summary["n_max"]
+        for mode, value in summary["ood_best_at_n_max"].items():
+            vals = [float(score) for m, train_env, pool_env, n, score in rows
+                    if m == mode and int(n) == n_max and train_env != pool_env]
+            assert len(vals) == 6
+            assert sum(vals) / len(vals) == value
+
     # sha256 of the tiny lab's best-of-N outputs, recorded with the per-call
     # rank-loop estimator and per-candidate judge that the batched path
     # replaced: a one-ulp drift in any curve point changes them. Keyed on the

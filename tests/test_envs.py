@@ -216,12 +216,12 @@ class TestShortcutOracle:
 
 class TestDefaultFamily:
     def test_env_ids_are_the_envs_constant(self):
-        family, specs = default_family(n_train=10, n_test=10)
+        family, specs = default_family(20247, 10, 10)
         assert tuple(family.specs) == envs.ENVS
         assert tuple(s.env_id for s in specs) == envs.ENVS
 
     def test_direction_relations(self):
-        family, _ = default_family(n_train=10, n_test=10)
+        family, _ = default_family(20247, 10, 10)
         assert family.directions["B"] @ family.directions["C"] == pytest.approx(-1.0)
         assert family.directions["A"] @ family.directions["B"] == pytest.approx(0.0)
         e = np.eye(envs.D_A)
@@ -239,14 +239,14 @@ class TestDefaultFamily:
             assert np.array_equal(family.directions[env_id], u)
 
     def test_paper_profile_length_biases(self):
-        _, specs = default_family(n_train=10, n_test=10)
+        _, specs = default_family(20247, 10, 10)
         by_id = {s.env_id: s for s in specs}
         assert by_id["B"].length_bias == 0.315
         assert by_id["A"].length_bias == 0.598
         assert by_id["C"].length_bias == 0.678
 
     def test_fitted_shortcut_transfers_below_chance_to_negated_env(self):
-        family, _ = default_family(n_train=10, n_test=2000)
+        family, _ = default_family(20247, 10, 2000)
         test_c = sample_env(family, "C", "test")
         assert projection_rule_accuracy(family, "B", test_c) <= 0.45
 
@@ -318,6 +318,6 @@ class TestDatasetIO:
     }
 
     def test_default_fingerprints_unchanged(self):
-        family, specs = default_family()
+        family, specs = default_family(20247, 8000, 1000)
         assert {s.env_id: dataset_fingerprint(family, s, "train")
                 for s in specs} == self.DEFAULT_TRAIN_FINGERPRINTS
