@@ -74,17 +74,13 @@ def derive_seed(master_seed: int, component: str) -> int:
 
 
 def _replace_file(path, doc) -> None:
-    """Write ``doc`` (text, CSV rows for a ``.csv`` path, else a JSON document)
-    to a temp file, then swap it in: an interrupted write keeps the old file."""
+    """Write ``doc`` (text, else a JSON document) to a temp file, then swap it
+    in: an interrupted write keeps the old file."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             if isinstance(doc, str):
                 fh.write(doc)
-            elif path.endswith(".csv"):
-                import csv  # only matrix writes CSV rows
-
-                csv.writer(fh).writerows(doc)
             else:
                 json.dump(doc, fh, sort_keys=True, indent=1)
         os.replace(tmp, path)
@@ -444,9 +440,10 @@ def _evaluate(ws: Workspace, verb: str) -> None:
         matrix = evaluation.gen_matrix(mode, {e: nets[_run_key(mode, e)] for e in ENVS},
                                        test_sets, ENVS)
         iid, ood = matrix["mean_diagonal"], matrix["mean_off_diagonal"]
+        rows = [["train_env", *ENVS]] + [[e, *map(repr, row)]
+                                         for e, row in zip(ENVS, matrix["acc"])]
         ws.write(f"report:matrix:{mode}", f"reports/matrix_{mode}.csv",
-                 [["train_env", *ENVS]]
-                 + [[e, *map(repr, row)] for e, row in zip(ENVS, matrix["acc"])])
+                 "".join(",".join(row) + "\r\n" for row in rows))
         ws.write(f"report:matrix-svg:{mode}", f"reports/matrix_{mode}.svg",
                  svg.heatmap_svg(ENVS, ENVS, matrix["acc"], f"accuracy matrix ({mode})"))
         summary[mode] = {"matrix": matrix, "mean_iid": iid, "mean_ood": ood, "gap": iid - ood}
@@ -468,8 +465,8 @@ def _evaluate(ws: Workspace, verb: str) -> None:
     audited = {f"{mode}/{e}": nets[_run_key(mode, e)]
                for mode, e in sorted((m, e) for m in AUDIT_MODES for e in ENVS)}
     n_max = max(ws.config.n_grid)
-    # LF line ends (the matrix CSVs get csv.writer's CRLF), so the bytes of
-    # earlier labs' curve files stay valid
+    # LF line ends, where the matrix CSVs end theirs in CRLF: each keeps the
+    # bytes of earlier labs' files
     lines, ood = ["mode,train_env,pool_env,n,score\n"], {mode: [] for mode in AUDIT_MODES}
     for pool_env in ENVS:
         seed = derive_seed(ws.config.master_seed, f"pools:{pool_env}")

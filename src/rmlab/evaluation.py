@@ -17,9 +17,10 @@ from .training import _stack_pairs
 
 def _correct(net: RewardNet, dataset, mask_vision: bool) -> np.ndarray:
     """Per pair, whether the chosen answer strictly outscores the other, on
-    training's forward pass: for doubles, c - r > 0 holds exactly when c > r."""
-    x = _stack_pairs(dataset, mask_vision=mask_vision)
-    return pair_margins(net, branch_forward(net, x)) > 0
+    training's forward pass as a stack of one net: for doubles, c - r > 0
+    holds exactly when c > r."""
+    theta, x = net.theta[None], _stack_pairs(dataset, mask_vision=mask_vision)[None]
+    return pair_margins(net.dims, theta, branch_forward(net.dims, theta, x))[0] > 0
 
 
 def accuracy(net: RewardNet, dataset, mask_vision: bool = False) -> float:

@@ -6,8 +6,13 @@ Everything is float64. A net scores one (image, query, answer) feature triple:
     reward = w2 . tanh(W1 [v|q|a] + b1)
 
 A text-only branch scores the same net on rows whose vision block is zero.
-Its gradient is taken from the ``q|a`` columns alone: the vision columns of
-W1 get an exact zero gradient, so those weights only decay.
+It takes the same full-width gradient: zero vision features give the vision
+columns of W1 an exact +0.0 gradient, so those weights only decay.
+
+The training functions take k nets stacked on a leading axis, the
+(k, n_params) theta that one AdamW update steps, and a batch per net, so a
+job's nets share one forward, one margin and one gradient call. Each net
+still gets its own matrix products, so its bits do not depend on k.
 
 The pairwise loss is -log(sigmoid(reward_chosen - reward_rejected)). An
 output offset would cancel in that margin, so the net has none. There are two
@@ -64,13 +69,16 @@ class NetDims:
         return self.hidden * (self.input_dim + 2)
 
     def views(self, theta: np.ndarray) -> dict:
-        """Named views onto a flat vector laid out like theta = [w1 | b1 | w2].
+        """Named views onto vectors laid out like theta = [w1 | b1 | w2] along
+        the last axis: ``w1`` is (..., hidden, input_dim), ``b1`` and ``w2``
+        (..., hidden), with theta's leading axes in front.
 
         Parameters, gradients and optimizer moments all share this layout.
         """
         h, d = self.hidden, self.input_dim
-        return {"w1": theta[:h * d].reshape(h, d), "b1": theta[h * d:h * d + h],
-                "w2": theta[h * d + h:]}
+        hd = h * d
+        return {"w1": theta[..., :hd].reshape(theta.shape[:-1] + (h, d)),
+                "b1": theta[..., hd:hd + h], "w2": theta[..., hd + h:]}
 
 
 class _Block:
@@ -158,69 +166,66 @@ def batch_scores(net: RewardNet, x: np.ndarray) -> np.ndarray:
     return h @ net.w2
 
 
-def branch_forward(network: RewardNet, pairs: np.ndarray) -> np.ndarray:
-    """Hidden activations of a batch of (chosen, rejected) feature rows,
-    ``pairs`` of shape (b, 2, input_dim): chosen rows stacked over rejected
-    rows, shape (2b, hidden).
+def branch_forward(dims: NetDims, theta: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Hidden activations of k stacked nets, ``theta`` (k, n_params), each on
+    its own batch of (chosen, rejected) feature rows: ``pairs`` is
+    (k, b, 2, input_dim) and the result (k, 2, b, hidden), chosen rows before
+    rejected ones.
 
-    Two matrix products fill the halves (one stacked product would block the
-    reduction differently and change bits); every elementwise step then runs
-    once over both halves.
+    Each net multiplies each half separately (one product over both halves
+    would block the reduction differently and change bits); every elementwise
+    step then runs once over all of them.
     """
-    b = pairs.shape[0]
-    h = np.empty((2 * b, network.dims.hidden))
-    w1_t = network.w1.T
-    np.matmul(pairs[:, 0], w1_t, out=h[:b])
-    np.matmul(pairs[:, 1], w1_t, out=h[b:])
-    h += network.b1
+    p = dims.views(theta)
+    h = np.matmul(pairs.swapaxes(1, 2), p["w1"].swapaxes(1, 2)[:, None])
+    h += p["b1"][:, None, None]
     return np.tanh(h, out=h)
 
 
-def pair_margins(network: RewardNet, h: np.ndarray) -> np.ndarray:
-    """Per-sample reward margins, chosen minus rejected, from ``branch_forward``
-    activations ``h``; each half is scored like batch_scores."""
-    b = h.shape[0] // 2
-    return h[:b] @ network.w2 - h[b:] @ network.w2
+def pair_margins(dims: NetDims, theta: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per-sample reward margins, chosen minus rejected, shape (k, b), from
+    ``branch_forward`` activations ``h``; each half is scored like
+    batch_scores."""
+    s = np.matmul(h, dims.views(theta)["w2"][:, None, :, None])
+    return s[:, 0, :, 0] - s[:, 1, :, 0]
 
 
-def batch_pair_grads(network: RewardNet, pairs: np.ndarray, h: np.ndarray,
+def batch_pair_grads(dims: NetDims, theta: np.ndarray, pairs: np.ndarray, h: np.ndarray,
                      weights: np.ndarray, out: np.ndarray | None = None):
-    """Per-sample margins plus the weighted mean gradient over the batch.
+    """Per-sample margins plus each net's weighted mean gradient over its batch,
+    for the k stacked nets of ``branch_forward``.
 
-    The margins are ``(h_c - h_r) . w2``: every gradient and the single-branch
-    loss trace use them. Evaluation and the sfc losses use ``pair_margins``,
-    whose last bits differ. ``h`` is the batch's ``branch_forward`` output.
-    The gradient equals sum_i weights[i] * grad_i / batch_size, laid out like
-    ``network.theta`` and reduced with fixed-order matrix products so reruns
-    are bit-identical. It is written into ``out`` when given. The per-sample
-    loss is ``bt_loss`` of the margins.
+    The (k, b) margins are ``(h_c - h_r) . w2``: every gradient and the
+    single-branch loss trace use them. Evaluation and the sfc losses use
+    ``pair_margins``, whose last bits differ. ``h`` is the ``branch_forward``
+    output of the (k, b, 2, input_dim) ``pairs``. Row j of the (k, n_params)
+    gradient equals sum_i weights[j, i] * grad_ji / b, laid out like theta
+    and reduced with fixed-order matrix products so reruns are bit-identical.
+    It is written into ``out`` when given. The per-sample loss is ``bt_loss``
+    of the margins.
 
-    ``pairs`` are the batch's (b, 2, input_dim) feature rows, or for a text
-    branch their ``q|a`` columns, shape (b, 2, d_q + d_a). A text branch's
-    vision features are zero, so their ``w1`` gradient is zero: it is written
-    as an exact 0.0 instead of being multiplied out. Each ``w1`` column is
-    its own reduction over the batch, so the other columns keep their bits.
+    A text branch's rows have a zero vision block, so its full-width product
+    gives the ``w1`` vision columns an exact +0.0; each ``w1`` column is its
+    own reduction over the batch, so the other columns keep their bits.
     """
-    n = pairs.shape[0]
-    diff = h[:n] - h[n:]
-    margins = diff @ network.w2
-    g = -(sigmoid(-margins)) * weights / n  # (n,) d(weighted mean loss)/dmargin
+    n = pairs.shape[1]
+    w2 = dims.views(theta)["w2"]
+    diff = h[:, 0] - h[:, 1]
+    margins = np.matmul(diff, w2[..., None])[..., 0]
+    g = -(sigmoid(-margins)) * weights / n  # (k, b) d(weighted mean loss)/dmargin
 
-    coef = 1.0 - h * h
-    halves = coef.reshape(2, n, -1)  # a view: row i of each half times g[i]
-    halves *= g[:, None]
-    coef *= network.w2
-    grad = np.empty_like(network.theta) if out is None else out
-    views = network.dims.views(grad)
-    skipped = network.dims.input_dim - pairs.shape[-1]
-    views["w1"][:, :skipped] = 0.0
-    w1 = views["w1"][:, skipped:]
-    np.matmul(coef[:n].T, pairs[:, 0], out=w1)
-    w1 -= coef[n:].T @ pairs[:, 1]
-    sums = halves.sum(axis=1)  # each half summed over its rows, as one call
-    np.subtract(sums[0], sums[1], out=views["b1"])
-    diff *= g[:, None]
-    diff.sum(axis=0, out=views["w2"])
+    coef = h * h
+    np.subtract(1.0, coef, out=coef)
+    coef *= g[:, None, :, None]
+    coef *= w2[:, None, None]
+    grad = np.empty(theta.shape) if out is None else out
+    views = dims.views(grad)
+    np.matmul(coef[:, 0].swapaxes(1, 2), pairs[:, :, 0], out=views["w1"])
+    views["w1"] -= coef[:, 1].swapaxes(1, 2) @ pairs[:, :, 1]
+    sums = coef.sum(axis=2)  # each half summed over its rows, as one call
+    np.subtract(sums[:, 0], sums[:, 1], out=views["b1"])
+    diff *= g[..., None]
+    diff.sum(axis=1, out=views["w2"])
     return margins, grad
 
 

@@ -112,34 +112,31 @@ class SfcBatch:
     mean_sfc: float
 
 
-def weighted_grad_step(primary: RewardNet, aux: RewardNet, pairs: np.ndarray):
+def weighted_grad_step(dims: NetDims, theta: np.ndarray, pairs: np.ndarray):
     """Gradients for one shortcut-aware batch of (b, 2, input_dim) feature
-    rows; the auxiliary branch sees them with the vision block zeroed.
+    rows, for the (2, n_params) ``theta`` of the primary net (row 0) and the
+    auxiliary text branch (row 1), which sees the rows with the vision block
+    zeroed.
 
-    Primary gradients are the weighted mean of per-sample pair gradients, each
-    weight the sample's sfc over the batch-mean sfc (so weights average 1);
-    auxiliary gradients are the unweighted mean of text-only pair gradients.
-    Each branch runs its forward pass once: the sfc losses and the gradients
-    come from the same activations.
+    Both nets run as one stack: one forward pass, whose activations give both
+    the sfc losses and the gradients, and one gradient call. Its (2, b)
+    weights are the primary's per-sample sfc over the batch-mean sfc (so they
+    average 1), and ones for the auxiliary branch.
 
     Returns (SfcBatch, grads): row 0 of the (2, n_params) ``grads`` is the
     primary gradient, row 1 the auxiliary one.
     """
-    d_v = primary.dims.d_v
-    text = pairs.copy()
-    text[..., :d_v] = 0.0
-    h_mm = branch_forward(primary, pairs)
-    h_t = branch_forward(aux, text)
-    loss_mm = np.maximum(bt_loss(pair_margins(primary, h_mm)), LOSS_FLOOR)
-    loss_t = np.maximum(bt_loss(pair_margins(aux, h_t)), LOSS_FLOOR)
+    stacked = np.stack((pairs, pairs))
+    stacked[1, ..., :dims.d_v] = 0.0
+    h = branch_forward(dims, theta, stacked)
+    loss_mm, loss_t = np.maximum(bt_loss(pair_margins(dims, theta, h)), LOSS_FLOOR)
     sfc_vals = sfc(loss_mm, loss_t)
     mean_sfc = sfc_vals.sum() / sfc_vals.size  # np.mean's bits, less overhead
-    weights = sfc_vals / mean_sfc
+    weights = np.ones((2, len(pairs)))
+    np.divide(sfc_vals, mean_sfc, out=weights[0])
 
-    grads = np.empty((2, primary.theta.size))
-    batch_pair_grads(primary, pairs, h_mm, weights, out=grads[0])
-    batch_pair_grads(aux, text[..., d_v:], h_t, np.ones_like(weights), out=grads[1])
-    return SfcBatch(loss_mm, loss_t, sfc_vals, weights, float(mean_sfc)), grads
+    _, grads = batch_pair_grads(dims, theta, stacked, h, weights)
+    return SfcBatch(loss_mm, loss_t, sfc_vals, weights[0], float(mean_sfc)), grads
 
 
 def train(config: TrainConfig, dataset) -> TrainRun:
@@ -164,14 +161,11 @@ def train(config: TrainConfig, dataset) -> TrainRun:
     primary, aux = nets[0], nets[1] if dual else None
     opt = OptimizerState(theta, base_lrs, config.warmup_ratio, total_steps,
                          config.weight_decay)
-    grads = np.empty_like(theta)  # a single branch's gradient goes in row 0
+    grads = np.empty_like(theta)
 
-    text_only = config.mode == "text_only"
-    x = _stack_pairs(dataset, mask_vision=text_only)
-    # a text-only net's gradient comes from the q|a columns alone
-    grad_cols = slice(dims.d_v if text_only else 0, None)
+    x = _stack_pairs(dataset, mask_vision=config.mode == "text_only")
     flags = dataset.planted
-    ones = np.ones(config.batch_size)
+    ones = np.ones((1, config.batch_size))
 
     shuffle_rng = np.random.default_rng([config.seed, 0x5F5])
     loss_trace, sfc_trace = [], [] if dual else None
@@ -185,18 +179,19 @@ def train(config: TrainConfig, dataset) -> TrainRun:
             idx = perm[start:start + config.batch_size]
             pairs = x.take(idx, axis=0)
             if dual:
-                batch, grads = weighted_grad_step(primary, aux, pairs)
+                batch, grads = weighted_grad_step(dims, theta, pairs)
                 losses = batch.loss_mm
                 sfc_trace.append(batch.mean_sfc)
                 planted = flags.take(idx)
                 sum_planted += batch.sfc[planted].sum()
                 sum_clean += batch.sfc[~planted].sum()
                 n_planted += int(np.count_nonzero(planted))
-            else:
-                margins, _ = batch_pair_grads(primary, pairs[..., grad_cols],
-                                              branch_forward(primary, pairs),
-                                              ones[:len(idx)], out=grads[0])
-                losses = bt_loss(margins)
+            else:  # the k = 1 stack
+                pairs = pairs[None]
+                margins, _ = batch_pair_grads(dims, theta, pairs,
+                                              branch_forward(dims, theta, pairs),
+                                              ones[:, :len(idx)], out=grads)
+                losses = bt_loss(margins[0])
             adamw_step(opt, theta, grads)
             loss_trace.append(float(losses.sum() / losses.size))
         if dual:

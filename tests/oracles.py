@@ -37,17 +37,19 @@ def copy_net(net):
 
 
 def batch_losses(network, pairs: np.ndarray) -> np.ndarray:
-    """Per-sample pairwise losses for a (b, 2, input_dim) batch of feature rows."""
-    return netmod.bt_loss(netmod.pair_margins(network,
-                                              netmod.branch_forward(network, pairs)))
+    """Per-sample pairwise losses for a (b, 2, input_dim) batch of feature rows,
+    on training's forward pass as a stack of one net."""
+    theta, pairs = network.theta[None], pairs[None]
+    h = netmod.branch_forward(network.dims, theta, pairs)
+    return netmod.bt_loss(netmod.pair_margins(network.dims, theta, h))[0]
 
 
 def fd_check(net, sample, mask_vision: bool, label: int = 1,
              step: float = 1e-6) -> float:
     """Max relative error of the training gradient (``batch_pair_grads`` on a
     batch of one) against central finite differences of ``batch_losses``.
-    With ``mask_vision`` the vision block is zero and the gradient comes from
-    the text branch's ``q|a`` columns, as in training.
+    With ``mask_vision`` the vision block is zero, as for a text branch in
+    training.
 
     Errors are scaled by the largest gradient magnitude present so that
     near-zero entries do not blow up the ratio.
@@ -57,9 +59,11 @@ def fd_check(net, sample, mask_vision: bool, label: int = 1,
     v = np.zeros_like(sample.v) if mask_vision else sample.v
     chosen, rejected = (sample.a1, sample.a2) if label == 1 else (sample.a2, sample.a1)
     pairs = np.stack([np.concatenate([v, sample.q, a]) for a in (chosen, rejected)])[None]
-    grad_rows = pairs[..., net.dims.d_v:] if mask_vision else pairs
-    _, grad = netmod.batch_pair_grads(net, grad_rows, netmod.branch_forward(net, pairs),
-                                      np.ones(1))
+    theta, stack = net.theta[None], pairs[None]
+    _, grad = netmod.batch_pair_grads(net.dims, theta, stack,
+                                      netmod.branch_forward(net.dims, theta, stack),
+                                      np.ones((1, 1)))
+    grad = grad[0]
     work = copy_net(net)
     fd = np.empty_like(grad)
     for i in range(fd.size):

@@ -178,10 +178,10 @@ class TestCriterion7SfcIdentities:
     def test_normalized_batch_mean_is_one(self, small_sets):
         ds = small_sets[("P", "train")]
         dims = NetDims(16, 8, 16, 16)
-        primary, aux = RewardNet.init(dims, 5), RewardNet.init(dims, 6)
+        theta = np.stack([RewardNet.init(dims, 5).theta, RewardNet.init(dims, 6).theta])
         x = _stack_pairs(ds)
         for start in (0, 64, 128):
-            batch, _ = weighted_grad_step(primary, aux, x[start:start + 64])
+            batch, _ = weighted_grad_step(dims, theta, x[start:start + 64])
             assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_uniform_override_reproduces_standard(self, small_sets):

@@ -66,8 +66,9 @@ class TestScoringPath:
             for ds in small_sets.values():
                 x = _stack_pairs(ds, mask_vision=mask_vision)
                 chosen, rejected = _pair_scores(net, ds, mask_vision)
-                assert np.array_equal(pair_margins(net, branch_forward(net, x)),
-                                      chosen - rejected)
+                theta = net.theta[None]
+                h = branch_forward(dims, theta, x[None])
+                assert np.array_equal(pair_margins(dims, theta, h)[0], chosen - rejected)
                 got = _correct(net, ds, mask_vision)
                 assert got.dtype == bool
                 assert np.array_equal(got, reference_correct(net, ds, mask_vision))

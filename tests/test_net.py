@@ -10,7 +10,7 @@ from rmlab import net as netmod
 from rmlab.envs import PreferenceSample
 from rmlab.errors import DimensionError, ScheduleExhausted
 from rmlab.net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_pair_grads,
-                       batch_scores, branch_forward, schedule_lr, sigmoid)
+                       batch_scores, branch_forward, pair_margins, schedule_lr, sigmoid)
 
 
 def make_sample(rng, dims):
@@ -29,9 +29,10 @@ def pair_rows(sample, mask_vision, label):
 
 def pair_grad(net, sample, mask_vision, label):
     """(loss, flat gradient) of one pair through the batched training path."""
-    pairs = pair_rows(sample, mask_vision, label)
-    margins, grad = batch_pair_grads(net, pairs, branch_forward(net, pairs), np.ones(1))
-    return float(netmod.bt_loss(margins)[0]), grad
+    theta, pairs = net.theta[None], pair_rows(sample, mask_vision, label)[None]
+    margins, grad = batch_pair_grads(net.dims, theta, pairs,
+                                     branch_forward(net.dims, theta, pairs), np.ones((1, 1)))
+    return float(netmod.bt_loss(margins)[0, 0]), grad[0]
 
 
 def loop_forward(doc, v, q, a):
@@ -78,8 +79,8 @@ def masked_score(net, v, q, a):
 
     one = Dataset("x", "test", v=v[None, :], q=q[None, :], a1=a[None, :], a2=a[None, :],
                   y=np.ones(1, dtype=np.int8), planted=np.zeros(1, dtype=bool))
-    h = branch_forward(net, _stack_pairs(one, mask_vision=True))
-    return float((h[:1] @ net.w2)[0])
+    h = branch_forward(net.dims, net.theta[None], _stack_pairs(one, mask_vision=True)[None])
+    return float((h[0, 0] @ net.w2)[0])
 
 
 class TestMaskedForward:
@@ -181,9 +182,9 @@ class TestFdCheck:
         net = RewardNet.init(default_dims, seed=9)
         real_grads = netmod.batch_pair_grads
 
-        def corrupted(n, pairs, h, weights):
-            margins, grad = real_grads(n, pairs, h, weights)
-            w1 = n.dims.views(grad)["w1"]
+        def corrupted(dims, theta, pairs, h, weights):
+            margins, grad = real_grads(dims, theta, pairs, h, weights)
+            w1 = dims.views(grad)["w1"]
             idx = np.unravel_index(np.argmax(np.abs(w1)), w1.shape)
             w1[idx] *= 2.0
             return margins, grad
@@ -369,36 +370,46 @@ class TestSigmoid:
 
 
 class TestTextBranchGradient:
-    """A text branch's vision features are zero, so training takes its
-    gradient from the q|a columns alone; that must give the bits of the
-    full-width product, vision block included."""
+    """A job's nets run as one stack, a text branch among them with its vision
+    block zero; each row must get the bits it gets as a stack of one, and the
+    text branch's full-width product an exact +0.0 vision gradient."""
 
     @pytest.mark.parametrize("hidden", [16, 64])
     @pytest.mark.parametrize("batch", [1, 7, 64])
-    def test_narrow_features_match_zero_padded_bit_for_bit(self, hidden, batch):
+    def test_two_row_stack_matches_two_single_rows_bit_for_bit(self, hidden, batch):
         dims = NetDims(d_v=16, d_q=8, d_a=16, hidden=hidden)
-        net = RewardNet.init(dims, seed=hidden + batch)
         rng = np.random.default_rng(batch)
-        net.w1 = rng.standard_normal(net.w1.shape)  # answer block nonzero too
-        pairs = rng.standard_normal((batch, 2, dims.input_dim))
-        pairs[..., :dims.d_v] = 0.0
-        h = branch_forward(net, pairs)
-        weights = rng.random(batch)
-        full_margins, full = batch_pair_grads(net, pairs, h, weights)
-        margins, narrow = batch_pair_grads(net, pairs[..., dims.d_v:], h, weights)
-        assert narrow.tobytes() == full.tobytes()
-        assert margins.tobytes() == full_margins.tobytes()
-        vision = dims.views(narrow)["w1"][:, :dims.d_v]
+        theta = rng.standard_normal((2, dims.n_params))  # answer block nonzero too
+        pairs = np.stack([rng.standard_normal((batch, 2, dims.input_dim))] * 2)
+        pairs[1, ..., :dims.d_v] = 0.0  # row 1 is the vision-zeroed copy
+        weights = np.stack([rng.random(batch), np.ones(batch)])
+        h = branch_forward(dims, theta, pairs)
+        stacked_margins = pair_margins(dims, theta, h)
+        margins, grad = batch_pair_grads(dims, theta, pairs, h, weights)
+        for j in range(2):
+            row = slice(j, j + 1)
+            h_j = branch_forward(dims, theta[row], pairs[row])
+            assert h[row].tobytes() == h_j.tobytes()
+            assert stacked_margins[row].tobytes() == pair_margins(dims, theta[row],
+                                                                  h_j).tobytes()
+            margins_j, grad_j = batch_pair_grads(dims, theta[row], pairs[row], h_j,
+                                                 weights[row])
+            assert margins[row].tobytes() == margins_j.tobytes()
+            assert grad[row].tobytes() == grad_j.tobytes()
+        vision = dims.views(grad[1])["w1"][:, :dims.d_v]
         assert not vision.any() and not np.signbit(vision).any()  # exact +0.0
 
     def test_out_buffer_receives_the_gradient(self, default_dims):
         net = RewardNet.init(default_dims, seed=4)
-        pairs = np.random.default_rng(4).standard_normal((5, 2, default_dims.input_dim))
-        h = branch_forward(net, pairs)
+        theta = net.theta[None]
+        pairs = np.random.default_rng(4).standard_normal((1, 5, 2, default_dims.input_dim))
+        h = branch_forward(default_dims, theta, pairs)
         out = np.full((2, default_dims.n_params), np.nan)
-        _, grad = batch_pair_grads(net, pairs, h, np.ones(5), out=out[1])
+        _, grad = batch_pair_grads(default_dims, theta, pairs, h, np.ones((1, 5)),
+                                   out=out[1:])
         assert grad.base is out and np.isnan(out[0]).all()
-        assert grad.tobytes() == batch_pair_grads(net, pairs, h, np.ones(5))[1].tobytes()
+        assert grad.tobytes() == batch_pair_grads(default_dims, theta, pairs, h,
+                                                  np.ones((1, 5)))[1].tobytes()
 
 
 class TestStackedAdamW:

@@ -118,21 +118,30 @@ class TestWeightedGradStep:
     def nets(self, small_sets):
         from rmlab.net import NetDims
 
-        s0 = small_sets[("P", "train")].samples[0]
         dims = NetDims(16, 8, 16, hidden=16)
         return RewardNet.init(dims, 3), RewardNet.init(dims, 4)
+
+    @staticmethod
+    def step(primary, aux, pairs):
+        """``weighted_grad_step`` on the stack of the two nets' thetas."""
+        return weighted_grad_step(primary.dims, np.stack([primary.theta, aux.theta]), pairs)
+
+    @staticmethod
+    def single_grad(net, pairs, weights):
+        """One net's gradient, as a stack of one, at the given weights."""
+        theta, pairs = net.theta[None], pairs[None]
+        return netmod.batch_pair_grads(net.dims, theta, pairs,
+                                       netmod.branch_forward(net.dims, theta, pairs),
+                                       weights[None])[1][0]
 
     def test_gradient_is_sfc_weighted_mean_of_single_gradients(self, nets, tiny_batch):
         # linearity at the step's own sfc weights: the primary gradient is
         # sum_i weight[i] * (row i's gradient at weight 1) / batch size
         primary, aux = nets
-        batch, flat = weighted_grad_step(primary, aux, tiny_batch)
+        batch, flat = self.step(primary, aux, tiny_batch)
         ref_flat = np.zeros(primary.dims.n_params)
         for i, w in enumerate(batch.weight):
-            one = tiny_batch[i:i + 1]
-            _, single = netmod.batch_pair_grads(
-                primary, one, netmod.branch_forward(primary, one), np.ones(1))
-            ref_flat += w * single
+            ref_flat += w * self.single_grad(primary, tiny_batch[i:i + 1], np.ones(1))
         ref_flat /= len(tiny_batch)
         grads, ref = primary.dims.views(flat[0]), primary.dims.views(ref_flat)
         for name in ("w1", "b1", "w2"):
@@ -141,7 +150,7 @@ class TestWeightedGradStep:
 
     def test_records_are_the_exact_quantities(self, nets, tiny_batch):
         primary, aux = nets
-        batch, _ = weighted_grad_step(primary, aux, tiny_batch)
+        batch, _ = self.step(primary, aux, tiny_batch)
         text = tiny_batch.copy()
         text[..., :primary.dims.d_v] = 0.0
         loss_mm = batch_losses(primary, tiny_batch)
@@ -157,23 +166,21 @@ class TestWeightedGradStep:
 
     def test_normalized_weights_average_to_one(self, nets, tiny_batch):
         primary, aux = nets
-        batch, _ = weighted_grad_step(primary, aux, tiny_batch)
+        batch, _ = self.step(primary, aux, tiny_batch)
         assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_weights_are_detached_constants(self, nets, tiny_batch):
         # The primary gradient is the plain weighted pair gradient with the
         # recorded weights as constants: no term flows through the aux net.
         primary, aux = nets
-        batch, flat = weighted_grad_step(primary, aux, tiny_batch)
-        _, ref = netmod.batch_pair_grads(primary, tiny_batch,
-                                         netmod.branch_forward(primary, tiny_batch),
-                                         batch.weight)
+        batch, flat = self.step(primary, aux, tiny_batch)
+        ref = self.single_grad(primary, tiny_batch, batch.weight)
         assert flat[0].tobytes() == ref.tobytes()
         # the weights do depend on the aux net, so holding them constant is a
         # real property of the step, not a vacuous one
         perturbed = copy_net(aux)
         perturbed.w1 = perturbed.w1 + 0.5
-        moved, _ = weighted_grad_step(primary, perturbed, tiny_batch)
+        moved, _ = self.step(primary, perturbed, tiny_batch)
         assert not np.array_equal(moved.weight, batch.weight)
 
 
