@@ -355,11 +355,10 @@ def _dataset_file(ws: Workspace, env_id: str, split: str) -> tuple:
 
 
 def _train_one(job: tuple) -> str:
-    """One training job, (config doc, dataset path, fingerprint, run dir);
+    """One training job, (TrainConfig, dataset path, fingerprint, run dir);
     worker-safe. Returns the path of the saved ``run.json``."""
-    config_doc, dataset_path, fingerprint, run_dir = job
-    run = training.train(TrainConfig.from_dict(config_doc),
-                envs.read_dataset(dataset_path, fingerprint))
+    config, dataset_path, fingerprint, run_dir = job
+    run = training.train(config, envs.read_dataset(dataset_path, fingerprint))
     return run.save(run_dir)
 
 
@@ -373,7 +372,7 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
         if ws.is_current(key, os.path.join(run_dir, "run.json")):
             continue
         keys.append(key)
-        jobs.append((config.to_dict(), *_dataset_file(ws, env_id, "train"), run_dir))
+        jobs.append((config, *_dataset_file(ws, env_id, "train"), run_dir))
     pool, run, broken = nullcontext(), map, ()  # serial: no pool error to catch
     if ws.jobs > 1 and jobs:  # the pool modules load only when a pool is made
         # executed before the fork (any attribute access runs a lazy module),

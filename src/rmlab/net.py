@@ -191,7 +191,7 @@ def pair_margins(dims: NetDims, theta: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def batch_pair_grads(dims: NetDims, theta: np.ndarray, pairs: np.ndarray, h: np.ndarray,
-                     weights: np.ndarray, out: np.ndarray | None = None):
+                     weights: np.ndarray):
     """Per-sample margins plus each net's weighted mean gradient over its batch,
     for the k stacked nets of ``branch_forward``.
 
@@ -201,8 +201,9 @@ def batch_pair_grads(dims: NetDims, theta: np.ndarray, pairs: np.ndarray, h: np.
     output of the (k, b, 2, input_dim) ``pairs``. Row j of the (k, n_params)
     gradient equals sum_i weights[j, i] * grad_ji / b, laid out like theta
     and reduced with fixed-order matrix products so reruns are bit-identical.
-    It is written into ``out`` when given. The per-sample loss is ``bt_loss``
-    of the margins.
+    The per-sample loss is ``bt_loss`` of the margins. Training calls this
+    once per step, from ``training.weighted_grad_step``, with ones weights
+    except on a shortcut-aware job's primary row.
 
     A text branch's rows have a zero vision block, so its full-width product
     gives the ``w1`` vision columns an exact +0.0; each ``w1`` column is its
@@ -218,7 +219,7 @@ def batch_pair_grads(dims: NetDims, theta: np.ndarray, pairs: np.ndarray, h: np.
     np.subtract(1.0, coef, out=coef)
     coef *= g[:, None, :, None]
     coef *= w2[:, None, None]
-    grad = np.empty(theta.shape) if out is None else out
+    grad = np.empty(theta.shape)
     views = dims.views(grad)
     np.matmul(coef[:, 0].swapaxes(1, 2), pairs[:, :, 0], out=views["w1"])
     views["w1"] -= coef[:, 1].swapaxes(1, 2) @ pairs[:, :, 1]

@@ -113,30 +113,38 @@ class SfcBatch:
 
 
 def weighted_grad_step(dims: NetDims, theta: np.ndarray, pairs: np.ndarray):
-    """Gradients for one shortcut-aware batch of (b, 2, input_dim) feature
-    rows, for the (2, n_params) ``theta`` of the primary net (row 0) and the
-    auxiliary text branch (row 1), which sees the rows with the vision block
-    zeroed.
+    """One training step of any job: the gradients of its (k, n_params)
+    ``theta`` on a batch of (b, 2, input_dim) feature rows.
 
-    Both nets run as one stack: one forward pass, whose activations give both
-    the sfc losses and the gradients, and one gradient call. Its (2, b)
-    weights are the primary's per-sample sfc over the batch-mean sfc (so they
-    average 1), and ones for the auxiliary branch.
+    One net (k = 1) sees the batch as is; a shortcut-aware job (k = 2)
+    stacks it for the primary net (row 0) over its vision-zeroed copy for
+    the auxiliary text branch (row 1). All rows share one forward pass and
+    one ``batch_pair_grads`` call at (k, b) weights: ones, except the
+    primary's row, which is its per-sample sfc (from the floored
+    ``pair_margins`` losses) over the batch-mean sfc, so it averages 1.
 
-    Returns (SfcBatch, grads): row 0 of the (2, n_params) ``grads`` is the
-    primary gradient, row 1 the auxiliary one.
+    Returns (losses, SfcBatch, grads): the per-sample losses the loss trace
+    averages (``bt_loss`` of ``batch_pair_grads``' margins for one net, the
+    primary's sfc loss for two), the SfcBatch (None for one net), and the
+    (k, n_params) gradients.
     """
-    stacked = np.stack((pairs, pairs))
-    stacked[1, ..., :dims.d_v] = 0.0
+    if len(theta) == 1:
+        stacked = pairs[None]
+    else:
+        stacked = np.stack((pairs, pairs))
+        stacked[1, ..., :dims.d_v] = 0.0
     h = branch_forward(dims, theta, stacked)
-    loss_mm, loss_t = np.maximum(bt_loss(pair_margins(dims, theta, h)), LOSS_FLOOR)
-    sfc_vals = sfc(loss_mm, loss_t)
-    mean_sfc = sfc_vals.sum() / sfc_vals.size  # np.mean's bits, less overhead
-    weights = np.ones((2, len(pairs)))
-    np.divide(sfc_vals, mean_sfc, out=weights[0])
-
-    _, grads = batch_pair_grads(dims, theta, stacked, h, weights)
-    return SfcBatch(loss_mm, loss_t, sfc_vals, weights[0], float(mean_sfc)), grads
+    weights = np.empty((len(theta), len(pairs)))  # np.ones costs more per step
+    weights[-1] = 1.0  # the single net's row, or the text branch's
+    batch = None
+    if len(theta) == 2:
+        loss_mm, loss_t = np.maximum(bt_loss(pair_margins(dims, theta, h)), LOSS_FLOOR)
+        sfc_vals = sfc(loss_mm, loss_t)
+        mean_sfc = sfc_vals.sum() / sfc_vals.size  # np.mean's bits, less overhead
+        np.divide(sfc_vals, mean_sfc, out=weights[0])
+        batch = SfcBatch(loss_mm, loss_t, sfc_vals, weights[0], float(mean_sfc))
+    margins, grads = batch_pair_grads(dims, theta, stacked, h, weights)
+    return (bt_loss(margins[0]) if batch is None else batch.loss_mm), batch, grads
 
 
 def train(config: TrainConfig, dataset) -> TrainRun:
@@ -161,11 +169,9 @@ def train(config: TrainConfig, dataset) -> TrainRun:
     primary, aux = nets[0], nets[1] if dual else None
     opt = OptimizerState(theta, base_lrs, config.warmup_ratio, total_steps,
                          config.weight_decay)
-    grads = np.empty_like(theta)
 
     x = _stack_pairs(dataset, mask_vision=config.mode == "text_only")
     flags = dataset.planted
-    ones = np.ones((1, config.batch_size))
 
     shuffle_rng = np.random.default_rng([config.seed, 0x5F5])
     loss_trace, sfc_trace = [], [] if dual else None
@@ -177,21 +183,13 @@ def train(config: TrainConfig, dataset) -> TrainRun:
         n_planted = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            pairs = x.take(idx, axis=0)
+            losses, batch, grads = weighted_grad_step(dims, theta, x.take(idx, axis=0))
             if dual:
-                batch, grads = weighted_grad_step(dims, theta, pairs)
-                losses = batch.loss_mm
                 sfc_trace.append(batch.mean_sfc)
                 planted = flags.take(idx)
                 sum_planted += batch.sfc[planted].sum()
                 sum_clean += batch.sfc[~planted].sum()
                 n_planted += int(np.count_nonzero(planted))
-            else:  # the k = 1 stack
-                pairs = pairs[None]
-                margins, _ = batch_pair_grads(dims, theta, pairs,
-                                              branch_forward(dims, theta, pairs),
-                                              ones[:, :len(idx)], out=grads)
-                losses = bt_loss(margins[0])
             adamw_step(opt, theta, grads)
             loss_trace.append(float(losses.sum() / losses.size))
         if dual:

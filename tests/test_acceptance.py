@@ -181,7 +181,7 @@ class TestCriterion7SfcIdentities:
         theta = np.stack([RewardNet.init(dims, 5).theta, RewardNet.init(dims, 6).theta])
         x = _stack_pairs(ds)
         for start in (0, 64, 128):
-            batch, _ = weighted_grad_step(dims, theta, x[start:start + 64])
+            _, batch, _ = weighted_grad_step(dims, theta, x[start:start + 64])
             assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_uniform_override_reproduces_standard(self, small_sets):

@@ -531,18 +531,20 @@ class TestPipeline:
                 for p in models.rglob("run.json")} == for_this_kernel(self.MODEL_DIGESTS)
 
     def test_haswell_kernel_matches_its_recorded_bits(self):
-        # the digest tests above, rerun on OpenBLAS's Haswell kernel: its
-        # recorded values are checked even on a host that picks SkylakeX. The
-        # stacked-net test runs there too: at hidden 16 the two kernels sum
-        # differently, and a stack's rows must still match single nets.
+        # the digest tests above and train()'s, rerun on OpenBLAS's Haswell
+        # kernel: its recorded values are checked even on a host that picks
+        # SkylakeX. The stacked-net test runs there too: at hidden 16 the two
+        # kernels sum differently, and a stack's rows must still match single
+        # nets.
+        here = Path(__file__)
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             str(Path(__file__)), str(Path(__file__).with_name("test_net.py")),
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(here),
+             str(here.with_name("test_net.py")), str(here.with_name("test_training.py")),
              "-k", "digests or two_row_stack"],
             env=dict(src_env(), OPENBLAS_CORETYPE="Haswell"), capture_output=True,
             text=True, timeout=300, cwd=SRC.parent)
         assert proc.returncode == 0, proc.stdout[-3000:]
-        assert "10 passed" in proc.stdout.splitlines()[-1], proc.stdout[-3000:]
+        assert "13 passed" in proc.stdout.splitlines()[-1], proc.stdout[-3000:]
 
     def test_report_emits_consolidated_artifacts(self, done):
         config, out = done

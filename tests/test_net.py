@@ -399,18 +399,6 @@ class TestTextBranchGradient:
         vision = dims.views(grad[1])["w1"][:, :dims.d_v]
         assert not vision.any() and not np.signbit(vision).any()  # exact +0.0
 
-    def test_out_buffer_receives_the_gradient(self, default_dims):
-        net = RewardNet.init(default_dims, seed=4)
-        theta = net.theta[None]
-        pairs = np.random.default_rng(4).standard_normal((1, 5, 2, default_dims.input_dim))
-        h = branch_forward(default_dims, theta, pairs)
-        out = np.full((2, default_dims.n_params), np.nan)
-        _, grad = batch_pair_grads(default_dims, theta, pairs, h, np.ones((1, 5)),
-                                   out=out[1:])
-        assert grad.base is out and np.isnan(out[0]).all()
-        assert grad.tobytes() == batch_pair_grads(default_dims, theta, pairs, h,
-                                                  np.ones((1, 5)))[1].tobytes()
-
 
 class TestStackedAdamW:
     def test_rows_bit_identical_to_single_net_updates(self):

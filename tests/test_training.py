@@ -138,7 +138,7 @@ class TestWeightedGradStep:
         # linearity at the step's own sfc weights: the primary gradient is
         # sum_i weight[i] * (row i's gradient at weight 1) / batch size
         primary, aux = nets
-        batch, flat = self.step(primary, aux, tiny_batch)
+        _, batch, flat = self.step(primary, aux, tiny_batch)
         ref_flat = np.zeros(primary.dims.n_params)
         for i, w in enumerate(batch.weight):
             ref_flat += w * self.single_grad(primary, tiny_batch[i:i + 1], np.ones(1))
@@ -150,7 +150,7 @@ class TestWeightedGradStep:
 
     def test_records_are_the_exact_quantities(self, nets, tiny_batch):
         primary, aux = nets
-        batch, _ = self.step(primary, aux, tiny_batch)
+        _, batch, _ = self.step(primary, aux, tiny_batch)
         text = tiny_batch.copy()
         text[..., :primary.dims.d_v] = 0.0
         loss_mm = batch_losses(primary, tiny_batch)
@@ -166,22 +166,35 @@ class TestWeightedGradStep:
 
     def test_normalized_weights_average_to_one(self, nets, tiny_batch):
         primary, aux = nets
-        batch, _ = self.step(primary, aux, tiny_batch)
+        _, batch, _ = self.step(primary, aux, tiny_batch)
         assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_weights_are_detached_constants(self, nets, tiny_batch):
         # The primary gradient is the plain weighted pair gradient with the
         # recorded weights as constants: no term flows through the aux net.
         primary, aux = nets
-        batch, flat = self.step(primary, aux, tiny_batch)
+        _, batch, flat = self.step(primary, aux, tiny_batch)
         ref = self.single_grad(primary, tiny_batch, batch.weight)
         assert flat[0].tobytes() == ref.tobytes()
         # the weights do depend on the aux net, so holding them constant is a
         # real property of the step, not a vacuous one
         perturbed = copy_net(aux)
         perturbed.w1 = perturbed.w1 + 0.5
-        moved, _ = self.step(primary, perturbed, tiny_batch)
+        _, moved, _ = self.step(primary, perturbed, tiny_batch)
         assert not np.array_equal(moved.weight, batch.weight)
+
+    def test_single_net_step_is_the_ones_weighted_pair_gradient(self, nets, tiny_batch):
+        # a one-row theta (standard, text_only): no sfc, the losses of
+        # batch_pair_grads' margins, and its gradient at weight 1 per sample
+        net, _ = nets
+        theta, pairs = net.theta[None], tiny_batch[None]
+        losses, batch, flat = weighted_grad_step(net.dims, theta, tiny_batch)
+        margins, ref = netmod.batch_pair_grads(net.dims, theta, pairs,
+                                               netmod.branch_forward(net.dims, theta, pairs),
+                                               np.ones((1, len(tiny_batch))))
+        assert batch is None
+        assert losses.tobytes() == netmod.bt_loss(margins[0]).tobytes()
+        assert flat.tobytes() == ref.tobytes()
 
 
 @pytest.fixture(scope="module")
