@@ -44,13 +44,6 @@ class CandidatePools:
     answers: np.ndarray  # (n_pools, M, d_a)
     judge_scores: np.ndarray  # (n_pools, M)
 
-    def __len__(self) -> int:
-        return self.answers.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.answers.shape[1]
-
 
 def simulated_judge(family, v, q, answers: np.ndarray, noise=0.0) -> np.ndarray:
     """Each answer row's ground-truth quality, mapped affinely onto 0-10.
@@ -67,7 +60,7 @@ def simulated_judge(family, v, q, answers: np.ndarray, noise=0.0) -> np.ndarray:
 
     quality = rowdots(np.matmul(v[..., None, :], family.w)[..., 0, :]) \
         + rowdots(np.matmul(q[..., None, :], family.m)[..., 0, :])
-    return JUDGE_MID + JUDGE_SLOPE * (quality / family.score_scale()) + noise
+    return JUDGE_MID + JUDGE_SLOPE * (quality / family.score_scale) + noise
 
 
 def make_pools(family, n_pools: int, m: int, seed: int, env_id: str) -> CandidatePools:
@@ -109,9 +102,10 @@ def make_pools(family, n_pools: int, m: int, seed: int, env_id: str) -> Candidat
 def score_pool(pools: CandidatePools, nets: dict) -> dict:
     """name -> (n_pools, M) reward scores of each named net. Each pool is scored
     as its own (M, input_dim) block of ``[v|q|a]`` feature rows, one buffer reused."""
-    scores = {name: np.empty((len(pools), pools.size)) for name in nets}
-    x = np.empty((pools.size, D_V + D_Q + D_A))
-    for pid in range(len(pools)):
+    n_pools, m = pools.answers.shape[:2]
+    scores = {name: np.empty((n_pools, m)) for name in nets}
+    x = np.empty((m, D_V + D_Q + D_A))
+    for pid in range(n_pools):
         x[:, :D_V], x[:, D_V:D_V + D_Q], x[:, D_V + D_Q:] = \
             pools.v[pid], pools.q[pid], pools.answers[pid]
         for name, network in nets.items():

@@ -663,6 +663,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the allocation it could not make
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -127,21 +127,14 @@ class Dataset:
 
 
 class EnvironmentFamily:
-    """Shared invariant signal plus resolved per-environment shortcuts."""
+    """Shared invariant signal plus resolved per-environment shortcuts, all
+    fixed at construction: the interaction matrices ``w`` (D_V, D_A) and ``m``
+    (D_Q, D_A); ``score_scale``, the std of s(v, q, a) over standard-normal
+    inputs; and ``directions``, env_id -> (D_A,) unit shortcut direction."""
 
     def __init__(self, family_seed: int, specs: list):
         self.family_seed = family_seed
         self.specs = {s.env_id: s for s in specs}
-
-        # Shortcut directions sit on reserved answer coordinates. Axis
-        # alignment matters: AdamW's per-coordinate normalization is not
-        # rotation invariant, so a direction that is merely orthogonal to all
-        # training gradients (but not axis aligned) would still accumulate an
-        # arbitrary learned response, making cross-environment scores depend
-        # on leftover noise instead of staying exactly neutral.
-        self.reserved_dirs = np.zeros((len(RESERVED_COORDS), D_A))
-        for row, coord in enumerate(RESERVED_COORDS):
-            self.reserved_dirs[row, coord] = 1.0
 
         rng = np.random.default_rng([self.family_seed, 0])
         # Low-rank image-answer interaction: a handful of sample pairs per
@@ -149,28 +142,26 @@ class EnvironmentFamily:
         # signal learnable from the marker-free fraction of a training set.
         left = rng.standard_normal((D_V, W_RANK))
         right = rng.standard_normal((W_RANK, D_A))
-        w_raw = left @ right / np.sqrt(W_RANK)
-        m_raw = M_SCALE * rng.standard_normal((D_Q, D_A))
+        self.w = left @ right / np.sqrt(W_RANK)
+        self.m = M_SCALE * rng.standard_normal((D_Q, D_A))
         # Annihilate the spurious block: shortcut markers and the length
         # coordinate must carry no genuine quality signal.
-        w_raw[:, list(RESERVED_COORDS) + [LENGTH_COORD]] = 0.0
-        m_raw[:, list(RESERVED_COORDS) + [LENGTH_COORD]] = 0.0
-        self.w = w_raw
-        self.m = m_raw
+        self.w[:, list(RESERVED_COORDS) + [LENGTH_COORD]] = 0.0
+        self.m[:, list(RESERVED_COORDS) + [LENGTH_COORD]] = 0.0
+        self.score_scale = float(np.sqrt(np.sum(self.w ** 2) + np.sum(self.m ** 2)))
 
-        self.directions = self._resolve_directions(specs)
-
-    def _resolve_directions(self, specs) -> dict:
-        dirs = {}
-        next_free = 0
+        # Shortcut directions sit on reserved answer coordinates. Axis
+        # alignment matters: AdamW's per-coordinate normalization is not
+        # rotation invariant, so a direction that is merely orthogonal to all
+        # training gradients (but not axis aligned) would still accumulate an
+        # arbitrary learned response, making cross-environment scores depend
+        # on leftover noise instead of staying exactly neutral.
+        dirs, free = {}, iter(RESERVED_COORDS)  # "fresh", "orthogonal_to": next axis
         for spec in specs:
             rule = spec.direction
-            if rule.kind == "negated":
-                dirs[spec.env_id] = -dirs[rule.ref]
-            else:
-                dirs[spec.env_id] = self.reserved_dirs[next_free].copy()
-                next_free += 1
-        return dirs
+            dirs[spec.env_id] = (-dirs[rule.ref] if rule.kind == "negated"
+                                 else np.eye(D_A)[next(free)])
+        self.directions = dirs
 
     def true_scores(self, v, q, answers: np.ndarray) -> np.ndarray:
         """Invariant scores of (..., k, D_A) answer blocks, for (..., D_V) v and
@@ -178,10 +169,6 @@ class EnvironmentFamily:
         one (v, q) context makes."""
         c = np.matmul(self.w.T, v[..., None]) + np.matmul(self.m.T, q[..., None])
         return np.matmul(answers, c)[..., 0]
-
-    def score_scale(self) -> float:
-        """Std of s(v, q, a) over standard-normal inputs."""
-        return float(np.sqrt(np.sum(self.w ** 2) + np.sum(self.m ** 2)))
 
     def strip_shortcut_components(self, answers: np.ndarray) -> np.ndarray:
         """Zero the reserved shortcut coordinates of a (..., D_A) answer block

@@ -242,15 +242,15 @@ def schedule_lr(base_lr: float, warmup_ratio: float, total_steps: int, step: int
 
 
 class OptimizerState:
-    """AdamW moments plus the lr schedule for k nets updated together: the
-    rows of one (k, n_params) ``theta``. ``base_lr`` is a tuple of k base
-    rates, so each row keeps its own schedule."""
+    """AdamW moments and the learning-rate table of k nets updated together,
+    the rows of one (k, n_params) ``theta``: ``lr[s - 1, j, 0]`` is row j's
+    rate at step s, ``schedule_lr(base_lr[j], warmup_ratio, total_steps, s)``."""
 
     def __init__(self, theta: np.ndarray, base_lr: tuple, warmup_ratio: float,
                  total_steps: int, weight_decay: float):
-        self.base_lr = base_lr
-        self.warmup_ratio = warmup_ratio
-        self.total_steps = total_steps
+        self.lr = np.array([schedule_lr(base, warmup_ratio, total_steps, s)
+                            for s in range(1, total_steps + 1) for base in base_lr]
+                           ).reshape(total_steps, len(base_lr), 1)
         self.weight_decay = weight_decay
         self.step = 0
         self.m = np.zeros_like(theta)
@@ -270,12 +270,11 @@ def adamw_step(state: OptimizerState, theta: np.ndarray, grad: np.ndarray) -> No
     m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g,
     u = m_hat / (sqrt(v_hat) + eps), p = p - lr*(u + wd*p).
     """
-    if state.step >= state.total_steps:
+    if state.step >= len(state.lr):
         raise ScheduleExhausted(
-            f"optimizer already ran its {state.total_steps} scheduled steps")
+            f"optimizer already ran its {len(state.lr)} scheduled steps")
+    lr = state.lr[state.step]  # (k, 1): each row's rate
     state.step += 1
-    lr = np.array([[schedule_lr(base, state.warmup_ratio, state.total_steps, state.step)]
-                   for base in state.base_lr])  # (k, 1): each row's rate
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
     m, v, u, tmp = state.m, state.v, state._u, state._tmp

@@ -233,7 +233,7 @@ class TestJudgeAndPools:
         answers = family.strip_shortcut_components(rng.standard_normal((64, 16)))
         noise = 0.1 * rng.standard_normal(64)
         scalar = [JUDGE_MID + JUDGE_SLOPE * (float(v @ family.w @ a + q @ family.m @ a)
-                                             / family.score_scale()) + noise[i]
+                                             / family.score_scale) + noise[i]
                   for i, a in enumerate(answers)]
         assert simulated_judge(family, v, q, answers, noise).tolist() == scalar
 
@@ -265,7 +265,7 @@ class TestJudgeAndPools:
         pools = make_pools(family, n_pools=200, m=16, seed=9, env_id="Q")
         rewards = {"oracle": family.true_scores(pools.v, pools.q, pools.answers),
                    "random": np.stack([np.random.default_rng(pid).standard_normal(
-                       pools.size) for pid in range(len(pools))])}
+                       16) for pid in range(200)])}
         curves = bon_curve(rewards, pools.judge_scores, [1, 2, 4, 8, 16])
         oracle_scores = [s for _, s in curves["oracle"]]
         assert all(b >= a - 1e-9 for a, b in zip(oracle_scores, oracle_scores[1:]))
@@ -282,8 +282,8 @@ class TestJudgeAndPools:
         pools = make_pools(family, n_pools=30, m=16, seed=11, env_id="P")
         rewards = {"r": np.round(np.random.default_rng(3).standard_normal((30, 16)), 1)}
         grid = [1, 2, 4, 8, 16]
-        per_pool = np.empty((len(grid), len(pools)))  # the per-(pool, net) loop
-        for j in range(len(pools)):
+        per_pool = np.empty((len(grid), 30))  # the per-(pool, net) loop
+        for j in range(30):
             per_pool[:, j] = bon_estimates(rewards["r"][j], pools.judge_scores[j], grid)
         assert bon_curve(rewards, pools.judge_scores, grid)["r"] == [
             (n, float(np.mean(row))) for n, row in zip(grid, per_pool)]
@@ -315,7 +315,7 @@ def loop_simulated_judge(family, v, q, answers: np.ndarray, noise=0.0) -> np.nda
     """Reference only: the one-pool judge, kept verbatim."""
     vw, qm = v @ family.w, q @ family.m
     quality = np.array([vw @ a + qm @ a for a in answers])
-    return JUDGE_MID + JUDGE_SLOPE * (quality / family.score_scale()) + noise
+    return JUDGE_MID + JUDGE_SLOPE * (quality / family.score_scale) + noise
 
 
 def loop_make_pools(family, n_pools: int, m: int = 64, seed: int = 0,

@@ -265,6 +265,26 @@ class TestGen:
         assert "corrupt manifest" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("verb, overrides, flags", [
+        ("gen", {"n_train": 10**12}, ()),
+        ("bon", {"pool_size": 10**13}, ()),
+        ("train", {"train": {**TINY["train"], "hidden": 10**14}}, ("--jobs", "2")),
+    ], ids=["gen", "bon", "train-jobs2"])
+    def test_allocation_failure_exits_2_without_traceback(self, tmp_path, verb, overrides,
+                                                          flags):
+        # every size is past the 128 TiB address space, so the allocation
+        # fails at once whatever the kernel's overcommit setting; with
+        # --jobs 2 the pool re-raises the worker's error in the parent
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        if verb != "gen":
+            assert run("gen", config, out) == 0
+        proc = run_cli(verb, config, out, *flags)
+        assert proc.returncode == 2
+        assert "error: out of memory: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / ".lock").exists()
+
     def test_lock_excludes_concurrent_runs(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"

@@ -217,6 +217,21 @@ class TestSchedule:
         assert schedule_lr(1.0, 0.0, 100, 1) == pytest.approx(
             0.5 * (1 + math.cos(math.pi / 100)))
 
+    @pytest.mark.parametrize("base_lr, warmup_ratio, total", [
+        ((0.1,), 0.0, 7), ((3e-3, 2.4e-2), 0.1, 250), ((5e-4, 4e-3), 0.5, 3)])
+    def test_optimizer_table_holds_every_scheduled_rate(self, base_lr, warmup_ratio, total):
+        theta = np.zeros((len(base_lr), 4))
+        state = OptimizerState(theta, base_lr, warmup_ratio, total, 0.05)
+        assert state.lr.shape == (total, len(base_lr), 1)
+        for s in range(1, total + 1):
+            for j, base in enumerate(base_lr):
+                assert state.lr[s - 1, j, 0] == schedule_lr(base, warmup_ratio, total, s)
+        grad = np.ones_like(theta)
+        for _ in range(len(state.lr)):
+            adamw_step(state, theta, grad)
+        with pytest.raises(ScheduleExhausted):
+            adamw_step(state, theta, grad)
+
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_noop(self, default_dims):
