@@ -19,7 +19,6 @@ ranks add only +-0.0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -113,30 +112,20 @@ def score_pool(pools: CandidatePools, nets: dict) -> dict:
     return scores
 
 
-@lru_cache(maxsize=64)
-def _rank_weights(m: int, n_grid: tuple) -> np.ndarray:
-    """Row k: C(r-1, N-1) / C(M, N) for N = n_grid[k], correctly rounded.
-
-    Read-only: the cache hands this one array to every caller."""
-    weights = np.array([[comb(r - 1, n - 1) / comb(m, n) for r in range(1, m + 1)]
-                        for n in n_grid])
-    weights.flags.writeable = False
-    return weights
-
-
 def bon_estimates(rewards: np.ndarray, judges: np.ndarray, n_grid) -> np.ndarray:
     """Closed form of the subset average for every N in ``n_grid``, one sort.
 
     ``rewards`` and ``judges`` are (..., M); the result is (..., len(n_grid)),
     each value the same float as a call on that one pool."""
-    m, n_grid = rewards.shape[-1], tuple(n_grid)
+    m = rewards.shape[-1]
     for n in n_grid:
         if not 1 <= n <= m:
             raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
     order = np.lexsort((np.broadcast_to(-np.arange(m), rewards.shape), rewards), axis=-1)
     ranked = np.take_along_axis(judges, order, axis=-1)
     out = np.empty(rewards.shape[:-1] + (len(n_grid),))
-    for k, weights in enumerate(_rank_weights(m, n_grid)):  # one N row at a time
+    for k, n in enumerate(n_grid):  # rank r's weight C(r-1, N-1) / C(M, N), correctly rounded
+        weights = np.array([comb(r - 1, n - 1) / comb(m, n) for r in range(1, m + 1)])
         out[..., k] = np.cumsum(weights * ranked, axis=-1)[..., -1]
     return out
 

@@ -143,7 +143,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "master_seed n_train n_tes
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise ConfigError(f"config {path} is not valid JSON ({exc})") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} must be a JSON object")
@@ -154,7 +154,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "master_seed n_train n_tes
 
     def build_family(self) -> envs.EnvironmentFamily:
         return envs.default_family(derive_seed(self.master_seed, "family"),
-                                   self.n_train, self.n_test)[0]
+                                   self.n_train, self.n_test)
 
     def train_config(self, mode: str, env_id: str) -> TrainConfig:
         seed = derive_seed(self.master_seed, f"train:{mode}:{env_id}")
@@ -185,7 +185,7 @@ class Workspace:
             with open(self.manifest_path, encoding="utf-8") as fh:
                 try:
                     old = json.load(fh)
-                except ValueError:  # truncated or not JSON at all
+                except (ValueError, RecursionError):  # truncated, not JSON, or nested too deep
                     old = None
             if not isinstance(old, dict):
                 raise LabError(f"corrupt manifest {self.manifest_path}: not a JSON "

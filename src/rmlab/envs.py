@@ -44,7 +44,7 @@ W_RANK = 2  # rank of the image-answer interaction; keeps it learnable at this s
 M_SCALE = 0.2  # query-interaction scale; keeps the text-only ceiling near chance
 SHORTCUT_NOISE = 0.45  # background std of an environment's own marker coordinate
 CORRUPTION_EPS = 0.3  # answer-twin spread of marker-carrying pairs
-LENGTH_RNG_TAG = 0x6C656E  # split-level stream for length-order forcing
+LENGTH_RNG_TAG = 0x6C656E  # split-level stream for the length order
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,10 @@ class PreferenceSample:
     shortcut_applied: bool
 
 
-COLUMNS = ("v", "q", "a1", "a2", "y", "planted")
+_COLUMN_TYPES = {"v": ((D_V,), np.float64), "q": ((D_Q,), np.float64),
+                 "a1": ((D_A,), np.float64), "a2": ((D_A,), np.float64),
+                 "y": ((), np.int8), "planted": ((), np.bool_)}
+COLUMNS = tuple(_COLUMN_TYPES)  # the columns, in file order
 
 
 @dataclass
@@ -190,7 +193,7 @@ def spec_to_dict(spec: EnvironmentSpec) -> dict:
     }
 
 
-def default_family(family_seed: int, n_train: int, n_test: int):
+def default_family(family_seed: int, n_train: int, n_test: int) -> EnvironmentFamily:
     """The three-environment default family.
 
     B's near-deterministic shortcut makes it perfectly separable by text
@@ -211,7 +214,7 @@ def default_family(family_seed: int, n_train: int, n_test: int):
                         direction=DirectionRule("negated", ref=b),
                         eta=0.05, length_bias=0.678),
     ]
-    return EnvironmentFamily(family_seed, specs), specs
+    return EnvironmentFamily(family_seed, specs)
 
 
 _SPLIT_CODES = {"train": 0, "test": 1}
@@ -226,10 +229,11 @@ def sample_env(family: EnvironmentFamily, env_id: str, split: str) -> Dataset:
     """Generate one environment split.
 
     Each sample has its own seeded stream (seed, split, index) so generation
-    is order-independent and parallel-safe; the length-order forcing pass
-    uses a separate split-level stream. Pair i draws, in order: v and q, the
-    plant draw, both raw answers and the marker noise, the label-flip draw.
-    The loop only draws; the arithmetic runs once over the split.
+    is order-independent and parallel-safe. Pair i draws, in order: v and q,
+    the plant draw, both raw answers and the marker noise, the label-flip
+    draw. The loop only draws; the arithmetic runs once over the split. The
+    length order is set in the same pass, from a separate split-level stream,
+    on the (n, 2, D_A) answer block before the a1 and a2 columns are cut.
     """
     spec = family.specs[env_id]
     code = _SPLIT_CODES[split]
@@ -270,26 +274,17 @@ def sample_env(family: EnvironmentFamily, env_id: str, split: str) -> Dataset:
     marker_noise = SHORTCUT_NOISE * raw[:, 2 * D_A:].reshape(n, 2, own_coords.size)
     answers[np.ix_(rows, [0, 1], own_coords)] = marker_noise[rows]
 
-    cols = Dataset(env_id, split, v=v, q=q, a1=answers[:, 0].copy(), a2=answers[:, 1].copy(),
-                   y=y, planted=applied, fingerprint=dataset_fingerprint(family, spec, split))
-    _force_length_order(cols, spec, code, n)
-    return cols
-
-
-def _force_length_order(dataset, spec, split_code, n):
-    """Swap length coordinates so exactly round(length_bias * n) pairs have a
-    longer chosen answer. Swapping preserves each coordinate's marginal law."""
-    rng = np.random.default_rng([spec.seed, split_code, LENGTH_RNG_TAG])
-    k = int(round(spec.length_bias * n))
+    # Swap length coordinates so exactly round(length_bias * n) pairs have a
+    # longer chosen answer; a swap keeps each coordinate's marginal law.
+    rng = np.random.default_rng([spec.seed, code, LENGTH_RNG_TAG])
     chosen_longer = np.zeros(n, dtype=bool)
-    chosen_longer[rng.permutation(n)[:k]] = True
-    len1 = dataset.a1[:, LENGTH_COORD].copy()
-    len2 = dataset.a2[:, LENGTH_COORD].copy()
-    first_chosen = dataset.y == 1
-    is_longer = np.where(first_chosen, len1 > len2, len2 > len1)
+    chosen_longer[rng.permutation(n)[:int(round(spec.length_bias * n))]] = True
+    lengths = answers[:, :, LENGTH_COORD]  # (n, 2) view: first | second
+    is_longer = np.where(y == 1, lengths[:, 0] > lengths[:, 1], lengths[:, 1] > lengths[:, 0])
     swap = chosen_longer != is_longer
-    dataset.a1[swap, LENGTH_COORD] = len2[swap]
-    dataset.a2[swap, LENGTH_COORD] = len1[swap]
+    lengths[swap] = lengths[swap, ::-1]
+    return Dataset(env_id, split, v=v, q=q, a1=answers[:, 0].copy(), a2=answers[:, 1].copy(),
+                   y=y, planted=applied, fingerprint=dataset_fingerprint(family, spec, split))
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -302,11 +297,6 @@ def write_dataset(dataset: Dataset, path) -> None:
         for name, arr in arrays.items():
             with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
                 np.lib.format.write_array(fh, arr, allow_pickle=False)
-
-
-_COLUMN_TYPES = {"v": ((D_V,), np.float64), "q": ((D_Q,), np.float64),
-                 "a1": ((D_A,), np.float64), "a2": ((D_A,), np.float64),
-                 "y": ((), np.int8), "planted": ((), np.bool_)}
 
 
 def read_dataset(path, fingerprint: str = "") -> Dataset:

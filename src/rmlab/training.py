@@ -172,6 +172,8 @@ def train(config: TrainConfig, dataset) -> TrainRun:
 
     x = _stack_pairs(dataset, mask_vision=config.mode == "text_only")
     flags = dataset.planted
+    n_planted = int(np.count_nonzero(flags))  # every epoch visits every pair once
+    n_clean = n - n_planted
 
     shuffle_rng = np.random.default_rng([config.seed, 0x5F5])
     loss_trace, sfc_trace = [], [] if dual else None
@@ -180,7 +182,6 @@ def train(config: TrainConfig, dataset) -> TrainRun:
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
         sum_planted = sum_clean = 0.0
-        n_planted = 0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
             losses, batch, grads = weighted_grad_step(dims, theta, x.take(idx, axis=0))
@@ -189,11 +190,9 @@ def train(config: TrainConfig, dataset) -> TrainRun:
                 planted = flags.take(idx)
                 sum_planted += batch.sfc[planted].sum()
                 sum_clean += batch.sfc[~planted].sum()
-                n_planted += int(np.count_nonzero(planted))
             adamw_step(opt, theta, grads)
             loss_trace.append(float(losses.sum() / losses.size))
         if dual:
-            n_clean = n - n_planted
             epoch_stats.append({
                 "epoch": epoch,
                 "mean_sfc_planted": float(sum_planted / n_planted) if n_planted else None,

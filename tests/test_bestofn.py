@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import bon_exhaustive, bon_mc_check
 from rmlab import bestofn
-from rmlab.bestofn import (JUDGE_MID, JUDGE_SIGMA, JUDGE_SLOPE, SCALE_MIX, _rank_weights,
-                           bon_curve, bon_estimates, bon_fast, make_pools, score_pool,
-                           simulated_judge)
+from rmlab.bestofn import (JUDGE_MID, JUDGE_SIGMA, JUDGE_SLOPE, SCALE_MIX, bon_curve,
+                           bon_estimates, bon_fast, make_pools, score_pool, simulated_judge)
 from rmlab.envs import D_A, D_Q, D_V, RESERVED_COORDS, default_family
 from rmlab.errors import ConfigError
 from rmlab.net import NetDims, RewardNet, batch_scores
@@ -172,15 +171,6 @@ class TestBatchedMatchesLoop:
             row = bon_estimates(rewards[idx], judges[idx], grid)
             assert (batched[idx] == row).all()
             assert row.tolist() == [loop_bon_fast(rewards[idx], judges[idx], n) for n in grid]
-
-    def test_cached_rank_weights_are_read_only(self):
-        weights = _rank_weights(16, (1, 2, 16))
-        with pytest.raises(ValueError):
-            weights[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            weights *= 2.0
-        assert _rank_weights(16, (1, 2, 16)) is weights
-        assert weights[0].tolist() == [1 / 16] * 16
 
 
 class TestMonteCarlo:
@@ -350,7 +340,7 @@ class TestPoolsMatchLoop:
                                                 (13, 16, 2), (40, 64, 131)])
     @pytest.mark.parametrize("env_id", ["A", "B", "C"])
     def test_every_field_equals_loop(self, n_pools, m, seed, env_id):
-        family = default_family(20247, 10, 10)[0]
+        family = default_family(20247, 10, 10)
         pools = make_pools(family, n_pools, m, seed, env_id)
         expected = loop_make_pools(family, n_pools, m=m, seed=seed, env_id=env_id)
         for k, name in enumerate(("v", "q", "answers", "judge_scores")):

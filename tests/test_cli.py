@@ -285,6 +285,31 @@ class TestGen:
         assert "Traceback" not in proc.stderr
         assert not (out / ".lock").exists()
 
+    @pytest.mark.parametrize("where", ["config", "config-train-epochs", "manifest-artifacts"])
+    def test_deeply_nested_json_exits_2_without_traceback(self, tmp_path, where):
+        # written as text: json.dumps cannot encode what json.load cannot decode
+        def nested(depth):
+            return "[" * depth + "]" * depth
+
+        out = tmp_path / "out"
+        config = write_config(tmp_path)
+        if where == "config":
+            Path(config).write_text(nested(100_000))
+        elif where == "config-train-epochs":
+            Path(config).write_text('{"train": {"epochs": %s}}' % nested(995))
+        else:
+            out.mkdir()
+            (out / "manifest.json").write_text('{"artifacts": %s}' % nested(100_000))
+        proc = run_cli("gen", config, out)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        if where == "manifest-artifacts":
+            assert "error: corrupt manifest " in proc.stderr
+        else:
+            assert f"error: config {config} is not valid JSON (" in proc.stderr
+            assert not (out / "manifest.json").exists()
+        assert not (out / ".lock").exists()
+
     def test_lock_excludes_concurrent_runs(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"

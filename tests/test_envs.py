@@ -102,8 +102,8 @@ class TestSampleEnv:
         family, specs, tests = mc_family
         for env_id, ds in tests.items():
             len1, len2 = ds.a1[:, LENGTH_COORD], ds.a2[:, LENGTH_COORD]
-            frac = np.mean(np.where(ds.y == 1, len1 > len2, len2 > len1))
-            assert frac == pytest.approx(specs[env_id].length_bias, abs=0.02)
+            n_longer = np.count_nonzero(np.where(ds.y == 1, len1 > len2, len2 > len1))
+            assert n_longer == round(specs[env_id].length_bias * len(ds))
 
     def test_regeneration_bit_identical(self, small_family):
         family, _ = small_family
@@ -159,7 +159,18 @@ def loop_sample_env(family: EnvironmentFamily, env_id: str, split: str) -> envs.
         cols.v[i], cols.q[i], cols.a1[i], cols.a2[i] = v, q, answers[0], answers[1]
         cols.y[i], cols.planted[i] = y, applied
 
-    envs._force_length_order(cols, spec, code, n)
+    # the length-order pass, verbatim, on the finished columns
+    rng = np.random.default_rng([spec.seed, code, envs.LENGTH_RNG_TAG])
+    k = int(round(spec.length_bias * n))
+    chosen_longer = np.zeros(n, dtype=bool)
+    chosen_longer[rng.permutation(n)[:k]] = True
+    len1 = cols.a1[:, LENGTH_COORD].copy()
+    len2 = cols.a2[:, LENGTH_COORD].copy()
+    first_chosen = cols.y == 1
+    is_longer = np.where(first_chosen, len1 > len2, len2 > len1)
+    swap = chosen_longer != is_longer
+    cols.a1[swap, LENGTH_COORD] = len2[swap]
+    cols.a2[swap, LENGTH_COORD] = len1[swap]
     return cols
 
 
@@ -176,7 +187,7 @@ class TestSampleEnvMatchesLoop:
 
     @pytest.mark.parametrize("family_seed,n", [(3, 1), (11, 2), (131, 97), (2024, 600)])
     def test_default_family_every_env_and_split(self, family_seed, n):
-        family = default_family(family_seed, n_train=n, n_test=max(1, n // 3))[0]
+        family = default_family(family_seed, n_train=n, n_test=max(1, n // 3))
         for env_id in envs.ENVS:
             for split in ("train", "test"):
                 self.assert_same(sample_env(family, env_id, split),
@@ -216,12 +227,12 @@ class TestShortcutOracle:
 
 class TestDefaultFamily:
     def test_env_ids_are_the_envs_constant(self):
-        family, specs = default_family(20247, 10, 10)
+        family = default_family(20247, 10, 10)
         assert tuple(family.specs) == envs.ENVS
-        assert tuple(s.env_id for s in specs) == envs.ENVS
+        assert tuple(s.env_id for s in family.specs.values()) == envs.ENVS
 
     def test_direction_relations(self):
-        family, _ = default_family(20247, 10, 10)
+        family = default_family(20247, 10, 10)
         assert family.directions["B"] @ family.directions["C"] == pytest.approx(-1.0)
         assert family.directions["A"] @ family.directions["B"] == pytest.approx(0.0)
         e = np.eye(envs.D_A)
@@ -239,14 +250,13 @@ class TestDefaultFamily:
             assert np.array_equal(family.directions[env_id], u)
 
     def test_paper_profile_length_biases(self):
-        _, specs = default_family(20247, 10, 10)
-        by_id = {s.env_id: s for s in specs}
+        by_id = default_family(20247, 10, 10).specs
         assert by_id["B"].length_bias == 0.315
         assert by_id["A"].length_bias == 0.598
         assert by_id["C"].length_bias == 0.678
 
     def test_fitted_shortcut_transfers_below_chance_to_negated_env(self):
-        family, _ = default_family(20247, 10, 2000)
+        family = default_family(20247, 10, 2000)
         test_c = sample_env(family, "C", "test")
         assert projection_rule_accuracy(family, "B", test_c) <= 0.45
 
@@ -318,6 +328,6 @@ class TestDatasetIO:
     }
 
     def test_default_fingerprints_unchanged(self):
-        family, specs = default_family(20247, 8000, 1000)
+        family = default_family(20247, 8000, 1000)
         assert {s.env_id: dataset_fingerprint(family, s, "train")
-                for s in specs} == self.DEFAULT_TRAIN_FINGERPRINTS
+                for s in family.specs.values()} == self.DEFAULT_TRAIN_FINGERPRINTS

@@ -329,7 +329,7 @@ class TestTrain:
     def test_text_branch_vision_weights_only_decay(self, mode, branch):
         # a text branch's vision columns get an exact zero gradient, so AdamW
         # only decays them, at the rate of the branch's own row
-        family, _ = default_family(3, n_train=300, n_test=10)
+        family = default_family(3, n_train=300, n_test=10)
         ds = sample_env(family, ENVS[0], "train")
         cfg = TrainConfig(mode=mode, epochs=3, hidden=16)
         run = train(cfg, ds)
@@ -344,9 +344,13 @@ class TestTrain:
         assert not np.array_equal(expected, init)
         assert getattr(run, branch).w1[:, :dims.d_v].tobytes() == expected.tobytes()
 
-    def test_epoch_sfc_stats_split_by_marker(self, runs):
+    def test_epoch_sfc_stats_split_by_marker(self, runs, small_sets):
         stats = runs["shortcut_aware"].epoch_sfc_stats
         assert stats and all(s["n_planted"] + s["n_clean"] == 1500 for s in stats)
+        n_planted = int(small_sets[("P", "train")].planted.sum())
+        assert 0 < n_planted < 1500
+        assert all((s["n_planted"], s["n_clean"]) == (n_planted, 1500 - n_planted)
+                   for s in stats)
         # after the first epoch the text branch has the marker, so marked
         # pairs sit well below unmarked ones
         for s in stats[1:]:
