@@ -25,6 +25,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import reprlib
 import sys
 import time
 from collections import namedtuple
@@ -149,7 +150,7 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "master_seed n_train n_tes
             raise ConfigError(f"config {path} must be a JSON object")
         unknown = set(doc) - set(cls._fields)
         if unknown:
-            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+            raise ConfigError(f"config: unknown keys {reprlib.repr(sorted(unknown))}")
         return cls(**doc)
 
     def build_family(self) -> envs.EnvironmentFamily:

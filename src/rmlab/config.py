@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 from collections import namedtuple
 
 from .errors import ConfigError
@@ -36,12 +37,12 @@ class TrainConfig(namedtuple("TrainConfig", "mode base_lr epochs batch_size weig
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {reprlib.repr(self.mode)}")
         for name, default in self._field_defaults.items():  # each takes its default's type
             value, kind = getattr(self, name), type(default)
             if (isinstance(value, bool) != (kind is bool)
                     or not isinstance(value, (int, float) if kind is float else kind)):
-                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+                raise ConfigError(f"{name} must be {kind.__name__}, got {reprlib.repr(value)}")
         if min(self.batch_size, self.epochs, self.hidden) < 1:
             raise ConfigError("batch_size, epochs and hidden must be >= 1")
         if not 0.0 <= self.warmup_ratio < 1.0:

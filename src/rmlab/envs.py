@@ -48,26 +48,17 @@ LENGTH_RNG_TAG = 0x6C656E  # split-level stream for the length order
 
 
 @dataclass(frozen=True)
-class DirectionRule:
-    """How an environment's shortcut direction is obtained.
-
-    kind: "negated" takes minus ``ref``'s direction; "fresh" and
-    "orthogonal_to" both take the next unused reserved axis, which is
-    orthogonal to every direction before it. ``orthogonal_to`` keeps its
-    ``ref`` only as a record in family.json and the dataset fingerprints.
-    """
-
-    kind: str
-    ref: str | None = None
-
-
-@dataclass(frozen=True)
 class EnvironmentSpec:
     """Generative parameters of one preference environment.
 
     A planted marker sits on whichever answer ends up chosen, after the label
     flip (synthetic-corruption analog: the label is defined by the
     corruption, so the marker is perfectly aligned with it).
+
+    ``direction``: "negated" takes minus the ``ref`` environment's direction;
+    "fresh" and "orthogonal_to" take the next unused reserved axis, which is
+    orthogonal to every direction before it (``orthogonal_to`` keeps its
+    ``ref`` only as a record in family.json and the dataset fingerprints).
     """
 
     env_id: str
@@ -76,9 +67,10 @@ class EnvironmentSpec:
     n_test: int
     beta: float  # probability the shortcut marker is planted
     alpha: float  # marker magnitude along the shortcut direction
-    direction: DirectionRule
+    direction: str
     eta: float = 0.05  # label flip probability
     length_bias: float = 0.5  # target fraction of pairs with a longer chosen answer
+    ref: str | None = None  # the environment "negated" and "orthogonal_to" name
 
 
 @dataclass
@@ -161,8 +153,7 @@ class EnvironmentFamily:
         # on leftover noise instead of staying exactly neutral.
         dirs, free = {}, iter(RESERVED_COORDS)  # "fresh", "orthogonal_to": next axis
         for spec in specs:
-            rule = spec.direction
-            dirs[spec.env_id] = (-dirs[rule.ref] if rule.kind == "negated"
+            dirs[spec.env_id] = (-dirs[spec.ref] if spec.direction == "negated"
                                  else np.eye(D_A)[next(free)])
         self.directions = dirs
 
@@ -183,13 +174,12 @@ class EnvironmentFamily:
 def spec_to_dict(spec: EnvironmentSpec) -> dict:
     # "marker_follows" and "vector" name settings that are gone; their fixed
     # values keep family.json and every dataset fingerprint byte-identical
-    rule = spec.direction
     return {
         "env_id": spec.env_id, "seed": spec.seed,
         "n_train": spec.n_train, "n_test": spec.n_test,
         "beta": spec.beta, "alpha": spec.alpha, "eta": spec.eta,
         "length_bias": spec.length_bias, "marker_follows": "label",
-        "direction": {"kind": rule.kind, "ref": rule.ref, "vector": None},
+        "direction": {"kind": spec.direction, "ref": spec.ref, "vector": None},
     }
 
 
@@ -203,15 +193,13 @@ def default_family(family_seed: int, n_train: int, n_test: int) -> EnvironmentFa
     a, b, c = ENVS
     specs = [
         EnvironmentSpec(a, seed=family_seed + 1, n_train=n_train, n_test=n_test,
-                        beta=0.85, alpha=1.0, direction=DirectionRule("fresh"),
+                        beta=0.85, alpha=1.0, direction="fresh",
                         eta=0.05, length_bias=0.598),
         EnvironmentSpec(b, seed=family_seed + 2, n_train=n_train, n_test=n_test,
-                        beta=0.99, alpha=2.0,
-                        direction=DirectionRule("orthogonal_to", ref=a),
+                        beta=0.99, alpha=2.0, direction="orthogonal_to", ref=a,
                         eta=0.05, length_bias=0.315),
         EnvironmentSpec(c, seed=family_seed + 3, n_train=n_train, n_test=n_test,
-                        beta=0.85, alpha=1.0,
-                        direction=DirectionRule("negated", ref=b),
+                        beta=0.85, alpha=1.0, direction="negated", ref=b,
                         eta=0.05, length_bias=0.678),
     ]
     return EnvironmentFamily(family_seed, specs)

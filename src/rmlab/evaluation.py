@@ -12,20 +12,22 @@ from __future__ import annotations
 import numpy as np
 
 from .net import RewardNet, branch_forward, pair_margins
-from .training import _stack_pairs
+from .training import TEXT_ROWS, _stack_pairs
 
 
-def _correct(net: RewardNet, dataset, mask_vision: bool) -> np.ndarray:
-    """Per pair, whether the chosen answer strictly outscores the other, on
-    training's forward pass as a stack of one net: for doubles, c - r > 0
-    holds exactly when c > r."""
-    theta, x = net.theta[None], _stack_pairs(dataset, mask_vision=mask_vision)[None]
-    return pair_margins(net.dims, theta, branch_forward(net.dims, theta, x))[0] > 0
+def _correct(nets, dataset, text_rows) -> np.ndarray:
+    """A (k, n) array: whether ``nets[j]`` scores pair i's chosen answer
+    strictly above the other on row j of ``_stack_pairs(dataset, text_rows)``.
+    The nets, of equal dims, run as one stack on training's forward pass; for
+    doubles, c - r > 0 holds exactly when c > r."""
+    dims, theta = nets[0].dims, np.stack([net.theta for net in nets])
+    x = _stack_pairs(dataset, text_rows)
+    return pair_margins(dims, theta, branch_forward(dims, theta, x)) > 0
 
 
 def accuracy(net: RewardNet, dataset, mask_vision: bool = False) -> float:
     """Fraction of pairs where the chosen answer strictly outscores the other."""
-    return float(np.mean(_correct(net, dataset, mask_vision)))
+    return float(np.mean(_correct((net,), dataset, (mask_vision,))))
 
 
 def gen_matrix(mode: str, nets: dict, test_sets: dict, env_order) -> dict:
@@ -33,7 +35,7 @@ def gen_matrix(mode: str, nets: dict, test_sets: dict, env_order) -> dict:
     ``{"mode", "envs", "acc", "mean_diagonal", "mean_off_diagonal"}``;
     ``acc[i][j]`` is the ``envs[i]``-trained net on the ``envs[j]`` split."""
     envs = list(env_order)
-    mask = mode == "text_only"
+    mask = TEXT_ROWS[mode][0]  # the mode's primary row
     acc = [[accuracy(nets[train_env], test_sets[test_env], mask_vision=mask)
             for test_env in envs] for train_env in envs]
     k = range(len(envs))
@@ -46,12 +48,12 @@ def sfd_report(mm_net, text_net, test_set, *, train_env="", mode="") -> dict:
     """Split the test set by whether the paired text proxy classifies a pair
     correctly (ties fail), then take the net's accuracy gap between the sides.
 
-    Each net scores the set once. Returns one cell of ``sfd_<mode>.json``; a
+    The net and the proxy score the set as one two-row stack, the
+    ``shortcut_aware`` layout. Returns one cell of ``sfd_<mode>.json``; a
     split with an empty side gives None accuracies and sfd, so batch harnesses
     can keep going.
     """
-    success = _correct(text_net, test_set, mask_vision=True)
-    correct = _correct(mm_net, test_set, mask_vision=False)
+    correct, success = _correct((mm_net, text_net), test_set, TEXT_ROWS["shortcut_aware"])
     n_success = int(success.sum())
     n_fail = len(test_set) - n_success
     acc_s = acc_f = gap = None

@@ -29,6 +29,8 @@ from .net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_pair_gra
                   branch_forward, bt_loss, pair_margins)
 
 LOSS_FLOOR = 1e-300  # keeps the sfc ratio defined if a margin saturates
+# each mode's rows of theta, True for a text branch: shortcut_aware's aux is row 1
+TEXT_ROWS = {"standard": (False,), "text_only": (True,), "shortcut_aware": (False, True)}
 
 
 @dataclass
@@ -86,17 +88,19 @@ def sfc(loss_mm, loss_t):
     return loss_t / (loss_mm + loss_t)
 
 
-def _stack_pairs(dataset, mask_vision: bool = False) -> np.ndarray:
-    """The (n, 2, input_dim) tensor of a whole dataset's concatenated feature
-    rows: ``[:, 0]`` the chosen answer's, ``[:, 1]`` the rejected one's. With
-    ``mask_vision`` the vision block is zero."""
+def _stack_pairs(dataset, text_rows) -> np.ndarray:
+    """The (k, n, 2, input_dim) inputs of k stacked nets over a whole dataset,
+    a row per ``text_rows`` flag: ``[j, :, 0]`` the chosen answer's features,
+    ``[j, :, 1]`` the rejected one's. A flagged row is a text branch's, with
+    a +0.0 vision block; no other code masks vision."""
     d_v, d_q = dataset.v.shape[1], dataset.q.shape[1]
-    x = np.empty((len(dataset), 2, d_v + d_q + dataset.a1.shape[1]))
-    x[:, :, :d_v] = 0.0 if mask_vision else dataset.v[:, None]
-    x[:, :, d_v:d_v + d_q] = dataset.q[:, None]
+    x = np.empty((len(text_rows), len(dataset), 2, d_v + d_q + dataset.a1.shape[1]))
+    x[..., :d_v] = dataset.v[:, None]
+    x[list(text_rows), ..., :d_v] = 0.0  # a list of bools indexes as a row mask
+    x[..., d_v:d_v + d_q] = dataset.q[:, None]
     first_chosen = (dataset.y == 1)[:, None]
-    x[:, 0, d_v + d_q:] = np.where(first_chosen, dataset.a1, dataset.a2)
-    x[:, 1, d_v + d_q:] = np.where(first_chosen, dataset.a2, dataset.a1)
+    x[:, :, 0, d_v + d_q:] = np.where(first_chosen, dataset.a1, dataset.a2)
+    x[:, :, 1, d_v + d_q:] = np.where(first_chosen, dataset.a2, dataset.a1)
     return x
 
 
@@ -114,27 +118,22 @@ class SfcBatch:
 
 def weighted_grad_step(dims: NetDims, theta: np.ndarray, pairs: np.ndarray):
     """One training step of any job: the gradients of its (k, n_params)
-    ``theta`` on a batch of (b, 2, input_dim) feature rows.
+    ``theta`` on its (k, b, 2, input_dim) batch, row j net j's feature rows
+    as ``_stack_pairs`` lays them out (a text branch's with a zero vision
+    block).
 
-    One net (k = 1) sees the batch as is; a shortcut-aware job (k = 2)
-    stacks it for the primary net (row 0) over its vision-zeroed copy for
-    the auxiliary text branch (row 1). All rows share one forward pass and
-    one ``batch_pair_grads`` call at (k, b) weights: ones, except the
-    primary's row, which is its per-sample sfc (from the floored
-    ``pair_margins`` losses) over the batch-mean sfc, so it averages 1.
+    All rows share one forward pass and one ``batch_pair_grads`` call at
+    (k, b) weights: ones, except a shortcut-aware job's (k = 2) primary row
+    0, which is its per-sample sfc (from the floored ``pair_margins`` losses,
+    the text branch in row 1) over the batch-mean sfc, so it averages 1.
 
     Returns (losses, SfcBatch, grads): the per-sample losses the loss trace
     averages (``bt_loss`` of ``batch_pair_grads``' margins for one net, the
     primary's sfc loss for two), the SfcBatch (None for one net), and the
     (k, n_params) gradients.
     """
-    if len(theta) == 1:
-        stacked = pairs[None]
-    else:
-        stacked = np.stack((pairs, pairs))
-        stacked[1, ..., :dims.d_v] = 0.0
-    h = branch_forward(dims, theta, stacked)
-    weights = np.empty((len(theta), len(pairs)))  # np.ones costs more per step
+    h = branch_forward(dims, theta, pairs)
+    weights = np.empty(pairs.shape[:2])  # np.ones costs more per step
     weights[-1] = 1.0  # the single net's row, or the text branch's
     batch = None
     if len(theta) == 2:
@@ -143,7 +142,7 @@ def weighted_grad_step(dims: NetDims, theta: np.ndarray, pairs: np.ndarray):
         mean_sfc = sfc_vals.sum() / sfc_vals.size  # np.mean's bits, less overhead
         np.divide(sfc_vals, mean_sfc, out=weights[0])
         batch = SfcBatch(loss_mm, loss_t, sfc_vals, weights[0], float(mean_sfc))
-    margins, grads = batch_pair_grads(dims, theta, stacked, h, weights)
+    margins, grads = batch_pair_grads(dims, theta, pairs, h, weights)
     return (bt_loss(margins[0]) if batch is None else batch.loss_mm), batch, grads
 
 
@@ -170,7 +169,7 @@ def train(config: TrainConfig, dataset) -> TrainRun:
     opt = OptimizerState(theta, base_lrs, config.warmup_ratio, total_steps,
                          config.weight_decay)
 
-    x = _stack_pairs(dataset, mask_vision=config.mode == "text_only")
+    x = _stack_pairs(dataset, TEXT_ROWS[config.mode])
     flags = dataset.planted
     n_planted = int(np.count_nonzero(flags))  # every epoch visits every pair once
     n_clean = n - n_planted
@@ -184,7 +183,7 @@ def train(config: TrainConfig, dataset) -> TrainRun:
         sum_planted = sum_clean = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            losses, batch, grads = weighted_grad_step(dims, theta, x.take(idx, axis=0))
+            losses, batch, grads = weighted_grad_step(dims, theta, x.take(idx, axis=1))
             if dual:
                 sfc_trace.append(batch.mean_sfc)
                 planted = flags.take(idx)

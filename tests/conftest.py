@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmlab.envs import DirectionRule, EnvironmentFamily, EnvironmentSpec, sample_env
+from rmlab.envs import EnvironmentFamily, EnvironmentSpec, sample_env
 from rmlab.net import NetDims
 
 
@@ -10,9 +10,9 @@ def small_family():
     """A cheap two-environment family for unit tests."""
     specs = [
         EnvironmentSpec("P", seed=901, n_train=1500, n_test=500, beta=0.85, alpha=1.0,
-                        direction=DirectionRule("fresh"), eta=0.05, length_bias=0.6),
+                        direction="fresh", eta=0.05, length_bias=0.6),
         EnvironmentSpec("Q", seed=902, n_train=1500, n_test=500, beta=0.0, alpha=0.0,
-                        direction=DirectionRule("fresh"), eta=0.05, length_bias=0.5),
+                        direction="fresh", eta=0.05, length_bias=0.5),
     ]
     family = EnvironmentFamily(55, specs)
     return family, specs

@@ -127,9 +127,9 @@ def bon_mc_check(rewards: np.ndarray, judges: np.ndarray, n: int,
 
 def mean_sfc_over(primary, aux, dataset) -> float:
     """Mean end-state sfc of a dataset under a trained branch pair."""
-    loss_mm = np.maximum(batch_losses(primary, _stack_pairs(dataset)), LOSS_FLOOR)
-    loss_t = np.maximum(batch_losses(aux, _stack_pairs(dataset, mask_vision=True)),
-                        LOSS_FLOOR)
+    mm_pairs, text_pairs = _stack_pairs(dataset, (False, True))
+    loss_mm = np.maximum(batch_losses(primary, mm_pairs), LOSS_FLOOR)
+    loss_t = np.maximum(batch_losses(aux, text_pairs), LOSS_FLOOR)
     return float(np.mean(sfc(loss_mm, loss_t)))
 
 

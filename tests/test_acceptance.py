@@ -17,7 +17,7 @@ import pytest
 from oracles import bon_exhaustive, bon_mc_check, fd_check
 from rmlab.bestofn import bon_fast
 from rmlab.cli import ExperimentConfig, derive_seed, main
-from rmlab.envs import (DirectionRule, EnvironmentFamily, EnvironmentSpec,
+from rmlab.envs import (EnvironmentFamily, EnvironmentSpec,
                         PreferenceSample, sample_env)
 from rmlab.net import NetDims, RewardNet
 from rmlab.training import (TrainConfig, TrainRun, sfc, train,
@@ -179,9 +179,9 @@ class TestCriterion7SfcIdentities:
         ds = small_sets[("P", "train")]
         dims = NetDims(16, 8, 16, 16)
         theta = np.stack([RewardNet.init(dims, 5).theta, RewardNet.init(dims, 6).theta])
-        x = _stack_pairs(ds)
+        x = _stack_pairs(ds, (False, True))
         for start in (0, 64, 128):
-            _, batch, _ = weighted_grad_step(dims, theta, x[start:start + 64])
+            _, batch, _ = weighted_grad_step(dims, theta, x[:, start:start + 64])
             assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
     def test_uniform_override_reproduces_standard(self, small_sets):
@@ -221,14 +221,14 @@ class TestCriterion9SfcRhoOrdering:
         fs = derive_seed(master, "rho-family")
         specs = [
             EnvironmentSpec("SEP", seed=fs + 1, n_train=8000, n_test=100,
-                            beta=0.99, alpha=2.0, direction=DirectionRule("fresh"),
+                            beta=0.99, alpha=2.0, direction="fresh",
                             eta=0.05, length_bias=0.315),
             EnvironmentSpec("MID", seed=fs + 2, n_train=8000, n_test=100,
                             beta=0.85, alpha=1.0,
-                            direction=DirectionRule("orthogonal_to", ref="SEP"),
+                            direction="orthogonal_to", ref="SEP",
                             eta=0.05, length_bias=0.598),
             EnvironmentSpec("OFF", seed=fs + 3, n_train=8000, n_test=100,
-                            beta=0.0, alpha=0.0, direction=DirectionRule("fresh"),
+                            beta=0.0, alpha=0.0, direction="fresh",
                             eta=0.05, length_bias=0.5),
         ]
         family = EnvironmentFamily(fs, specs)

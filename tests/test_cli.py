@@ -285,6 +285,23 @@ class TestGen:
         assert "Traceback" not in proc.stderr
         assert not (out / ".lock").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"train": {"epochs": [0] * 200_000}},
+        {"train": {"hidden": "x" * 1_000_000}},
+        {f"key{i}": 0 for i in range(200_000)},
+    ], ids=["train-epochs-list", "train-hidden-string", "unknown-keys"])
+    def test_oversized_config_value_gives_a_short_error(self, tmp_path, doc):
+        # the error names a short repr of what it rejects, not the whole input
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        proc = run_cli("gen", str(config), out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: config: ")
+        assert len(proc.stderr.encode()) < 1024, proc.stderr[:2000]
+        assert "Traceback" not in proc.stderr
+        assert not (out / ".lock").exists()
+
     @pytest.mark.parametrize("where", ["config", "config-train-epochs", "manifest-artifacts"])
     def test_deeply_nested_json_exits_2_without_traceback(self, tmp_path, where):
         # written as text: json.dumps cannot encode what json.load cannot decode

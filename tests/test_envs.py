@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmlab import envs
-from rmlab.envs import (DirectionRule, EnvironmentFamily, EnvironmentSpec, LENGTH_COORD,
+from rmlab.envs import (EnvironmentFamily, EnvironmentSpec, LENGTH_COORD,
                         dataset_fingerprint, default_family, read_dataset, sample_env,
                         write_dataset)
 from rmlab.errors import GenerationError
@@ -21,13 +21,13 @@ def big_spec(env_id, seed, beta, alpha, rule, n_test=10000, **kw):
 def mc_family():
     """Environments sized for Monte Carlo checks."""
     specs = [
-        big_spec("HI", 11, beta=0.85, alpha=1.0, rule=DirectionRule("fresh"),
+        big_spec("HI", 11, beta=0.85, alpha=1.0, rule="fresh",
                  eta=0.05, length_bias=0.6),
         big_spec("SEP", 12, beta=0.99, alpha=2.0,
-                 rule=DirectionRule("orthogonal_to", ref="HI"), eta=0.0),
+                 rule="orthogonal_to", ref="HI", eta=0.0),
         big_spec("ANTI", 13, beta=0.85, alpha=1.0,
-                 rule=DirectionRule("negated", ref="SEP"), eta=0.05),
-        big_spec("OFF", 14, beta=0.0, alpha=0.0, rule=DirectionRule("fresh"),
+                 rule="negated", ref="SEP", eta=0.05),
+        big_spec("OFF", 14, beta=0.0, alpha=0.0, rule="fresh",
                  eta=0.05),
     ]
     family = EnvironmentFamily(404, specs)
@@ -69,10 +69,10 @@ class TestSampleEnv:
     def test_text_only_near_chance_without_shortcut(self):
         spec = envs.EnvironmentSpec("OFF2", seed=31, n_train=4000, n_test=4000,
                                     beta=0.0, alpha=0.0,
-                                    direction=DirectionRule("fresh"), eta=0.05,
+                                    direction="fresh", eta=0.05,
                                     length_bias=0.5)
         fam = EnvironmentFamily(404, [spec, big_spec("PAD", 99, 0.5, 1.0,
-                                               DirectionRule("fresh"), n_test=10)])
+                                               "fresh", n_test=10)])
         tr = sample_env(fam, "OFF2", "train")
         te = sample_env(fam, "OFF2", "test")
         run = train(TrainConfig(mode="text_only", epochs=8, seed=5), tr)
@@ -196,9 +196,9 @@ class TestSampleEnvMatchesLoop:
     def test_every_direction_rule_and_edge_rates(self, mc_family):
         _, specs, _ = mc_family
         small = [EnvironmentSpec(s.env_id, seed=s.seed, n_train=1, n_test=300, beta=s.beta,
-                                 alpha=s.alpha, direction=s.direction, eta=s.eta,
+                                 alpha=s.alpha, direction=s.direction, ref=s.ref, eta=s.eta,
                                  length_bias=s.length_bias) for s in specs.values()]
-        small.append(big_spec("ALL", 41, 1.0, 1.0, DirectionRule("fresh"), n_test=50,
+        small.append(big_spec("ALL", 41, 1.0, 1.0, "fresh", n_test=50,
                               eta=1.0, length_bias=1.0))
         family = EnvironmentFamily(404, small)
         for spec in small:
@@ -209,8 +209,8 @@ class TestSampleEnvMatchesLoop:
 
 class TestShortcutOracle:
     def test_beta_one_all_marked(self):
-        specs = [big_spec("ALL", 41, 1.0, 1.0, DirectionRule("fresh"), n_test=300),
-                 big_spec("PAD", 42, 0.5, 1.0, DirectionRule("fresh"), n_test=10)]
+        specs = [big_spec("ALL", 41, 1.0, 1.0, "fresh", n_test=300),
+                 big_spec("PAD", 42, 0.5, 1.0, "fresh", n_test=10)]
         family = EnvironmentFamily(2, specs)
         ds = sample_env(family, "ALL", "test")
         assert ds.planted.all()

@@ -42,7 +42,7 @@ class TestAccuracy:
 # _correct renamed): the reference the new path must match element for element
 def _pair_scores(net: RewardNet, dataset, mask_vision: bool):
     """(chosen, rejected) score arrays of a net over a whole dataset."""
-    x = _stack_pairs(dataset, mask_vision=mask_vision)
+    x = _stack_pairs(dataset, (mask_vision,))[0]
     return netmod.batch_scores(net, x[:, 0]), netmod.batch_scores(net, x[:, 1])
 
 
@@ -64,12 +64,12 @@ class TestScoringPath:
         zero = zero_net(dims)  # every pair ties, and a tie is not correct
         for net in (RewardNet(dims, 0, theta), zero):
             for ds in small_sets.values():
-                x = _stack_pairs(ds, mask_vision=mask_vision)
+                x = _stack_pairs(ds, (mask_vision,))
                 chosen, rejected = _pair_scores(net, ds, mask_vision)
                 theta = net.theta[None]
-                h = branch_forward(dims, theta, x[None])
+                h = branch_forward(dims, theta, x)
                 assert np.array_equal(pair_margins(dims, theta, h)[0], chosen - rejected)
-                got = _correct(net, ds, mask_vision)
+                got = _correct((net,), ds, (mask_vision,))[0]
                 assert got.dtype == bool
                 assert np.array_equal(got, reference_correct(net, ds, mask_vision))
                 assert got.any() == (net is not zero)
@@ -78,7 +78,7 @@ class TestScoringPath:
     def test_matches_on_trained_nets(self, trained_p, text_p, small_sets, mask_vision):
         for net in (trained_p.primary, text_p.primary):
             for ds in small_sets.values():
-                assert np.array_equal(_correct(net, ds, mask_vision),
+                assert np.array_equal(_correct((net,), ds, (mask_vision,))[0],
                                       reference_correct(net, ds, mask_vision))
 
 
@@ -110,7 +110,7 @@ class TestShortcutSplitAndSfd:
             accuracy(text_p.primary, ds, mask_vision=True) * len(ds))
 
     def test_zero_net_puts_all_ties_in_fail(self, trained_p, small_sets):
-        net = zero_net(NetDims(16, 8, 16, 8))
+        net = zero_net(trained_p.primary.dims)  # one stack with the audited net
         rep = sfd_report(trained_p.primary, net, small_sets[("P", "test")])
         assert rep["n_success"] == 0
         assert rep["n_fail"] == len(small_sets[("P", "test")].samples)
@@ -124,6 +124,15 @@ class TestShortcutSplitAndSfd:
                     + rep["n_fail"] * rep["acc_on_fail"]) / len(ds.samples)
         assert combined == pytest.approx(full, abs=1e-12)
         assert -1.0 <= rep["sfd"] <= 1.0
+
+    def test_net_and_proxy_rows_equal_single_net_scoring(self, trained_p, text_p, small_sets):
+        # the sfd layout, net over proxy, gives each row the bits it gets alone
+        for ds in small_sets.values():
+            both = _correct((trained_p.primary, text_p.primary), ds, (False, True))
+            assert both.shape == (2, len(ds))
+            assert np.array_equal(both[0], _correct((trained_p.primary,), ds, (False,))[0])
+            assert np.array_equal(both[1], _correct((text_p.primary,), ds, (True,))[0])
+            assert np.array_equal(both[1], reference_correct(text_p.primary, ds, True))
 
     def test_report_survives_degenerate_split(self, small_sets, default_dims):
         zero = zero_net(default_dims)

@@ -79,7 +79,7 @@ def masked_score(net, v, q, a):
 
     one = Dataset("x", "test", v=v[None, :], q=q[None, :], a1=a[None, :], a2=a[None, :],
                   y=np.ones(1, dtype=np.int8), planted=np.zeros(1, dtype=bool))
-    h = branch_forward(net.dims, net.theta[None], _stack_pairs(one, mask_vision=True)[None])
+    h = branch_forward(net.dims, net.theta[None], _stack_pairs(one, (True,)))
     return float((h[0, 0] @ net.w2)[0])
 
 

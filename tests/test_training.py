@@ -79,24 +79,37 @@ class TestSfcProperties:
 
 
 class TestStackPairs:
-    @pytest.mark.parametrize("mask_vision", [False, True])
-    def test_columns_equal_per_sample_loop(self, small_sets, mask_vision):
+    @pytest.mark.parametrize("text_rows", [(False,), (True,), (False, True), (True, False)],
+                             ids=lambda rows: "-".join(map(str, rows)))
+    def test_columns_equal_per_sample_loop(self, small_sets, text_rows):
         # the per-sample loop the column version replaced, as the reference
+        # of each row
         ds = small_sets[("P", "train")]
         samples = ds.samples
         d_v = samples[0].v.shape[0]
-        ref_c = np.empty((len(samples), d_v + samples[0].q.shape[0]
-                          + samples[0].a1.shape[0]))
-        ref_r = np.empty_like(ref_c)
-        for i, s in enumerate(samples):
-            v = np.zeros(d_v) if mask_vision else s.v
-            chosen, rejected = (s.a1, s.a2) if s.y == 1 else (s.a2, s.a1)
-            ref_c[i] = np.concatenate([v, s.q, chosen])
-            ref_r[i] = np.concatenate([v, s.q, rejected])
-        x = _stack_pairs(ds, mask_vision=mask_vision)
-        assert x.shape == (len(samples), 2, ref_c.shape[1])
-        assert np.array_equal(x[:, 0], ref_c) and np.array_equal(x[:, 1], ref_r)
+        x = _stack_pairs(ds, text_rows)
+        for row, mask_vision in zip(x, text_rows):
+            ref_c = np.empty((len(samples), d_v + samples[0].q.shape[0]
+                              + samples[0].a1.shape[0]))
+            ref_r = np.empty_like(ref_c)
+            for i, s in enumerate(samples):
+                v = np.zeros(d_v) if mask_vision else s.v
+                chosen, rejected = (s.a1, s.a2) if s.y == 1 else (s.a2, s.a1)
+                ref_c[i] = np.concatenate([v, s.q, chosen])
+                ref_r[i] = np.concatenate([v, s.q, rejected])
+            assert row.shape == (len(samples), 2, ref_c.shape[1])
+            assert np.array_equal(row[:, 0], ref_c) and np.array_equal(row[:, 1], ref_r)
+        assert x.shape[0] == len(text_rows)
         assert {s.y for s in samples} == {1, -1}
+
+    def test_text_row_differs_only_in_a_positive_zero_vision_block(self, small_sets):
+        # the shortcut_aware layout: the primary's rows, then the text branch's
+        ds = small_sets[("P", "train")]
+        d_v = ds.v.shape[1]
+        x = _stack_pairs(ds, (False, True))
+        assert np.array_equal(x[0, :, 0, :d_v], ds.v) and np.array_equal(x[0, :, 1, :d_v], ds.v)
+        assert not x[1, ..., :d_v].any() and not np.signbit(x[1, ..., :d_v]).any()
+        assert x[0, ..., d_v:].tobytes() == x[1, ..., d_v:].tobytes()
 
 
 class TestConfig:
@@ -111,8 +124,14 @@ class TestConfig:
 
 class TestWeightedGradStep:
     @pytest.fixture()
-    def tiny_batch(self, small_sets):
-        return _stack_pairs(small_sets[("P", "train")])[:8]
+    def dual_batch(self, small_sets):
+        """A shortcut-aware job's (2, 8, 2, input_dim) batch: the primary's
+        rows, then the text branch's."""
+        return _stack_pairs(small_sets[("P", "train")], (False, True))[:, :8]
+
+    @pytest.fixture()
+    def tiny_batch(self, dual_batch):
+        return dual_batch[0]
 
     @pytest.fixture()
     def nets(self, small_sets):
@@ -123,7 +142,8 @@ class TestWeightedGradStep:
 
     @staticmethod
     def step(primary, aux, pairs):
-        """``weighted_grad_step`` on the stack of the two nets' thetas."""
+        """``weighted_grad_step`` on the stack of the two nets' thetas and
+        their (2, b, 2, input_dim) batch."""
         return weighted_grad_step(primary.dims, np.stack([primary.theta, aux.theta]), pairs)
 
     @staticmethod
@@ -134,11 +154,12 @@ class TestWeightedGradStep:
                                        netmod.branch_forward(net.dims, theta, pairs),
                                        weights[None])[1][0]
 
-    def test_gradient_is_sfc_weighted_mean_of_single_gradients(self, nets, tiny_batch):
+    def test_gradient_is_sfc_weighted_mean_of_single_gradients(self, nets, dual_batch,
+                                                                tiny_batch):
         # linearity at the step's own sfc weights: the primary gradient is
         # sum_i weight[i] * (row i's gradient at weight 1) / batch size
         primary, aux = nets
-        _, batch, flat = self.step(primary, aux, tiny_batch)
+        _, batch, flat = self.step(primary, aux, dual_batch)
         ref_flat = np.zeros(primary.dims.n_params)
         for i, w in enumerate(batch.weight):
             ref_flat += w * self.single_grad(primary, tiny_batch[i:i + 1], np.ones(1))
@@ -148,9 +169,9 @@ class TestWeightedGradStep:
             assert np.max(np.abs(grads[name] - ref[name])) <= (
                 1e-12 * max(1.0, np.max(np.abs(ref[name]))))
 
-    def test_records_are_the_exact_quantities(self, nets, tiny_batch):
+    def test_records_are_the_exact_quantities(self, nets, dual_batch, tiny_batch):
         primary, aux = nets
-        _, batch, _ = self.step(primary, aux, tiny_batch)
+        _, batch, _ = self.step(primary, aux, dual_batch)
         text = tiny_batch.copy()
         text[..., :primary.dims.d_v] = 0.0
         loss_mm = batch_losses(primary, tiny_batch)
@@ -164,23 +185,23 @@ class TestWeightedGradStep:
             assert rec_sfc == pytest.approx(rec_t / (rec_mm + rec_t))
             assert 0.0 < rec_sfc < 1.0
 
-    def test_normalized_weights_average_to_one(self, nets, tiny_batch):
+    def test_normalized_weights_average_to_one(self, nets, dual_batch):
         primary, aux = nets
-        _, batch, _ = self.step(primary, aux, tiny_batch)
+        _, batch, _ = self.step(primary, aux, dual_batch)
         assert abs(np.mean(batch.weight) - 1.0) <= 1e-12
 
-    def test_weights_are_detached_constants(self, nets, tiny_batch):
+    def test_weights_are_detached_constants(self, nets, dual_batch, tiny_batch):
         # The primary gradient is the plain weighted pair gradient with the
         # recorded weights as constants: no term flows through the aux net.
         primary, aux = nets
-        _, batch, flat = self.step(primary, aux, tiny_batch)
+        _, batch, flat = self.step(primary, aux, dual_batch)
         ref = self.single_grad(primary, tiny_batch, batch.weight)
         assert flat[0].tobytes() == ref.tobytes()
         # the weights do depend on the aux net, so holding them constant is a
         # real property of the step, not a vacuous one
         perturbed = copy_net(aux)
         perturbed.w1 = perturbed.w1 + 0.5
-        _, moved, _ = self.step(primary, perturbed, tiny_batch)
+        _, moved, _ = self.step(primary, perturbed, dual_batch)
         assert not np.array_equal(moved.weight, batch.weight)
 
     def test_single_net_step_is_the_ones_weighted_pair_gradient(self, nets, tiny_batch):
@@ -188,7 +209,7 @@ class TestWeightedGradStep:
         # batch_pair_grads' margins, and its gradient at weight 1 per sample
         net, _ = nets
         theta, pairs = net.theta[None], tiny_batch[None]
-        losses, batch, flat = weighted_grad_step(net.dims, theta, tiny_batch)
+        losses, batch, flat = weighted_grad_step(net.dims, theta, pairs)
         margins, ref = netmod.batch_pair_grads(net.dims, theta, pairs,
                                                netmod.branch_forward(net.dims, theta, pairs),
                                                np.ones((1, len(tiny_batch))))
@@ -255,14 +276,14 @@ class TestTrain:
         assert np.array_equal(std.primary.w2, forced.primary.w2)
 
     def test_near_deterministic_shortcut_env_fits_train_set(self):
-        from rmlab.envs import DirectionRule, EnvironmentFamily, EnvironmentSpec
+        from rmlab.envs import EnvironmentFamily, EnvironmentSpec
 
         specs = [
             EnvironmentSpec("SEP", seed=71, n_train=2000, n_test=100, beta=0.99,
-                            alpha=2.0, direction=DirectionRule("fresh"), eta=0.05,
+                            alpha=2.0, direction="fresh", eta=0.05,
                             length_bias=0.315),
             EnvironmentSpec("PAD", seed=72, n_train=100, n_test=100, beta=0.5,
-                            alpha=1.0, direction=DirectionRule("fresh")),
+                            alpha=1.0, direction="fresh"),
         ]
         family = EnvironmentFamily(88, specs)
         tr = sample_env(family, "SEP", "train")
