@@ -6,12 +6,12 @@
 For each seed, ``gen -> matrix -> sfd -> bon -> report`` run as separate
 ``python3 -m rmlab.cli`` processes (``--seed <k> --jobs <n>``) into
 ``<out>/seed<k>/``; a directory left by an earlier sweep is brought up to date,
-not rebuilt. The sweep then writes one JSON file, ``<out>/sweep.json``, with
-each seed's check results, the paired shortcut_aware - standard deltas of the
-mean o.o.d. and i.i.d. accuracy, and every sfd cell with its n_success and
-n_fail. Every seed is reported: ``report`` exiting 1 because a check failed is
-a result, not an error. The file holds no wall-clock data, so rerunning a
-sweep rewrites it byte for byte.
+not rebuilt, even after a killed run. The sweep then writes one JSON file,
+``<out>/sweep.json``, with each seed's check results, the paired
+shortcut_aware - standard deltas of the mean o.o.d. and i.i.d. accuracy, and
+every sfd cell with its n_success and n_fail. Every seed is reported:
+``report`` exiting 1 because a check failed is a result, not an error. The
+file holds no wall-clock data, so rerunning a sweep rewrites it byte for byte.
 
 Exit status: 0 when every verb of every seed ran, 2 when one exited 2 (the
 seed's stderr is printed), its report.json is missing, or an I/O error stopped

@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 assertion failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import importlib.util
 import json
@@ -37,6 +38,8 @@ from .errors import ConfigError, LabError, MissingArtifactError
 DEFAULT_OUT = "labout"
 AUDIT_MODES = ("standard", "shortcut_aware")  # the modes sfd and bon compare
 DEFAULT_N_GRID = [1, 2, 4, 8, 16, 32, 64]
+PATH_REPR = reprlib.Repr()  # a recorded path in an error, whole up to 200 characters
+PATH_REPR.maxstring = 200
 
 
 def _lazy(name: str):
@@ -243,7 +246,8 @@ class Workspace:
         if self.verified.get(key) == (entry["path"], entry["sha256"]):
             return path
         if not os.path.exists(path):
-            raise MissingArtifactError(f"artifact {key!r} missing on disk: {entry['path']}")
+            raise MissingArtifactError(f"artifact {key!r} missing on disk: "
+                                       f"{PATH_REPR.repr(entry['path'])}")
         if _file_sha256(path) != entry["sha256"]:
             raise MissingArtifactError(f"artifact {key!r} failed its hash check")
         self.verified[key] = (entry["path"], entry["sha256"])
@@ -289,36 +293,30 @@ class Workspace:
 
 
 class OutputLock:
-    """One process owns an output directory at a time. A lock whose pid is not
-    running is reported as stale, never taken over: two takers would race."""
+    """One process owns an output directory at a time, through an exclusive
+    ``flock`` on ``DIR/.lock``. The kernel drops it when its holder ends, so
+    a killed run leaves a file that the next run simply takes."""
 
     def __init__(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
         self.path = os.path.join(out_dir, ".lock")
 
     def __enter__(self):
+        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                with open(self.path, encoding="utf-8") as fh:
-                    pid = int(fh.read())
-                os.kill(pid, 0)  # signal 0 only asks whether the process exists
-            except (ProcessLookupError, OverflowError):
-                raise LabError(f"stale lock {self.path}: pid {pid} is not running; "
-                               "delete it if no other run uses this dir") from None
-            except (OSError, ValueError):  # alive under another user, or no pid yet
-                pass
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a holder that finished unlinked the file it locked: ours must be the one at path
+            if os.fstat(self.fd).st_ino != os.stat(self.path).st_ino:
+                raise FileNotFoundError
+        except (BlockingIOError, FileNotFoundError):
+            os.close(self.fd)
             raise LabError(f"output dir is locked by another run: {self.path}") from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
         return self
 
     def __exit__(self, *exc):
-        try:
+        with suppress(FileNotFoundError):  # unlinked while held: a later locker sees it gone
             os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+        os.close(self.fd)
         return False
 
 

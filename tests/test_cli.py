@@ -1,8 +1,10 @@
 import concurrent.futures
+import fcntl
 import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -54,6 +56,17 @@ def run_cli(verb, config, out, *flags, cwd=None):
     return subprocess.run([sys.executable, "-m", "rmlab.cli", verb, "--config", config,
                            "--out", str(out), *flags], env=src_env(), capture_output=True,
                           text=True, timeout=120, cwd=cwd)
+
+
+def kill_lock_holder(out, sig="SIGKILL"):
+    """Leave ``out/.lock`` as a run killed by ``sig`` while it held the lock does."""
+    holder = ("import os, signal, sys\n"
+              "from rmlab.cli import OutputLock\n"
+              "with OutputLock(sys.argv[1]):\n"
+              f"    os.kill(os.getpid(), signal.{sig})\n")
+    proc = subprocess.run([sys.executable, "-c", holder, str(out)], env=src_env(), timeout=60)
+    assert proc.returncode == -getattr(signal, sig)
+    assert (Path(out) / ".lock").exists()  # the killed holder never got to delete it
 
 
 class TestConfig:
@@ -327,33 +340,53 @@ class TestGen:
             assert not (out / "manifest.json").exists()
         assert not (out / ".lock").exists()
 
-    def test_lock_excludes_concurrent_runs(self, tmp_path):
+    def test_held_lock_excludes_another_run(self, tmp_path, capsys):
+        # flocks on two open file descriptions conflict even within one process
         config = write_config(tmp_path)
         out = tmp_path / "out"
-        out.mkdir()
-        (out / ".lock").write_text("123")
-        assert run("gen", config, out) == 2
+        with cli.OutputLock(out) as held:
+            assert run("gen", config, out) == 2
+            assert "output dir is locked by another run" in capsys.readouterr().err
+            assert os.fstat(held.fd).st_ino == (out / ".lock").stat().st_ino  # left alone
+            with pytest.raises(LabError, match="locked by another run"):
+                cli.OutputLock(out).__enter__()  # and still held
+        assert not (out / ".lock").exists()
+        assert not (out / "manifest.json").exists()
 
-    def test_live_lock_is_reported_as_locked(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sig", ["SIGKILL", "SIGTERM"])
+    def test_lock_of_a_killed_run_is_taken(self, tmp_path, sig):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        kill_lock_holder(out, sig)
+        assert run("gen", config, out) == 0
+        assert not (out / ".lock").exists()
+
+    @pytest.mark.parametrize("replaced", [False, True], ids=["gone", "replaced"])
+    def test_lock_file_unlinked_before_the_flock_is_not_taken(self, tmp_path, monkeypatch,
+                                                              replaced):
+        # a holder that finishes between a taker's open and its flock unlinks
+        # the file the taker opened; a lock on that file would exclude no one
+        lock, flock = cli.OutputLock(tmp_path / "out"), fcntl.flock
+
+        def holder_finishes_first(fd, op):
+            os.unlink(lock.path)
+            if replaced:  # and a third run made the file anew
+                Path(lock.path).touch()
+            return flock(fd, op)
+
+        monkeypatch.setattr(fcntl, "flock", holder_finishes_first)
+        with pytest.raises(LabError, match="locked by another run"):
+            lock.__enter__()
+        assert os.path.exists(lock.path) == replaced
+
+    def test_lock_file_with_a_live_pid_does_not_block(self, tmp_path):
+        # what an older version left behind: its contents are never read
         config = write_config(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
         (out / ".lock").write_text(str(os.getpid()))
-        assert run("gen", config, out) == 2
-        assert "locked by another run" in capsys.readouterr().err
-
-    def test_stale_lock_reported_with_its_pid(self, tmp_path, capsys):
-        config = write_config(tmp_path)
-        out = tmp_path / "out"
-        out.mkdir()
-        finished = subprocess.Popen([sys.executable, "-c", "pass"])
-        finished.wait()
-        (out / ".lock").write_text(str(finished.pid))
-        assert run("gen", config, out) == 2
-        err = capsys.readouterr().err
-        assert "stale lock" in err and f"pid {finished.pid} is not running" in err
-        assert (out / ".lock").read_text() == str(finished.pid)  # not taken over
-        assert not (out / "manifest.json").exists()
+        assert run("gen", config, out) == 0
+        assert not (out / ".lock").exists()
 
     def test_interrupted_manifest_write_keeps_the_old_manifest(self, tmp_path,
                                                                 monkeypatch):
@@ -626,16 +659,33 @@ class TestPipeline:
     ], ids=["run", "matrix-summary"])
     def test_report_flags_deleted_artifact(self, done, victim, key):
         config, out = done
-        victim = out / victim
+        rel, victim = victim, out / victim
         backup = victim.read_bytes()
         victim.unlink()
         try:
             code = main(["report", "--config", config, "--out", str(out)])
             assert code == 1
             report = json.loads((out / "reports" / "report.json").read_text())
-            assert len([m for m in report["missing_artifacts"] if key in m]) == 1
+            [message] = [m for m in report["missing_artifacts"] if key in m]
+            assert message.endswith(f"missing on disk: {rel!r}")  # the path kept whole
         finally:
             victim.write_bytes(backup)
+
+    def test_long_recorded_path_gives_a_short_error(self, lab_copy):
+        # the error names a short repr of the recorded path, not the whole input
+        config, out = lab_copy
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"]["dataset:A:test"]["path"] = "x" * 1_000_000
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("matrix", config, out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: artifact 'dataset:A:test' missing on disk: 'xxx")
+        assert len(proc.stderr.encode()) < 1024, proc.stderr[:2000]
+        assert "Traceback" not in proc.stderr
+        assert run_cli("report", config, out).returncode == 1
+        report = json.loads((out / "reports" / "report.json").read_text())
+        [message] = [m for m in report["missing_artifacts"] if m.startswith("dataset:A:test: ")]
+        assert len(message.encode()) < 1024
 
     def test_every_file_is_a_hashed_manifest_entry(self, done):
         config, out = done
@@ -1131,18 +1181,25 @@ class TestFastExit:
         self.assert_lab_whole(out)
 
 
+def default_checks(degenerate=()):
+    """``_default_family_checks`` of synthetic inputs at the default ``n_grid``;
+    each (mode, train_env, test_env) in ``degenerate`` has a None sfd."""
+    envs_ = ["A", "B", "C"]
+    summary = {m: {"mean_iid": 0.9, "mean_ood": 0.5, "gap": 0.4,
+                   "matrix": {"acc": [[0.5] * 3 for _ in envs_]}}
+               for m in ("text_only", "standard", "shortcut_aware")}
+    sfd_docs = {m: [{"train_env": a, "test_env": b,
+                     "sfd": None if (m, a, b) in degenerate else sfd}
+                    for a in envs_ for b in envs_ if a != b]
+                for m, sfd in (("standard", 0.3), ("shortcut_aware", 0.1))}
+    bon = {"n_max": max(cli.DEFAULT_N_GRID),
+           "ood_best_at_n_max": {"standard": 0.5, "shortcut_aware": 0.6}}
+    return cli._default_family_checks(summary, sfd_docs, bon)
+
+
 class TestReportChecks:
     def test_degenerate_standard_b_to_c_fails_its_check(self):
-        envs_ = ["A", "B", "C"]
-        summary = {m: {"mean_iid": 0.9, "mean_ood": 0.5, "gap": 0.4,
-                       "matrix": {"acc": [[0.5] * 3 for _ in envs_]}}
-                   for m in ("text_only", "standard", "shortcut_aware")}
-        sfd_docs = {m: [{"train_env": a, "test_env": b,
-                         "sfd": None if (m, a, b) == ("standard", "B", "C") else sfd}
-                        for a in envs_ for b in envs_ if a != b]
-                    for m, sfd in (("standard", 0.3), ("shortcut_aware", 0.1))}
-        bon = {"n_max": 64, "ood_best_at_n_max": {"standard": 0.5, "shortcut_aware": 0.6}}
-        checks = cli._default_family_checks(summary, sfd_docs, bon)
+        checks = default_checks(degenerate={("standard", "B", "C")})
         assert len(checks) == 12
         assert {c["name"]: c["passed"] for c in checks}["standard sfd B->C >= 0.15"] is False
 

@@ -1,5 +1,6 @@
 """The seed-sweep script, run end to end on two seeds at the tiny config."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -7,9 +8,23 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import write_config
+from rmlab.cli import main
+from test_cli import default_checks, kill_lock_holder, write_config
 
 SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "sweep.py"
+
+
+def test_floor_names_every_check():
+    # CI's floor step reads only the names in the floor, so a check without
+    # one would never be enforced
+    spec = importlib.util.spec_from_file_location("sweep", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    floor = json.loads((SWEEP.parent / "sweep_floor.json").read_text())
+    assert sorted(floor) == sorted(c["name"] for c in default_checks())
+    assert len(floor) == 12
+    assert all(type(least) is int and 0 <= least <= len(sweep.DEFAULT_SEEDS)
+               for least in floor.values())
 
 
 def test_two_seed_sweep_reports_every_seed(tmp_path):
@@ -63,6 +78,20 @@ def test_rerun_rewrites_sweep_json_and_no_seed_output(tmp_path):
     assert {k: v[0] for k, v in after.items()} == {k: v[0] for k, v in before.items()}
     rewritten = sorted(k for k in after if after[k][1] != before[k][1])
     assert rewritten == ["seed5/reports/report.json", "seed5/reports/summary.txt"]
+
+
+def test_rerun_takes_the_lock_of_a_killed_run(tmp_path):
+    # a seed directory that a killed verb left locked is brought up to date
+    config = write_config(tmp_path)
+    seed_dir = tmp_path / "sweep" / "seed7"
+    assert main(["gen", "--seed", "7", "--config", config, "--out", str(seed_dir)]) == 0
+    kill_lock_holder(seed_dir)
+    proc = subprocess.run([sys.executable, str(SWEEP), "--seeds", "7", "--config", config,
+                           "--out", str(tmp_path / "sweep")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((seed_dir / "reports" / "report.json").read_text())["checks"]
+    assert not (seed_dir / ".lock").exists()
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
