@@ -198,7 +198,8 @@ class Workspace:
                 arts = old.get("artifacts")
                 if not (isinstance(arts, dict) and isinstance(old.get("timings"), dict)
                         and all(isinstance(e, dict) and isinstance(e.get("path"), str)
-                                and isinstance(e.get("sha256"), str) for e in arts.values())):
+                                and isinstance(e.get("sha256"), str)
+                                and len(key) <= PATH_REPR.maxstring for key, e in arts.items())):
                     raise LabError(f"corrupt manifest {self.manifest_path}: artifacts "
                                    "or timings malformed; delete it to rebuild the output dir")
                 self.manifest = old
@@ -419,8 +420,8 @@ def cmd_train(ws: Workspace) -> None:
 
 def _evaluate(ws: Workspace, verb: str) -> None:
     """The one build behind ``matrix``, ``sfd`` and ``bon``, run by whichever
-    of them ``verb`` is: bring the 15 nets up to date, then write the outputs
-    of all three from one load of each net and of each test split."""
+    of them ``verb`` is: bring the 15 nets up to date, score each once on each
+    test split, and write all three outputs; matrix and sfd cells count those."""
     t0 = time.monotonic()
     cmd_train(ws)
     keys = [key for key, _, _ in _nets(ws.config)]
@@ -431,12 +432,15 @@ def _evaluate(ws: Workspace, verb: str) -> None:
         ws.manifest["builds"].pop(old, None)
     nets = {key: training.TrainRun.load(os.path.dirname(ws.artifact_path(key))).primary
             for key in keys}
-    test_sets = {e: envs.read_dataset(*_dataset_file(ws, e, "test")) for e in ENVS}
+    text_rows = [training.TEXT_ROWS[config.mode][0] for _, config, _ in _nets(ws.config)]
+    test_sets = (envs.read_dataset(*_dataset_file(ws, e, "test")) for e in ENVS)
+    correct = {(key, e): row for e, test_set in zip(ENVS, test_sets)
+               for key, row in zip(keys, evaluation.outcomes(nets.values(), text_rows, test_set))}
 
     summary = {}
     for mode in MODES:
-        matrix = evaluation.gen_matrix(mode, {e: nets[_run_key(mode, e)] for e in ENVS},
-                                       test_sets, ENVS)
+        cells = {(tr, te): correct[_run_key(mode, tr), te] for tr in ENVS for te in ENVS}
+        matrix = evaluation.gen_matrix(mode, cells, ENVS)
         iid, ood = matrix["mean_diagonal"], matrix["mean_off_diagonal"]
         rows = [["train_env", *ENVS]] + [[e, *map(repr, row)]
                                          for e, row in zip(ENVS, matrix["acc"])]
@@ -449,9 +453,9 @@ def _evaluate(ws: Workspace, verb: str) -> None:
     ws.write("report:matrix-summary", "reports/matrix_summary.json", summary)
 
     for mode in AUDIT_MODES:  # shortcut-failure degradation of every o.o.d. cell
-        reports = [evaluation.sfd_report(nets[_run_key(mode, train_env)],
-                                         nets[_proxy_key(mode, train_env)], test_sets[test_env],
-                                         train_env=train_env, mode=mode)
+        reports = [evaluation.sfd_report(correct[_run_key(mode, train_env), test_env],
+                                         correct[_proxy_key(mode, train_env), test_env],
+                                         train_env=train_env, test_env=test_env, mode=mode)
                    for train_env in ENVS for test_env in ENVS if test_env != train_env]
         ws.write(f"report:sfd:{mode}", f"reports/sfd_{mode}.json", reports)
         vals = [r["sfd"] for r in reports if r["sfd"] is not None]

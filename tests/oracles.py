@@ -2,6 +2,8 @@
 
 - ``zero_net``, ``copy_net`` and ``batch_losses``: an all-zero net, a
   detached copy of a net, and per-pair losses on training's forward pass.
+- ``net_accuracy``: one net's pairwise accuracy on a dataset, through
+  evaluation's per-pair outcomes.
 - ``fd_check``: the training gradient against central finite differences.
 - ``bon_exhaustive``: best-of-N by enumerating every N-subset (small pools).
 - ``bon_mc_check``: best-of-N by Monte Carlo over uniform N-subsets.
@@ -21,6 +23,7 @@ import numpy as np
 
 from rmlab import net as netmod
 from rmlab.errors import ConfigError, DimensionError
+from rmlab.evaluation import accuracy, outcomes
 from rmlab.training import LOSS_FLOOR, _stack_pairs, sfc
 
 EXHAUSTIVE_MAX_M = 20
@@ -34,6 +37,12 @@ def zero_net(dims):
 def copy_net(net):
     """A net with the same dims, seed and parameters that shares no memory."""
     return netmod.RewardNet(net.dims, net.seed, net.theta.copy())
+
+
+def net_accuracy(net, dataset, mask_vision: bool = False) -> float:
+    """Fraction of pairs where the net's chosen answer strictly outscores the
+    other, on the text branch's inputs (vision masked) if ``mask_vision``."""
+    return accuracy(outcomes((net,), (mask_vision,), dataset)[0])
 
 
 def batch_losses(network, pairs: np.ndarray) -> np.ndarray:

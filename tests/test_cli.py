@@ -265,7 +265,10 @@ class TestGen:
         lambda m: m.update(artifacts={"family": "x"}),
         lambda m: m["artifacts"]["family"].update(path=None),
         lambda m: m.pop("timings"),
-    ], ids=["no-artifacts", "entry-not-object", "path-not-string", "no-timings"])
+        # a key the lab never writes, whole in every later error if accepted
+        lambda m: m["artifacts"].update({"k" * 1_000_000: m["artifacts"]["family"]}),
+    ], ids=["no-artifacts", "entry-not-object", "path-not-string", "no-timings",
+            "oversized-key"])
     def test_malformed_manifest_exits_2_without_traceback(self, tmp_path, damage):
         config = write_config(tmp_path)
         out = tmp_path / "out"
@@ -277,6 +280,7 @@ class TestGen:
         assert proc.returncode == 2
         assert "corrupt manifest" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert len(proc.stderr) < 1024
 
     @pytest.mark.parametrize("verb, overrides, flags", [
         ("gen", {"n_train": 10**12}, ()),
@@ -967,6 +971,20 @@ class TestReuse:
             assert sorted(p for p in hashed if p.endswith("run.json")) == RUN_JSONS, verb
             assert len(hashed) == len(set(hashed)), verb
             hashed.clear()
+
+    def test_evaluation_stacks_each_test_split_once(self, lab_copy, monkeypatch):
+        # matrix scores every net on a split from one stack of it; the sfd
+        # cells count those outcomes, so the skipping sfd stacks nothing
+        config, out = lab_copy
+        stacked, stack_pairs = [], cli.evaluation._stack_pairs
+        monkeypatch.setattr(cli.evaluation, "_stack_pairs", lambda dataset, text_rows: (
+            stacked.append(dataset.env_id) or stack_pairs(dataset, text_rows)))
+        (out / "reports" / "matrix_standard.csv").unlink()
+        assert main(["matrix", "--config", config, "--out", str(out), "--jobs", "1"]) == 0
+        assert sorted(stacked) == ["A", "B", "C"]
+        stacked.clear()
+        assert run("sfd", config, out) == 0
+        assert stacked == []
 
     def test_deleted_output_is_rebuilt(self, lab_copy, capsys):
         config, out = lab_copy

@@ -3,12 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from oracles import net_accuracy
 from rmlab import envs
 from rmlab.envs import (EnvironmentFamily, EnvironmentSpec, LENGTH_COORD,
                         dataset_fingerprint, default_family, read_dataset, sample_env,
                         write_dataset)
 from rmlab.errors import GenerationError
-from rmlab.evaluation import accuracy
 from rmlab.training import TrainConfig, train
 
 
@@ -76,7 +76,7 @@ class TestSampleEnv:
         tr = sample_env(fam, "OFF2", "train")
         te = sample_env(fam, "OFF2", "test")
         run = train(TrainConfig(mode="text_only", epochs=8, seed=5), tr)
-        assert accuracy(run.primary, te, mask_vision=True) <= 0.55
+        assert net_accuracy(run.primary, te, mask_vision=True) <= 0.55
 
     def test_near_deterministic_shortcut_is_separable(self, mc_family):
         family, _, tests = mc_family

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from oracles import copy_net, sfc_rho_diagnostic, zero_net
+from oracles import copy_net, net_accuracy, sfc_rho_diagnostic, zero_net
 from rmlab import net as netmod
-from rmlab.evaluation import _correct, accuracy, gen_matrix, sfd_report
+from rmlab.evaluation import gen_matrix, outcomes, sfd_report
 from rmlab.net import NetDims, RewardNet, branch_forward, pair_margins
 from rmlab.training import TrainConfig, _stack_pairs, train
 
@@ -23,7 +25,7 @@ def text_p(small_sets):
 class TestAccuracy:
     def test_zero_net_scores_zero_ties_lose(self, small_sets, default_dims):
         net = zero_net(default_dims)
-        assert accuracy(net, small_sets[("P", "test")]) == 0.0
+        assert net_accuracy(net, small_sets[("P", "test")]) == 0.0
 
     def test_bayes_oracle_near_ceiling(self, small_family, small_sets, true_margins):
         family, specs = small_family
@@ -32,14 +34,14 @@ class TestAccuracy:
 
     def test_invariant_under_increasing_transform(self, trained_p, small_sets):
         ds = small_sets[("P", "test")]
-        base = accuracy(trained_p.primary, ds)
+        base = net_accuracy(trained_p.primary, ds)
         transformed = copy_net(trained_p.primary)
         transformed.w2 = 2.0 * transformed.w2  # scores double exactly
-        assert accuracy(transformed, ds) == base
+        assert net_accuracy(transformed, ds) == base
 
 
 # evaluation's scoring before it used pair_margins, copied verbatim (its
-# _correct renamed): the reference the new path must match element for element
+# _correct renamed): the reference the outcomes must match element for element
 def _pair_scores(net: RewardNet, dataset, mask_vision: bool):
     """(chosen, rejected) score arrays of a net over a whole dataset."""
     x = _stack_pairs(dataset, (mask_vision,))[0]
@@ -53,7 +55,7 @@ def reference_correct(net: RewardNet, dataset, mask_vision: bool) -> np.ndarray:
 
 
 class TestScoringPath:
-    """``_correct`` compares training's pair margins with zero; the verbatim
+    """``outcomes`` compares training's pair margins with zero; the verbatim
     copy above scored each half with ``batch_scores`` and compared them."""
 
     @pytest.mark.parametrize("hidden", [16, 64])
@@ -69,7 +71,7 @@ class TestScoringPath:
                 theta = net.theta[None]
                 h = branch_forward(dims, theta, x)
                 assert np.array_equal(pair_margins(dims, theta, h)[0], chosen - rejected)
-                got = _correct((net,), ds, (mask_vision,))[0]
+                got = outcomes((net,), (mask_vision,), ds)[0]
                 assert got.dtype == bool
                 assert np.array_equal(got, reference_correct(net, ds, mask_vision))
                 assert got.any() == (net is not zero)
@@ -78,7 +80,7 @@ class TestScoringPath:
     def test_matches_on_trained_nets(self, trained_p, text_p, small_sets, mask_vision):
         for net in (trained_p.primary, text_p.primary):
             for ds in small_sets.values():
-                assert np.array_equal(_correct((net,), ds, (mask_vision,))[0],
+                assert np.array_equal(outcomes((net,), (mask_vision,), ds)[0],
                                       reference_correct(net, ds, mask_vision))
 
 
@@ -86,9 +88,12 @@ class TestScoringPath:
 def matrix(small_sets, trained_p):
     q_run = train(TrainConfig(mode="standard", epochs=4, seed=52),
                   small_sets[("Q", "train")])
-    nets = {"P": trained_p.primary, "Q": q_run.primary}
-    tests = {"P": small_sets[("P", "test")], "Q": small_sets[("Q", "test")]}
-    return gen_matrix("standard", nets, tests, ["P", "Q"])
+    nets = (trained_p.primary, q_run.primary)
+    correct = {}
+    for test_env in ("P", "Q"):
+        rows = outcomes(nets, (False, False), small_sets[(test_env, "test")])
+        correct.update({(train_env, test_env): row for train_env, row in zip("PQ", rows)})
+    return gen_matrix("standard", correct, ["P", "Q"])
 
 
 class TestGenMatrix:
@@ -103,41 +108,47 @@ class TestGenMatrix:
 class TestShortcutSplitAndSfd:
     def test_partition_is_exhaustive(self, trained_p, text_p, small_sets):
         ds = small_sets[("P", "test")]
-        rep = sfd_report(trained_p.primary, text_p.primary, ds)
+        rep = sfd_report(*outcomes((trained_p.primary, text_p.primary), (False, True), ds))
         assert rep["n_success"] + rep["n_fail"] == len(ds.samples)
         # the success side is exactly the pairs the proxy classifies correctly
         assert rep["n_success"] == round(
-            accuracy(text_p.primary, ds, mask_vision=True) * len(ds))
+            net_accuracy(text_p.primary, ds, mask_vision=True) * len(ds))
 
     def test_zero_net_puts_all_ties_in_fail(self, trained_p, small_sets):
-        net = zero_net(trained_p.primary.dims)  # one stack with the audited net
-        rep = sfd_report(trained_p.primary, net, small_sets[("P", "test")])
+        net = zero_net(trained_p.primary.dims)
+        rep = sfd_report(*outcomes((trained_p.primary, net), (False, True),
+                                   small_sets[("P", "test")]))
         assert rep["n_success"] == 0
         assert rep["n_fail"] == len(small_sets[("P", "test")].samples)
 
     def test_sfd_identity(self, trained_p, text_p, small_sets):
         ds = small_sets[("P", "test")]
-        rep = sfd_report(trained_p.primary, text_p.primary, ds,
-                         train_env="P", mode="standard")
-        full = accuracy(trained_p.primary, ds)
+        rep = sfd_report(*outcomes((trained_p.primary, text_p.primary), (False, True), ds),
+                         train_env="P", test_env="P", mode="standard")
+        assert (rep["train_env"], rep["test_env"], rep["mode"]) == ("P", "P", "standard")
+        full = net_accuracy(trained_p.primary, ds)
         combined = (rep["n_success"] * rep["acc_on_success"]
                     + rep["n_fail"] * rep["acc_on_fail"]) / len(ds.samples)
         assert combined == pytest.approx(full, abs=1e-12)
         assert -1.0 <= rep["sfd"] <= 1.0
 
-    def test_net_and_proxy_rows_equal_single_net_scoring(self, trained_p, text_p, small_sets):
-        # the sfd layout, net over proxy, gives each row the bits it gets alone
+    @pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=2)),
+                             ids=["vision-vision", "vision-text", "text-vision", "text-text"])
+    def test_each_net_row_is_its_single_net_scoring(self, trained_p, text_p, small_sets,
+                                                    flags):
+        # whatever else is in the call, a net's row holds the bits it gets alone
+        nets = (trained_p.primary, text_p.primary)
         for ds in small_sets.values():
-            both = _correct((trained_p.primary, text_p.primary), ds, (False, True))
-            assert both.shape == (2, len(ds))
-            assert np.array_equal(both[0], _correct((trained_p.primary,), ds, (False,))[0])
-            assert np.array_equal(both[1], _correct((text_p.primary,), ds, (True,))[0])
-            assert np.array_equal(both[1], reference_correct(text_p.primary, ds, True))
+            rows = outcomes(nets, flags, ds)
+            assert len(rows) == 2 and all(row.shape == (len(ds),) for row in rows)
+            for net, text, row in zip(nets, flags, rows):
+                assert np.array_equal(row, outcomes((net,), (text,), ds)[0])
+                assert np.array_equal(row, reference_correct(net, ds, text))
 
     def test_report_survives_degenerate_split(self, small_sets, default_dims):
         zero = zero_net(default_dims)
-        rep = sfd_report(zero, zero, small_sets[("P", "test")],
-                         train_env="P", mode="standard")
+        rep = sfd_report(*outcomes((zero, zero), (False, True), small_sets[("P", "test")]),
+                         train_env="P", test_env="P", mode="standard")
         assert rep["sfd"] is None and rep["n_success"] == 0
         assert rep["n_fail"] == len(small_sets[("P", "test")].samples)
 

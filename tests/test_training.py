@@ -9,11 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import batch_losses, copy_net
+from oracles import batch_losses, copy_net, net_accuracy
 from rmlab.config import MODES
 from rmlab.envs import ENVS, default_family, sample_env
 from rmlab.errors import ConfigError, DomainError
-from rmlab.evaluation import accuracy
 from rmlab.net import RewardNet, schedule_lr
 from rmlab.training import (TrainConfig, TrainRun, sfc, train, weighted_grad_step,
                             _stack_pairs)
@@ -289,11 +288,11 @@ class TestTrain:
         tr = sample_env(family, "SEP", "train")
         te = sample_env(family, "SEP", "test")
         run = train(TrainConfig(mode="standard", epochs=5, seed=41), tr)
-        assert accuracy(run.primary, tr) >= 0.99
+        assert net_accuracy(run.primary, tr) >= 0.99
         # text-only training gives up almost nothing in-distribution here
         text = train(TrainConfig(mode="text_only", epochs=5, seed=41), tr)
-        assert abs(accuracy(text.primary, te, mask_vision=True)
-                   - accuracy(run.primary, te)) <= 0.02
+        assert abs(net_accuracy(text.primary, te, mask_vision=True)
+                   - net_accuracy(run.primary, te)) <= 0.02
 
     def test_save_load_round_trip(self, runs, tmp_path):
         run = runs["shortcut_aware"]
