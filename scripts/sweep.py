@@ -16,7 +16,8 @@ file holds no wall-clock data, so rerunning a sweep rewrites it byte for byte.
 Exit status: 0 when every verb of every seed ran, 2 when one exited 2 (the
 seed's stderr is printed), its report.json is missing, or an I/O error stopped
 the sweep (an ``--out`` that is not a usable directory, a verb that cannot
-start, a ``sweep.json`` that cannot be written).
+start, a ``sweep.json`` that cannot be written). A seed given twice in
+``--seeds`` exits 2 before any verb runs: it would count one seed's checks twice.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="labout/sweep", help="sweep directory")
     parser.add_argument("--jobs", type=int, default=2, help="training workers per verb")
     args = parser.parse_args(argv)
+    if len(set(args.seeds)) != len(args.seeds):
+        print("error: --seeds repeats a seed", file=sys.stderr)
+        return 2
     out = Path(args.out)
     path = out / "sweep.json"
     try:

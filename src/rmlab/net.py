@@ -25,7 +25,7 @@ gradient against central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,43 +81,24 @@ class NetDims:
                 "b1": theta[..., hd:hd + h], "w2": theta[..., hd + h:]}
 
 
-class _Block:
-    """A named parameter block: a view onto ``net.theta`` that writes through."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, net, owner=None):
-        return self if net is None else net._views[self.name]
-
-    def __set__(self, net, value):
-        net._views[self.name][...] = value
-
-
 class RewardNet:
-    """Parameters of the two-layer scoring net, held in one contiguous float64
-    vector ``theta = [w1 | b1 | w2]``.
+    """One scoring net: its ``dims``, its init ``seed`` and its parameters,
+    one contiguous float64 vector ``theta = [w1 | b1 | w2]``.
 
-    ``w1`` (hidden, input_dim), ``b1`` and ``w2`` (hidden,) are views onto
-    theta; assigning any of them writes into theta. A float64 ``theta`` given
-    to the constructor is used in place, not copied, so a net can live in a
+    ``dims.views(theta)`` names the blocks, as it does for every stacked
+    theta, gradient and optimizer moment; the net adds no other naming. A
+    float64 ``theta`` is used in place, not copied, so a net can live in a
     row of a (k, n_params) array that AdamW updates for k nets at once. Two
-    nets created from the same (dims, seed) are parameter-identical.
+    nets created by ``init`` from the same (dims, seed) are parameter-identical.
     """
 
-    w1 = _Block()
-    b1 = _Block()
-    w2 = _Block()
-
-    def __init__(self, dims: NetDims, seed: int, theta=None):
+    def __init__(self, dims: NetDims, seed: int, theta):
         self.dims = dims
         self.seed = seed
-        self.theta = (np.zeros(dims.n_params) if theta is None
-                      else np.asarray(theta, dtype=np.float64))
+        self.theta = np.asarray(theta, dtype=np.float64)
         if self.theta.shape != (dims.n_params,):
             raise DimensionError(
                 f"theta: expected shape ({dims.n_params},), got {self.theta.shape}")
-        self._views = dims.views(self.theta)
 
     @classmethod
     def init(cls, dims: NetDims, seed: int) -> "RewardNet":
@@ -133,22 +114,19 @@ class RewardNet:
         d = dims.input_dim
         lim1 = 1.0 / math.sqrt(d)
         lim2 = 1.0 / math.sqrt(dims.hidden)
-        net = cls(dims, seed)
-        net.w1 = rng.uniform(-lim1, lim1, size=(dims.hidden, d))
-        net.w1[:, dims.d_v + dims.d_q:] = 0.0
-        net.w2 = rng.uniform(-lim2, lim2, size=dims.hidden)
+        net = cls(dims, seed, np.zeros(dims.n_params))
+        p = dims.views(net.theta)
+        p["w1"][...] = rng.uniform(-lim1, lim1, size=(dims.hidden, d))
+        p["w1"][:, dims.d_v + dims.d_q:] = 0.0
+        p["w2"][...] = rng.uniform(-lim2, lim2, size=dims.hidden)
         return net
 
     def to_dict(self) -> dict:
         """Flat JSON document; float round-trip is bit-exact via repr."""
-        return {
-            "dims": {"d_v": self.dims.d_v, "d_q": self.dims.d_q,
-                     "d_a": self.dims.d_a, "hidden": self.dims.hidden},
-            "seed": self.seed,
-            "w1": self.w1.ravel().tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-        }
+        doc = {"dims": asdict(self.dims), "seed": self.seed}
+        for name, block in self.dims.views(self.theta).items():
+            doc[name] = block.ravel().tolist()
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RewardNet":
@@ -162,8 +140,9 @@ class RewardNet:
 
 def batch_scores(net: RewardNet, x: np.ndarray) -> np.ndarray:
     """Scores for a (n, input_dim) matrix of concatenated features."""
-    h = np.tanh(x @ net.w1.T + net.b1)
-    return h @ net.w2
+    p = net.dims.views(net.theta)
+    h = np.tanh(x @ p["w1"].T + p["b1"])
+    return h @ p["w2"]
 
 
 def branch_forward(dims: NetDims, theta: np.ndarray, pairs: np.ndarray) -> np.ndarray:

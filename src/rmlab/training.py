@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .errors import DomainError
+from .errors import DomainError, LabError
 from .net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_pair_grads,
                   branch_forward, bt_loss, pair_margins)
 
@@ -66,14 +66,20 @@ class TrainRun:
 
     @classmethod
     def load(cls, run_dir) -> "TrainRun":
-        with open(os.path.join(run_dir, "run.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(config=TrainConfig.from_dict(doc["config"]),
-                   dataset_fingerprint=doc["dataset_fingerprint"],
-                   loss_trace=doc["loss_trace"], sfc_trace=doc["sfc_trace"],
-                   primary=RewardNet.from_dict(doc["primary"]),
-                   aux=None if doc["aux"] is None else RewardNet.from_dict(doc["aux"]),
-                   epoch_sfc_stats=doc["epoch_sfc_stats"])
+        """Inverse of save; a file that is not a whole run raises LabError."""
+        path = os.path.join(run_dir, "run.json")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            return cls(config=TrainConfig.from_dict(doc["config"]),
+                       dataset_fingerprint=doc["dataset_fingerprint"],
+                       loss_trace=doc["loss_trace"], sfc_trace=doc["sfc_trace"],
+                       primary=RewardNet.from_dict(doc["primary"]),
+                       aux=None if doc["aux"] is None else RewardNet.from_dict(doc["aux"]),
+                       epoch_sfc_stats=doc["epoch_sfc_stats"])
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            # the exception's type, not its message: a message can echo file content
+            raise LabError(f"{path} is not a valid run file ({type(exc).__name__})") from None
 
 
 def sfc(loss_mm, loss_t):

@@ -31,7 +31,7 @@ EXHAUSTIVE_MAX_M = 20
 
 def zero_net(dims):
     """A net whose every parameter is zero: it scores every answer 0."""
-    return netmod.RewardNet(dims, -1)
+    return netmod.RewardNet(dims, -1, np.zeros(dims.n_params))
 
 
 def copy_net(net):

@@ -64,7 +64,7 @@ class TestCriterion1GradientCorrectness:
         worst = 0.0
         for trial in range(100):
             net = RewardNet.init(dims, seed=2000 + trial)
-            net.b1 = 0.5 * rng.standard_normal(dims.hidden)
+            dims.views(net.theta)["b1"][...] = 0.5 * rng.standard_normal(dims.hidden)
             sample = make_random_sample(rng, dims)
             err = fd_check(net, sample, mask_vision=bool(trial % 2),
                            label=sample.y)
@@ -190,9 +190,7 @@ class TestCriterion7SfcIdentities:
         # the weights are sfc / mean(sfc), so an sfc of ones makes every weight 1
         with mock.patch("rmlab.training.sfc", lambda loss_mm, loss_t: np.ones_like(loss_mm)):
             forced = train(TrainConfig(mode="shortcut_aware", epochs=3, seed=47), ds)
-        assert np.array_equal(std.primary.w1, forced.primary.w1)
-        assert np.array_equal(std.primary.b1, forced.primary.b1)
-        assert np.array_equal(std.primary.w2, forced.primary.w2)
+        assert np.array_equal(std.primary.theta, forced.primary.theta)
         report_pass(7, "sfc(ln2, ln2) = 0.5 exact; strict monotonicity on 20x20 "
                        "grid; normalized batch mean 1 to 1e-12; uniform override "
                        "bit-identical to standard")

@@ -425,6 +425,15 @@ def for_this_kernel(digests: dict) -> dict:
     return digests[core]
 
 
+def run_doc_damage(change):
+    """A damage to a run.json's text that applies ``change`` to its document."""
+    def damage(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return damage
+
+
 @pytest.fixture(scope="module")
 def done(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipe")
@@ -690,6 +699,27 @@ class TestPipeline:
         report = json.loads((out / "reports" / "report.json").read_text())
         [message] = [m for m in report["missing_artifacts"] if m.startswith("dataset:A:test: ")]
         assert len(message.encode()) < 1024
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[:len(text) // 2], "(JSONDecodeError)"),
+        (run_doc_damage(lambda doc: doc.pop("primary")), "(KeyError)"),
+        (run_doc_damage(lambda doc: doc["primary"]["dims"].update(extra=1)), "(TypeError)"),
+        (lambda text: '{"config": %s}' % ("[" * 100_000 + "]" * 100_000), "(RecursionError)"),
+        (run_doc_damage(lambda doc: doc["primary"]["w1"].pop()), "theta: expected shape"),
+    ], ids=["truncated", "no-primary", "extra-dims-key", "nested-too-deep", "short-w1"])
+    def test_malformed_run_json_exits_2_without_traceback(self, lab_copy, damage, message):
+        # a run.json whose recorded sha256 matches is loaded, not retrained
+        config, out = lab_copy
+        path = out / "models" / "standard" / "A" / "run.json"
+        path.write_text(damage(path.read_text()))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"]["model:standard:A"]["sha256"] = file_sha(path)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("matrix", config, out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.encode()) < 1024, proc.stderr[:2000]
 
     def test_every_file_is_a_hashed_manifest_entry(self, done):
         config, out = done

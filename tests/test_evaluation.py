@@ -36,7 +36,7 @@ class TestAccuracy:
         ds = small_sets[("P", "test")]
         base = net_accuracy(trained_p.primary, ds)
         transformed = copy_net(trained_p.primary)
-        transformed.w2 = 2.0 * transformed.w2  # scores double exactly
+        transformed.dims.views(transformed.theta)["w2"][...] *= 2.0  # scores double exactly
         assert net_accuracy(transformed, ds) == base
 
 

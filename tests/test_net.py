@@ -63,7 +63,8 @@ class TestForward:
 
     def test_matches_independent_loop_implementation(self, default_dims):
         net = RewardNet.init(default_dims, seed=1)
-        net.b1 = np.random.default_rng(11).standard_normal(default_dims.hidden)
+        default_dims.views(net.theta)["b1"][...] = np.random.default_rng(11).standard_normal(
+            default_dims.hidden)
         rng = np.random.default_rng(2)
         v, q, a = rng.standard_normal(16), rng.standard_normal(8), rng.standard_normal(16)
         expected = loop_forward(net.to_dict(), v, q, a)
@@ -80,7 +81,7 @@ def masked_score(net, v, q, a):
     one = Dataset("x", "test", v=v[None, :], q=q[None, :], a1=a[None, :], a2=a[None, :],
                   y=np.ones(1, dtype=np.int8), planted=np.zeros(1, dtype=bool))
     h = branch_forward(net.dims, net.theta[None], _stack_pairs(one, (True,)))
-    return float((h[0, 0] @ net.w2)[0])
+    return float((h[0, 0] @ net.dims.views(net.theta)["w2"])[0])
 
 
 class TestMaskedForward:
@@ -100,7 +101,7 @@ class TestMaskedForward:
 
     def test_vision_insensitive_net(self, default_dims):
         net = RewardNet.init(default_dims, seed=10)
-        net.w1[:, :default_dims.d_v] = 0.0
+        default_dims.views(net.theta)["w1"][:, :default_dims.d_v] = 0.0
         rng = np.random.default_rng(11)
         for _ in range(5):
             v, q, a = rng.standard_normal(16), rng.standard_normal(8), rng.standard_normal(16)
@@ -113,8 +114,7 @@ def fd_grads_reference(net, sample, mask_vision, label, step=1e-6):
     out = {}
     work = copy_net(net)
     pairs = pair_rows(sample, mask_vision, label)
-    for name in ("w1", "b1", "w2"):
-        param = getattr(work, name)
+    for name, param in work.dims.views(work.theta).items():
         grad = np.zeros_like(param)
         flat = param.ravel()
         for i in range(flat.size):
@@ -150,7 +150,8 @@ class TestPairGrad:
         rng = np.random.default_rng(42)
         for trial in range(3):
             net = RewardNet.init(default_dims, seed=100 + trial)
-            net.b1 = 0.3 * rng.standard_normal(default_dims.hidden)
+            default_dims.views(net.theta)["b1"][...] = 0.3 * rng.standard_normal(
+                default_dims.hidden)
             sample = make_sample(rng, default_dims)
             _, flat = pair_grad(net, sample, mask_vision, label)
             grads = default_dims.views(flat)
@@ -258,8 +259,9 @@ class TestAdamW:
         lr1 = 0.1 * 0.5 * (1 + math.cos(math.pi * 1 / 4))
         lr2 = 0.1 * 0.5 * (1 + math.cos(math.pi * 2 / 4))
         expected = 1.0 - (lr1 + lr2) / (1.0 + 1e-8)
-        assert net.b1[0] == pytest.approx(expected, abs=1e-14)
-        assert net.w2[0] == pytest.approx(expected, abs=1e-14)
+        named = dims.views(net.theta)
+        assert named["b1"][0] == pytest.approx(expected, abs=1e-14)
+        assert named["w2"][0] == pytest.approx(expected, abs=1e-14)
 
     def test_step_overflow_raises(self, default_dims):
         net = RewardNet.init(default_dims, seed=13)
@@ -295,8 +297,9 @@ class TestFlatAdamW:
     def test_bit_identical_to_per_name_reference(self):
         dims = NetDims(d_v=3, d_q=2, d_a=3, hidden=5)
         net = RewardNet.init(dims, seed=17)
-        net.b1 = np.random.default_rng(1).standard_normal(dims.hidden)
-        ref = {"w1": net.w1.copy(), "b1": net.b1.copy(), "w2": net.w2.copy()}
+        named = dims.views(net.theta)
+        named["b1"][...] = np.random.default_rng(1).standard_normal(dims.hidden)
+        ref = {name: block.copy() for name, block in named.items()}
         total, wd, base_lr = 250, 0.05, 3e-3
         theta = net.theta[None]
         state = OptimizerState(theta, (base_lr,), 0.1, total, wd)
@@ -311,14 +314,15 @@ class TestFlatAdamW:
                             lambda k: schedule_lr(base_lr, 0.1, total, k), wd)
             adamw_step(state, theta, grad[None])
             for name in ("w1", "b1", "w2"):
-                assert np.array_equal(getattr(net, name), ref[name]), (step, name)
+                assert np.array_equal(named[name], ref[name]), (step, name)
         assert state.step == 200 and schedule_lr(base_lr, 0.1, total, state.step) < base_lr
 
     def test_named_blocks_write_through_to_theta(self, default_dims):
         net = zero_net(default_dims)
-        net.w1 = np.ones_like(net.w1)
-        net.b1[3] = 2.0
-        net.w2 = np.full(default_dims.hidden, 4.0)
+        blocks = default_dims.views(net.theta)
+        blocks["w1"][...] = np.ones_like(blocks["w1"])
+        blocks["b1"][3] = 2.0
+        blocks["w2"][...] = np.full(default_dims.hidden, 4.0)
         named = default_dims.views(net.theta)
         assert net.theta.shape == (default_dims.n_params,)
         assert np.all(named["w1"] == 1.0) and named["b1"][3] == 2.0
@@ -330,23 +334,20 @@ class TestDeterminismAndSerialization:
     def test_same_seed_identical_parameters(self, default_dims):
         a = RewardNet.init(default_dims, seed=99)
         b = RewardNet.init(default_dims, seed=99)
-        assert np.array_equal(a.w1, b.w1)
-        assert np.array_equal(a.w2, b.w2)
-        assert np.array_equal(a.b1, b.b1)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_answer_block_starts_neutral(self, default_dims):
         net = RewardNet.init(default_dims, seed=7)
-        a_block = net.w1[:, default_dims.d_v + default_dims.d_q:]
+        a_block = default_dims.views(net.theta)["w1"][:, default_dims.d_v + default_dims.d_q:]
         assert np.all(a_block == 0.0)
 
     def test_json_round_trip_bit_exact(self, default_dims):
         net = RewardNet.init(default_dims, seed=101)
-        net.b1 = np.random.default_rng(5).standard_normal(default_dims.hidden)
+        default_dims.views(net.theta)["b1"][...] = np.random.default_rng(5).standard_normal(
+            default_dims.hidden)
         blob = json.dumps(net.to_dict())
         back = RewardNet.from_dict(json.loads(blob))
-        assert np.array_equal(back.w1, net.w1)
-        assert np.array_equal(back.b1, net.b1)
-        assert np.array_equal(back.w2, net.w2)
+        assert np.array_equal(back.theta, net.theta)
 
     def test_file_with_zero_output_offset_loads_to_same_theta(self, default_dims):
         # primary.json files written before the offset was dropped carry
@@ -420,9 +421,11 @@ class TestStackedAdamW:
         dims = NetDims(d_v=3, d_q=2, d_a=3, hidden=5)
         total, warmup, wd, base_lrs = 40, 0.1, 0.05, (3e-3, 2.4e-2)
         singles = [RewardNet.init(dims, seed=19) for _ in base_lrs]
-        singles[1].b1 = np.random.default_rng(2).standard_normal(dims.hidden)
+        dims.views(singles[1].theta)["b1"][...] = np.random.default_rng(2).standard_normal(
+            dims.hidden)
         # each row's reference: the per-name update of its own net at its own rate
-        refs = [{n: getattr(net, n).copy() for n in netmod.PARAM_NAMES} for net in singles]
+        refs = [{n: block.copy() for n, block in dims.views(net.theta).items()}
+                for net in singles]
         states = [{"step": 0, "m": {n: np.zeros(ref[n].shape) for n in ref},
                    "v": {n: np.zeros(ref[n].shape) for n in ref}} for ref in refs]
 
@@ -450,8 +453,8 @@ class TestStackedAdamW:
     def test_net_on_a_row_writes_through_and_copies_detach(self, default_dims):
         theta = np.zeros((2, default_dims.n_params))
         net = RewardNet(default_dims, 0, theta[1])
-        net.b1 = 1.0
+        default_dims.views(net.theta)["b1"][...] = 1.0
         assert theta[1].any() and not theta[0].any()
         twin = copy_net(net)
-        twin.b1 = 2.0
-        assert np.all(net.b1 == 1.0)
+        default_dims.views(twin.theta)["b1"][...] = 2.0
+        assert np.all(default_dims.views(net.theta)["b1"] == 1.0)

@@ -105,3 +105,15 @@ def test_unusable_out_exits_2_without_traceback(tmp_path, sub):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert blocker.read_text() == "not a directory"
+
+
+def test_repeated_seed_exits_2_before_any_verb(tmp_path):
+    # one seed run twice would count its checks twice in check_pass_counts
+    out = tmp_path / "sweep"
+    proc = subprocess.run([sys.executable, str(SWEEP), "--seeds", "3", "3",
+                           "--config", write_config(tmp_path), "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr) < 200
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

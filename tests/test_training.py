@@ -199,7 +199,7 @@ class TestWeightedGradStep:
         # the weights do depend on the aux net, so holding them constant is a
         # real property of the step, not a vacuous one
         perturbed = copy_net(aux)
-        perturbed.w1 = perturbed.w1 + 0.5
+        perturbed.dims.views(perturbed.theta)["w1"][...] += 0.5
         _, moved, _ = self.step(primary, perturbed, dual_batch)
         assert not np.array_equal(moved.weight, batch.weight)
 
@@ -254,8 +254,7 @@ class TestTrain:
         dims = NetDims(16, 8, 16, 64)
         a = RewardNet.init(dims, 21)
         b = RewardNet.init(dims, 21)
-        assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
-        assert np.array_equal(a.b1, b.b1)
+        assert np.array_equal(a.theta, b.theta)
 
     # 1500 pairs: batch 100 divides them, 64 leaves a short last batch
     @settings(max_examples=12, deadline=None)
@@ -270,9 +269,7 @@ class TestTrain:
         with mock.patch("rmlab.training.sfc", lambda loss_mm, loss_t: np.ones_like(loss_mm)):
             forced = train(TrainConfig(mode="shortcut_aware", epochs=2, seed=seed,
                                        batch_size=batch_size), ds)
-        assert np.array_equal(std.primary.w1, forced.primary.w1)
-        assert np.array_equal(std.primary.b1, forced.primary.b1)
-        assert np.array_equal(std.primary.w2, forced.primary.w2)
+        assert np.array_equal(std.primary.theta, forced.primary.theta)
 
     def test_near_deterministic_shortcut_env_fits_train_set(self):
         from rmlab.envs import EnvironmentFamily, EnvironmentSpec
@@ -336,8 +333,7 @@ class TestTrain:
     @pytest.mark.parametrize("mode", MODES)
     def test_bit_identical_to_recorded_digests(self, small_sets, mode):
         run = train(TrainConfig(mode=mode, epochs=2, seed=11), small_sets[("P", "train")])
-        p = run.primary
-        weights = hashlib.sha256(p.w1.tobytes() + p.b1.tobytes() + p.w2.tobytes())
+        weights = hashlib.sha256(run.primary.theta.tobytes())  # [w1 | b1 | w2]
         traces = np.asarray(run.loss_trace).tobytes()
         if run.sfc_trace is not None:
             traces += np.asarray(run.sfc_trace).tobytes()
@@ -356,13 +352,14 @@ class TestTrain:
         dims = run.primary.dims
         base = cfg.base_lr if branch == "primary" else cfg.base_lr * cfg.aux_lr_scale
         total = math.ceil(len(ds) / cfg.batch_size) * cfg.epochs
-        init = RewardNet.init(dims, cfg.seed).w1[:, :dims.d_v]
+        init = dims.views(RewardNet.init(dims, cfg.seed).theta)["w1"][:, :dims.d_v]
         expected = init.copy()
         for t in range(1, total + 1):
             expected -= (expected * cfg.weight_decay) * schedule_lr(
                 base, cfg.warmup_ratio, total, t)
         assert not np.array_equal(expected, init)
-        assert getattr(run, branch).w1[:, :dims.d_v].tobytes() == expected.tobytes()
+        trained = dims.views(getattr(run, branch).theta)["w1"]
+        assert trained[:, :dims.d_v].tobytes() == expected.tobytes()
 
     def test_epoch_sfc_stats_split_by_marker(self, runs, small_sets):
         stats = runs["shortcut_aware"].epoch_sfc_stats
