@@ -121,7 +121,8 @@ class ExperimentConfig(namedtuple("ExperimentConfig", "master_seed n_train n_tes
                 (type(self.master_seed) is int, "master_seed must be an integer"),
                 (ints([self.n_train, self.n_test, self.n_pools, self.pool_size]),
                  "n_train, n_test, n_pools and pool_size must be integers >= 1"),
-                (ints(self.n_grid), "n_grid must be a nonempty list of integers >= 1"),
+                (ints(self.n_grid) and all(a < b for a, b in zip(self.n_grid, self.n_grid[1:])),
+                 "n_grid must be a nonempty, strictly increasing list of integers >= 1"),
                 (isinstance(self.train, dict) and set(self.train) <= allowed,
                  f"train must be an object with keys from {sorted(allowed)}")]:
             if not ok:
@@ -287,9 +288,9 @@ class Workspace:
         self.manifest["builds"][build], self.rebuild = self.rebuild, None
         self.save_manifest(build, time.monotonic() - t0)
 
-    def save_manifest(self, timing_key: str | None = None, seconds: float | None = None):
-        if timing_key is not None:
-            self.manifest["timings"][timing_key] = seconds
+    def save_manifest(self, timing_key: str, seconds: float) -> None:
+        """Set ``timings[timing_key]`` and save the manifest."""
+        self.manifest["timings"][timing_key] = seconds
         _replace_file(self.manifest_path, self.manifest)
 
 
@@ -343,27 +344,22 @@ def cmd_gen(ws: Workspace) -> None:
             dataset = envs.sample_env(family, spec.env_id, split)
             envs.write_dataset(dataset, path)
             ws.record(key, path)
-            ws.manifest["artifacts"][key]["fingerprint"] = dataset.fingerprint
             print(f"gen: wrote {ws.rel(path)} ({len(dataset)} samples)")
     ws.finish(t0)
 
 
-def _dataset_file(ws: Workspace, env_id: str, split: str) -> tuple:
-    """The hash-checked path and the fingerprint of a recorded dataset split."""
-    key = _dataset_key(env_id, split)
-    return ws.artifact_path(key), ws.manifest["artifacts"][key].get("fingerprint", "")
-
-
-def _train_one(job: tuple) -> str:
-    """One training job, (TrainConfig, dataset path, fingerprint, run dir);
-    worker-safe. Returns the path of the saved ``run.json``."""
-    config, dataset_path, fingerprint, run_dir = job
-    run = training.train(config, envs.read_dataset(dataset_path, fingerprint))
-    return run.save(run_dir)
+def _train_one(job: tuple) -> tuple:
+    """One training job, (TrainConfig, dataset path, run dir); worker-safe.
+    Returns the path of the saved ``run.json`` and the job's wall seconds."""
+    t0 = time.monotonic()
+    config, dataset_path, run_dir = job
+    path = training.train(config, envs.read_dataset(dataset_path)).save(run_dir)
+    return path, time.monotonic() - t0
 
 
 def _ensure_runs(ws: Workspace, wanted: list) -> int:
     """Train whatever is stale in ``wanted``: (key, TrainConfig, env_id) triples.
+    Each trained job's wall seconds go to ``timings[key]``.
 
     Returns the number of jobs trained."""
     keys, jobs = [], []
@@ -372,7 +368,7 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
         if ws.is_current(key, os.path.join(run_dir, "run.json")):
             continue
         keys.append(key)
-        jobs.append((config, *_dataset_file(ws, env_id, "train"), run_dir))
+        jobs.append((config, ws.artifact_path(_dataset_key(env_id, "train")), run_dir))
     pool, run, broken = nullcontext(), map, ()  # serial: no pool error to catch
     if ws.jobs > 1 and jobs:  # the pool modules load only when a pool is made
         # executed before the fork (any attribute access runs a lazy module),
@@ -384,9 +380,9 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
         run, broken = pool.map, BrokenProcessPool
     with pool:
         try:
-            for key, path in zip(keys, run(_train_one, jobs)):
+            for key, (path, seconds) in zip(keys, run(_train_one, jobs)):
                 ws.record(key, path)
-                ws.save_manifest()  # a run that dies later keeps this one
+                ws.save_manifest(key, seconds)  # a run that dies later keeps this one
                 print(f"train: finished {key}")
         except broken:
             raise LabError("a training worker died; the finished runs are recorded, "
@@ -433,7 +429,7 @@ def _evaluate(ws: Workspace, verb: str) -> None:
     nets = {key: training.TrainRun.load(os.path.dirname(ws.artifact_path(key))).primary
             for key in keys}
     text_rows = [training.TEXT_ROWS[config.mode][0] for _, config, _ in _nets(ws.config)]
-    test_sets = (envs.read_dataset(*_dataset_file(ws, e, "test")) for e in ENVS)
+    test_sets = (envs.read_dataset(ws.artifact_path(_dataset_key(e, "test"))) for e in ENVS)
     correct = {(key, e): row for e, test_set in zip(ENVS, test_sets)
                for key, row in zip(keys, evaluation.outcomes(nets.values(), text_rows, test_set))}
 

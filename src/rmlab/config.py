@@ -3,7 +3,7 @@ a config, checks a lab and reuses its outputs without loading the array stack.
 
 ENVS names the default family's environments in report order; MODES names the
 three training modes; TrainConfig holds one training run's hyperparameters;
-canonical_hash is the one hash of a JSON document, for configs and datasets.
+canonical_hash is the one hash of a JSON document, for configs.
 """
 
 from __future__ import annotations

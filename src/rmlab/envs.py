@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ENVS, canonical_hash
+from .config import ENVS
 from .errors import GenerationError
 
 D_V = 16
@@ -58,7 +58,7 @@ class EnvironmentSpec:
     ``direction``: "negated" takes minus the ``ref`` environment's direction;
     "fresh" and "orthogonal_to" take the next unused reserved axis, which is
     orthogonal to every direction before it (``orthogonal_to`` keeps its
-    ``ref`` only as a record in family.json and the dataset fingerprints).
+    ``ref`` only as a record in family.json).
     """
 
     env_id: str
@@ -93,22 +93,18 @@ COLUMNS = tuple(_COLUMN_TYPES)  # the columns, in file order
 
 @dataclass
 class Dataset:
-    """One environment split as columns, one row per preference pair, plus its
-    generator fingerprint.
+    """One environment split as columns, one row per preference pair.
 
     v (n, D_V), q (n, D_Q), a1/a2 (n, D_A) float64; y (n,) int8 (+1 if a1 is
     chosen, -1 if a2); planted (n,) bool, the shortcut-marker flag.
     """
 
-    env_id: str
-    split: str
     v: np.ndarray
     q: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
     y: np.ndarray
     planted: np.ndarray
-    fingerprint: str = ""
 
     def __len__(self) -> int:
         return len(self.y)
@@ -173,7 +169,7 @@ class EnvironmentFamily:
 
 def spec_to_dict(spec: EnvironmentSpec) -> dict:
     # "marker_follows" and "vector" name settings that are gone; their fixed
-    # values keep family.json and every dataset fingerprint byte-identical
+    # values keep family.json byte-identical
     return {
         "env_id": spec.env_id, "seed": spec.seed,
         "n_train": spec.n_train, "n_test": spec.n_test,
@@ -206,11 +202,6 @@ def default_family(family_seed: int, n_train: int, n_test: int) -> EnvironmentFa
 
 
 _SPLIT_CODES = {"train": 0, "test": 1}
-
-
-def dataset_fingerprint(family: EnvironmentFamily, spec: EnvironmentSpec, split: str) -> str:
-    return canonical_hash({"family_seed": family.family_seed, "split": split,
-                           "spec": spec_to_dict(spec), "m_scale": M_SCALE})
 
 
 def sample_env(family: EnvironmentFamily, env_id: str, split: str) -> Dataset:
@@ -271,27 +262,26 @@ def sample_env(family: EnvironmentFamily, env_id: str, split: str) -> Dataset:
     is_longer = np.where(y == 1, lengths[:, 0] > lengths[:, 1], lengths[:, 1] > lengths[:, 0])
     swap = chosen_longer != is_longer
     lengths[swap] = lengths[swap, ::-1]
-    return Dataset(env_id, split, v=v, q=q, a1=answers[:, 0].copy(), a2=answers[:, 1].copy(),
-                   y=y, planted=applied, fingerprint=dataset_fingerprint(family, spec, split))
+    return Dataset(v=v, q=q, a1=answers[:, 0].copy(), a2=answers[:, 1].copy(),
+                   y=y, planted=applied)
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """One uncompressed .npz archive: the COLUMNS plus 0-d ``env_id`` and
-    ``split`` strings. Members carry a fixed timestamp, so equal datasets
-    give byte-identical files."""
-    arrays = {"env_id": np.array(dataset.env_id), "split": np.array(dataset.split),
-              **{c: getattr(dataset, c) for c in COLUMNS}}
+    """One uncompressed .npz archive of the COLUMNS. Members carry a fixed
+    timestamp, so equal datasets give byte-identical files."""
     with zipfile.ZipFile(path, "w") as zf:
-        for name, arr in arrays.items():
+        for name in COLUMNS:
             with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, arr, allow_pickle=False)
+                np.lib.format.write_array(fh, getattr(dataset, name), allow_pickle=False)
 
 
-def read_dataset(path, fingerprint: str = "") -> Dataset:
-    """Load a file written by write_dataset; anything else raises GenerationError."""
+def read_dataset(path) -> Dataset:
+    """Load a file written by write_dataset; anything else raises
+    GenerationError. Other members are ignored, so an archive that still
+    holds the 0-d ``env_id`` and ``split`` of older versions reads the same."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            arrays = {k: npz[k] for k in ("env_id", "split") + COLUMNS}
+            arrays = {k: npz[k] for k in COLUMNS}
     except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise GenerationError(f"{path} is not a valid dataset file ({exc})") from None
     n = len(arrays["y"]) if arrays["y"].ndim == 1 else -1
@@ -300,6 +290,5 @@ def read_dataset(path, fingerprint: str = "") -> Dataset:
     if n < 1 or bad:
         raise GenerationError(f"{path} is not a valid dataset file "
                               f"(empty, or bad columns {bad})")
-    return Dataset(str(arrays["env_id"]), str(arrays["split"]),
-                   **{c: arrays[c] for c in COLUMNS}, fingerprint=fingerprint)
+    return Dataset(**arrays)
 

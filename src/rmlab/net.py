@@ -25,7 +25,7 @@ gradient against central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .errors import DimensionError, ScheduleExhausted
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-PARAM_NAMES = ("w1", "b1", "w2")
 
 
 def sigmoid(x):
@@ -82,8 +80,8 @@ class NetDims:
 
 
 class RewardNet:
-    """One scoring net: its ``dims``, its init ``seed`` and its parameters,
-    one contiguous float64 vector ``theta = [w1 | b1 | w2]``.
+    """One scoring net: its ``dims`` and its parameters, one contiguous
+    float64 vector ``theta = [w1 | b1 | w2]``.
 
     ``dims.views(theta)`` names the blocks, as it does for every stacked
     theta, gradient and optimizer moment; the net adds no other naming. A
@@ -92,9 +90,8 @@ class RewardNet:
     nets created by ``init`` from the same (dims, seed) are parameter-identical.
     """
 
-    def __init__(self, dims: NetDims, seed: int, theta):
+    def __init__(self, dims: NetDims, theta):
         self.dims = dims
-        self.seed = seed
         self.theta = np.asarray(theta, dtype=np.float64)
         if self.theta.shape != (dims.n_params,):
             raise DimensionError(
@@ -114,7 +111,7 @@ class RewardNet:
         d = dims.input_dim
         lim1 = 1.0 / math.sqrt(d)
         lim2 = 1.0 / math.sqrt(dims.hidden)
-        net = cls(dims, seed, np.zeros(dims.n_params))
+        net = cls(dims, np.zeros(dims.n_params))
         p = dims.views(net.theta)
         p["w1"][...] = rng.uniform(-lim1, lim1, size=(dims.hidden, d))
         p["w1"][:, dims.d_v + dims.d_q:] = 0.0
@@ -122,20 +119,22 @@ class RewardNet:
         return net
 
     def to_dict(self) -> dict:
-        """Flat JSON document; float round-trip is bit-exact via repr."""
-        doc = {"dims": asdict(self.dims), "seed": self.seed}
-        for name, block in self.dims.views(self.theta).items():
-            doc[name] = block.ravel().tolist()
-        return doc
+        """Flat JSON document of the blocks by name; float round-trip is
+        bit-exact via repr."""
+        return {name: block.ravel().tolist()
+                for name, block in self.dims.views(self.theta).items()}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RewardNet":
-        """Inverse of to_dict. Other keys are ignored, so a file that still
-        carries the constant zero output offset of older versions loads to
-        the same theta."""
-        dims = NetDims(**doc["dims"])
-        return cls(dims, int(doc["seed"]),
-                   np.concatenate([np.ravel(doc[name]) for name in PARAM_NAMES]))
+    def from_dict(cls, doc: dict, dims: NetDims) -> "RewardNet":
+        """Inverse of to_dict for a net of ``dims``: each block fills its view
+        of a fresh theta, so a block of the wrong length raises ValueError.
+        Other keys are ignored, so a file that still carries the ``dims`` and
+        ``seed`` or the zero output offset of older versions loads to the same
+        theta."""
+        theta = np.empty(dims.n_params)
+        for name, block in dims.views(theta).items():
+            block[...] = np.reshape(doc[name], block.shape)
+        return cls(dims, theta)
 
 
 def batch_scores(net: RewardNet, x: np.ndarray) -> np.ndarray:

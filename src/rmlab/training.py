@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .errors import DomainError, LabError
+from .envs import D_A, D_Q, D_V
+from .errors import ConfigError, DomainError, LabError
 from .net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_pair_grads,
                   branch_forward, bt_loss, pair_margins)
 
@@ -38,7 +39,6 @@ class TrainRun:
     """Configuration plus the persisted outcome of one training job."""
 
     config: TrainConfig
-    dataset_fingerprint: str
     loss_trace: list
     sfc_trace: list | None
     primary: RewardNet
@@ -55,7 +55,6 @@ class TrainRun:
         # one dumps string: json.dump would stream through the pure-Python
         # encoder, for the same bytes
         text = json.dumps({"config": self.config.to_dict(),
-                           "dataset_fingerprint": self.dataset_fingerprint,
                            "loss_trace": self.loss_trace, "sfc_trace": self.sfc_trace,
                            "primary": self.primary.to_dict(),
                            "aux": None if self.aux is None else self.aux.to_dict(),
@@ -66,20 +65,29 @@ class TrainRun:
 
     @classmethod
     def load(cls, run_dir) -> "TrainRun":
-        """Inverse of save; a file that is not a whole run raises LabError."""
+        """Inverse of save, each net's dims taken from the run's config; a file
+        that is not a whole run, or whose nets do not fit that config, raises
+        LabError."""
         path = os.path.join(run_dir, "run.json")
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            return cls(config=TrainConfig.from_dict(doc["config"]),
-                       dataset_fingerprint=doc["dataset_fingerprint"],
-                       loss_trace=doc["loss_trace"], sfc_trace=doc["sfc_trace"],
-                       primary=RewardNet.from_dict(doc["primary"]),
-                       aux=None if doc["aux"] is None else RewardNet.from_dict(doc["aux"]),
+            config = TrainConfig.from_dict(doc["config"])
+            dims = net_dims(config)
+            return cls(config=config, loss_trace=doc["loss_trace"], sfc_trace=doc["sfc_trace"],
+                       primary=RewardNet.from_dict(doc["primary"], dims),
+                       aux=None if doc["aux"] is None else RewardNet.from_dict(doc["aux"], dims),
                        epoch_sfc_stats=doc["epoch_sfc_stats"])
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError, ConfigError) as exc:
             # the exception's type, not its message: a message can echo file content
             raise LabError(f"{path} is not a valid run file ({type(exc).__name__})") from None
+
+
+def net_dims(config: TrainConfig) -> NetDims:
+    """The dims of a lab net trained under ``config``: the feature widths of
+    every dataset the lab writes (``envs.D_V``, ``D_Q``, ``D_A``) and the
+    config's hidden width."""
+    return NetDims(D_V, D_Q, D_A, config.hidden)
 
 
 def sfc(loss_mm, loss_t):
@@ -155,8 +163,7 @@ def weighted_grad_step(dims: NetDims, theta: np.ndarray, pairs: np.ndarray):
 def train(config: TrainConfig, dataset) -> TrainRun:
     """Run one training job over the dataset and return its artifacts."""
     n = len(dataset)
-    dims = NetDims(d_v=dataset.v.shape[1], d_q=dataset.q.shape[1],
-                   d_a=dataset.a1.shape[1], hidden=config.hidden)
+    dims = net_dims(config)
 
     steps_per_epoch = math.ceil(n / config.batch_size)
     total_steps = steps_per_epoch * config.epochs
@@ -170,7 +177,7 @@ def train(config: TrainConfig, dataset) -> TrainRun:
     base_lrs = ((config.base_lr, config.base_lr * config.aux_lr_scale) if dual
                 else (config.base_lr,))
     theta = np.stack([RewardNet.init(dims, config.seed).theta] * len(base_lrs))
-    nets = [RewardNet(dims, config.seed, row) for row in theta]
+    nets = [RewardNet(dims, row) for row in theta]
     primary, aux = nets[0], nets[1] if dual else None
     opt = OptimizerState(theta, base_lrs, config.warmup_ratio, total_steps,
                          config.weight_decay)
@@ -206,6 +213,5 @@ def train(config: TrainConfig, dataset) -> TrainRun:
                 "n_clean": n_clean,
             })
 
-    return TrainRun(config=config, dataset_fingerprint=dataset.fingerprint,
-                    loss_trace=loss_trace, sfc_trace=sfc_trace,
+    return TrainRun(config=config, loss_trace=loss_trace, sfc_trace=sfc_trace,
                     primary=primary, aux=aux, epoch_sfc_stats=epoch_stats)

@@ -31,12 +31,12 @@ EXHAUSTIVE_MAX_M = 20
 
 def zero_net(dims):
     """A net whose every parameter is zero: it scores every answer 0."""
-    return netmod.RewardNet(dims, -1, np.zeros(dims.n_params))
+    return netmod.RewardNet(dims, np.zeros(dims.n_params))
 
 
 def copy_net(net):
-    """A net with the same dims, seed and parameters that shares no memory."""
-    return netmod.RewardNet(net.dims, net.seed, net.theta.copy())
+    """A net with the same dims and parameters that shares no memory."""
+    return netmod.RewardNet(net.dims, net.theta.copy())
 
 
 def net_accuracy(net, dataset, mask_vision: bool = False) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from blas_core import openblas_core
-from rmlab import cli
+from rmlab import cli, training
 from rmlab.cli import ExperimentConfig, canonical_hash, derive_seed, main
 from rmlab.errors import LabError
 
@@ -29,6 +29,7 @@ TINY = {
     "pool_size": 16,
     "n_grid": [1, 2, 4, 8, 16],
 }
+HIDDEN = TINY["train"]["hidden"]
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -147,6 +148,11 @@ class TestConfig:
         {"master_seed": 1.5},
         {"master_seed": True},
         {"n_grid": []},
+        # out of order or repeated: a grid is strictly increasing, so no N
+        # gets two rows in bon_curves.csv
+        {"n_grid": [4, 1, 4]},
+        {"n_grid": [1, 2, 2]},
+        {"n_grid": [2, 1]},
         {"jobs": 0},
         # removed: the output dir and the worker count are flags, not settings
         {"out_dir": "x"},
@@ -510,21 +516,32 @@ class TestPipeline:
         assert {name: hashlib.sha256((out / "reports" / name).read_bytes()).hexdigest()
                 for name in digests} == digests
 
-    # sha256 of the tiny lab's six dataset files, recorded with the per-row
-    # generator that the array-at-a-time one replaced
+    # sha256 of the tiny lab's six dataset files, recorded when the archives
+    # dropped their env_id and split members; every column keeps the bytes
+    # of the per-row generator that the array-at-a-time one replaced
     DATASET_DIGESTS = {
-        "A_test.npz": "77dc6ae6d77be84c575ca91436c51797a18b0893f4ae4c2c6858a18c5ed81539",
-        "A_train.npz": "b8eb58980cbcb8b6deb16fb228f2b3c07e3baecb8eae817f9ab37eea054070d1",
-        "B_test.npz": "9b9e6473c99bc4c8b554e1c2d06ec73e0d0fc115a86350e8b1778aa85654baf2",
-        "B_train.npz": "f889356dc42cfc0d0e40d69550e71f5df749d413f772e78ba906609f41bdbb88",
-        "C_test.npz": "78b12bbb9184b8200ce063740287f4267549ab5c0d51777fe5afb2e8f5c4c73d",
-        "C_train.npz": "27b11a7cf2905d8445a7c555905aa25c1d4750b9ed4ec58b4fe3857bdc766e82",
+        "A_test.npz": "1564b77ffaf28b538255308ff05b1e091300aa773a8d2b806e8072ddc0e64764",
+        "A_train.npz": "b0ec2de0dc53dce348965a82b9b90eca8c6be942f130f35697fe30dff05b258a",
+        "B_test.npz": "462b063eeecce0057e6d27f3a99e3dfbedd7b49ea7aee0fd7daab933ddbe0b4f",
+        "B_train.npz": "3ebcd74d1377f14b0879a1b910ed1b2184c424bebf9d49f8477588e5c101d02b",
+        "C_test.npz": "4a6852f30d01d481866c0b003f1a01db1f45a91deeb5464124fcaba8b5c86e8b",
+        "C_train.npz": "294b02fa1f1df3cd60e4323fd5b7e4668f6a95349432f0f3d07a48527dd79e28",
     }
 
     def test_datasets_bit_identical_to_recorded_digests(self, done):
         _, out = done
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in (out / "datasets").glob("*.npz")} == self.DATASET_DIGESTS
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [sorted(e) for k, e in manifest["artifacts"].items()
+                if k.startswith("dataset:")] == [["path", "sha256"]] * 6
+
+    def test_family_json_keeps_its_recorded_sha256(self, done):
+        # family.json is the one record of every spec: spec_to_dict keeps the
+        # fixed values of removed settings, so its bytes do not move
+        _, out = done
+        assert file_sha(out / "family.json") == \
+            "bfe39ee6eec928743b25f37a74e89c306cbe4201441a92701a9fd2e531f2d4e7"
 
     # sha256 of the tiny lab's matrix and sfd outputs and of one shortcut-aware
     # run.json, recorded with the record classes (GenMatrix, SFDReport,
@@ -550,11 +567,11 @@ class TestPipeline:
         "reports/sfd_standard.json":
             "a56b92d4e6265563c540df8c479c89bbda7663997fee46a25089ac187eb123ec",
         "models/shortcut_aware/A/run.json":
-            "36b00aec51e3e819e58db29bf2069e4c60f348be923b9b9de6309b7ba55d006f",
+            "20053507d8257070c929e7a1ba778e89c6a33b5c3765c125fbd046d5ac782141",
     }}
     REPORT_DIGESTS["Haswell"] = dict(REPORT_DIGESTS["SkylakeX"], **{
         "models/shortcut_aware/A/run.json":
-            "07bdceded6abebcd1817fef9ba91acd394a90a494db6f44ff9dfc900701cb9ef"})
+            "b8141557b53c45e15e622492e47ea290f8bde57aa7681c70936e2c10932b2579"})
 
     def test_reports_bit_identical_to_recorded_digests(self, done):
         _, out = done
@@ -562,74 +579,76 @@ class TestPipeline:
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                 for name in digests} == digests
 
-    # sha256 of the tiny lab's 15 run.json files, recorded with the training
-    # core that stepped each branch on full-width features (a text branch on
-    # zeroed vision columns) and made one AdamW update per branch: any drift
-    # in a trained net, a loss or sfc trace, an epoch stat or the JSON
-    # encoding changes them. Keyed on the OpenBLAS kernel: at hidden 16 the
-    # SkylakeX and Haswell kernels sum the forward products in different orders.
+    # sha256 of the tiny lab's 15 run.json files, recorded when run.json
+    # dropped dataset_fingerprint and each net's dims and seed; every other
+    # byte is that of the training core that stepped each branch on
+    # full-width features (a text branch on zeroed vision columns) and made
+    # one AdamW update per branch: any drift in a trained net, a loss or sfc
+    # trace, an epoch stat or the JSON encoding changes them. Keyed on the
+    # OpenBLAS kernel: at hidden 16 the SkylakeX and Haswell kernels sum the
+    # forward products in different orders.
     MODEL_DIGESTS = {"SkylakeX": {
         "proxy-shortcut_aware/A/run.json":
-            "f261e68c93bc343f736ad9e54dedff60334ca57b4a6f846327ddb79c173556d6",
+            "12ea000876a1b2eaae3862781c04d4b73e0a44cdf2059403e5faeca04f5038b7",
         "proxy-shortcut_aware/B/run.json":
-            "0f19e35968944cac4fc119b1407ce53977a40852ebd60f61c1c433e7b58ae5c6",
+            "c5e648c8f84423fa42da02d59ff163828e8e3caa0ebeb3956333ce2886eb0a94",
         "proxy-shortcut_aware/C/run.json":
-            "babd04d8e76d4c9995ce41924979fe3601578efe9c6be5924f43842b7c4298ff",
+            "9d461603a4f199aec6664974a4379b38e154d12e5818196afd38f4730a25ef0f",
         "proxy-standard/A/run.json":
-            "4c5ac32fa04b09518eb9c1c9742b20d633eae82c27b65b1be773b4307b4f84a4",
+            "2a25bc17d7123c57f0b990c529ad9eb0c34f440d74978690ae4faf51a606ae13",
         "proxy-standard/B/run.json":
-            "9bcaaa2ad1dfd1de1a9b1fde7cd3aef405f17f2fb2afee7f8c2cdce522463401",
+            "4e88ade9afd6c29d06b924d5cb9a6ffd2f34821c0b9fecfc37fd5fa766f34246",
         "proxy-standard/C/run.json":
-            "4ece8441ddf41374a1d20c3df7fcf39fa3897f3e7df13131a6e9095e74b4baca",
+            "e3ecfb8f84b6bfa3bbf351915a66ef3a4d7c7ec0638dfb314fbf8444d7bcc23a",
         "shortcut_aware/A/run.json":
-            "36b00aec51e3e819e58db29bf2069e4c60f348be923b9b9de6309b7ba55d006f",
+            "20053507d8257070c929e7a1ba778e89c6a33b5c3765c125fbd046d5ac782141",
         "shortcut_aware/B/run.json":
-            "862d718203e708f67efd5ccc6e0c1e2bf0afb932263db488c15791620336fa09",
+            "151bf4fe3ba69c1022ce92eea9d4495e075735482c5095b78a60ca269acb086a",
         "shortcut_aware/C/run.json":
-            "7187f40c36b043bbfdded80ddce65a444db54cfe4efe251a115531cca3bc0c94",
+            "345abf06877c1810987b2546d2820799347d73c4c8b908661b004da45eb14121",
         "standard/A/run.json":
-            "68dfa18b771bb281c6588bf742bf3efda549d1f9b9ee51a6f3c5deef9cdcd2ea",
+            "835a5997aabea9d6220e8fc1b654e35a11e6a97478330d44586461979a290fcc",
         "standard/B/run.json":
-            "582251f7807e6f0e7906c8c049a9fe26138408533f6014d49e31348fe79c5913",
+            "ed1aff78f0df898743cc3c0b784aad2e562cc272ddfa286f5b3534681a2c4f1a",
         "standard/C/run.json":
-            "90290cdd54e3827906467ab6d241c26b0a96c35e3fec47f44b10ea471552de18",
+            "886b77b91acb5e601506fb7e74c2ec03480db3eeb0a986c1391be8a99c584c60",
         "text_only/A/run.json":
-            "bfec9fe4d800a717fe08dd167eec516e7c0b2f27d36241f0ed1cb4e8e7f2f897",
+            "525af20b7b34123279e27e4bef770ef5fd893b4d22a7312704fae78b28663a2b",
         "text_only/B/run.json":
-            "a21ff4604bf3c45b76771a3cfde39b2a61d9987420afd4bb66e308b9c5214c75",
+            "300d217c941ae76b9077d6fa4fb19ed58786a5e08c6bbfa980461e86243a34d0",
         "text_only/C/run.json":
-            "deb319e1a826a24a4609c91d32f77f0bf6ea7d1dd0058193d850b788e3349a1a",
+            "4547e0afc0dd8402dc4dcc0af929819df38c3feb5d3c7d9c5fe2b58695a29291",
     }, "Haswell": {
         "proxy-shortcut_aware/A/run.json":
-            "95d973540e024689d02cc6c520b770e0c196f9b087e6c03dbaa0c72d76a64ff9",
+            "135968fe9f2f9f485984bf05206acf84accf5b46e6dd8ff8f8421f02badd6972",
         "proxy-shortcut_aware/B/run.json":
-            "a7b7667ecc7d73093d3e786ae8a61481f7b926ed489ba3792c8f80a67ddab47c",
+            "d9fd8fcf586196ccddb669e502585ee78e690d37b39ea0f87048f4bae8f7dbc5",
         "proxy-shortcut_aware/C/run.json":
-            "7ecd5267d7b1dfda567e109c3f40ff670093eb3ead4bf7a438cf88773f720a69",
+            "5de08606c666ce872303bc0138a6ccfbf9f84e90d88f56f082434ed7e673e3d8",
         "proxy-standard/A/run.json":
-            "ed4f61cfdc4e8dccd313c2dd723cf617d8aa8da80f86fe056360f77afa00f067",
+            "06677977637cf16c8ed01da1d79f043e75cbf57bc468775d538cd5079fa255eb",
         "proxy-standard/B/run.json":
-            "bd74859370364554f0b0b1fc81f5e5516890abfc70d1225722fbe88edc724c43",
+            "6001961b28ff51f60e1be7fb4c8b59c6ecc05ee09daa014ad93baebf18307a55",
         "proxy-standard/C/run.json":
-            "b6094cb992207fc8e17da7153db0391ec3eb8b1a19ec91ff1180db55d2b3b9e2",
+            "040dab95c02898ce0bc50c8ed9c7ed3763f1cec05f9465fc81b6d2d6ad980d9b",
         "shortcut_aware/A/run.json":
-            "07bdceded6abebcd1817fef9ba91acd394a90a494db6f44ff9dfc900701cb9ef",
+            "b8141557b53c45e15e622492e47ea290f8bde57aa7681c70936e2c10932b2579",
         "shortcut_aware/B/run.json":
-            "54dd5e8fc66dc5059443a1b33369f5e58bc1978433ed5a775af2aa20b491194f",
+            "b593867c8c55ac2a76feabd997464a0a9b6d268989185735a62b15f1cb4df958",
         "shortcut_aware/C/run.json":
-            "08d509de7d59efd3fddcc8762d2c5a30a1e02a356780ae9665c7bd276b117858",
+            "81a2a867f48c7af0d319809c4938634121253e2c8a7d8584a0a44b88a1f9fb98",
         "standard/A/run.json":
-            "504133eace8b5683cebbc7471c8aa6def03667829a8f2fc147438c6de4b03565",
+            "5cbea382de70a263f5697f36f126878837dcd865bab1897407c438694de7c0a3",
         "standard/B/run.json":
-            "a8b48815f8cb0100c9ecea82ec9761682b164848aca782db55cf41bc948d8f14",
+            "437b203a64f48d1a239b980facd193f052ed660d56d6975670f79b77fa6b91b0",
         "standard/C/run.json":
-            "f99fd5f0ca460c39d95c35da268f0b1feb1fa9065c6b75367fabea173c7e718f",
+            "6eecc96aeaf075f1c6bfa3789a979934a1ae055c7049c4007216447d7459389f",
         "text_only/A/run.json":
-            "35880b4ba6610d7643d2a7ef67613414c32fb6f684e18fd07db9da5d6c1acf9b",
+            "46c9ea18bf0e414baadda9122698c08918776f67e46c41ca280b5f63279447f8",
         "text_only/B/run.json":
-            "3bee4a21ca0fb69c67bc492647306ac935f1c5a44a35136f9eca703107e5f2a3",
+            "c57f5da7505a01d0f7dbd83b8ef44911993dc59670934ff2ae0792052641c3b6",
         "text_only/C/run.json":
-            "ea5ece351e58c69227c367592a3c6f3dd4468520e4cb37df016b748385911d2b",
+            "411df605ca544c41e03355c9003a94728df581cb122d6219d1af4752f331072c",
     }}
 
     def test_models_bit_identical_to_recorded_digests(self, done):
@@ -703,12 +722,21 @@ class TestPipeline:
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[:len(text) // 2], "(JSONDecodeError)"),
         (run_doc_damage(lambda doc: doc.pop("primary")), "(KeyError)"),
-        (run_doc_damage(lambda doc: doc["primary"]["dims"].update(extra=1)), "(TypeError)"),
         (lambda text: '{"config": %s}' % ("[" * 100_000 + "]" * 100_000), "(RecursionError)"),
-        (run_doc_damage(lambda doc: doc["primary"]["w1"].pop()), "theta: expected shape"),
-    ], ids=["truncated", "no-primary", "extra-dims-key", "nested-too-deep", "short-w1"])
+        (run_doc_damage(lambda doc: doc["primary"]["w1"].pop()), "(ValueError)"),
+        (run_doc_damage(lambda doc: doc["primary"].update(w1=[], b1=[], w2=[])),
+         "(ValueError)"),
+        # as many parameters in all, w1 short and b1 long by hidden entries
+        (run_doc_damage(lambda doc: doc["primary"].update(
+            w1=doc["primary"]["w1"][HIDDEN:],
+            b1=doc["primary"]["w1"][:HIDDEN] + doc["primary"]["b1"])),
+         "(ValueError)"),
+        (run_doc_damage(lambda doc: doc["config"].update(hidden=0)), "(ConfigError)"),
+    ], ids=["truncated", "no-primary", "nested-too-deep", "short-w1", "empty-blocks",
+            "shifted-blocks", "config-hidden-0"])
     def test_malformed_run_json_exits_2_without_traceback(self, lab_copy, damage, message):
-        # a run.json whose recorded sha256 matches is loaded, not retrained
+        # a run.json whose recorded sha256 matches is loaded, not retrained,
+        # and every net in it must fit the dims its config gives
         config, out = lab_copy
         path = out / "models" / "standard" / "A" / "run.json"
         path.write_text(damage(path.read_text()))
@@ -718,8 +746,26 @@ class TestPipeline:
         proc = run_cli("matrix", config, out)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "models/standard/A/run.json" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.encode()) < 1024, proc.stderr[:2000]
+
+    def test_run_json_with_old_identity_keys_loads_the_same_run(self, lab_copy):
+        # run.json files written before dims and seed came from the config
+        # also carry dataset_fingerprint and each net's dims and seed; they
+        # are ignored, and the nets load to the same thetas
+        config, out = lab_copy
+        run_dir = out / "models" / "shortcut_aware" / "A"
+        want = training.TrainRun.load(run_dir)
+        doc = json.loads((run_dir / "run.json").read_text())
+        doc["dataset_fingerprint"] = "c2" * 32
+        for net in ("primary", "aux"):
+            doc[net].update(dims={"d_v": 16, "d_q": 8, "d_a": 16, "hidden": HIDDEN}, seed=7)
+        (run_dir / "run.json").write_text(json.dumps(doc))
+        got = training.TrainRun.load(run_dir)
+        assert got.config == want.config and got.loss_trace == want.loss_trace
+        for net in ("primary", "aux"):
+            assert getattr(got, net).theta.tobytes() == getattr(want, net).theta.tobytes()
 
     def test_every_file_is_a_hashed_manifest_entry(self, done):
         config, out = done
@@ -784,9 +830,14 @@ class TestPipeline:
         for verb in ("gen", "train"):
             assert run(verb, config, out) == 0
         timings = json.loads((out / "manifest.json").read_text())["timings"]
+        # each trained job's wall seconds, under its model key
+        jobs = {k: v for k, v in timings.items() if k.startswith("model:")}
+        assert sorted(jobs) == sorted(key for key, _, _ in cli._nets(ExperimentConfig(**TINY)))
+        assert all(type(v) is float and v >= 0.0 for v in jobs.values())
         assert run("bon", config, out) == 0  # every net is already trained
         after = json.loads((out / "manifest.json").read_text())["timings"]
         assert after["train"] == timings["train"]
+        assert {k: after[k] for k in jobs} == jobs
         assert "evaluate" in after
 
     def test_first_model_verb_trains_all_15_nets(self, tmp_path, capsys):
@@ -1008,10 +1059,11 @@ class TestReuse:
         config, out = lab_copy
         stacked, stack_pairs = [], cli.evaluation._stack_pairs
         monkeypatch.setattr(cli.evaluation, "_stack_pairs", lambda dataset, text_rows: (
-            stacked.append(dataset.env_id) or stack_pairs(dataset, text_rows)))
+            stacked.append(dataset.v.tobytes()) or stack_pairs(dataset, text_rows)))
         (out / "reports" / "matrix_standard.csv").unlink()
         assert main(["matrix", "--config", config, "--out", str(out), "--jobs", "1"]) == 0
-        assert sorted(stacked) == ["A", "B", "C"]
+        assert sorted(stacked) == sorted(cli.envs.read_dataset(out / "datasets" / f"{e}_test.npz")
+                                         .v.tobytes() for e in ("A", "B", "C"))
         stacked.clear()
         assert run("sfd", config, out) == 0
         assert stacked == []

@@ -5,9 +5,8 @@ import pytest
 
 from oracles import net_accuracy
 from rmlab import envs
-from rmlab.envs import (EnvironmentFamily, EnvironmentSpec, LENGTH_COORD,
-                        dataset_fingerprint, default_family, read_dataset, sample_env,
-                        write_dataset)
+from rmlab.envs import (EnvironmentFamily, EnvironmentSpec, LENGTH_COORD, default_family,
+                        read_dataset, sample_env, write_dataset)
 from rmlab.errors import GenerationError
 from rmlab.training import TrainConfig, train
 
@@ -132,10 +131,9 @@ def loop_sample_env(family: EnvironmentFamily, env_id: str, split: str) -> envs.
     u_dir = family.directions[env_id]
     own_coords = np.flatnonzero(u_dir)
 
-    cols = envs.Dataset(env_id, split, v=np.empty((n, envs.D_V)), q=np.empty((n, envs.D_Q)),
+    cols = envs.Dataset(v=np.empty((n, envs.D_V)), q=np.empty((n, envs.D_Q)),
                         a1=np.empty((n, envs.D_A)), a2=np.empty((n, envs.D_A)),
-                        y=np.empty(n, dtype=np.int8), planted=np.empty(n, dtype=bool),
-                        fingerprint=dataset_fingerprint(family, spec, split))
+                        y=np.empty(n, dtype=np.int8), planted=np.empty(n, dtype=bool))
     for i in range(n):
         rng = np.random.default_rng([spec.seed, code, i])
         v = rng.standard_normal(envs.D_V)
@@ -179,8 +177,6 @@ class TestSampleEnvMatchesLoop:
 
     @staticmethod
     def assert_same(got, want):
-        assert (got.env_id, got.split, got.fingerprint) == (want.env_id, want.split,
-                                                            want.fingerprint)
         for c in envs.COLUMNS:
             a, b = getattr(got, c), getattr(want, c)
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), c
@@ -266,8 +262,7 @@ class TestDatasetIO:
         ds = small_sets[("P", "test")]
         path = tmp_path / "p_test.npz"
         write_dataset(ds, path)
-        back = read_dataset(path, ds.fingerprint)
-        assert back.env_id == ds.env_id and back.split == ds.split
+        back = read_dataset(path)
         for a, b in zip(ds.samples, back.samples):
             assert np.array_equal(a.v, b.v) and np.array_equal(a.q, b.q)
             assert np.array_equal(a.a1, b.a1) and np.array_equal(a.a2, b.a2)
@@ -278,10 +273,21 @@ class TestDatasetIO:
         path = tmp_path / "rec.npz"
         write_dataset(ds, path)
         with np.load(path, allow_pickle=False) as npz:
-            assert set(npz.files) == {"env_id", "split", "v", "q", "a1", "a2", "y",
-                                      "planted"}
+            assert npz.files == list(envs.COLUMNS) == ["v", "q", "a1", "a2", "y", "planted"]
             assert npz["v"].shape == (len(ds), envs.D_V) and npz["y"].dtype == np.int8
-            assert str(npz["env_id"]) == "P" and str(npz["split"]) == "test"
+
+    def test_archive_with_old_identity_members_reads_the_same_columns(self, small_sets,
+                                                                      tmp_path):
+        # files written before the archive held only the columns also carry
+        # the 0-d strings env_id and split; they are ignored
+        ds = small_sets[("P", "test")]
+        path = tmp_path / "old.npz"
+        np.savez(path, env_id=np.array("P"), split=np.array("test"),
+                 **{c: getattr(ds, c) for c in envs.COLUMNS})
+        back = read_dataset(path)
+        for c in envs.COLUMNS:
+            got, want = getattr(back, c), getattr(ds, c)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), c
 
     def test_write_is_byte_deterministic(self, small_sets, tmp_path):
         ds = small_sets[("P", "test")]
@@ -317,17 +323,3 @@ class TestDatasetIO:
         np.savez(path, v=ds.v, q=ds.q)  # a valid archive without the other columns
         with pytest.raises(GenerationError):
             read_dataset(path)
-
-    # recorded while a spec still carried marker_follows and an explicit
-    # direction vector; spec_to_dict writes their old values, so a lab's
-    # family.json and dataset fingerprints keep their bytes
-    DEFAULT_TRAIN_FINGERPRINTS = {
-        "A": "c2d89be9854cd636981ac8e940b32c7e163fc20e4cd02723af4b6cb95424cb0c",
-        "B": "c6ff44e15402d203b8f481b4f99191d914ca6524343c5345fdf913100aa5d638",
-        "C": "8340964f3f403a0beedeccbaa5244447906b34ee7e439d2a8422957a352c25d1",
-    }
-
-    def test_default_fingerprints_unchanged(self):
-        family = default_family(20247, 8000, 1000)
-        assert {s.env_id: dataset_fingerprint(family, s, "train")
-                for s in family.specs.values()} == self.DEFAULT_TRAIN_FINGERPRINTS

@@ -64,7 +64,7 @@ class TestScoringPath:
         dims = NetDims(16, 8, 16, hidden)
         theta = np.random.default_rng(hidden).uniform(-0.5, 0.5, dims.n_params)
         zero = zero_net(dims)  # every pair ties, and a tie is not correct
-        for net in (RewardNet(dims, 0, theta), zero):
+        for net in (RewardNet(dims, theta), zero):
             for ds in small_sets.values():
                 x = _stack_pairs(ds, (mask_vision,))
                 chosen, rejected = _pair_scores(net, ds, mask_vision)

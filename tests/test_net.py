@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,13 +36,12 @@ def pair_grad(net, sample, mask_vision, label):
     return float(netmod.bt_loss(margins)[0, 0]), grad[0]
 
 
-def loop_forward(doc, v, q, a):
+def loop_forward(doc, hidden, v, q, a):
     """Independent plain-Python forward pass over the serialized net."""
-    dims = doc["dims"]
-    d = dims["d_v"] + dims["d_q"] + dims["d_a"]
     x = list(v) + list(q) + list(a)
+    d = len(x)
     score = 0.0
-    for j in range(dims["hidden"]):
+    for j in range(hidden):
         z = doc["b1"][j]
         for k in range(d):
             z += doc["w1"][j * d + k] * x[k]
@@ -67,7 +67,7 @@ class TestForward:
             default_dims.hidden)
         rng = np.random.default_rng(2)
         v, q, a = rng.standard_normal(16), rng.standard_normal(8), rng.standard_normal(16)
-        expected = loop_forward(net.to_dict(), v, q, a)
+        expected = loop_forward(net.to_dict(), default_dims.hidden, v, q, a)
         assert abs(score(net, v, q, a) - expected) < 1e-12
 
 
@@ -78,7 +78,7 @@ def masked_score(net, v, q, a):
     from rmlab.envs import Dataset
     from rmlab.training import _stack_pairs
 
-    one = Dataset("x", "test", v=v[None, :], q=q[None, :], a1=a[None, :], a2=a[None, :],
+    one = Dataset(v=v[None, :], q=q[None, :], a1=a[None, :], a2=a[None, :],
                   y=np.ones(1, dtype=np.int8), planted=np.zeros(1, dtype=bool))
     h = branch_forward(net.dims, net.theta[None], _stack_pairs(one, (True,)))
     return float((h[0, 0] @ net.dims.views(net.theta)["w2"])[0])
@@ -249,7 +249,7 @@ class TestAdamW:
         # constant gradient the bias-corrected update direction is exactly
         # 1 / (1 + eps) every step, so theta_2 = theta_0 - (lr_1 + lr_2)/(1+eps).
         dims = NetDims(d_v=0, d_q=0, d_a=0, hidden=1)
-        net = RewardNet(dims=dims, seed=0, theta=[1.0, 1.0])  # theta is [b1 | w2]
+        net = RewardNet(dims=dims, theta=[1.0, 1.0])  # theta is [b1 | w2]
         theta = net.theta[None]
         state = OptimizerState(theta, base_lr=(0.1,), warmup_ratio=0.0,
                                total_steps=4, weight_decay=0.0)
@@ -281,7 +281,7 @@ def dict_adamw_step(state, params, grads, lr_fn, wd):
     lr = lr_fn(step)
     bc1 = 1.0 - netmod.ADAM_BETA1 ** step
     bc2 = 1.0 - netmod.ADAM_BETA2 ** step
-    for name in netmod.PARAM_NAMES:
+    for name in params:
         g = np.atleast_1d(np.asarray(grads[name], dtype=np.float64))
         state["m"][name] = netmod.ADAM_BETA1 * state["m"][name] + (1.0 - netmod.ADAM_BETA1) * g
         state["v"][name] = (netmod.ADAM_BETA2 * state["v"][name]
@@ -327,7 +327,7 @@ class TestFlatAdamW:
         assert net.theta.shape == (default_dims.n_params,)
         assert np.all(named["w1"] == 1.0) and named["b1"][3] == 2.0
         assert np.all(named["w2"] == 4.0)
-        assert np.array_equal(RewardNet.from_dict(net.to_dict()).theta, net.theta)
+        assert np.array_equal(RewardNet.from_dict(net.to_dict(), default_dims).theta, net.theta)
 
 
 class TestDeterminismAndSerialization:
@@ -346,17 +346,33 @@ class TestDeterminismAndSerialization:
         default_dims.views(net.theta)["b1"][...] = np.random.default_rng(5).standard_normal(
             default_dims.hidden)
         blob = json.dumps(net.to_dict())
-        back = RewardNet.from_dict(json.loads(blob))
+        back = RewardNet.from_dict(json.loads(blob), default_dims)
         assert np.array_equal(back.theta, net.theta)
 
     def test_file_with_zero_output_offset_loads_to_same_theta(self, default_dims):
         # primary.json files written before the offset was dropped carry
-        # "b2": 0.0 (and n_params one larger); they load to the same theta.
+        # "b2": 0.0 (and n_params one larger), and run.json files written
+        # before dims came from the config carry "dims" and "seed"; both
+        # load to the same theta.
         net = RewardNet.init(default_dims, seed=102)
-        old = dict(net.to_dict(), b2=0.0)
-        back = RewardNet.from_dict(json.loads(json.dumps(old)))
+        old = dict(net.to_dict(), b2=0.0, seed=102, dims=asdict(default_dims))
+        back = RewardNet.from_dict(json.loads(json.dumps(old)), default_dims)
         assert np.array_equal(back.theta, net.theta)
         assert back.theta.shape == (default_dims.hidden * (default_dims.input_dim + 2),)
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc, h: doc["w1"].pop(),
+        lambda doc, h: doc.update(w1=[], b1=[], w2=[]),
+        # the same n_params in all, with w1 short and b1 long by hidden entries
+        lambda doc, h: doc.update(w1=doc["w1"][h:], b1=doc["w1"][:h] + doc["b1"]),
+        lambda doc, h: doc.update(w2=doc["w2"][:1]),  # would broadcast over hidden
+        lambda doc, h: doc.update(b1=0.0),
+    ], ids=["short-w1", "empty", "shifted", "length-one", "scalar"])
+    def test_block_of_the_wrong_length_raises_value_error(self, default_dims, damage):
+        doc = RewardNet.init(default_dims, seed=103).to_dict()
+        damage(doc, default_dims.hidden)
+        with pytest.raises(ValueError):
+            RewardNet.from_dict(doc, default_dims)
 
 
 def masked_sigmoid(x):
@@ -430,10 +446,10 @@ class TestStackedAdamW:
                    "v": {n: np.zeros(ref[n].shape) for n in ref}} for ref in refs]
 
         def flat(blocks):
-            return np.concatenate([blocks[n].ravel() for n in netmod.PARAM_NAMES])
+            return np.concatenate([block.ravel() for block in blocks.values()])
 
         theta = np.stack([net.theta for net in singles])
-        rows = [RewardNet(dims, 19, row) for row in theta]  # views onto theta
+        rows = [RewardNet(dims, row) for row in theta]  # views onto theta
         stacked = OptimizerState(theta, base_lrs, warmup, total, wd)
         rng = np.random.default_rng(3)
         for step in range(total):  # warmup ends after step 4
@@ -452,7 +468,7 @@ class TestStackedAdamW:
 
     def test_net_on_a_row_writes_through_and_copies_detach(self, default_dims):
         theta = np.zeros((2, default_dims.n_params))
-        net = RewardNet(default_dims, 0, theta[1])
+        net = RewardNet(default_dims, theta[1])
         default_dims.views(net.theta)["b1"][...] = 1.0
         assert theta[1].any() and not theta[0].any()
         twin = copy_net(net)

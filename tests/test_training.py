@@ -296,9 +296,14 @@ class TestTrain:
         path = run.save(tmp_path / "run")
         assert path == os.path.join(tmp_path / "run", "run.json")
         assert os.listdir(tmp_path / "run") == ["run.json"]  # one file per run
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        # dims and seed come from the config, so neither net records them
+        assert sorted(doc) == ["aux", "config", "epoch_sfc_stats", "loss_trace", "primary",
+                               "sfc_trace"]
+        assert sorted(doc["primary"]) == sorted(doc["aux"]) == ["b1", "w1", "w2"]
         back = TrainRun.load(tmp_path / "run")
         assert back.config == run.config
-        assert back.dataset_fingerprint == run.dataset_fingerprint
         assert np.array_equal(back.primary.theta, run.primary.theta)
         assert np.array_equal(back.aux.theta, run.aux.theta)
         assert back.loss_trace == run.loss_trace  # bit-exact through JSON repr
