@@ -7,6 +7,9 @@ command never perturbs existing streams and two runs from the same master
 seed produce byte-identical reports. Wall-clock timings live only in
 manifest.json, which is the one file allowed to differ between runs.
 
+An artifact's one name is its POSIX path in the output dir, such as
+``models/standard/A/run.json``; manifest.json maps each name to its sha256.
+
 matrix, sfd and bon share one build (``_evaluate``): whichever runs first on
 a stale lab writes the outputs of all three. That build and gen reuse their
 outputs when the inputs they were built from are unchanged (see
@@ -38,8 +41,7 @@ from .errors import ConfigError, LabError, MissingArtifactError
 DEFAULT_OUT = "labout"
 AUDIT_MODES = ("standard", "shortcut_aware")  # the modes sfd and bon compare
 DEFAULT_N_GRID = [1, 2, 4, 8, 16, 32, 64]
-PATH_REPR = reprlib.Repr()  # a recorded path in an error, whole up to 200 characters
-PATH_REPR.maxstring = 200
+NAME_MAX = 200  # the longest artifact name a manifest may hold
 
 
 def _lazy(name: str):
@@ -175,17 +177,19 @@ class Workspace:
     """Paths, manifest bookkeeping, and resume logic for one output dir;
     ``jobs`` is the number of training workers.
 
-    A workspace hashes each artifact at most once: ``artifact_path``
-    remembers the entries whose file it has checked, and ``record`` refreshes
-    the entry it rewrites."""
+    A manifest whose ``files`` holds a name that is absolute, not normal,
+    starts with ``..`` or is over ``NAME_MAX`` characters is corrupt, so the
+    lab reads only paths its own code builds; one without ``files`` (an older
+    format) is set aside like another config's, and the lab is rebuilt.
+    ``artifact_path`` hashes each file at most once, and ``record`` refreshes
+    the hash of the file it rewrites."""
 
     def __init__(self, config: ExperimentConfig, out: str, jobs: int = 1):
         self.config, self.out, self.jobs = config, out, jobs
-        self.verified = {}  # key -> (path, sha256) last checked against its file
+        self.verified = {}  # name -> sha256 last checked against its file
         self.rebuild = None  # {"build", "inputs", "outputs"} while a verb rebuilds
         self.manifest_path = os.path.join(self.out, "manifest.json")
-        self.manifest = {"config_hash": config.config_hash(), "artifacts": {},
-                         "timings": {}}
+        self.manifest = {"config_hash": config.config_hash(), "files": {}, "timings": {}}
         if os.path.exists(self.manifest_path):
             with open(self.manifest_path, encoding="utf-8") as fh:
                 try:
@@ -195,90 +199,78 @@ class Workspace:
             if not isinstance(old, dict):
                 raise LabError(f"corrupt manifest {self.manifest_path}: not a JSON "
                                "object; delete it to rebuild the output dir")
-            if old.get("config_hash") == self.manifest["config_hash"]:
-                arts = old.get("artifacts")
-                if not (isinstance(arts, dict) and isinstance(old.get("timings"), dict)
-                        and all(isinstance(e, dict) and isinstance(e.get("path"), str)
-                                and isinstance(e.get("sha256"), str)
-                                and len(key) <= PATH_REPR.maxstring for key, e in arts.items())):
-                    raise LabError(f"corrupt manifest {self.manifest_path}: artifacts "
+            if old.get("config_hash") == self.manifest["config_hash"] and "files" in old:
+                files = old["files"]
+                if not (isinstance(files, dict) and isinstance(old.get("timings"), dict)
+                        and all(isinstance(sha, str) and len(name) <= NAME_MAX
+                                and not os.path.isabs(name) and not name.startswith("..")
+                                and os.path.normpath(name) == name
+                                for name, sha in files.items())):
+                    raise LabError(f"corrupt manifest {self.manifest_path}: files "
                                    "or timings malformed; delete it to rebuild the output dir")
                 self.manifest = old
 
-    def path(self, *parts) -> str:
-        full = os.path.join(self.out, *parts)
+    def path(self, name) -> str:
+        full = os.path.join(self.out, name)
         os.makedirs(os.path.dirname(full), exist_ok=True)
         return full
 
-    def rel(self, path) -> str:
-        return os.path.relpath(path, self.out)
-
-    def is_current(self, key: str, path) -> bool:
-        """True when ``artifact_path`` accepts the artifact and it was
-        recorded at ``path``."""
+    def is_current(self, name) -> bool:
+        """True when ``artifact_path`` accepts the artifact."""
         try:
-            return self.rel(self.artifact_path(key)) == self.rel(path)
+            return bool(self.artifact_path(name))
         except MissingArtifactError:
             return False
 
-    def record(self, key: str, path) -> None:
-        """Record an artifact, deleting the file it supersedes inside the output dir."""
-        old = self.manifest["artifacts"].get(key, {}).get("path", self.rel(path))
-        if old != self.rel(path):
-            stale, root = os.path.realpath(os.path.join(self.out, old)), os.path.realpath(self.out)
-            if stale.startswith(root + os.sep) and os.path.isfile(stale):
-                os.remove(stale)
-        rel, sha = self.rel(path), _file_sha256(path)
-        self.manifest["artifacts"][key] = {"path": rel, "sha256": sha}
-        self.verified[key] = (rel, sha)
+    def record(self, name: str) -> None:
+        """Record the sha256 of the artifact at ``name``."""
+        sha = _file_sha256(os.path.join(self.out, name))
+        self.manifest["files"][name] = self.verified[name] = sha
         if self.rebuild is not None:
-            self.rebuild["outputs"][key] = rel
+            self.rebuild["outputs"].append(name)
 
-    def write(self, key: str, rel: str, doc) -> None:
-        """Write an artifact at ``rel`` through ``_replace_file`` and record it."""
-        path = self.path(rel)
-        _replace_file(path, doc)
-        self.record(key, path)
+    def write(self, name: str, doc) -> None:
+        """Write the artifact at ``name`` through ``_replace_file`` and record it."""
+        _replace_file(self.path(name), doc)
+        self.record(name)
 
-    def artifact_path(self, key: str) -> str:
-        entry = self.manifest["artifacts"].get(key)
-        if not entry:
-            raise MissingArtifactError(f"artifact {key!r} not in manifest")
-        path = os.path.join(self.out, entry["path"])
-        if self.verified.get(key) == (entry["path"], entry["sha256"]):
+    def artifact_path(self, name: str) -> str:
+        sha = self.manifest["files"].get(name)
+        if sha is None:
+            raise MissingArtifactError(f"artifact {name!r} not in manifest")
+        path = os.path.join(self.out, name)
+        if self.verified.get(name) == sha:
             return path
         if not os.path.exists(path):
-            raise MissingArtifactError(f"artifact {key!r} missing on disk: "
-                                       f"{PATH_REPR.repr(entry['path'])}")
-        if _file_sha256(path) != entry["sha256"]:
-            raise MissingArtifactError(f"artifact {key!r} failed its hash check")
-        self.verified[key] = (entry["path"], entry["sha256"])
+            raise MissingArtifactError(f"artifact {name!r} missing on disk")
+        if _file_sha256(path) != sha:
+            raise MissingArtifactError(f"artifact {name!r} failed its hash check")
+        self.verified[name] = sha
         return path
 
-    def reuse(self, verb: str, build: str, input_keys) -> bool:
+    def reuse(self, verb: str, build: str, input_names) -> bool:
         """True, after ``verb`` says so, when the record of ``build``'s last
-        run lists the verified sha256 of each of ``input_keys`` as it is now
+        run lists the verified sha256 of each of ``input_names`` as it is now
         and every output that run recorded is current.
 
         Otherwise the record is dropped and ``verb`` rebuilds; ``finish``
         writes the new record once every output is written. A missing or
         malformed record only means a rebuild."""
         inputs = {}
-        for key in input_keys:
-            self.artifact_path(key)
-            inputs[key] = self.manifest["artifacts"][key]["sha256"]
+        for name in input_names:
+            self.artifact_path(name)
+            inputs[name] = self.manifest["files"][name]
         builds = self.manifest.get("builds")
         if not isinstance(builds, dict):
             builds = self.manifest["builds"] = {}
         last = builds.pop(build, None)
         outputs = last.get("outputs") if isinstance(last, dict) else None
-        if (isinstance(outputs, dict) and outputs and last.get("inputs") == inputs
-                and all(isinstance(rel, str) and self.is_current(key, os.path.join(self.out, rel))
-                        for key, rel in outputs.items())):
+        if (isinstance(outputs, list) and outputs and last.get("inputs") == inputs
+                and all(isinstance(name, str) and self.is_current(name) for name in outputs)):
             builds[build] = last
             print(f"{verb}: skip (outputs up to date)")
             return True
-        self.rebuild = {"build": build, "inputs": inputs, "outputs": {}}
+        self.rebuild = {"build": build, "inputs": inputs, "outputs": []}
         return False
 
     def finish(self, t0: float) -> None:
@@ -322,8 +314,8 @@ class OutputLock:
         return False
 
 
-def _dataset_key(env_id: str, split: str) -> str:
-    return f"dataset:{env_id}:{split}"
+def _dataset_name(env_id: str, split: str) -> str:
+    return f"datasets/{env_id}_{split}.npz"
 
 
 def cmd_gen(ws: Workspace) -> None:
@@ -334,41 +326,40 @@ def cmd_gen(ws: Workspace) -> None:
         return
     family = ws.config.build_family()
     specs = family.specs.values()
-    ws.write("family", "family.json", {"family_seed": family.family_seed, "m_scale": envs.M_SCALE,
-                                       "envs": [envs.spec_to_dict(s) for s in specs]})
+    ws.write("family.json", {"family_seed": family.family_seed, "m_scale": envs.M_SCALE,
+                             "envs": [envs.spec_to_dict(s) for s in specs]})
 
     for spec in specs:
         for split in ("train", "test"):
-            key = _dataset_key(spec.env_id, split)
-            path = ws.path(os.path.join("datasets", f"{spec.env_id}_{split}.npz"))
+            name = _dataset_name(spec.env_id, split)
             dataset = envs.sample_env(family, spec.env_id, split)
-            envs.write_dataset(dataset, path)
-            ws.record(key, path)
-            print(f"gen: wrote {ws.rel(path)} ({len(dataset)} samples)")
+            envs.write_dataset(dataset, ws.path(name))
+            ws.record(name)
+            print(f"gen: wrote {name} ({len(dataset)} samples)")
     ws.finish(t0)
 
 
-def _train_one(job: tuple) -> tuple:
+def _train_one(job: tuple) -> float:
     """One training job, (TrainConfig, dataset path, run dir); worker-safe.
-    Returns the path of the saved ``run.json`` and the job's wall seconds."""
+    Returns the job's wall seconds."""
     t0 = time.monotonic()
     config, dataset_path, run_dir = job
-    path = training.train(config, envs.read_dataset(dataset_path)).save(run_dir)
-    return path, time.monotonic() - t0
+    training.train(config, envs.read_dataset(dataset_path)).save(run_dir)
+    return time.monotonic() - t0
 
 
 def _ensure_runs(ws: Workspace, wanted: list) -> int:
-    """Train whatever is stale in ``wanted``: (key, TrainConfig, env_id) triples.
-    Each trained job's wall seconds go to ``timings[key]``.
+    """Train whatever is stale in ``wanted``: (run.json name, TrainConfig,
+    env_id) triples. Each trained job's wall seconds go to ``timings[name]``.
 
     Returns the number of jobs trained."""
-    keys, jobs = [], []
-    for key, config, env_id in wanted:
-        run_dir = os.path.join(ws.out, "models", *key.split(":")[1:])
-        if ws.is_current(key, os.path.join(run_dir, "run.json")):
+    names, jobs = [], []
+    for name, config, env_id in wanted:
+        if ws.is_current(name):
             continue
-        keys.append(key)
-        jobs.append((config, ws.artifact_path(_dataset_key(env_id, "train")), run_dir))
+        names.append(name)
+        jobs.append((config, ws.artifact_path(_dataset_name(env_id, "train")),
+                     os.path.join(ws.out, os.path.dirname(name))))
     pool, run, broken = nullcontext(), map, ()  # serial: no pool error to catch
     if ws.jobs > 1 and jobs:  # the pool modules load only when a pool is made
         # executed before the fork (any attribute access runs a lazy module),
@@ -380,30 +371,27 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
         run, broken = pool.map, BrokenProcessPool
     with pool:
         try:
-            for key, (path, seconds) in zip(keys, run(_train_one, jobs)):
-                ws.record(key, path)
-                ws.save_manifest(key, seconds)  # a run that dies later keeps this one
-                print(f"train: finished {key}")
+            for name, seconds in zip(names, run(_train_one, jobs)):
+                ws.record(name)
+                ws.save_manifest(name, seconds)  # a run that dies later keeps this one
+                print(f"train: finished {name}")
         except broken:
             raise LabError("a training worker died; the finished runs are recorded, "
                            "rerun to train the rest") from None
     return len(jobs)
 
 
-def _run_key(mode: str, env_id: str) -> str:
-    return f"model:{mode}:{env_id}"
-
-
-def _proxy_key(mode: str, env_id: str) -> str:
-    return f"model:proxy-{mode}:{env_id}"
+def _run_name(mode: str, env_id: str) -> str:
+    """The ``run.json`` of a net; a proxy's ``mode`` is ``proxy-<audited mode>``."""
+    return f"models/{mode}/{env_id}/run.json"
 
 
 def _nets(config: ExperimentConfig) -> list:
-    """(key, TrainConfig, env_id) of the lab's 15 nets: one per (mode,
-    environment), then the paired text-only proxy of each audited net."""
-    return ([(_run_key(mode, e), config.train_config(mode, e), e)
+    """(run.json name, TrainConfig, env_id) of the lab's 15 nets: one per
+    (mode, environment), then the paired text-only proxy of each audited net."""
+    return ([(_run_name(mode, e), config.train_config(mode, e), e)
              for mode in MODES for e in ENVS]
-            + [(_proxy_key(mode, e), config.proxy_config(mode, e), e)
+            + [(_run_name(f"proxy-{mode}", e), config.proxy_config(mode, e), e)
                for mode in AUDIT_MODES for e in ENVS])
 
 
@@ -420,47 +408,44 @@ def _evaluate(ws: Workspace, verb: str) -> None:
     test split, and write all three outputs; matrix and sfd cells count those."""
     t0 = time.monotonic()
     cmd_train(ws)
-    keys = [key for key, _, _ in _nets(ws.config)]
+    names = [name for name, _, _ in _nets(ws.config)]
     # the best-of-N pools come from the config, which the manifest is keyed on
-    if ws.reuse(verb, "evaluate", keys + [_dataset_key(e, "test") for e in ENVS]):
+    if ws.reuse(verb, "evaluate", names + [_dataset_name(e, "test") for e in ENVS]):
         return
-    for old in ("matrix", "sfd", "bon"):  # the per-verb records of older labs
-        ws.manifest["builds"].pop(old, None)
-    nets = {key: training.TrainRun.load(os.path.dirname(ws.artifact_path(key))).primary
-            for key in keys}
+    nets = {name: training.TrainRun.load(os.path.dirname(ws.artifact_path(name))).primary
+            for name in names}
     text_rows = [training.TEXT_ROWS[config.mode][0] for _, config, _ in _nets(ws.config)]
-    test_sets = (envs.read_dataset(ws.artifact_path(_dataset_key(e, "test"))) for e in ENVS)
-    correct = {(key, e): row for e, test_set in zip(ENVS, test_sets)
-               for key, row in zip(keys, evaluation.outcomes(nets.values(), text_rows, test_set))}
+    test_sets = (envs.read_dataset(ws.artifact_path(_dataset_name(e, "test"))) for e in ENVS)
+    correct = {(name, e): row for e, test_set in zip(ENVS, test_sets) for name, row
+               in zip(names, evaluation.outcomes(nets.values(), text_rows, test_set))}
 
     summary = {}
     for mode in MODES:
-        cells = {(tr, te): correct[_run_key(mode, tr), te] for tr in ENVS for te in ENVS}
+        cells = {(tr, te): correct[_run_name(mode, tr), te] for tr in ENVS for te in ENVS}
         matrix = evaluation.gen_matrix(mode, cells, ENVS)
         iid, ood = matrix["mean_diagonal"], matrix["mean_off_diagonal"]
         rows = [["train_env", *ENVS]] + [[e, *map(repr, row)]
                                          for e, row in zip(ENVS, matrix["acc"])]
-        ws.write(f"report:matrix:{mode}", f"reports/matrix_{mode}.csv",
-                 "".join(",".join(row) + "\r\n" for row in rows))
-        ws.write(f"report:matrix-svg:{mode}", f"reports/matrix_{mode}.svg",
+        ws.write(f"reports/matrix_{mode}.csv", "".join(",".join(row) + "\r\n" for row in rows))
+        ws.write(f"reports/matrix_{mode}.svg",
                  svg.heatmap_svg(ENVS, ENVS, matrix["acc"], f"accuracy matrix ({mode})"))
         summary[mode] = {"matrix": matrix, "mean_iid": iid, "mean_ood": ood, "gap": iid - ood}
         print(f"matrix[{mode}]: iid={iid:.4f} ood={ood:.4f}")
-    ws.write("report:matrix-summary", "reports/matrix_summary.json", summary)
+    ws.write("reports/matrix_summary.json", summary)
 
     for mode in AUDIT_MODES:  # shortcut-failure degradation of every o.o.d. cell
-        reports = [evaluation.sfd_report(correct[_run_key(mode, train_env), test_env],
-                                         correct[_proxy_key(mode, train_env), test_env],
+        reports = [evaluation.sfd_report(correct[_run_name(mode, train_env), test_env],
+                                         correct[_run_name(f"proxy-{mode}", train_env), test_env],
                                          train_env=train_env, test_env=test_env, mode=mode)
                    for train_env in ENVS for test_env in ENVS if test_env != train_env]
-        ws.write(f"report:sfd:{mode}", f"reports/sfd_{mode}.json", reports)
+        ws.write(f"reports/sfd_{mode}.json", reports)
         vals = [r["sfd"] for r in reports if r["sfd"] is not None]
         print(f"sfd[{mode}]: {len(reports)} cells, "
               f"range [{min(vals):.3f}, {max(vals):.3f}]" if vals else
               f"sfd[{mode}]: all splits degenerate")
 
     family = ws.config.build_family()
-    audited = {f"{mode}/{e}": nets[_run_key(mode, e)]
+    audited = {f"{mode}/{e}": nets[_run_name(mode, e)]
                for mode, e in sorted((m, e) for m in AUDIT_MODES for e in ENVS)}
     n_max = max(ws.config.n_grid)
     # LF line ends, where the matrix CSVs end theirs in CRLF: each keeps the
@@ -478,15 +463,14 @@ def _evaluate(ws: Workspace, verb: str) -> None:
                 lines.append(f"{mode},{train_env},{pool_env},{n},{score!r}\n")
                 if n == n_max and train_env != pool_env:
                     ood[mode].append(score)
-        ws.write(f"report:bon-svg:{pool_env}", f"reports/bon_{pool_env}.svg",
+        ws.write(f"reports/bon_{pool_env}.svg",
                  svg.line_chart_svg(curves, f"best-of-N on env {pool_env} pools",
                                     "N", "judge score"))
-    ws.write("report:bon-curves", "reports/bon_curves.csv", "".join(lines))
+    ws.write("reports/bon_curves.csv", "".join(lines))
 
     best = {mode: sum(vals) / len(vals)  # every family has an o.o.d. pool for each net
             for mode, vals in ood.items()}
-    ws.write("report:bon-summary", "reports/bon_summary.json",
-             {"n_max": n_max, "ood_best_at_n_max": best})
+    ws.write("reports/bon_summary.json", {"n_max": n_max, "ood_best_at_n_max": best})
     print(f"bon: ood best-of-{n_max} " + " ".join(f"{m}={v:.3f}" for m, v in best.items()))
     ws.finish(t0)
 
@@ -549,23 +533,23 @@ def cmd_report(ws: Workspace) -> int:
     The checks read the outputs of matrix, sfd and bon; while one is missing,
     it is listed in ``missing_artifacts``, no check runs and the report fails."""
     t0 = time.monotonic()
-    inputs = ["report:matrix-summary", *(f"report:sfd:{m}" for m in AUDIT_MODES),
-              "report:bon-summary"]
-    verified, missing = {}, []  # each recorded key, plus the required inputs
-    for key in sorted(set(ws.manifest["artifacts"]) | set(inputs)):
+    inputs = ["reports/matrix_summary.json", *(f"reports/sfd_{m}.json" for m in AUDIT_MODES),
+              "reports/bon_summary.json"]
+    verified, missing = {}, []  # each recorded name, plus the required inputs
+    for name in sorted(set(ws.manifest["files"]) | set(inputs)):
         try:
-            verified[key] = ws.artifact_path(key)
+            verified[name] = ws.artifact_path(name)
         except MissingArtifactError as exc:
-            missing.append(f"{key}: {exc}")
+            missing.append(f"{name}: {exc}")
 
-    def load(key):
-        with open(verified[key], encoding="utf-8") as fh:
+    def load(name):
+        with open(verified[name], encoding="utf-8") as fh:
             return json.load(fh)
 
     summary, sfd_docs, bon_summary, checks, lines = {}, {}, None, [], []
-    if all(key in verified for key in inputs):
-        summary, bon_summary = load("report:matrix-summary"), load("report:bon-summary")
-        sfd_docs = {m: load(f"report:sfd:{m}") for m in AUDIT_MODES}
+    if all(name in verified for name in inputs):
+        summary, *sfd, bon_summary = map(load, inputs)
+        sfd_docs = dict(zip(AUDIT_MODES, sfd))
         checks = _default_family_checks(summary, sfd_docs, bon_summary)
         for mode in sorted(summary):
             s = summary[mode]
@@ -590,7 +574,7 @@ def cmd_report(ws: Workspace) -> int:
         "missing_artifacts": missing,
         "passed": ok,
     }
-    ws.write("report:final", "reports/report.json", report)
+    ws.write("reports/report.json", report)
 
     lines = [f"lab report (config {report['config_hash'][:12]})", "", *lines, ""]
     for c in checks:
@@ -600,7 +584,7 @@ def cmd_report(ws: Workspace) -> int:
     lines.append("")
     lines.append("RESULT: " + ("PASS" if ok else "FAIL"))
     text = "\n".join(lines) + "\n"
-    ws.write("report:summary", "reports/summary.txt", text)
+    ws.write("reports/summary.txt", text)
     ws.save_manifest("report", time.monotonic() - t0)
     print(text, end="")
     return 0 if ok else 1

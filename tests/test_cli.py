@@ -194,51 +194,18 @@ class TestGen:
         assert files == ["A_test.npz", "A_train.npz", "B_test.npz",
                          "B_train.npz", "C_test.npz", "C_train.npz"]
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "dataset:A:train" in manifest["artifacts"]
+        assert "datasets/A_train.npz" in manifest["files"]
 
     def test_rerun_is_skipped_and_fingerprint_stable(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "out"
         run("gen", config, out)
-        m1 = json.loads((out / "manifest.json").read_text())["artifacts"]
+        m1 = json.loads((out / "manifest.json").read_text())["files"]
         run("gen", config, out)
         captured = capsys.readouterr().out
         assert "skip" in captured
-        m2 = json.loads((out / "manifest.json").read_text())["artifacts"]
-        assert {k: v["sha256"] for k, v in m1.items()} == \
-               {k: v["sha256"] for k, v in m2.items()}
-
-    def test_entry_at_an_old_path_is_regenerated(self, tmp_path, capsys):
-        # An output dir from before the .npz format records its datasets as
-        # .jsonl files with valid hashes; gen must not skip them.
-        config = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert run("gen", config, out) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        entry = manifest["artifacts"]["dataset:A:train"]
-        old = out / "datasets" / "A_train.jsonl"
-        old.write_text('{"env_id": "A"}\n')
-        entry["path"] = "datasets/A_train.jsonl"
-        entry["sha256"] = hashlib.sha256(old.read_bytes()).hexdigest()
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert run("gen", config, out) == 0
-        assert "wrote datasets/A_train.npz" in capsys.readouterr().out
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["artifacts"]["dataset:A:train"]["path"] == "datasets/A_train.npz"
-        assert not old.exists()  # the superseded file is deleted
-
-    def test_superseded_path_outside_the_output_dir_is_kept(self, tmp_path):
-        config = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert run("gen", config, out) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        outside = tmp_path / "A_train.jsonl"
-        outside.write_text('{"env_id": "A"}\n')
-        manifest["artifacts"]["dataset:A:train"]["path"] = "../A_train.jsonl"
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        assert run("gen", config, out) == 0
-        assert outside.exists()
+        m2 = json.loads((out / "manifest.json").read_text())["files"]
+        assert m1 == m2
 
     def test_unreadable_dataset_exits_2_without_traceback(self, tmp_path):
         config = write_config(tmp_path)
@@ -247,8 +214,7 @@ class TestGen:
         manifest = json.loads((out / "manifest.json").read_text())
         bad = out / "datasets" / "A_train.npz"
         bad.write_bytes(b"not an archive")
-        manifest["artifacts"]["dataset:A:train"]["sha256"] = \
-            hashlib.sha256(bad.read_bytes()).hexdigest()
+        manifest["files"]["datasets/A_train.npz"] = hashlib.sha256(bad.read_bytes()).hexdigest()
         (out / "manifest.json").write_text(json.dumps(manifest))
         proc = run_cli("train", config, out)
         assert proc.returncode == 2
@@ -267,14 +233,18 @@ class TestGen:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("damage", [
-        lambda m: m.pop("artifacts"),
-        lambda m: m.update(artifacts={"family": "x"}),
-        lambda m: m["artifacts"]["family"].update(path=None),
+        lambda m: m.update(files=list(m["files"])),  # the files entry is not an object
+        lambda m: m["files"].update({"family.json": None}),  # a path without a sha256 string
         lambda m: m.pop("timings"),
-        # a key the lab never writes, whole in every later error if accepted
-        lambda m: m["artifacts"].update({"k" * 1_000_000: m["artifacts"]["family"]}),
-    ], ids=["no-artifacts", "entry-not-object", "path-not-string", "no-timings",
-            "oversized-key"])
+        # a name the lab never writes, whole in every later error if accepted
+        lambda m: m["files"].update({"k" * 1_000_000: m["files"]["family.json"]}),
+        # names of files outside the lab: each verb would hash the file, and
+        # on /dev/zero never finish
+        lambda m: m["files"].update({"/dev/zero": m["files"]["family.json"]}),
+        lambda m: m["files"].update({"../x": m["files"]["family.json"]}),
+        lambda m: m["files"].update({"datasets/../family.json": m["files"]["family.json"]}),
+    ], ids=["entry-not-object", "path-not-string", "no-timings", "oversized-key",
+            "absolute-name", "parent-name", "unnormal-name"])
     def test_malformed_manifest_exits_2_without_traceback(self, tmp_path, damage):
         config = write_config(tmp_path)
         out = tmp_path / "out"
@@ -282,11 +252,12 @@ class TestGen:
         manifest = json.loads((out / "manifest.json").read_text())
         damage(manifest)
         (out / "manifest.json").write_text(json.dumps(manifest))
-        proc = run_cli("gen", config, out)
-        assert proc.returncode == 2
-        assert "corrupt manifest" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert len(proc.stderr) < 1024
+        for verb in ("gen", "report"):
+            proc = run_cli(verb, config, out)
+            assert proc.returncode == 2, verb
+            assert "corrupt manifest" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert len(proc.stderr) < 1024
 
     @pytest.mark.parametrize("verb, overrides, flags", [
         ("gen", {"n_train": 10**12}, ()),
@@ -533,8 +504,8 @@ class TestPipeline:
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in (out / "datasets").glob("*.npz")} == self.DATASET_DIGESTS
         manifest = json.loads((out / "manifest.json").read_text())
-        assert [sorted(e) for k, e in manifest["artifacts"].items()
-                if k.startswith("dataset:")] == [["path", "sha256"]] * 6
+        assert {k: sha for k, sha in manifest["files"].items() if k.startswith("datasets/")} \
+            == {f"datasets/{name}": sha for name, sha in self.DATASET_DIGESTS.items()}
 
     def test_family_json_keeps_its_recorded_sha256(self, done):
         # family.json is the one record of every spec: spec_to_dict keeps the
@@ -685,11 +656,10 @@ class TestPipeline:
         assert code == (0 if report["passed"] else 1)
         assert len(report["checks"]) == 12
 
-    @pytest.mark.parametrize("victim, key", [
-        ("models/standard/A/run.json", "model:standard:A"),
-        ("reports/matrix_summary.json", "report:matrix-summary"),
+    @pytest.mark.parametrize("victim", [
+        "models/standard/A/run.json", "reports/matrix_summary.json",
     ], ids=["run", "matrix-summary"])
-    def test_report_flags_deleted_artifact(self, done, victim, key):
+    def test_report_flags_deleted_artifact(self, done, victim):
         config, out = done
         rel, victim = victim, out / victim
         backup = victim.read_bytes()
@@ -698,25 +668,28 @@ class TestPipeline:
             code = main(["report", "--config", config, "--out", str(out)])
             assert code == 1
             report = json.loads((out / "reports" / "report.json").read_text())
-            [message] = [m for m in report["missing_artifacts"] if key in m]
-            assert message.endswith(f"missing on disk: {rel!r}")  # the path kept whole
+            [message] = [m for m in report["missing_artifacts"] if m.startswith(f"{rel}: ")]
+            assert message == f"{rel}: artifact {rel!r} missing on disk"  # the path kept whole
         finally:
             victim.write_bytes(backup)
 
     def test_long_recorded_path_gives_a_short_error(self, lab_copy):
-        # the error names a short repr of the recorded path, not the whole input
+        # a recorded name is at most 200 characters (a longer one makes the
+        # manifest corrupt), so every error that names one stays short
         config, out = lab_copy
         manifest = json.loads((out / "manifest.json").read_text())
-        manifest["artifacts"]["dataset:A:test"]["path"] = "x" * 1_000_000
+        longest = "datasets/" + "x" * 191
+        manifest["files"][longest] = manifest["files"]["datasets/A_test.npz"]
         (out / "manifest.json").write_text(json.dumps(manifest))
+        (out / "datasets" / "A_test.npz").unlink()
         proc = run_cli("matrix", config, out)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: artifact 'dataset:A:test' missing on disk: 'xxx")
+        assert proc.stderr.startswith("error: artifact 'datasets/A_test.npz' missing on disk")
         assert len(proc.stderr.encode()) < 1024, proc.stderr[:2000]
         assert "Traceback" not in proc.stderr
         assert run_cli("report", config, out).returncode == 1
         report = json.loads((out / "reports" / "report.json").read_text())
-        [message] = [m for m in report["missing_artifacts"] if m.startswith("dataset:A:test: ")]
+        [message] = [m for m in report["missing_artifacts"] if m.startswith(f"{longest}: ")]
         assert len(message.encode()) < 1024
 
     @pytest.mark.parametrize("damage, message", [
@@ -741,7 +714,7 @@ class TestPipeline:
         path = out / "models" / "standard" / "A" / "run.json"
         path.write_text(damage(path.read_text()))
         manifest = json.loads((out / "manifest.json").read_text())
-        manifest["artifacts"]["model:standard:A"]["sha256"] = file_sha(path)
+        manifest["files"]["models/standard/A/run.json"] = file_sha(path)
         (out / "manifest.json").write_text(json.dumps(manifest))
         proc = run_cli("matrix", config, out)
         assert proc.returncode == 2
@@ -770,11 +743,11 @@ class TestPipeline:
     def test_every_file_is_a_hashed_manifest_entry(self, done):
         config, out = done
         main(["report", "--config", config, "--out", str(out)])
-        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
-        recorded = {e["path"]: e["sha256"] for e in artifacts.values()}
+        recorded = json.loads((out / "manifest.json").read_text())["files"]
         files = sorted(os.path.relpath(os.path.join(d, f), out)
                        for d, _, names in os.walk(out) for f in names)
         files.remove("manifest.json")
+        assert sorted(recorded) == files
         unhashed = [f for f in files if recorded.get(f) !=
                     hashlib.sha256((out / f).read_bytes()).hexdigest()]
         assert not unhashed
@@ -793,36 +766,12 @@ class TestPipeline:
         path.write_text(json.dumps(doc))
         assert run("report", config, out) == 1
         report = json.loads((out / "reports" / "report.json").read_text())
-        assert [m for m in report["missing_artifacts"] if "model:shortcut_aware:A" in m]
+        assert [m for m in report["missing_artifacts"]
+                if m.startswith("models/shortcut_aware/A/run.json: ")]
         capsys.readouterr()
         assert run("matrix", config, out) == 0
         assert capsys.readouterr().out.count("train: finished") == 1
         assert path.read_bytes() == good
-
-    def test_run_recorded_at_old_primary_path_is_retrained(self, tmp_path, capsys):
-        config = write_config(tmp_path)
-        out = tmp_path / "out"
-        for verb in ("gen", "matrix"):
-            assert run(verb, config, out) == 0
-        run_dir = out / "models" / "standard" / "A"
-        # An output dir from before run.json records the net alone, beside its
-        # side files, in primary.json.
-        old = run_dir / "primary.json"
-        old.write_text(json.dumps(json.loads((run_dir / "run.json").read_text())["primary"]))
-        (run_dir / "run.json").unlink()
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["artifacts"]["model:standard:A"] = {
-            "path": "models/standard/A/primary.json",
-            "sha256": hashlib.sha256(old.read_bytes()).hexdigest()}
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert run("matrix", config, out) == 0
-        assert "train: finished model:standard:A" in capsys.readouterr().out
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["artifacts"]["model:standard:A"]["path"] == \
-            "models/standard/A/run.json"
-        assert (run_dir / "run.json").exists()
-        assert not old.exists()
 
     def test_train_timing_left_to_calls_that_train(self, tmp_path):
         config = write_config(tmp_path)
@@ -830,8 +779,8 @@ class TestPipeline:
         for verb in ("gen", "train"):
             assert run(verb, config, out) == 0
         timings = json.loads((out / "manifest.json").read_text())["timings"]
-        # each trained job's wall seconds, under its model key
-        jobs = {k: v for k, v in timings.items() if k.startswith("model:")}
+        # each trained job's wall seconds, under the name of its run.json
+        jobs = {k: v for k, v in timings.items() if k.startswith("models/")}
         assert sorted(jobs) == sorted(key for key, _, _ in cli._nets(ExperimentConfig(**TINY)))
         assert all(type(v) is float and v >= 0.0 for v in jobs.values())
         assert run("bon", config, out) == 0  # every net is already trained
@@ -849,9 +798,9 @@ class TestPipeline:
         capsys.readouterr()
         assert run("bon", config, out) == 0
         assert capsys.readouterr().out.count("train: finished") == 15
-        keys = json.loads((out / "manifest.json").read_text())["artifacts"]
-        assert sorted(k for k in keys if k.startswith("model:")) == sorted(
-            f"model:{m}:{e}" for m in ("standard", "text_only", "shortcut_aware",
+        names = json.loads((out / "manifest.json").read_text())["files"]
+        assert sorted(k for k in names if k.startswith("models/")) == sorted(
+            f"models/{m}/{e}/run.json" for m in ("standard", "text_only", "shortcut_aware",
                                        "proxy-standard", "proxy-shortcut_aware")
             for e in ("A", "B", "C"))
         for verb in ("matrix", "sfd"):
@@ -891,8 +840,8 @@ class TestPipeline:
         assert run("report", config, out) == 1
         report = json.loads((out / "reports" / "report.json").read_text())
         assert [m.split(": ")[0] for m in report["missing_artifacts"]] == [
-            "report:bon-summary", "report:matrix-summary", "report:sfd:shortcut_aware",
-            "report:sfd:standard"]
+            "reports/bon_summary.json", "reports/matrix_summary.json",
+            "reports/sfd_shortcut_aware.json", "reports/sfd_standard.json"]
         assert report["checks"] == [] and not report["passed"]
 
     def test_pool_forks_no_more_workers_than_stale_jobs(self, tmp_path, monkeypatch):
@@ -916,7 +865,7 @@ class TestPipeline:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         ws = cli.Workspace(ExperimentConfig.from_file(config), str(out), jobs=64)
-        wanted = [(cli._run_key("standard", e), ws.config.train_config("standard", e), e)
+        wanted = [(cli._run_name("standard", e), ws.config.train_config("standard", e), e)
                   for e in ("A", "B")]
         assert cli._ensure_runs(ws, wanted) == 2
         assert sizes == [2]
@@ -942,12 +891,13 @@ class TestPipeline:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", DyingPool)
         ws = cli.Workspace(ExperimentConfig.from_file(config), str(out), jobs=2)
-        wanted = [(cli._run_key("standard", e), ws.config.train_config("standard", e), e)
+        wanted = [(cli._run_name("standard", e), ws.config.train_config("standard", e), e)
                   for e in ("A", "B")]
         with pytest.raises(LabError, match="worker died"):
             cli._ensure_runs(ws, wanted)
-        recorded = json.loads((out / "manifest.json").read_text())["artifacts"]
-        assert "model:standard:A" in recorded and "model:standard:B" not in recorded
+        recorded = json.loads((out / "manifest.json").read_text())["files"]
+        assert "models/standard/A/run.json" in recorded
+        assert "models/standard/B/run.json" not in recorded
         assert cli._ensure_runs(cli.Workspace(ws.config, str(out)), wanted) == 1
 
     def test_serial_run_loads_no_pool_modules(self, tmp_path):
@@ -1026,6 +976,26 @@ def lab_copy(done, tmp_path):
     return config, tmp_path / "out"
 
 
+def older_manifest(manifest) -> dict:
+    """``manifest`` in the format that gave each artifact a key beside its
+    path: ``artifacts`` maps each key to {path, sha256}, and build records
+    name their inputs by key and map each output key to its path."""
+    def key(name):
+        kind, *rest = name.rsplit(".", 1)[0].split("/")
+        if kind == "datasets":
+            return "dataset:" + rest[0].replace("_", ":")
+        if kind == "models":
+            return f"model:{rest[0]}:{rest[1]}"
+        return f"report:{rest[0]}" if rest else kind
+
+    return {"config_hash": manifest["config_hash"], "timings": manifest["timings"],
+            "artifacts": {key(n): {"path": n, "sha256": sha}
+                          for n, sha in manifest["files"].items()},
+            "builds": {b: {"inputs": {key(n): sha for n, sha in r["inputs"].items()},
+                           "outputs": {key(n): n for n in r["outputs"]}}
+                       for b, r in manifest["builds"].items()}}
+
+
 RUN_JSONS = sorted(f"models/{m}/{e}/run.json" for e in ("A", "B", "C")
                    for m in ("standard", "text_only", "shortcut_aware",
                              "proxy-standard", "proxy-shortcut_aware"))
@@ -1072,8 +1042,8 @@ class TestReuse:
         config, out = lab_copy
         manifest = json.loads((out / "manifest.json").read_text())
         outputs = manifest["builds"]["evaluate"]["outputs"]
-        assert "reports/bon_B.svg" in outputs.values()
-        recorded = {rel: manifest["artifacts"][key]["sha256"] for key, rel in outputs.items()}
+        assert "reports/bon_B.svg" in outputs
+        recorded = {rel: manifest["files"][rel] for rel in outputs}
         (out / "reports" / "bon_B.svg").unlink()
         capsys.readouterr()
         assert run("bon", config, out) == 0
@@ -1088,7 +1058,7 @@ class TestReuse:
         path = out / "models" / "standard" / "A" / "run.json"
         path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
         manifest = json.loads((out / "manifest.json").read_text())
-        manifest["artifacts"]["model:standard:A"]["sha256"] = sha = file_sha(path)
+        manifest["files"]["models/standard/A/run.json"] = sha = file_sha(path)
         (out / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert run("sfd", config, out) == 0
@@ -1098,7 +1068,7 @@ class TestReuse:
         assert "bon: ood best-of-16" in printed
         assert {k: v[0] for k, v in tree(out / "reports").items()} == reports
         builds = json.loads((out / "manifest.json").read_text())["builds"]
-        assert builds["evaluate"]["inputs"]["model:standard:A"] == sha
+        assert builds["evaluate"]["inputs"]["models/standard/A/run.json"] == sha
         for verb in ("matrix", "bon"):
             assert run(verb, config, out) == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -1108,11 +1078,14 @@ class TestReuse:
         lambda m, verb: m.update(builds="x"),
         lambda m, verb: m["builds"].update({verb: []}),
         lambda m, verb: m["builds"][verb].pop("inputs"),
-        lambda m, verb: m["builds"][verb].update(outputs={}),
-        lambda m, verb: m["builds"][verb]["outputs"].update({"family": 7}),
-        lambda m, verb: m["builds"][verb]["outputs"].update({"report:gone": "reports/gone.csv"}),
+        lambda m, verb: m["builds"][verb].update(outputs=[]),
+        lambda m, verb: m["builds"][verb]["outputs"].append(["family.json"]),
+        lambda m, verb: m["builds"][verb]["outputs"].append("reports/gone.csv"),
+        # the outputs of the format that recorded a key beside each path
+        lambda m, verb: m["builds"][verb].update(
+            outputs={name: name for name in m["builds"][verb]["outputs"]}),
     ], ids=["builds-not-object", "record-not-object", "no-inputs", "no-outputs",
-            "path-not-string", "unknown-output"])
+            "path-not-string", "unknown-output", "outputs-not-list"])
     def test_malformed_build_record_means_rebuild(self, lab_copy, damage, capsys):
         config, out = lab_copy
         for build, verb, rebuilt in (("evaluate", "matrix", "matrix[standard]"),
@@ -1172,24 +1145,31 @@ class TestReuse:
             for line in (f"{verb}: skip (outputs up to date)", json.dumps([verb, 0, False]))]
         assert tree(out) == built  # manifest.json included
 
-    def test_per_verb_build_records_are_replaced_by_one(self, lab_copy, capsys):
-        # a lab built when matrix, sfd and bon each kept a build record
+    @pytest.mark.parametrize("older", [
+        older_manifest,
+        lambda m: {k: v for k, v in older_manifest(m).items() if k != "artifacts"},
+    ], ids=["keys-and-paths", "no-artifacts"])
+    def test_lab_with_an_older_manifest_is_rebuilt_once(self, lab_copy, capsys, older):
+        # a manifest without files is set aside like another config's: the
+        # next pass rewrites every file to the same bytes, and then skips
         config, out = lab_copy
         manifest = json.loads((out / "manifest.json").read_text())
-        shared = manifest["builds"].pop("evaluate")
-        manifest["builds"].update({verb: shared for verb in ("matrix", "sfd", "bon")})
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        reports = {k: v[0] for k, v in tree(out / "reports").items()}
+        (out / "manifest.json").write_text(json.dumps(older(manifest)))
+        before = {k: v[0] for k, v in tree(out).items() if k != "manifest.json"}
         capsys.readouterr()
-        assert run("bon", config, out) == 0
-        assert "matrix[standard]" in capsys.readouterr().out
-        assert {k: v[0] for k, v in tree(out / "reports").items()} == reports
-        assert sorted(json.loads((out / "manifest.json").read_text())["builds"]) == [
-            "evaluate", "gen"]
-        for verb in ("matrix", "sfd"):
+        for verb in ("gen", "matrix", "sfd", "bon"):
+            assert run(verb, config, out) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("gen: wrote") == 6 and printed.count("train: finished") == 15
+        assert "matrix[standard]" in printed
+        assert {k: v[0] for k, v in tree(out).items() if k != "manifest.json"} == before
+        # every file but report's own two is recorded again
+        assert set(json.loads((out / "manifest.json").read_text())["files"]) == \
+            set(before) - {"reports/report.json", "reports/summary.txt"}
+        for verb in ("gen", "matrix", "sfd", "bon"):
             assert run(verb, config, out) == 0
         assert capsys.readouterr().out.splitlines() == [
-            f"{verb}: skip (outputs up to date)" for verb in ("matrix", "sfd")]
+            f"{verb}: skip (outputs up to date)" for verb in ("gen", "matrix", "sfd", "bon")]
 
     def test_verbs_without_array_work_load_no_numpy(self, lab_copy):
         # nor dataclasses or csv, and the svg module stays registered, unrun
