@@ -123,11 +123,10 @@ def bon_estimates(rewards: np.ndarray, judges: np.ndarray, n_grid) -> np.ndarray
             raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
     order = np.lexsort((np.broadcast_to(-np.arange(m), rewards.shape), rewards), axis=-1)
     ranked = np.take_along_axis(judges, order, axis=-1)
-    out = np.empty(rewards.shape[:-1] + (len(n_grid),))
-    for k, n in enumerate(n_grid):  # rank r's weight C(r-1, N-1) / C(M, N), correctly rounded
-        weights = np.array([comb(r - 1, n - 1) / comb(m, n) for r in range(1, m + 1)])
-        out[..., k] = np.cumsum(weights * ranked, axis=-1)[..., -1]
-    return out
+    # (len(n_grid), M): rank r's weight C(r-1, N-1) / C(M, N), correctly rounded
+    weights = np.array([[comb(r - 1, n - 1) / comb(m, n) for r in range(1, m + 1)]
+                        for n in n_grid])
+    return np.cumsum(weights * ranked[..., None, :], axis=-1)[..., -1]
 
 
 def bon_fast(rewards: np.ndarray, judges: np.ndarray, n: int) -> float:

@@ -80,15 +80,20 @@ def derive_seed(master_seed: int, component: str) -> int:
 
 
 def _replace_file(path, doc) -> None:
-    """Write ``doc`` (text, else a JSON document) to a temp file, then swap it
-    in: an interrupted write keeps the old file."""
+    """Write ``doc`` (text, a function that writes the file at the path it is
+    given, else a JSON document) to a temp file, then swap it in: an
+    interrupted write keeps the old file, and a FIFO or device at ``path`` is
+    replaced, never opened."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            if isinstance(doc, str):
-                fh.write(doc)
-            else:
-                json.dump(doc, fh, sort_keys=True, indent=1)
+        if callable(doc):
+            doc(tmp)
+        else:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                if isinstance(doc, str):
+                    fh.write(doc)
+                else:
+                    json.dump(doc, fh, sort_keys=True, indent=1)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -96,11 +101,8 @@ def _replace_file(path, doc) -> None:
 
 
 def _file_sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class ExperimentConfig(namedtuple("ExperimentConfig", "master_seed n_train n_test train "
@@ -181,8 +183,9 @@ class Workspace:
     starts with ``..`` or is over ``NAME_MAX`` characters is corrupt, so the
     lab reads only paths its own code builds; one without ``files`` (an older
     format) is set aside like another config's, and the lab is rebuilt.
-    ``artifact_path`` hashes each file at most once, and ``record`` refreshes
-    the hash of the file it rewrites."""
+    ``artifact_path`` hashes each file at most once, and counts a name whose
+    path is not a regular file (a FIFO, a device, or a symlink to one) as
+    missing; ``record`` refreshes the hash of the file it rewrites."""
 
     def __init__(self, config: ExperimentConfig, out: str, jobs: int = 1):
         self.config, self.out, self.jobs = config, out, jobs
@@ -190,7 +193,7 @@ class Workspace:
         self.rebuild = None  # {"build", "inputs", "outputs"} while a verb rebuilds
         self.manifest_path = os.path.join(self.out, "manifest.json")
         self.manifest = {"config_hash": config.config_hash(), "files": {}, "timings": {}}
-        if os.path.exists(self.manifest_path):
+        if os.path.isfile(self.manifest_path):
             with open(self.manifest_path, encoding="utf-8") as fh:
                 try:
                     old = json.load(fh)
@@ -241,7 +244,7 @@ class Workspace:
         path = os.path.join(self.out, name)
         if self.verified.get(name) == sha:
             return path
-        if not os.path.exists(path):
+        if not os.path.isfile(path):  # a FIFO or device would block or never end
             raise MissingArtifactError(f"artifact {name!r} missing on disk")
         if _file_sha256(path) != sha:
             raise MissingArtifactError(f"artifact {name!r} failed its hash check")
@@ -333,8 +336,7 @@ def cmd_gen(ws: Workspace) -> None:
         for split in ("train", "test"):
             name = _dataset_name(spec.env_id, split)
             dataset = envs.sample_env(family, spec.env_id, split)
-            envs.write_dataset(dataset, ws.path(name))
-            ws.record(name)
+            ws.write(name, lambda path: envs.write_dataset(dataset, path))
             print(f"gen: wrote {name} ({len(dataset)} samples)")
     ws.finish(t0)
 

@@ -49,7 +49,8 @@ class TrainRun:
 
     def save(self, run_dir) -> str:
         """Write the whole run to ``run_dir/run.json`` (floats round-trip
-        bit-exactly through JSON repr) and return that path."""
+        bit-exactly through JSON repr) and return that path. A temp file
+        replaces the path, so a FIFO or device there is never opened."""
         os.makedirs(run_dir, exist_ok=True)
         path = os.path.join(run_dir, "run.json")
         # one dumps string: json.dump would stream through the pure-Python
@@ -59,8 +60,9 @@ class TrainRun:
                            "primary": self.primary.to_dict(),
                            "aux": None if self.aux is None else self.aux.to_dict(),
                            "epoch_sfc_stats": self.epoch_sfc_stats}, sort_keys=True)
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.replace(path + ".tmp", path)
         return path
 
     @classmethod
@@ -147,8 +149,7 @@ def weighted_grad_step(dims: NetDims, theta: np.ndarray, pairs: np.ndarray):
     (k, n_params) gradients.
     """
     h = branch_forward(dims, theta, pairs)
-    weights = np.empty(pairs.shape[:2])  # np.ones costs more per step
-    weights[-1] = 1.0  # the single net's row, or the text branch's
+    weights = np.ones(pairs.shape[:2])
     batch = None
     if len(theta) == 2:
         loss_mm, loss_t = np.maximum(bt_loss(pair_margins(dims, theta, h)), LOSS_FLOOR)

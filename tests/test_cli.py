@@ -1193,6 +1193,56 @@ class TestReuse:
         assert [code for verb, code, _ in seen if verb != "report"] == [0] * 6
 
 
+class TestNonRegularArtifacts:
+    """A recorded name whose path is a FIFO, a device or a symlink to one
+    counts as missing, and every verb writes through a temp file, so none of
+    them opens such a path and blocks or reads forever; run_cli's timeout
+    ends a verb that does."""
+
+    def test_symlink_to_dev_zero_is_missing_until_bon_rewrites_it(self, lab_copy):
+        config, out = lab_copy
+        svg = out / "reports" / "bon_A.svg"
+        recorded = file_sha(svg)
+        svg.unlink()
+        svg.symlink_to("/dev/zero")
+        proc = run_cli("report", config, out)
+        assert proc.returncode == 1, proc.stderr
+        assert ("[FAIL] missing artifact: reports/bon_A.svg: artifact 'reports/bon_A.svg' "
+                "missing on disk") in proc.stdout.splitlines()
+        assert run_cli("bon", config, out).returncode == 0
+        assert not svg.is_symlink() and file_sha(svg) == recorded
+        proc = run_cli("report", config, out)
+        assert "missing artifact" not in proc.stdout, proc.stdout
+
+    def test_fifo_test_split_stops_matrix_until_gen_restores_it(self, lab_copy):
+        config, out = lab_copy
+        split = out / "datasets" / "A_test.npz"
+        recorded = file_sha(split)
+        split.unlink()
+        os.mkfifo(split)
+        proc = run_cli("matrix", config, out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: artifact 'datasets/A_test.npz' missing on disk")
+        proc = run_cli("gen", config, out)
+        assert proc.returncode == 0, proc.stderr
+        assert "gen: wrote datasets/A_test.npz (120 samples)" in proc.stdout
+        assert split.is_file() and file_sha(split) == recorded
+        for verb in ("gen", "matrix", "sfd", "bon"):
+            proc = run_cli(verb, config, out)
+            assert (proc.returncode, proc.stdout) == (0, f"{verb}: skip (outputs up to date)\n")
+
+    def test_fifo_run_json_is_retrained_to_its_recorded_bytes(self, lab_copy):
+        config, out = lab_copy
+        name = "models/standard/A/run.json"
+        recorded = file_sha(out / name)
+        (out / name).unlink()
+        os.mkfifo(out / name)
+        proc = run_cli("matrix", config, out)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"train: finished {name}\nmatrix: skip (outputs up to date)\n"
+        assert (out / name).is_file() and file_sha(out / name) == recorded
+
+
 def piped_env() -> dict:
     """``src_env`` with stdout block-buffered on a pipe, so a line that the
     process does not flush before it exits is lost."""

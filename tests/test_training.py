@@ -216,6 +216,28 @@ class TestWeightedGradStep:
         assert losses.tobytes() == netmod.bt_loss(margins[0]).tobytes()
         assert flat.tobytes() == ref.tobytes()
 
+    def test_three_row_stack_steps_each_row_as_its_own_job(self, nets, dual_batch):
+        # every row of the weights array is written: a row that no rule
+        # reweights steps at ones, so each row of a k = 3 stack of unrelated
+        # nets gets the bits of its own k = 1 step and AdamW update
+        dims = nets[0].dims
+        thetas = [RewardNet.init(dims, seed).theta for seed in (5, 6, 7)]
+        pairs = np.stack([dual_batch[0], dual_batch[1], dual_batch[0, ::-1]])
+        lrs, schedule = (1e-3, 5e-3, 2e-2), (0.1, 10, 0.01)
+        theta = np.stack(thetas)
+        losses, batch, grads = weighted_grad_step(dims, theta, pairs)
+        netmod.adamw_step(netmod.OptimizerState(theta, lrs, *schedule), theta, grads)
+        assert batch is None
+        for j, single in enumerate(thetas):
+            single = single[None].copy()
+            losses_j, _, grads_j = weighted_grad_step(dims, single, pairs[j:j + 1])
+            netmod.adamw_step(netmod.OptimizerState(single, lrs[j:j + 1], *schedule),
+                              single, grads_j)
+            assert grads[j].tobytes() == grads_j[0].tobytes(), j
+            assert theta[j].tobytes() == single[0].tobytes(), j
+            if j == 0:
+                assert losses.tobytes() == losses_j.tobytes()
+
 
 @pytest.fixture(scope="module")
 def runs(small_sets):
