@@ -80,12 +80,14 @@ def derive_seed(master_seed: int, component: str) -> int:
 
 
 def _replace_file(path, doc) -> None:
-    """Write ``doc`` (text, a function that writes the file at the path it is
-    given, else a JSON document) to a temp file, then swap it in: an
-    interrupted write keeps the old file, and a FIFO or device at ``path`` is
-    replaced, never opened."""
+    """The lab's one writer: ``doc`` (text, a function that writes the file
+    at the path it is given, else a JSON document) goes to ``<path>.tmp``,
+    cleared first, then replaces ``path``. An interrupted write keeps the old
+    file, and a FIFO, device or symlink at either name is replaced, never opened."""
     tmp = path + ".tmp"
     try:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
         if callable(doc):
             doc(tmp)
         else:
@@ -96,8 +98,8 @@ def _replace_file(path, doc) -> None:
                     json.dump(doc, fh, sort_keys=True, indent=1)
         os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def _file_sha256(path) -> str:
@@ -291,15 +293,15 @@ class Workspace:
 
 class OutputLock:
     """One process owns an output directory at a time, through an exclusive
-    ``flock`` on ``DIR/.lock``. The kernel drops it when its holder ends, so
-    a killed run leaves a file that the next run simply takes."""
+    ``flock`` on ``DIR/.lock``, opened without blocking. The kernel drops it
+    when its holder ends, so a killed run leaves a file the next run takes."""
 
     def __init__(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
         self.path = os.path.join(out_dir, ".lock")
 
     def __enter__(self):
-        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+        self.fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_NONBLOCK)
         try:
             fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             # a holder that finished unlinked the file it locked: ours must be the one at path
@@ -342,11 +344,11 @@ def cmd_gen(ws: Workspace) -> None:
 
 
 def _train_one(job: tuple) -> float:
-    """One training job, (TrainConfig, dataset path, run dir); worker-safe.
-    Returns the job's wall seconds."""
+    """One training job, (TrainConfig, train split path, run.json path), that
+    writes its own run; worker-safe. Returns the job's wall seconds."""
     t0 = time.monotonic()
-    config, dataset_path, run_dir = job
-    training.train(config, envs.read_dataset(dataset_path)).save(run_dir)
+    config, dataset_path, path = job
+    _replace_file(path, training.train(config, envs.read_dataset(dataset_path)).save)
     return time.monotonic() - t0
 
 
@@ -360,8 +362,7 @@ def _ensure_runs(ws: Workspace, wanted: list) -> int:
         if ws.is_current(name):
             continue
         names.append(name)
-        jobs.append((config, ws.artifact_path(_dataset_name(env_id, "train")),
-                     os.path.join(ws.out, os.path.dirname(name))))
+        jobs.append((config, ws.artifact_path(_dataset_name(env_id, "train")), ws.path(name)))
     pool, run, broken = nullcontext(), map, ()  # serial: no pool error to catch
     if ws.jobs > 1 and jobs:  # the pool modules load only when a pool is made
         # executed before the fork (any attribute access runs a lazy module),
@@ -414,8 +415,7 @@ def _evaluate(ws: Workspace, verb: str) -> None:
     # the best-of-N pools come from the config, which the manifest is keyed on
     if ws.reuse(verb, "evaluate", names + [_dataset_name(e, "test") for e in ENVS]):
         return
-    nets = {name: training.TrainRun.load(os.path.dirname(ws.artifact_path(name))).primary
-            for name in names}
+    nets = {name: training.TrainRun.load(ws.artifact_path(name)).primary for name in names}
     text_rows = [training.TEXT_ROWS[config.mode][0] for _, config, _ in _nets(ws.config)]
     test_sets = (envs.read_dataset(ws.artifact_path(_dataset_name(e, "test"))) for e in ENVS)
     correct = {(name, e): row for e, test_set in zip(ENVS, test_sets) for name, row
@@ -550,19 +550,24 @@ def cmd_report(ws: Workspace) -> int:
 
     summary, sfd_docs, bon_summary, checks, lines = {}, {}, None, [], []
     if all(name in verified for name in inputs):
-        summary, *sfd, bon_summary = map(load, inputs)
-        sfd_docs = dict(zip(AUDIT_MODES, sfd))
-        checks = _default_family_checks(summary, sfd_docs, bon_summary)
-        for mode in sorted(summary):
-            s = summary[mode]
-            lines.append(f"{mode:>15}: i.i.d. {s['mean_iid']:.4f}  "
-                         f"o.o.d. {s['mean_ood']:.4f}  gap {s['gap']:.4f}")
-        for mode, docs in sorted(sfd_docs.items()):
-            vals = [d["sfd"] for d in docs if d["sfd"] is not None]
-            if vals:
-                lines.append(f"{mode:>15}: sfd range [{min(vals):.4f}, {max(vals):.4f}]")
-        for mode, val in sorted(bon_summary["ood_best_at_n_max"].items()):
-            lines.append(f"{mode:>15}: o.o.d. best-of-{bon_summary['n_max']} {val:.4f}")
+        try:
+            summary, *sfd, bon_summary = map(load, inputs)
+            sfd_docs = dict(zip(AUDIT_MODES, sfd))
+            checks = _default_family_checks(summary, sfd_docs, bon_summary)
+            for mode in sorted(summary):
+                s = summary[mode]
+                lines.append(f"{mode:>15}: i.i.d. {s['mean_iid']:.4f}  "
+                             f"o.o.d. {s['mean_ood']:.4f}  gap {s['gap']:.4f}")
+            for mode, docs in sorted(sfd_docs.items()):
+                vals = [d["sfd"] for d in docs if d["sfd"] is not None]
+                if vals:
+                    lines.append(f"{mode:>15}: sfd range [{min(vals):.4f}, {max(vals):.4f}]")
+            for mode, val in sorted(bon_summary["ood_best_at_n_max"].items()):
+                lines.append(f"{mode:>15}: o.o.d. best-of-{bon_summary['n_max']} {val:.4f}")
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            # the exception's type, not its message: a message can echo file content
+            raise LabError(f"malformed report input among {', '.join(inputs)} "
+                           f"({type(exc).__name__})") from None
     failed = [c["name"] for c in checks if not c["passed"]]
     ok = not failed and not missing
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +46,10 @@ class TrainRun:
     # "n_planted", "n_clean"}: mean sfc by planted flag, None on an empty side
     epoch_sfc_stats: list = field(default_factory=list)
 
-    def save(self, run_dir) -> str:
-        """Write the whole run to ``run_dir/run.json`` (floats round-trip
-        bit-exactly through JSON repr) and return that path. A temp file
-        replaces the path, so a FIFO or device there is never opened."""
-        os.makedirs(run_dir, exist_ok=True)
-        path = os.path.join(run_dir, "run.json")
+    def save(self, path) -> None:
+        """Write the whole run as JSON text at ``path`` (floats round-trip
+        bit-exactly through JSON repr). The lab passes it to
+        ``cli._replace_file``, which gives it a temp name to write."""
         # one dumps string: json.dump would stream through the pure-Python
         # encoder, for the same bytes
         text = json.dumps({"config": self.config.to_dict(),
@@ -60,17 +57,14 @@ class TrainRun:
                            "primary": self.primary.to_dict(),
                            "aux": None if self.aux is None else self.aux.to_dict(),
                            "epoch_sfc_stats": self.epoch_sfc_stats}, sort_keys=True)
-        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(path + ".tmp", path)
-        return path
 
     @classmethod
-    def load(cls, run_dir) -> "TrainRun":
-        """Inverse of save, each net's dims taken from the run's config; a file
-        that is not a whole run, or whose nets do not fit that config, raises
-        LabError."""
-        path = os.path.join(run_dir, "run.json")
+    def load(cls, path) -> "TrainRun":
+        """Inverse of save: the run in the ``run.json`` at ``path``, each
+        net's dims taken from the run's config. A file that is not a whole
+        run, or whose nets do not fit that config, raises LabError."""
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)

@@ -200,7 +200,7 @@ class TestCriterion8ReweightingTargetsShortcutFailures:
     def test_unmarked_pairs_outweigh_marked_after_first_epoch(self, pipeline):
         out = pipeline["out"]
         for env in ("A", "B", "C"):
-            run = TrainRun.load(os.path.join(out, "models", "shortcut_aware", env))
+            run = TrainRun.load(os.path.join(out, "models", "shortcut_aware", env, "run.json"))
             stats = run.epoch_sfc_stats
             assert stats, f"no sfc stats recorded for env {env}"
             for s in stats[1:]:

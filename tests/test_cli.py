@@ -723,19 +723,41 @@ class TestPipeline:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.encode()) < 1024, proc.stderr[:2000]
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[:len(text) // 2], "(JSONDecodeError)"),
+        (lambda text: "{}", "(KeyError)"),
+        (lambda text: "[]", "(TypeError)"),
+        (lambda text: "[" * 100_000 + "]" * 100_000, "(RecursionError)"),
+    ], ids=["truncated", "empty-object", "list", "nested-too-deep"])
+    def test_malformed_report_input_exits_2_without_traceback(self, lab_copy, damage, message):
+        # a report input whose recorded sha256 matches is loaded, and the
+        # checks read it whole
+        config, out = lab_copy
+        path = out / "reports" / "matrix_summary.json"
+        path.write_text(damage(path.read_text()))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"]["reports/matrix_summary.json"] = file_sha(path)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("report", config, out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "reports/matrix_summary.json" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.encode()) < 1024, proc.stderr[:2000]
+
     def test_run_json_with_old_identity_keys_loads_the_same_run(self, lab_copy):
         # run.json files written before dims and seed came from the config
         # also carry dataset_fingerprint and each net's dims and seed; they
         # are ignored, and the nets load to the same thetas
         config, out = lab_copy
-        run_dir = out / "models" / "shortcut_aware" / "A"
-        want = training.TrainRun.load(run_dir)
-        doc = json.loads((run_dir / "run.json").read_text())
+        path = out / "models" / "shortcut_aware" / "A" / "run.json"
+        want = training.TrainRun.load(path)
+        doc = json.loads(path.read_text())
         doc["dataset_fingerprint"] = "c2" * 32
         for net in ("primary", "aux"):
             doc[net].update(dims={"d_v": 16, "d_q": 8, "d_a": 16, "hidden": HIDDEN}, seed=7)
-        (run_dir / "run.json").write_text(json.dumps(doc))
-        got = training.TrainRun.load(run_dir)
+        path.write_text(json.dumps(doc))
+        got = training.TrainRun.load(path)
         assert got.config == want.config and got.loss_trace == want.loss_trace
         for net in ("primary", "aux"):
             assert getattr(got, net).theta.tobytes() == getattr(want, net).theta.tobytes()
@@ -1195,9 +1217,11 @@ class TestReuse:
 
 class TestNonRegularArtifacts:
     """A recorded name whose path is a FIFO, a device or a symlink to one
-    counts as missing, and every verb writes through a temp file, so none of
-    them opens such a path and blocks or reads forever; run_cli's timeout
-    ends a verb that does."""
+    counts as missing. Every artifact is written by ``_replace_file``, which
+    unlinks whatever sits at its temp name first, and ``.lock`` is opened
+    without blocking, so no verb opens such a path, blocks, reads forever or
+    writes through a link out of the lab; run_cli's timeout ends a verb that
+    does."""
 
     def test_symlink_to_dev_zero_is_missing_until_bon_rewrites_it(self, lab_copy):
         config, out = lab_copy
@@ -1241,6 +1265,54 @@ class TestNonRegularArtifacts:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"train: finished {name}\nmatrix: skip (outputs up to date)\n"
         assert (out / name).is_file() and file_sha(out / name) == recorded
+
+    def test_fifo_at_a_temp_name_is_removed_before_gen_writes(self, lab_copy):
+        config, out = lab_copy
+        family = out / "family.json"
+        recorded = file_sha(family)
+        family.unlink()
+        os.mkfifo(out / "family.json.tmp")
+        proc = run_cli("gen", config, out)
+        assert proc.returncode == 0, proc.stderr
+        assert family.is_file() and file_sha(family) == recorded
+        assert not list(out.rglob("*.tmp"))
+
+    def test_fifo_at_a_run_temp_name_is_removed_before_the_run_is_written(self, lab_copy):
+        config, out = lab_copy
+        name = "models/standard/A/run.json"
+        recorded = file_sha(out / name)
+        (out / name).unlink()
+        os.mkfifo(out / f"{name}.tmp")
+        proc = run_cli("matrix", config, out)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"train: finished {name}\nmatrix: skip (outputs up to date)\n"
+        assert (out / name).is_file() and file_sha(out / name) == recorded
+        assert not list(out.rglob("*.tmp"))
+
+    def test_symlink_at_a_temp_name_is_not_followed(self, lab_copy, tmp_path):
+        # family.json is rewritten, and the manifest after it
+        config, out = lab_copy
+        family = out / "family.json"
+        recorded = file_sha(family)
+        family.unlink()
+        targets = {name: tmp_path / f"outside-{name}" for name in ("family.json", "manifest.json")}
+        for name, target in targets.items():
+            (out / f"{name}.tmp").symlink_to(target)
+        proc = run_cli("gen", config, out)
+        assert proc.returncode == 0, proc.stderr
+        assert not any(os.path.lexists(target) for target in targets.values())
+        for name in targets:
+            assert (out / name).is_file() and not (out / name).is_symlink()
+        assert file_sha(family) == recorded
+        assert not list(out.rglob("*.tmp"))
+
+    def test_fifo_at_the_lock_exits_2(self, lab_copy):
+        config, out = lab_copy
+        os.mkfifo(out / ".lock")
+        proc = run_cli("report", config, out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("i/o error: ") and f"'{out / '.lock'}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def piped_env() -> dict:

@@ -315,16 +315,16 @@ class TestTrain:
 
     def test_save_load_round_trip(self, runs, tmp_path):
         run = runs["shortcut_aware"]
-        path = run.save(tmp_path / "run")
-        assert path == os.path.join(tmp_path / "run", "run.json")
-        assert os.listdir(tmp_path / "run") == ["run.json"]  # one file per run
+        path = tmp_path / "run.json"
+        run.save(path)
+        assert os.listdir(tmp_path) == ["run.json"]  # save writes exactly the given path
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         # dims and seed come from the config, so neither net records them
         assert sorted(doc) == ["aux", "config", "epoch_sfc_stats", "loss_trace", "primary",
                                "sfc_trace"]
         assert sorted(doc["primary"]) == sorted(doc["aux"]) == ["b1", "w1", "w2"]
-        back = TrainRun.load(tmp_path / "run")
+        back = TrainRun.load(path)
         assert back.config == run.config
         assert np.array_equal(back.primary.theta, run.primary.theta)
         assert np.array_equal(back.aux.theta, run.aux.theta)
@@ -335,13 +335,14 @@ class TestTrain:
     def test_run_recording_removed_setting_loads(self, runs, tmp_path):
         # a run.json written while TrainConfig still had sfc_normalized
         run = runs["shortcut_aware"]
-        path = run.save(tmp_path / "run")
+        path = tmp_path / "run.json"
+        run.save(path)
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["config"]["sfc_normalized"] = True
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        back = TrainRun.load(tmp_path / "run")
+        back = TrainRun.load(path)
         assert back.config == run.config
         assert np.array_equal(back.primary.theta, run.primary.theta)
 
