@@ -25,7 +25,6 @@ import numpy as np
 
 from . import net as netmod
 from .envs import D_A, D_Q, D_V
-from .errors import ConfigError
 
 JUDGE_MID = 5.0
 JUDGE_SLOPE = 1.25  # maps +-4 sd of the quality signal onto [0, 10]
@@ -120,7 +119,7 @@ def bon_estimates(rewards: np.ndarray, judges: np.ndarray, n_grid) -> np.ndarray
     m = rewards.shape[-1]
     for n in n_grid:
         if not 1 <= n <= m:
-            raise ConfigError(f"need 1 <= N <= M, got N={n}, M={m}")
+            raise ValueError(f"need 1 <= N <= M, got N={n}, M={m}")
     order = np.lexsort((np.broadcast_to(-np.arange(m), rewards.shape), rewards), axis=-1)
     ranked = np.take_along_axis(judges, order, axis=-1)
     # (len(n_grid), M): rank r's weight C(r-1, N-1) / C(M, N), correctly rounded

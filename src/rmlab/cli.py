@@ -186,8 +186,8 @@ class Workspace:
     lab reads only paths its own code builds; one without ``files`` (an older
     format) is set aside like another config's, and the lab is rebuilt.
     ``artifact_path`` hashes each file at most once, and counts a name whose
-    path is not a regular file (a FIFO, a device, or a symlink to one) as
-    missing; ``record`` refreshes the hash of the file it rewrites."""
+    path is not a regular file (a FIFO, a device, a symlink to one) or is in
+    a symlinked directory as missing, and ``path`` refuses the latter."""
 
     def __init__(self, config: ExperimentConfig, out: str, jobs: int = 1):
         self.config, self.out, self.jobs = config, out, jobs
@@ -215,8 +215,16 @@ class Workspace:
                                    "or timings malformed; delete it to rebuild the output dir")
                 self.manifest = old
 
+    def _own_dir(self, name) -> bool:
+        """True when the directory of ``name`` resolves to itself under the real
+        path of ``--out`` (which may be a symlink): no symlink leads it elsewhere."""
+        real = os.path.join(os.path.realpath(self.out), os.path.dirname(name))
+        return os.path.realpath(real) == os.path.normpath(real)
+
     def path(self, name) -> str:
         full = os.path.join(self.out, name)
+        if not self._own_dir(name):
+            raise LabError(f"{os.path.dirname(full)} goes through a symlinked directory")
         os.makedirs(os.path.dirname(full), exist_ok=True)
         return full
 
@@ -246,7 +254,7 @@ class Workspace:
         path = os.path.join(self.out, name)
         if self.verified.get(name) == sha:
             return path
-        if not os.path.isfile(path):  # a FIFO or device would block or never end
+        if not (os.path.isfile(path) and self._own_dir(name)):  # a FIFO would block
             raise MissingArtifactError(f"artifact {name!r} missing on disk")
         if _file_sha256(path) != sha:
             raise MissingArtifactError(f"artifact {name!r} failed its hash check")

@@ -2,8 +2,8 @@
 a config, checks a lab and reuses its outputs without loading the array stack.
 
 ENVS names the default family's environments in report order; MODES names the
-three training modes; TrainConfig holds one training run's hyperparameters;
-canonical_hash is the one hash of a JSON document, for configs.
+three training modes; TrainConfig holds one training run's hyperparameters,
+which ``training.TrainRun`` saves; canonical_hash hashes a config document.
 """
 
 from __future__ import annotations
@@ -53,12 +53,3 @@ class TrainConfig(namedtuple("TrainConfig", "mode base_lr epochs batch_size weig
         if not 0.0 <= self.weight_decay < math.inf:
             raise ConfigError("weight_decay must be finite and >= 0")
         return self
-
-    def to_dict(self) -> dict:
-        return self._asdict()
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        """Keys that are not fields are ignored, so a ``run.json`` that records
-        a setting this version no longer has still loads."""
-        return cls(**{name: doc[name] for name in cls._fields if name in doc})

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ENVS
-from .errors import GenerationError
+from .errors import LabError
 
 D_V = 16
 D_Q = 8
@@ -276,19 +276,19 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Load a file written by write_dataset; anything else raises
-    GenerationError. Other members are ignored, so an archive that still
-    holds the 0-d ``env_id`` and ``split`` of older versions reads the same."""
+    """Load a file written by write_dataset; anything else raises LabError
+    naming the exception type, not its message, which can echo file content.
+    Other members are ignored, so an archive that still holds the 0-d
+    ``env_id`` and ``split`` of older versions reads the same."""
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {k: npz[k] for k in COLUMNS}
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise GenerationError(f"{path} is not a valid dataset file ({exc})") from None
+    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise LabError(f"{path} is not a valid dataset file ({type(exc).__name__})") from None
     n = len(arrays["y"]) if arrays["y"].ndim == 1 else -1
     bad = [c for c, (shape, dtype) in _COLUMN_TYPES.items()
            if arrays[c].shape != (n, *shape) or arrays[c].dtype != dtype]
     if n < 1 or bad:
-        raise GenerationError(f"{path} is not a valid dataset file "
-                              f"(empty, or bad columns {bad})")
+        raise LabError(f"{path} is not a valid dataset file (empty, or bad columns {bad})")
     return Dataset(**arrays)
 

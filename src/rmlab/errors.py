@@ -1,28 +1,13 @@
-"""Exception types shared across the lab."""
+"""The exception types a caller catches. ``cli.main`` turns a LabError into
+exit 2; the numeric kernels' domain checks raise ValueError."""
 
 
 class LabError(Exception):
     """Base class for all rmlab errors."""
 
 
-class DimensionError(LabError):
-    """Input shape does not match the declared dimensions."""
-
-
-class DomainError(LabError):
-    """Numeric argument outside its valid domain."""
-
-
-class GenerationError(LabError):
-    """A dataset file is not a valid ``write_dataset`` archive."""
-
-
 class ConfigError(LabError):
     """Invalid training or experiment configuration."""
-
-
-class ScheduleExhausted(LabError):
-    """Optimizer stepped past its configured total step count."""
 
 
 class MissingArtifactError(LabError):

@@ -19,7 +19,8 @@ output offset would cancel in that margin, so the net has none. There are two
 batched margins, whose last bits differ: ``pair_margins`` (h_c.w2 - h_r.w2)
 feeds evaluation and the sfc losses; ``batch_pair_grads`` ((h_c - h_r).w2)
 feeds every gradient and the single-branch loss trace. The tests check the
-gradient against central finite differences.
+gradient against central finite differences. A kernel raises ValueError
+outside its domain; ``training.TrainRun`` alone saves and loads nets.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DimensionError, ScheduleExhausted
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -94,8 +93,7 @@ class RewardNet:
         self.dims = dims
         self.theta = np.asarray(theta, dtype=np.float64)
         if self.theta.shape != (dims.n_params,):
-            raise DimensionError(
-                f"theta: expected shape ({dims.n_params},), got {self.theta.shape}")
+            raise ValueError(f"theta: expected shape ({dims.n_params},), got {self.theta.shape}")
 
     @classmethod
     def init(cls, dims: NetDims, seed: int) -> "RewardNet":
@@ -117,24 +115,6 @@ class RewardNet:
         p["w1"][:, dims.d_v + dims.d_q:] = 0.0
         p["w2"][...] = rng.uniform(-lim2, lim2, size=dims.hidden)
         return net
-
-    def to_dict(self) -> dict:
-        """Flat JSON document of the blocks by name; float round-trip is
-        bit-exact via repr."""
-        return {name: block.ravel().tolist()
-                for name, block in self.dims.views(self.theta).items()}
-
-    @classmethod
-    def from_dict(cls, doc: dict, dims: NetDims) -> "RewardNet":
-        """Inverse of to_dict for a net of ``dims``: each block fills its view
-        of a fresh theta, so a block of the wrong length raises ValueError.
-        Other keys are ignored, so a file that still carries the ``dims`` and
-        ``seed`` or the zero output offset of older versions loads to the same
-        theta."""
-        theta = np.empty(dims.n_params)
-        for name, block in dims.views(theta).items():
-            block[...] = np.reshape(doc[name], block.shape)
-        return cls(dims, theta)
 
 
 def batch_scores(net: RewardNet, x: np.ndarray) -> np.ndarray:
@@ -226,9 +206,11 @@ class OptimizerState:
 
     def __init__(self, theta: np.ndarray, base_lr: tuple, warmup_ratio: float,
                  total_steps: int, weight_decay: float):
-        self.lr = np.array([schedule_lr(base, warmup_ratio, total_steps, s)
-                            for s in range(1, total_steps + 1) for base in base_lr]
-                           ).reshape(total_steps, len(base_lr), 1)
+        # count= allocates the table first: a step count past memory fails at once
+        self.lr = np.fromiter((schedule_lr(base, warmup_ratio, total_steps, s)
+                               for s in range(1, total_steps + 1) for base in base_lr),
+                              float, count=total_steps * len(base_lr)
+                              ).reshape(total_steps, len(base_lr), 1)
         self.weight_decay = weight_decay
         self.step = 0
         self.m = np.zeros_like(theta)
@@ -249,8 +231,7 @@ def adamw_step(state: OptimizerState, theta: np.ndarray, grad: np.ndarray) -> No
     u = m_hat / (sqrt(v_hat) + eps), p = p - lr*(u + wd*p).
     """
     if state.step >= len(state.lr):
-        raise ScheduleExhausted(
-            f"optimizer already ran its {len(state.lr)} scheduled steps")
+        raise ValueError(f"optimizer already ran its {len(state.lr)} scheduled steps")
     lr = state.lr[state.step]  # (k, 1): each row's rate
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step

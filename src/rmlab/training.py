@@ -11,7 +11,8 @@ shortcut_aware  dual branch: an auxiliary text-only net trains alongside the
 computed from the current step's detached per-sample losses. The weights are
 plain numbers: no gradient flows through them. A high sfc means the text-only
 branch fails on that sample, so the primary branch is pushed toward the
-samples where multimodal grounding is required.
+samples where multimodal grounding is required. ``TrainRun`` alone writes
+and reads a run's ``run.json``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .envs import D_A, D_Q, D_V
-from .errors import ConfigError, DomainError, LabError
+from .errors import ConfigError, LabError
 from .net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_pair_grads,
                   branch_forward, bt_loss, pair_margins)
 
@@ -47,32 +48,46 @@ class TrainRun:
     epoch_sfc_stats: list = field(default_factory=list)
 
     def save(self, path) -> None:
-        """Write the whole run as JSON text at ``path`` (floats round-trip
-        bit-exactly through JSON repr). The lab passes it to
-        ``cli._replace_file``, which gives it a temp name to write."""
+        """Write the run as JSON text at ``path``: its config's fields, and each
+        net as one list per ``NetDims.views`` block (floats round-trip through
+        JSON repr bit-exactly). ``cli._replace_file`` gives it a temp name."""
+        def blocks(net):
+            return None if net is None else {
+                name: block.ravel().tolist() for name, block in net.dims.views(net.theta).items()}
+
         # one dumps string: json.dump would stream through the pure-Python
         # encoder, for the same bytes
-        text = json.dumps({"config": self.config.to_dict(),
+        text = json.dumps({"config": self.config._asdict(),
                            "loss_trace": self.loss_trace, "sfc_trace": self.sfc_trace,
-                           "primary": self.primary.to_dict(),
-                           "aux": None if self.aux is None else self.aux.to_dict(),
+                           "primary": blocks(self.primary), "aux": blocks(self.aux),
                            "epoch_sfc_stats": self.epoch_sfc_stats}, sort_keys=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
     @classmethod
     def load(cls, path) -> "TrainRun":
-        """Inverse of save: the run in the ``run.json`` at ``path``, each
-        net's dims taken from the run's config. A file that is not a whole
-        run, or whose nets do not fit that config, raises LabError."""
+        """Inverse of save: the run in the ``run.json`` at ``path``, each net's
+        dims from its config and each block filling its view of a fresh theta.
+        A file that is not a whole run, or whose nets do not fit that config,
+        raises LabError. Keys save does not write are ignored, so a run from an
+        older version (an ``sfc_normalized`` setting, a ``dataset_fingerprint``,
+        each net's ``dims``, ``seed`` and zero ``b2``) still loads."""
+        def net(blocks):
+            theta = np.empty(dims.n_params)
+            for name, block in dims.views(theta).items():
+                block[...] = np.reshape(blocks[name], block.shape)
+            return RewardNet(dims, theta)
+
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            config = TrainConfig.from_dict(doc["config"])
+            settings = doc["config"]
+            config = TrainConfig(**{name: settings[name] for name in TrainConfig._fields
+                                    if name in settings})
             dims = net_dims(config)
             return cls(config=config, loss_trace=doc["loss_trace"], sfc_trace=doc["sfc_trace"],
-                       primary=RewardNet.from_dict(doc["primary"], dims),
-                       aux=None if doc["aux"] is None else RewardNet.from_dict(doc["aux"], dims),
+                       primary=net(doc["primary"]),
+                       aux=None if doc["aux"] is None else net(doc["aux"]),
                        epoch_sfc_stats=doc["epoch_sfc_stats"])
         except (ValueError, KeyError, TypeError, RecursionError, ConfigError) as exc:
             # the exception's type, not its message: a message can echo file content
@@ -94,7 +109,7 @@ def sfc(loss_mm, loss_t):
     decreasing in loss_mm and increasing in loss_t.
     """
     if np.less_equal(loss_mm, 0.0).any() or np.less_equal(loss_t, 0.0).any():
-        raise DomainError(f"sfc needs strictly positive losses, got ({loss_mm}, {loss_t})")
+        raise ValueError(f"sfc needs strictly positive losses, got ({loss_mm}, {loss_t})")
     return loss_t / (loss_mm + loss_t)
 
 

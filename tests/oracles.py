@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from rmlab import net as netmod
-from rmlab.errors import ConfigError, DimensionError
+from rmlab.errors import ConfigError
 from rmlab.evaluation import accuracy, outcomes
 from rmlab.training import LOSS_FLOOR, _stack_pairs, sfc
 
@@ -64,7 +64,7 @@ def fd_check(net, sample, mask_vision: bool, label: int = 1,
     near-zero entries do not blow up the ratio.
     """
     if label not in (1, -1):
-        raise DimensionError(f"label must be +1 or -1, got {label}")
+        raise ValueError(f"label must be +1 or -1, got {label}")
     v = np.zeros_like(sample.v) if mask_vision else sample.v
     chosen, rejected = (sample.a1, sample.a2) if label == 1 else (sample.a2, sample.a1)
     pairs = np.stack([np.concatenate([v, sample.q, a]) for a in (chosen, rejected)])[None]

@@ -151,11 +151,11 @@ class TestBatchedMatchesLoop:
                 [loop_bon_fast(rewards, judges, n) for n in grid]
 
     def test_grid_outside_pool_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="need 1 <= N <= M, got N=5, M=4"):
             bon_estimates(np.zeros(4), np.zeros(4), [1, 5])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="need 1 <= N <= M, got N=0, M=4"):
             bon_fast(np.zeros(4), np.zeros(4), 0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="need 1 <= N <= M, got N=5, M=4"):
             bon_estimates(np.zeros((3, 4)), np.zeros((3, 4)), [5])
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 64), (7, 1), (50, 64), (2, 3, 16)])

@@ -3,10 +3,12 @@ import fcntl
 import hashlib
 import json
 import os
+import resource
 import shutil
 import signal
 import subprocess
 import sys
+import zipfile
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -263,17 +265,29 @@ class TestGen:
         ("gen", {"n_train": 10**12}, ()),
         ("bon", {"pool_size": 10**13}, ()),
         ("train", {"train": {**TINY["train"], "hidden": 10**14}}, ("--jobs", "2")),
-    ], ids=["gen", "bon", "train-jobs2"])
+        # the optimizer's lr table, one entry per step
+        ("train", {"train": {**TINY["train"], "epochs": 10**14}}, ()),
+    ], ids=["gen", "bon", "train-jobs2", "train-epochs"])
     def test_allocation_failure_exits_2_without_traceback(self, tmp_path, verb, overrides,
                                                           flags):
         # every size is past the 128 TiB address space, so the allocation
         # fails at once whatever the kernel's overcommit setting; with
-        # --jobs 2 the pool re-raises the worker's error in the parent
+        # --jobs 2 the pool re-raises the worker's error in the parent. The
+        # verb's address space is capped at 1 GiB and its time at 5 s, so a
+        # verb that grows toward such a size piece by piece fails here
+        # without taking the machine's memory
         config = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
         if verb != "gen":
             assert run("gen", config, out) == 0
-        proc = run_cli(verb, config, out, *flags)
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run([sys.executable, "-m", "rmlab.cli", verb, "--config", config,
+                               "--out", str(out), *flags], capture_output=True, text=True,
+                              env=dict(src_env(), OPENBLAS_NUM_THREADS="1"),
+                              preexec_fn=cap, timeout=5)
         assert proc.returncode == 2
         assert "error: out of memory: " in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -742,6 +756,35 @@ class TestPipeline:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "reports/matrix_summary.json" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.encode()) < 1024, proc.stderr[:2000]
+
+    @pytest.mark.parametrize("keys, message", [
+        # numpy's error quotes every key, so the message names only its type
+        (", ".join(f"'k{i}': 0" for i in range(800)), "(ValueError)"),
+        ("0: 0", "(TypeError)"),  # numpy sorts the keys, and 0 < 'descr' fails
+    ], ids=["800-extra-keys", "int-key"])
+    def test_malformed_dataset_header_exits_2_with_a_short_message(self, lab_copy, keys,
+                                                                   message):
+        # a test split whose recorded sha256 matches is read, with a y.npy
+        # header that numpy rejects
+        config, out = lab_copy
+        path = out / "datasets" / "A_test.npz"
+        header = f"{{'descr': '<i8', 'fortran_order': False, 'shape': (120,), {keys}}}".encode()
+        header += b" " * (64 - (11 + len(header)) % 64) + b"\n"
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        members["y.npy"] = b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in members.items():
+                zf.writestr(name, data)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"]["datasets/A_test.npz"] = file_sha(path)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("matrix", config, out)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "datasets/A_test.npz" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.encode()) < 1024, proc.stderr[:2000]
 
@@ -1305,6 +1348,37 @@ class TestNonRegularArtifacts:
             assert (out / name).is_file() and not (out / name).is_symlink()
         assert file_sha(family) == recorded
         assert not list(out.rglob("*.tmp"))
+
+    def test_symlinked_directory_is_neither_read_nor_written(self, lab_copy, tmp_path):
+        # datasets/ moved beside the lab, a symlink to it in its place, and a
+        # split deleted there: gen writes nothing through the link, and report
+        # counts every split behind it as missing
+        config, out = lab_copy
+        outside = tmp_path / "outside"
+        (out / "datasets").rename(outside)
+        (out / "datasets").symlink_to(outside)
+        (outside / "A_test.npz").unlink()
+        before = tree(outside)
+        proc = run_cli("gen", config, out)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {out / 'datasets'} goes through a symlinked directory\n"
+        assert tree(outside) == before
+        proc = run_cli("report", config, out)
+        assert proc.returncode == 1, proc.stderr
+        assert sorted(line for line in proc.stdout.splitlines()
+                      if line.startswith("[FAIL] missing artifact: datasets/")) == [
+            f"[FAIL] missing artifact: datasets/{e}_{split}.npz: artifact "
+            f"'datasets/{e}_{split}.npz' missing on disk"
+            for e in "ABC" for split in ("test", "train")]
+        assert tree(outside) == before
+
+    def test_output_dir_may_be_a_symlink(self, lab_copy, tmp_path):
+        config, out = lab_copy
+        link = tmp_path / "link"
+        link.symlink_to(out)
+        for verb in ("gen", "matrix", "sfd", "bon"):
+            proc = run_cli(verb, config, link)
+            assert (proc.returncode, proc.stdout) == (0, f"{verb}: skip (outputs up to date)\n")
 
     def test_fifo_at_the_lock_exits_2(self, lab_copy):
         config, out = lab_copy

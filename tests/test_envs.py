@@ -7,7 +7,7 @@ from oracles import net_accuracy
 from rmlab import envs
 from rmlab.envs import (EnvironmentFamily, EnvironmentSpec, LENGTH_COORD, default_family,
                         read_dataset, sample_env, write_dataset)
-from rmlab.errors import GenerationError
+from rmlab.errors import LabError
 from rmlab.training import TrainConfig, train
 
 
@@ -306,10 +306,10 @@ class TestDatasetIO:
         b'{"env_id": "P", "split": "test", "v": [0.0], "y": 1}\n',  # a JSONL dataset
         b"PK\x03\x04 truncated zip",
     ])
-    def test_invalid_file_raises_generation_error(self, tmp_path, content):
+    def test_invalid_file_raises_lab_error(self, tmp_path, content):
         path = tmp_path / "bad.npz"
         path.write_bytes(content)
-        with pytest.raises(GenerationError):
+        with pytest.raises(LabError, match="bad.npz is not a valid dataset file"):
             read_dataset(path)
 
     def test_truncated_and_incomplete_archives_rejected(self, small_sets, tmp_path):
@@ -318,8 +318,8 @@ class TestDatasetIO:
         write_dataset(ds, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
-        with pytest.raises(GenerationError):
+        with pytest.raises(LabError, match=r"p.npz is not a valid dataset file \(\w+\)"):
             read_dataset(path)
         np.savez(path, v=ds.v, q=ds.q)  # a valid archive without the other columns
-        with pytest.raises(GenerationError):
+        with pytest.raises(LabError, match=r"p.npz is not a valid dataset file \(KeyError\)"):
             read_dataset(path)

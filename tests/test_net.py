@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import batch_losses, copy_net, fd_check, zero_net
 from rmlab import net as netmod
+from rmlab.config import TrainConfig
 from rmlab.envs import PreferenceSample
-from rmlab.errors import DimensionError, ScheduleExhausted
+from rmlab.errors import LabError
 from rmlab.net import (NetDims, OptimizerState, RewardNet, adamw_step, batch_pair_grads,
                        batch_scores, branch_forward, pair_margins, schedule_lr, sigmoid)
+from rmlab.training import TrainRun
 
 
 def make_sample(rng, dims):
@@ -36,16 +38,18 @@ def pair_grad(net, sample, mask_vision, label):
     return float(netmod.bt_loss(margins)[0, 0]), grad[0]
 
 
-def loop_forward(doc, hidden, v, q, a):
-    """Independent plain-Python forward pass over the serialized net."""
+def loop_forward(blocks, hidden, v, q, a):
+    """Independent plain-Python forward pass over the named blocks, as
+    ``NetDims.views`` gives them, read entry by entry as Python floats."""
+    p = {name: block.tolist() for name, block in blocks.items()}
     x = list(v) + list(q) + list(a)
     d = len(x)
     score = 0.0
     for j in range(hidden):
-        z = doc["b1"][j]
+        z = p["b1"][j]
         for k in range(d):
-            z += doc["w1"][j * d + k] * x[k]
-        score += doc["w2"][j] * math.tanh(z)
+            z += p["w1"][j][k] * x[k]
+        score += p["w2"][j] * math.tanh(z)
     return score
 
 
@@ -67,7 +71,7 @@ class TestForward:
             default_dims.hidden)
         rng = np.random.default_rng(2)
         v, q, a = rng.standard_normal(16), rng.standard_normal(8), rng.standard_normal(16)
-        expected = loop_forward(net.to_dict(), default_dims.hidden, v, q, a)
+        expected = loop_forward(default_dims.views(net.theta), default_dims.hidden, v, q, a)
         assert abs(score(net, v, q, a) - expected) < 1e-12
 
 
@@ -163,7 +167,7 @@ class TestPairGrad:
 
     def test_bad_label_rejected(self, default_dims, random_sample):
         net = RewardNet.init(default_dims, seed=1)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="label must be"):
             fd_check(net, random_sample, False, label=0)
 
 
@@ -230,19 +234,23 @@ class TestSchedule:
         grad = np.ones_like(theta)
         for _ in range(len(state.lr)):
             adamw_step(state, theta, grad)
-        with pytest.raises(ScheduleExhausted):
+        with pytest.raises(ValueError, match="scheduled steps"):
             adamw_step(state, theta, grad)
 
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_noop(self, default_dims):
         net = RewardNet.init(default_dims, seed=12)
-        before = net.to_dict()
+
+        def blocks():
+            return {name: block.tolist() for name, block in default_dims.views(net.theta).items()}
+
+        before = blocks()
         theta = net.theta[None]  # a one-row view: the update writes through to net
         state = OptimizerState(theta, base_lr=(0.1,), warmup_ratio=0.0,
                                total_steps=10, weight_decay=0.0)
         adamw_step(state, theta, np.zeros_like(theta))
-        assert net.to_dict() == before
+        assert blocks() == before
 
     def test_matches_hand_recursion_two_steps(self):
         # Two scalar parameters, constant gradient 1.0, wd 0. With a
@@ -269,7 +277,7 @@ class TestAdamW:
         state = OptimizerState(theta, (0.1,), 0.0, 1, 0.0)
         grad = np.zeros_like(theta)
         adamw_step(state, theta, grad)
-        with pytest.raises(ScheduleExhausted):
+        with pytest.raises(ValueError, match="scheduled steps"):
             adamw_step(state, theta, grad)
 
 
@@ -327,7 +335,11 @@ class TestFlatAdamW:
         assert net.theta.shape == (default_dims.n_params,)
         assert np.all(named["w1"] == 1.0) and named["b1"][3] == 2.0
         assert np.all(named["w2"] == 4.0)
-        assert np.array_equal(RewardNet.from_dict(net.to_dict(), default_dims).theta, net.theta)
+        # the named blocks cover theta exactly: filling each fills all of it
+        fresh = np.full(default_dims.n_params, np.nan)
+        for name, block in default_dims.views(fresh).items():
+            block[...] = named[name]
+        assert np.array_equal(fresh, net.theta)
 
 
 class TestDeterminismAndSerialization:
@@ -341,22 +353,33 @@ class TestDeterminismAndSerialization:
         a_block = default_dims.views(net.theta)["w1"][:, default_dims.d_v + default_dims.d_q:]
         assert np.all(a_block == 0.0)
 
-    def test_json_round_trip_bit_exact(self, default_dims):
+    @staticmethod
+    def saved(tmp_path, net):
+        """The path of a saved one-net run of ``net``, whose dims its config
+        gives: a net reaches a file only inside a run, in ``TrainRun``'s format."""
+        config = TrainConfig(mode="standard", seed=7, hidden=net.dims.hidden)
+        path = tmp_path / "run.json"
+        TrainRun(config=config, loss_trace=[0.5], sfc_trace=None, primary=net).save(path)
+        return path
+
+    def test_json_round_trip_bit_exact(self, default_dims, tmp_path):
         net = RewardNet.init(default_dims, seed=101)
         default_dims.views(net.theta)["b1"][...] = np.random.default_rng(5).standard_normal(
             default_dims.hidden)
-        blob = json.dumps(net.to_dict())
-        back = RewardNet.from_dict(json.loads(blob), default_dims)
-        assert np.array_equal(back.theta, net.theta)
+        back = TrainRun.load(self.saved(tmp_path, net))
+        assert np.array_equal(back.primary.theta, net.theta)
 
-    def test_file_with_zero_output_offset_loads_to_same_theta(self, default_dims):
+    def test_file_with_zero_output_offset_loads_to_same_theta(self, default_dims, tmp_path):
         # primary.json files written before the offset was dropped carry
         # "b2": 0.0 (and n_params one larger), and run.json files written
         # before dims came from the config carry "dims" and "seed"; both
         # load to the same theta.
         net = RewardNet.init(default_dims, seed=102)
-        old = dict(net.to_dict(), b2=0.0, seed=102, dims=asdict(default_dims))
-        back = RewardNet.from_dict(json.loads(json.dumps(old)), default_dims)
+        path = self.saved(tmp_path, net)
+        doc = json.loads(path.read_text())
+        doc["primary"].update(b2=0.0, seed=102, dims=asdict(default_dims))
+        path.write_text(json.dumps(doc))
+        back = TrainRun.load(path).primary
         assert np.array_equal(back.theta, net.theta)
         assert back.theta.shape == (default_dims.hidden * (default_dims.input_dim + 2),)
 
@@ -368,11 +391,14 @@ class TestDeterminismAndSerialization:
         lambda doc, h: doc.update(w2=doc["w2"][:1]),  # would broadcast over hidden
         lambda doc, h: doc.update(b1=0.0),
     ], ids=["short-w1", "empty", "shifted", "length-one", "scalar"])
-    def test_block_of_the_wrong_length_raises_value_error(self, default_dims, damage):
-        doc = RewardNet.init(default_dims, seed=103).to_dict()
-        damage(doc, default_dims.hidden)
-        with pytest.raises(ValueError):
-            RewardNet.from_dict(doc, default_dims)
+    def test_block_of_the_wrong_length_raises_value_error(self, default_dims, tmp_path,
+                                                          damage):
+        path = self.saved(tmp_path, RewardNet.init(default_dims, seed=103))
+        doc = json.loads(path.read_text())
+        damage(doc["primary"], default_dims.hidden)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(LabError, match=r"run.json is not a valid run file \(ValueError\)"):
+            TrainRun.load(path)
 
 
 def masked_sigmoid(x):
@@ -463,7 +489,7 @@ class TestStackedAdamW:
                 assert row.theta.tobytes() == flat(ref).tobytes(), step
             assert stacked.m.tobytes() == np.stack([flat(s["m"]) for s in states]).tobytes()
             assert stacked.v.tobytes() == np.stack([flat(s["v"]) for s in states]).tobytes()
-        with pytest.raises(ScheduleExhausted):
+        with pytest.raises(ValueError, match="scheduled steps"):
             adamw_step(stacked, theta, grads)
 
     def test_net_on_a_row_writes_through_and_copies_detach(self, default_dims):

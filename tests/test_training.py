@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import batch_losses, copy_net, net_accuracy
 from rmlab.config import MODES
 from rmlab.envs import ENVS, default_family, sample_env
-from rmlab.errors import ConfigError, DomainError
+from rmlab.errors import ConfigError
 from rmlab.net import RewardNet, schedule_lr
 from rmlab.training import (TrainConfig, TrainRun, sfc, train, weighted_grad_step,
                             _stack_pairs)
@@ -39,11 +39,11 @@ class TestSfc:
             assert all(a < b for a, b in zip(vals, vals[1:]))  # increasing in loss_t
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="sfc needs strictly positive losses"):
             sfc(0.0, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="sfc needs strictly positive losses"):
             sfc(1.0, -0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="sfc needs strictly positive losses"):
             sfc(np.array([1.0, 0.0]), np.ones(2))
 
 
@@ -115,10 +115,6 @@ class TestConfig:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(mode="finetune")
-
-    def test_round_trip(self):
-        cfg = TrainConfig(mode="shortcut_aware", seed=9, epochs=2)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestWeightedGradStep:
@@ -400,3 +396,4 @@ class TestTrain:
         # pairs sit well below unmarked ones
         for s in stats[1:]:
             assert s["mean_sfc_clean"] > s["mean_sfc_planted"]
+
